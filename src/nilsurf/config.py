@@ -14,8 +14,7 @@ A run configuration is a JSON document:
                  "ymin": -1.0, "ymax": 1.0, "nx": 65, "ny": 65},
       "t_values": [0.0, 0.7853981633974483, 1.5707963267948966],
       "solver": {"tol": 1e-10, "max_iter": 50},
-      "tolerances": {"shape": 1e-6, "flatness": 1e-5,
-                     "angle_cutoff": 0.05, "margin": 2,
+      "tolerances": {"shape": 1e-6, "angle_cutoff": 0.05, "margin": 2,
                      "residual_floor": 1e-10, "threshold_scale": 1.0},
       "outputs": {"mesh": "surface_t{t}.obj", "report": "report.json",
                   "solution": "solution.csv"}
@@ -34,6 +33,11 @@ error), and pushing the artificial Dirichlet boundary away from the
 surface window keeps the boundary's corner kinks — where the constant
 boundary data is incompatible with the nonzero right-hand side — out of
 the region whose derivatives feed the surface.
+
+Admissibility of the potential has no tolerance key: it is the one check
+in the frame module (integrability residual at most 1e-6 at every surface
+node), and a document that still sets "tolerances.flatness" is rejected
+as an unknown key.
 """
 
 import json
@@ -48,7 +52,6 @@ DEFAULT_T_VALUES = (0.0, math.pi / 4.0, math.pi / 2.0)
 DEFAULT_SOLVER = {"tol": 1e-10, "max_iter": 50}
 DEFAULT_TOLERANCES = {
     "shape": 1e-6,
-    "flatness": 1e-5,
     "angle_cutoff": 0.05,
     "margin": 2,
     "residual_floor": 1e-10,
@@ -116,7 +119,6 @@ class RunConfig:
     solver_tol: float = 1e-10
     solver_max_iter: int = 50
     shape_tol: float = 1e-6
-    flatness_threshold: float = 1e-5
     angle_cutoff: float = 0.05
     margin: int = 2
     residual_floor: float = 1e-10
@@ -145,7 +147,6 @@ class RunConfig:
             "solver": {"tol": self.solver_tol, "max_iter": self.solver_max_iter},
             "tolerances": {
                 "shape": self.shape_tol,
-                "flatness": self.flatness_threshold,
                 "angle_cutoff": self.angle_cutoff,
                 "margin": self.margin,
                 "residual_floor": self.residual_floor,
@@ -352,14 +353,12 @@ def parse_config(text):
         for key, value in raw["tolerances"].items():
             tolerances[key] = value
     shape_tol = _as_float(tolerances["shape"], "tolerances.shape")
-    flatness = _as_float(tolerances["flatness"], "tolerances.flatness")
     angle_cutoff = _as_float(tolerances["angle_cutoff"], "tolerances.angle_cutoff")
     margin = _as_int(tolerances["margin"], "tolerances.margin")
     floor = _as_float(tolerances["residual_floor"], "tolerances.residual_floor")
     scale = _as_float(tolerances["threshold_scale"], "tolerances.threshold_scale")
     for name, value in (
         ("shape", shape_tol),
-        ("flatness", flatness),
         ("residual_floor", floor),
         ("threshold_scale", scale),
     ):
@@ -394,7 +393,6 @@ def parse_config(text):
         solver_tol=tol,
         solver_max_iter=max_iter,
         shape_tol=shape_tol,
-        flatness_threshold=flatness,
         angle_cutoff=angle_cutoff,
         margin=margin,
         residual_floor=floor,

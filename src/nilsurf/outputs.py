@@ -116,8 +116,9 @@ def write_surface_csv(surface, path):
 def read_surface_csv(path):
     """Read an external surface table (header x,y,F_re,F_im,h) into a grid.
 
-    The rows must cover a complete rectangular grid (any order); raises
-    SchemaError for a bad header, non-numeric data, or incomplete grids.
+    The rows must cover a complete rectangular grid (any order) of at
+    least 3 x 3 nodes; raises SchemaError for a bad header, non-numeric or
+    non-finite data, too few distinct x or y values, or incomplete grids.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -132,6 +133,7 @@ def read_surface_csv(path):
                 f"expected header x,y,F_re,F_im,h; got {','.join(header)}",
             )
         rows = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -143,11 +145,22 @@ def read_surface_csv(path):
                 raise SchemaError(
                     str(path), f"line {lineno}: non-numeric value"
                 ) from None
+            linenos.append(lineno)
     if not rows:
         raise SchemaError(str(path), "no data rows")
     data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise SchemaError(str(path), f"line {lineno}: non-finite value")
     x = np.unique(data[:, 0])
     y = np.unique(data[:, 1])
+    if x.size < 3 or y.size < 3:
+        raise SchemaError(
+            str(path),
+            f"need at least 3 distinct x and y values; got {x.size} x and "
+            f"{y.size} y",
+        )
     if x.size * y.size != data.shape[0]:
         raise SchemaError(
             str(path),

@@ -126,12 +126,21 @@ def _neg_quarter_laplacian(nx, ny, h):
 
 
 def _cg_solve(matrix, rhs, context):
-    sol, info = cg(matrix, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)
+    """Conjugate gradients to CG_RTOL; returns (solution, iteration count)."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    sol, info = cg(
+        matrix, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, callback=count
+    )
     if info != 0:
         raise LinearSolveFailure(
             f"conjugate gradients failed during {context} (info={info})"
         )
-    return sol
+    return sol, iterations
 
 
 def _boundary_rhs(bc, h):
@@ -146,6 +155,17 @@ def _boundary_rhs(bc, h):
     return rhs
 
 
+def _harmonic_fill(a0, bc, h):
+    """Harmonic interior fill of bc with a0 = -Laplacian/4; (u, CG iterations)."""
+    ny, nx = bc.shape
+    u = bc.copy()
+    sol, iterations = _cg_solve(
+        a0, _boundary_rhs(bc, h).ravel(), "harmonic extension"
+    )
+    u[1:-1, 1:-1] = sol.reshape(ny - 2, nx - 2)
+    return u, iterations
+
+
 def harmonic_extension(bc, h):
     """Discrete harmonic interior fill of the boundary values in bc.
 
@@ -155,12 +175,7 @@ def harmonic_extension(bc, h):
     """
     bc = np.asarray(bc, dtype=float)
     ny, nx = bc.shape
-    a0 = _neg_quarter_laplacian(nx, ny, h)
-    u = bc.copy()
-    u[1:-1, 1:-1] = _cg_solve(
-        a0, _boundary_rhs(bc, h).ravel(), "harmonic extension"
-    ).reshape(ny - 2, nx - 2)
-    return u
+    return _harmonic_fill(_neg_quarter_laplacian(nx, ny, h), bc, h)[0]
 
 
 def newton_solve(q0_values, bc, x, y, tol=1e-10, max_iter=50):
@@ -195,29 +210,9 @@ def newton_solve(q0_values, bc, x, y, tol=1e-10, max_iter=50):
                 f"boundary data shape {bc.shape} does not match grid ({ny}, {nx})"
             )
 
-    cg_counter = []
-
-    def counting_cg(matrix, rhs, context):
-        calls = [0]
-
-        def cb(_):
-            calls[0] += 1
-
-        sol, info = cg(
-            matrix, rhs, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, callback=cb
-        )
-        if info != 0:
-            raise LinearSolveFailure(
-                f"conjugate gradients failed during {context} (info={info})"
-            )
-        cg_counter.append(calls[0])
-        return sol
-
     a0 = _neg_quarter_laplacian(nx, ny, h)
-    u = bc.copy()
-    u[1:-1, 1:-1] = counting_cg(
-        a0, _boundary_rhs(bc, h).ravel(), "harmonic extension"
-    ).reshape(ny - 2, nx - 2)
+    u, iterations = _harmonic_fill(a0, bc, h)
+    cg_counter = [iterations]
 
     history = []
     for iteration in range(max_iter + 1):
@@ -239,9 +234,11 @@ def newton_solve(q0_values, bc, x, y, tol=1e-10, max_iter=50):
         ui = u[1:-1, 1:-1]
         c = np.exp(ui) / 8.0 + 2.0 * q2[1:-1, 1:-1] * np.exp(-ui)
         matrix = a0 + sp.diags(c.ravel())
-        delta = counting_cg(
+        delta, iterations = _cg_solve(
             matrix, r[1:-1, 1:-1].ravel(), f"newton step {iteration + 1}"
-        ).reshape(ny - 2, nx - 2)
+        )
+        cg_counter.append(iterations)
+        delta = delta.reshape(ny - 2, nx - 2)
         step = 1.0
         while True:
             trial = u.copy()

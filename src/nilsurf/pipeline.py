@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from . import frame
 from .errors import (
     DegenerateNode,
     DomainError,
@@ -57,10 +58,6 @@ THRESHOLD_COEFFS = {
     "gauss_map_tension": 0.25,
     "fhat_laplace_identity": 0.5,
 }
-
-#: Potential-level admissibility gate (analytic residuals are ~1e-16,
-#: stored solve residuals <= solver tol; inadmissible data is O(0.1)).
-INTEGRABILITY_THRESHOLD = 1e-6
 
 EXIT_PASS = 0
 EXIT_CONFIG = 2
@@ -154,16 +151,12 @@ def build_potential(config):
 
 
 def check_integrability(potential, x, y):
-    """Admissibility gate over the surface nodes; NonFlatInput on failure."""
+    """Admissibility gate over the surface nodes; NonFlatInput on failure.
+
+    Returns the worst integrability residual (see frame._check_admissibility).
+    """
     z = np.asarray(x)[None, :] + 1j * np.asarray(y)[:, None]
-    first, second = potential.integrability_residual(z)
-    worst = max(float(np.max(np.abs(first))), float(np.max(np.abs(second))))
-    if worst > INTEGRABILITY_THRESHOLD:
-        raise NonFlatInput(
-            f"integrability residual {worst:.3e} exceeds "
-            f"{INTEGRABILITY_THRESHOLD:.0e}; potential data is not admissible"
-        )
-    return worst
+    return frame._check_admissibility(potential, z)
 
 
 def _mesh_path(pattern, t):
@@ -193,7 +186,12 @@ def run_generate(config, log=print):
     try:
         for t in config.t_values:
             surf = generate_surface(
-                potential, x, y, t, shape_tol=config.shape_tol
+                potential,
+                x,
+                y,
+                t,
+                shape_tol=config.shape_tol,
+                check_flatness=False,  # gated once above
             )
             report = verify_surface(
                 surf,

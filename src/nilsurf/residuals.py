@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import DegenerateNode
-from .nil3 import CONNECTION_TABLE
+from .nil3 import covariant_derivative, frame_coeffs_from_coords
 
 DEFAULT_ANGLE_CUTOFF = 0.05
 DEFAULT_MARGIN = 2
@@ -58,28 +58,41 @@ RESIDUAL_KEYS = (
 )
 
 
+def _xy_differences(f, hx, hy):
+    """(f, f_x, f_y): f as complex and its central differences on the interior."""
+    f = np.asarray(f, dtype=complex)
+    fx = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hx)
+    fy = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hy)
+    return f, fx, fy
+
+
+def _nan_ring(f, interior):
+    """Array shaped like f holding interior inside a ring of NaN."""
+    out = np.full_like(f, np.nan + 0j)
+    out[1:-1, 1:-1] = interior
+    return out
+
+
 def grid_dz(f, hx, hy):
     """d/dz = (d/dx - i d/dy)/2 by central differences.
 
     f has shape (ny, nx, ...); the outermost ring of nodes gets NaN since
     the stencil does not fit there.
     """
-    f = np.asarray(f, dtype=complex)
-    out = np.full_like(f, np.nan + 0j)
-    fx = (f[:, 2:] - f[:, :-2]) / (2.0 * hx)
-    fy = (f[2:, :] - f[:-2, :]) / (2.0 * hy)
-    out[1:-1, 1:-1] = (fx[1:-1] - 1j * fy[:, 1:-1]) / 2.0
-    return out
+    f, fx, fy = _xy_differences(f, hx, hy)
+    return _nan_ring(f, (fx - 1j * fy) / 2.0)
 
 
 def grid_dzbar(f, hx, hy):
     """d/dz̄ = (d/dx + i d/dy)/2 by central differences (NaN ring)."""
-    f = np.asarray(f, dtype=complex)
-    out = np.full_like(f, np.nan + 0j)
-    fx = (f[:, 2:] - f[:, :-2]) / (2.0 * hx)
-    fy = (f[2:, :] - f[:-2, :]) / (2.0 * hy)
-    out[1:-1, 1:-1] = (fx[1:-1] + 1j * fy[:, 1:-1]) / 2.0
-    return out
+    f, fx, fy = _xy_differences(f, hx, hy)
+    return _nan_ring(f, (fx + 1j * fy) / 2.0)
+
+
+def grid_dz_dzbar(f, hx, hy):
+    """(d/dz, d/dz̄) of one field from a single pair of x/y differences."""
+    f, fx, fy = _xy_differences(f, hx, hy)
+    return _nan_ring(f, (fx - 1j * fy) / 2.0), _nan_ring(f, (fx + 1j * fy) / 2.0)
 
 
 def grid_dzzbar(f, hx, hy):
@@ -99,10 +112,10 @@ class TangentData:
 
     Attributes:
       F_z, F_zbar  complex derivatives of the horizontal coordinate
-      A            vertical frame coefficient of f_z:
-                   A = h_z - (i/4)(F conj(F)_z - conj(F) F_z)
+      A            vertical frame coefficient of f_z (nil3.vertical_form of
+                   f_z): A = h_z - (i/4)(F conj(F)_z - conj(F) F_z)
       a            frame coefficients of f_z, shape (ny, nx, 3):
-                   ((F_z + conj(F_z̄))/2, (F_z - conj(F_z̄))/(2i), A)
+                   ((x1)_z, (x2)_z, A)
       b            frame coefficients of f_z̄ (= conj(a) for real surfaces)
     """
 
@@ -116,19 +129,16 @@ class TangentData:
 def tangent_frame_coeffs(F, height, hx, hy):
     """Compute TangentData from the coordinate grids by central differences."""
     F = np.asarray(F, dtype=complex)
-    f_z = grid_dz(F, hx, hy)
-    f_zbar = grid_dzbar(F, hx, hy)
-    h_z = grid_dz(height, hx, hy)
-    vert = h_z - 0.25j * (F * grid_dz(np.conj(F), hx, hy) - np.conj(F) * f_z)
-    a = np.stack(
-        [
-            (f_z + np.conj(f_zbar)) / 2.0,
-            (f_z - np.conj(f_zbar)) / 2.0j,
-            vert,
-        ],
-        axis=-1,
+    p = np.stack([F.real, F.imag, np.asarray(height, dtype=float)], axis=-1)
+    a = frame_coeffs_from_coords(p, grid_dz(p, hx, hy))
+    # p is real, so the coordinate z̄-derivatives are conj(p_z).
+    return TangentData(
+        F_z=a[..., 0] + 1j * a[..., 1],
+        F_zbar=np.conj(a[..., 0]) + 1j * np.conj(a[..., 1]),
+        A=np.ascontiguousarray(a[..., 2]),
+        a=a,
+        b=np.conj(a),
     )
-    return TangentData(F_z=f_z, F_zbar=f_zbar, A=vert, a=a, b=np.conj(a))
 
 
 def conformality_residual(tangent):
@@ -162,8 +172,7 @@ def covariant_minimality_residual(tangent, hx, hy):
     The covariant derivative is the z-derivative of the coefficients of
     f_z̄ plus the connection correction from the constant table.
     """
-    db = grid_dz(tangent.b, hx, hy)
-    return db + np.einsum("...i,...j,ijk->...k", tangent.a, tangent.b, CONNECTION_TABLE)
+    return covariant_derivative(tangent.a, tangent.b, grid_dz(tangent.b, hx, hy))
 
 
 def unit_normal(tangent):
@@ -190,10 +199,7 @@ def quadratic_differential(tangent, normal, hx, hy):
     differential; on a minimal conformal immersion Q is holomorphic.
     Returns (Q, Q_z̄).
     """
-    da = grid_dz(tangent.a, hx, hy)
-    accel = da + np.einsum(
-        "...i,...j,ijk->...k", tangent.a, tangent.a, CONNECTION_TABLE
-    )
+    accel = covariant_derivative(tangent.a, tangent.a, grid_dz(tangent.a, hx, hy))
     p = np.sum(accel * normal, axis=-1)
     q = 1j * p + tangent.A**2
     return q, grid_dzbar(q, hx, hy)
@@ -215,8 +221,7 @@ def gauss_map_tension(normal, phi, hx, hy, angle_cutoff=DEFAULT_ANGLE_CUTOFF):
         denom = 1.0 + normal[..., 2]
         denom = np.where(denom == 0.0, np.nan, denom)
         g = (normal[..., 0] + 1j * normal[..., 1]) / denom
-        g_z = grid_dz(g, hx, hy)
-        g_zbar = grid_dzbar(g, hx, hy)
+        g_z, g_zbar = grid_dz_dzbar(g, hx, hy)
         tau = grid_dzzbar(g, hx, hy) + 2.0 * np.conj(g) * g_z * g_zbar / (
             1.0 - np.abs(g) ** 2
         )
@@ -235,8 +240,7 @@ def fhat_laplace_identity(fhat, hx, hy):
     fhat_zz̄ - (i/4)[fhat_z, fhat_z̄], a matrix field; zero in the
     continuum for surfaces produced by the immersion formula.
     """
-    fz = grid_dz(fhat, hx, hy)
-    fzb = grid_dzbar(fhat, hx, hy)
+    fz, fzb = grid_dz_dzbar(fhat, hx, hy)
     return grid_dzzbar(fhat, hx, hy) - 0.25j * (fz @ fzb - fzb @ fz)
 
 

@@ -43,7 +43,6 @@ class TestDefaults:
         assert cfg.solver_tol == 1e-10
         assert cfg.solver_max_iter == 50
         assert cfg.shape_tol == 1e-6
-        assert cfg.flatness_threshold == 1e-5
         assert cfg.angle_cutoff == 0.05
         assert cfg.margin == 2
         assert cfg.residual_floor == 1e-10
@@ -127,6 +126,7 @@ class TestSchemaErrors:
                                       "rho0": {"source": "constant", "value": 1.0},
                                       "oops": 1}), "potential.oops"),
             (base_document(tolerances={"margins": 2}), "tolerances.margins"),
+            (base_document(tolerances={"flatness": 1e-5}), "tolerances.flatness"),
             (base_document(outputs={"meshes": "x.obj"}), "outputs.meshes"),
         ]
         for doc, path in cases:
@@ -215,7 +215,7 @@ class TestSchemaErrors:
         assert parse(doc).mesh_pattern == "surface.obj"
 
     def test_tolerance_positivity(self):
-        for key in ("shape", "flatness", "residual_floor", "threshold_scale"):
+        for key in ("shape", "residual_floor", "threshold_scale"):
             with pytest.raises(SchemaError):
                 parse(base_document(tolerances={key: 0.0}))
         with pytest.raises(SchemaError):

@@ -15,6 +15,7 @@ from scipy.linalg import expm
 from nilsurf import frame
 from nilsurf.errors import DomainError, NonFlatInput
 from nilsurf.potentials import Potential
+from nilsurf.surface import generate_surface
 
 UNIT_POTENTIAL = Potential.constant(1.0, (0.25,))
 
@@ -120,6 +121,11 @@ class TestFlatness:
         bad = Potential.constant(1.0, (0.0,))
         with pytest.raises(NonFlatInput):
             frame.integrate_grid(bad, ax, ax, 0.0)
+        # integrability residual 4e-6: over the gate's 1e-6 although the
+        # finite-difference curvature is only 2e-6
+        near = Potential.constant(1.0, (0.25 + 4e-6,))
+        with pytest.raises(NonFlatInput):
+            generate_surface(near, ax, ax, 0.0)
         # the gate can be disabled for studying the failure mode
         field = frame.integrate_grid(bad, ax, ax, 0.0, check_flatness=False)
         assert np.all(np.isfinite(field.psi))

@@ -112,6 +112,21 @@ class TestSurfaceCsv:
             outputs.read_surface_csv(path)
         assert "line 2" in str(err.value)
 
+    def test_non_finite_values_name_their_line(self, tmp_path):
+        surf = toy_surface(9)
+        path = tmp_path / "surface.csv"
+        outputs.write_surface_csv(surf, path)
+        lines = path.read_text().splitlines()
+        poisoned = tmp_path / "poisoned.csv"
+        for column, value in ((2, "nan"), (4, "inf"), (4, "nan"), (0, "-inf")):
+            cells = lines[40].split(",")
+            cells[column] = value
+            rows = lines[:40] + [",".join(cells)] + lines[41:]
+            poisoned.write_text("\n".join(rows) + "\n")
+            with pytest.raises(SchemaError) as err:
+                outputs.read_surface_csv(poisoned)
+            assert "line 41: non-finite value" in str(err.value)
+
     def test_incomplete_grid(self, tmp_path):
         surf = toy_surface(9)
         path = tmp_path / "surface.csv"

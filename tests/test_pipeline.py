@@ -153,16 +153,19 @@ class TestRunGenerate:
         assert (tmp_path / "surface.obj").read_bytes() == first_mesh
 
     def test_inadmissible_potential_exits_3(self, tmp_path):
-        cfg = make_config(
-            tmp_path, potential={"q0_coefficients": [0.0],
-                                 "rho0": {"source": "constant", "value": 1.0}}
-        )
-        lines = []
-        code, report = pipeline.run_generate(cfg, log=lines.append)
-        assert code == pipeline.EXIT_INTEGRABILITY
-        assert report is None
-        assert not (tmp_path / "surface.obj").exists()
-        assert any("not admissible" in line for line in lines)
+        # Q0 = 0 is far from admissible; Q0 = 1/4 + 4e-6 leaves an
+        # integrability residual of 4e-6, just over the gate.
+        for q0 in ([0.0], [0.25 + 4e-6]):
+            cfg = make_config(
+                tmp_path, potential={"q0_coefficients": q0,
+                                     "rho0": {"source": "constant", "value": 1.0}}
+            )
+            lines = []
+            code, report = pipeline.run_generate(cfg, log=lines.append)
+            assert code == pipeline.EXIT_INTEGRABILITY
+            assert report is None
+            assert not (tmp_path / "surface.obj").exists()
+            assert any("not admissible" in line for line in lines)
 
     def test_tiny_threshold_scale_exits_4_with_report(self, tmp_path):
         cfg = make_config(tmp_path, tolerances={"threshold_scale": 1e-6})
@@ -215,11 +218,15 @@ class TestRunCheck:
         assert any("OVER" in line for line in lines)
 
     def test_malformed_csv_exits_2(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y,weird\n0,0,0\n")
-        code, report = pipeline.run_check(path, log=lambda *_: None)
-        assert code == pipeline.EXIT_CONFIG
-        assert report is None
+        header = "x,y,F_re,F_im,h\n"
+        line = "".join(f"{v},0,{v},0,0\n" for v in (0.0, 0.1, 0.2))
+        column = "".join(f"0,{v},0,0,{v}\n" for v in (0.0, 0.1, 0.2))
+        for text in ("x,y,weird\n0,0,0\n", header + line, header + column):
+            path = tmp_path / "bad.csv"
+            path.write_text(text)
+            code, report = pipeline.run_check(path, log=lambda *_: None)
+            assert code == pipeline.EXIT_CONFIG
+            assert report is None
 
     def test_missing_file_exits_5(self, tmp_path):
         code, report = pipeline.run_check(
