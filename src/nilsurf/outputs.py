@@ -24,6 +24,10 @@ import numpy as np
 from .errors import SchemaError
 from .surface import SurfaceGrid
 
+# The residual stencils assume uniform axes.  CSV round trips of a uniform
+# axis deviate by ~1e-13 relative; a misplaced node is off by order 1.
+UNIFORM_SPACING_RTOL = 1e-6
+
 
 @dataclass
 class MeshSummary:
@@ -117,8 +121,9 @@ def read_surface_csv(path):
     """Read an external surface table (header x,y,F_re,F_im,h) into a grid.
 
     The rows must cover a complete rectangular grid (any order) of at
-    least 3 x 3 nodes; raises SchemaError for a bad header, non-numeric or
-    non-finite data, too few distinct x or y values, or incomplete grids.
+    least 3 x 3 nodes with uniformly spaced axes; raises SchemaError for a
+    bad header, non-numeric or non-finite data, too few distinct x or y
+    values, non-uniform spacing, or incomplete grids.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -161,6 +166,15 @@ def read_surface_csv(path):
             f"need at least 3 distinct x and y values; got {x.size} x and "
             f"{y.size} y",
         )
+    for name, axis in (("x", x), ("y", y)):
+        mean_step = (axis[-1] - axis[0]) / (axis.size - 1)
+        worst = float(np.max(np.abs(np.diff(axis) - mean_step)))
+        if worst > UNIFORM_SPACING_RTOL * mean_step:
+            raise SchemaError(
+                str(path),
+                f"{name} axis is not uniformly spaced (a step deviates from "
+                f"the mean {mean_step:.6g} by {worst:.3g})",
+            )
     if x.size * y.size != data.shape[0]:
         raise SchemaError(
             str(path),

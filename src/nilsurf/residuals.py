@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import DegenerateNode
+from .errors import DegenerateNode, DomainError
 from .nil3 import covariant_derivative, frame_coeffs_from_coords
 
 DEFAULT_ANGLE_CUTOFF = 0.05
@@ -357,12 +357,19 @@ def verify_surface(
     is compared against rho0 and the measured quadratic differential
     against |Q0| (ratio statistics in the report).
 
+    Raises DomainError when an axis has fewer than 2 * margin + 3 nodes:
+    the margin-trimmed interior must keep at least 3 nodes per axis.
     Raises DegenerateNode when the interior metric density drops below
     degenerate_tol — the data fails to be an immersion there and none of
     the residuals are meaningful.
     """
     x = np.asarray(surface.x, dtype=float)
     y = np.asarray(surface.y, dtype=float)
+    if min(x.size, y.size) < 2 * margin + 3:
+        raise DomainError(
+            f"grid {y.size} x {x.size} is too small for margin {margin}: "
+            f"need at least {2 * margin + 3} nodes per axis"
+        )
     hx = float(x[1] - x[0])
     hy = float(y[1] - y[0])
     F = np.asarray(surface.F, dtype=complex)

@@ -127,6 +127,35 @@ class TestSurfaceCsv:
                 outputs.read_surface_csv(poisoned)
             assert "line 41: non-finite value" in str(err.value)
 
+    def test_non_uniform_axis_is_rejected(self, tmp_path):
+        # the exact vertical plane F = x, h = y on a 17 x 17 dyadic grid,
+        # with one node of one axis moved by 0.03
+        path = tmp_path / "moved.csv"
+        for name in ("x", "y"):
+            ax = np.arange(-8, 9) * 0.125
+            x = ax.copy()
+            y = ax.copy()
+            (x if name == "x" else y)[5] += 0.03
+            x2d, y2d = np.meshgrid(x, y)
+            plane = SurfaceGrid(
+                x=x, y=y, t=0.0, F=x2d.astype(complex), height=y2d.copy()
+            )
+            outputs.write_surface_csv(plane, path)
+            with pytest.raises(SchemaError) as err:
+                outputs.read_surface_csv(path)
+            assert f"{name} axis is not uniformly spaced" in str(err.value)
+
+    def test_long_uniform_axis_survives_the_text_round_trip(self, tmp_path):
+        x = np.linspace(-0.6, 0.6, 1025)
+        y = np.linspace(-0.6, 0.6, 3)
+        surf = SurfaceGrid(
+            x=x, y=y, t=0.0, F=np.zeros((3, 1025), complex), height=np.zeros((3, 1025))
+        )
+        path = tmp_path / "long.csv"
+        outputs.write_surface_csv(surf, path)
+        back = outputs.read_surface_csv(path)
+        np.testing.assert_array_equal(back.x, x)
+
     def test_incomplete_grid(self, tmp_path):
         surf = toy_surface(9)
         path = tmp_path / "surface.csv"

@@ -115,6 +115,28 @@ class TestNewtonSolve:
         order = np.log2(errors[0] / errors[1])
         assert order > 1.8
 
+    @pytest.mark.parametrize("n", [33, 65, 129])
+    def test_cg_count_does_not_grow_with_resolution(self, n):
+        # CG preconditioned by the DST-I inverse of -Laplacian/4 + mean(c)
+        # needs a bounded number of iterations per linear solve at any h
+        x, y = square_axes(n, half_width=0.6)
+        z = grid_z(x, y)
+        liouville = (np.zeros((n, n)), np.log(pde.liouville_exact(z)))
+        for q0, bc in (liouville, (z / 4.0, 0.0)):
+            result = pde.newton_solve(q0, bc, x, y)
+            assert max(result.cg_iterations) <= 12
+
+    def test_harmonic_fill_is_one_preconditioned_iteration(self):
+        # with shift 0 the preconditioner is the exact inverse of
+        # -Laplacian/4, also on a rectangular grid of square cells
+        x = np.linspace(-0.5, 0.5, 41)
+        y = -0.3 + (x[1] - x[0]) * np.arange(25)
+        xx, yy = np.meshgrid(x, y)
+        bc = 0.3 * xx - 0.2 * yy**2
+        result = pde.newton_solve((xx + 1j * yy) / 4.0, bc, x, y)
+        assert result.cg_iterations[0] <= 1
+        assert result.final_residual <= 1e-10
+
     def test_iteration_cap_raises(self):
         x, y = square_axes(17)
         with pytest.raises(MaxIterExceeded) as info:

@@ -221,7 +221,18 @@ class TestRunCheck:
         header = "x,y,F_re,F_im,h\n"
         line = "".join(f"{v},0,{v},0,0\n" for v in (0.0, 0.1, 0.2))
         column = "".join(f"0,{v},0,0,{v}\n" for v in (0.0, 0.1, 0.2))
-        for text in ("x,y,weird\n0,0,0\n", header + line, header + column):
+        # horizontal plane h = -(x^2 + y^2)/8 on 4 x 4 nodes: no interior
+        # node survives the default margin of 2
+        ticks = (-0.375, -0.125, 0.125, 0.375)
+        small = "".join(
+            f"{x},{y},{x},{y},{-(x * x + y * y) / 8}\n" for y in ticks for x in ticks
+        )
+        for text in (
+            "x,y,weird\n0,0,0\n",
+            header + line,
+            header + column,
+            header + small,
+        ):
             path = tmp_path / "bad.csv"
             path.write_text(text)
             code, report = pipeline.run_check(path, log=lambda *_: None)
