@@ -63,7 +63,7 @@ def build_parser():
         "--margin",
         type=int,
         default=2,
-        help="boundary nodes excluded from max-norms (default 2)",
+        help="boundary nodes excluded from max-norms, at least 1 (default 2)",
     )
     p_check.add_argument(
         "--angle-cutoff",

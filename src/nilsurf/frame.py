@@ -20,6 +20,18 @@ again sparse: dU/dt multiplies the (2,1) entry by 2i, dV/dt multiplies the
 with classical RK4 along grid segments, starting from the exact base point
 z = 0 where the triple is (identity, 0, 0).
 
+One march serves the whole associated family.  `_sample` takes the
+t-independent data (sqrt(rho0), (log rho0)_z, Q0) once per sample point,
+and `_connection_entries` turns it into the nonzero entries of U and V with
+the phase e as a (T, 1) factor, so every entry carries a leading axis over
+the T requested t values.  The RK4 kernel works on the entries directly:
+the state is one array of shape (3, 2, 2, T, n) (triple, row, column, t,
+node), and a product Psi @ omega is Psi * diag(omega) + Psi[:, ::-1] *
+offdiag(omega) over the column axis.  omega_t and omega_tt are
+off-diagonal, with omega_tt = (-2i, +2i) times the (0,1) and (1,0) entries
+of omega_t, so most of the products vanish.  `connection_at`, the dense
+matrices the tests compare against, is built from the same two functions.
+
 Admissibility of the potential is what makes the connection flat
 (curvature dz̄-derivative of U minus dz-derivative of V minus [U, V]
 vanishes), hence the integration path-independent.  The package checks
@@ -43,6 +55,10 @@ FLATNESS_PROBE = 1e-4
 #: O(0.1)).
 ADMISSIBILITY_THRESHOLD = 1e-6
 
+#: omega_tt over omega_t, entry by entry, in the swapped off-diagonal
+#: order (1,0), (0,1) of `_omega`.
+_OMEGA_TT_FACTOR = np.array([2j, -2j])[:, None, None]
+
 
 @dataclass
 class ConnectionPair:
@@ -60,32 +76,44 @@ class ConnectionPair:
     v_tt: np.ndarray
 
 
+def _sample(potential, z):
+    """t-independent potential data at z: (sqrt(rho0), (log rho0)_z, Q0)."""
+    z = np.asarray(z, dtype=complex)
+    return np.sqrt(potential.rho0(z)), potential.dlog_rho0_dz(z), potential.q0(z)
+
+
+def _connection_entries(sample, phase):
+    """Nonzero entries (u00, u01, u10, v01, v10) of U and V.
+
+    The rest follow: u11 = -u00, v00 = -conj(u00), v11 = conj(u00).  Only
+    u10 and v01 depend on the phase e = exp(2 i t); they broadcast the
+    sample shape against the shape of phase.
+    """
+    root, lz, q = sample
+    u10 = -1j * q * phase / root
+    return lz / 4.0, 0.25j * root, u10, np.conj(u10), -0.25j * root
+
+
 def connection_at(potential, z, t):
     """Evaluate the connection matrices and t-derivatives at points z."""
     z = np.asarray(z, dtype=complex)
-    root = np.sqrt(potential.rho0(z))
-    lz = potential.dlog_rho0_dz(z)
-    q = potential.q0(z)
-    phase = np.exp(2j * t)
+    u00, u01, u10, v01, v10 = _connection_entries(
+        _sample(potential, z), np.exp(2j * t)
+    )
     shape = z.shape + (2, 2)
-    u = np.zeros(shape, dtype=complex)
-    v = np.zeros(shape, dtype=complex)
-    u[..., 0, 0] = lz / 4.0
-    u[..., 0, 1] = 0.25j * root
-    u[..., 1, 0] = -1j * q * phase / root
-    u[..., 1, 1] = -lz / 4.0
-    v[..., 0, 0] = -np.conj(lz) / 4.0
-    v[..., 0, 1] = 1j * np.conj(q) * np.conj(phase) / root
-    v[..., 1, 0] = -0.25j * root
-    v[..., 1, 1] = np.conj(lz) / 4.0
-    u_t = np.zeros(shape, dtype=complex)
-    u_t[..., 1, 0] = 2j * u[..., 1, 0]
-    u_tt = np.zeros(shape, dtype=complex)
-    u_tt[..., 1, 0] = -4.0 * u[..., 1, 0]
-    v_t = np.zeros(shape, dtype=complex)
-    v_t[..., 0, 1] = -2j * v[..., 0, 1]
-    v_tt = np.zeros(shape, dtype=complex)
-    v_tt[..., 0, 1] = -4.0 * v[..., 0, 1]
+    u, v, u_t, v_t, u_tt, v_tt = (np.zeros(shape, dtype=complex) for _ in range(6))
+    u[..., 0, 0] = u00
+    u[..., 0, 1] = u01
+    u[..., 1, 0] = u10
+    u[..., 1, 1] = -u00
+    v[..., 0, 0] = -np.conj(u00)
+    v[..., 0, 1] = v01
+    v[..., 1, 0] = v10
+    v[..., 1, 1] = np.conj(u00)
+    u_t[..., 1, 0] = 2j * u10
+    u_tt[..., 1, 0] = -4.0 * u10
+    v_t[..., 0, 1] = -2j * v01
+    v_tt[..., 0, 1] = -4.0 * v01
     return ConnectionPair(u, v, u_t, v_t, u_tt, v_tt)
 
 
@@ -120,63 +148,75 @@ def flatness_residual(potential, z, t, probe=FLATNESS_PROBE):
     return u_zbar - v_z - bracket
 
 
-def _omega_triple(potential, z, dz, t):
-    """Connection form increments (omega, d_t omega, d_tt omega) for step dz."""
-    pair = connection_at(potential, z, t)
-    d = np.asarray(dz, dtype=complex)[..., None, None]
-    db = np.conj(d)
-    return (
-        pair.u * d + pair.v * db,
-        pair.u_t * d + pair.v_t * db,
-        pair.u_tt * d + pair.v_tt * db,
-    )
+def _omega(potential, z, dz, phase):
+    """Entries of the increments omega = U dz + V dz̄, omega_t and omega_tt.
+
+    Returns (diag, off, off_t, off_tt), each of shape (2, T, n): the
+    diagonal (omega00, omega11) and the off-diagonal entries in swapped
+    order (omega10, omega01), which is what `_rhs` multiplies with.
+    """
+    u00, u01, u10, v01, v10 = _connection_entries(_sample(potential, z), phase)
+    dzbar = np.conj(dz)
+    w = u00 * dz - np.conj(u00) * dzbar
+    diag = np.empty((2,) + u10.shape, dtype=complex)
+    diag[0] = w
+    diag[1] = -w
+    off = np.empty_like(diag)
+    off[0] = u10 * dz + v10 * dzbar
+    off[1] = u01 * dz + v01 * dzbar
+    off_t = np.empty_like(diag)
+    off_t[0] = 2j * u10 * dz
+    off_t[1] = -2j * v01 * dzbar
+    return diag, off, off_t, off_t * _OMEGA_TT_FACTOR
 
 
 def _rhs(state, omega):
-    """Derivative of (Psi, Psi_t, Psi_tt) along the step direction."""
-    psi, psi_t, psi_tt = state
-    w, w_t, w_tt = omega
-    return (
-        psi @ w,
-        psi_t @ w + psi @ w_t,
-        psi_tt @ w + 2.0 * (psi_t @ w_t) + psi @ w_tt,
-    )
+    """Derivative of (Psi, Psi_t, Psi_tt) along the step direction.
+
+    (Psi @ omega)[i, j] = Psi[i, j] omega[j, j] + Psi[i, 1 - j] omega[1 - j, j],
+    and omega_t, omega_tt have no diagonal.
+    """
+    diag, off, off_t, off_tt = omega
+    swapped = state[:, :, ::-1]
+    k = state * diag + swapped * off
+    k[1] += swapped[0] * off_t
+    k[2] += 2.0 * (swapped[1] * off_t)
+    k[2] += swapped[0] * off_tt
+    return k
 
 
-def rk4_step(potential, state, z0, z1, t):
+def rk4_step(potential, state, z0, z1, phase):
     """One classical RK4 step of the frame triple from z0 to z1.
 
-    state is the tuple (psi, psi_t, psi_tt) of arrays with trailing (2, 2)
-    axes; z0, z1 broadcast against their leading axes.  The two interior
-    stages share the midpoint connection sample, so each step costs three
-    connection evaluations.
+    state has shape (3, 2, 2, T, n): (Psi, Psi_t, Psi_tt) entry by entry,
+    for T family members at n nodes; phase is exp(2 i t) of shape (T, 1)
+    and z0, z1 have n points (or are scalars when n = 1).  The two
+    interior stages share the midpoint sample, so each step samples the
+    potential at three points per node, once for all T members.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
     dz = z1 - z0
-    omega0 = _omega_triple(potential, z0, dz, t)
-    omega_mid = _omega_triple(potential, z0 + dz / 2.0, dz, t)
-    omega1 = _omega_triple(potential, z1, dz, t)
+    omega0 = _omega(potential, z0, dz, phase)
+    omega_mid = _omega(potential, z0 + dz / 2.0, dz, phase)
+    omega1 = _omega(potential, z1, dz, phase)
     k1 = _rhs(state, omega0)
-    k2 = _rhs(tuple(s + 0.5 * k for s, k in zip(state, k1)), omega_mid)
-    k3 = _rhs(tuple(s + 0.5 * k for s, k in zip(state, k2)), omega_mid)
-    k4 = _rhs(tuple(s + k for s, k in zip(state, k3)), omega1)
-    return tuple(
-        s + (a + 2.0 * b + 2.0 * c + d) / 6.0
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
+    k2 = _rhs(state + 0.5 * k1, omega_mid)
+    k3 = _rhs(state + 0.5 * k2, omega_mid)
+    k4 = _rhs(state + k3, omega1)
+    return state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _advance(potential, state, z0, z1, t, substeps):
+def _advance(potential, state, z0, z1, phase, substeps):
     """March from z0 to z1 in `substeps` equal RK4 steps."""
     if substeps == 1:
-        return rk4_step(potential, state, z0, z1, t)
+        return rk4_step(potential, state, z0, z1, phase)
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
     for k in range(substeps):
         a = z0 + (z1 - z0) * (k / substeps)
         b = z0 + (z1 - z0) * ((k + 1) / substeps)
-        state = rk4_step(potential, state, a, b, t)
+        state = rk4_step(potential, state, a, b, phase)
     return state
 
 
@@ -246,7 +286,12 @@ def integrate_grid(
     substeps=1,
     check_flatness=True,
 ):
-    """Integrate the frame triple over the grid x × y at parameter t.
+    """Integrate the frame triple over the grid x × y at parameter(s) t.
+
+    t is a float, which returns one FrameField, or a 1-D sequence, which
+    returns a list with one FrameField per value in the given order; all
+    values are marched together, and each member's triple lives in its own
+    arrays.
 
     The march starts from the exact base point z = 0 with the triple
     (identity, 0, 0); the grid must contain 0 (the nearest node is reached
@@ -259,12 +304,15 @@ def integrate_grid(
     substeps > 1 subdivides every segment into that many equal RK4 steps,
     scaling the local error by substeps^-4.
 
-    Returns a FrameField.  Raises NonFlatInput when the admissibility gate
-    trips (disable with check_flatness=False to study that failure mode)
-    and DomainError when the grid does not contain the base point.
+    Raises NonFlatInput when the admissibility gate trips (disable with
+    check_flatness=False to study that failure mode) and DomainError when
+    the grid does not contain the base point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    t_values = np.asarray(t, dtype=float)
+    if t_values.ndim > 1:
+        raise ValueError("t must be a float or a 1-D sequence of floats")
     if path_order not in ("row-major", "column-major"):
         raise ValueError(f"unknown path order {path_order!r}")
     if x[0] > 0.0 or x[-1] < 0.0 or y[0] > 0.0 or y[-1] < 0.0:
@@ -274,33 +322,57 @@ def integrate_grid(
     if check_flatness:
         _check_admissibility(potential, z_nodes)
 
-    identity = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    psi = np.zeros((n_y, n_x, 2, 2), dtype=complex)
-    psi_t = np.zeros_like(psi)
-    psi_tt = np.zeros_like(psi)
+    members = np.atleast_1d(t_values)
+    phase = np.exp(2j * members)[:, None]
+    fields = [
+        tuple(np.zeros((n_y, n_x, 2, 2), dtype=complex) for _ in range(3))
+        for _ in members
+    ]
     i0 = int(np.argmin(np.abs(x)))
     j0 = int(np.argmin(np.abs(y)))
 
-    start = (identity, zero, zero)
+    state = np.zeros((3, 2, 2, members.size, 1), dtype=complex)
+    state[0, 0, 0] = state[0, 1, 1] = 1.0
     z_base = z_nodes[j0, i0]
     if z_base != 0.0:
-        start = _advance(potential, start, 0.0 + 0.0j, z_base, t, substeps)
-    psi[j0, i0], psi_t[j0, i0], psi_tt[j0, i0] = start
+        state = _advance(potential, state, 0.0 + 0.0j, z_base, phase, substeps)
 
     # Column-major marches the transposed views: writes land in psi.
-    fields = (psi, psi_t, psi_tt)
+    views = fields
     z_path, row0, col0 = z_nodes, j0, i0
     if path_order == "column-major":
-        fields = tuple(f.swapaxes(0, 1) for f in fields)
+        views = [tuple(f.swapaxes(0, 1) for f in triple) for triple in fields]
         z_path, row0, col0 = z_nodes.T, i0, j0
 
-    n_rows, n_cols = z_path.shape
-    base_line = [((row0, a), (row0, b)) for a, b in _outward(n_cols, col0)]
-    for src, dst in base_line + _outward(n_rows, row0):
-        state = tuple(f[src] for f in fields)
-        new = _advance(potential, state, z_path[src], z_path[dst], t, substeps)
-        for f, value in zip(fields, new):
-            f[dst] = value
+    def store(at, state):
+        for m, triple in enumerate(views):
+            for f, value in zip(triple, state[..., m, :]):
+                f[at] = np.moveaxis(value, -1, 0)
 
-    return FrameField(x=x, y=y, t=float(t), psi=psi, psi_t=psi_t, psi_tt=psi_tt)
+    def load(at):
+        return np.stack(
+            [np.stack([np.moveaxis(f[at], 0, -1) for f in triple]) for triple in views],
+            axis=3,
+        )
+
+    # Base-line nodes are 1-wide slices so every state has a node axis.  A
+    # step whose source is the previous destination reuses the state.
+    n_rows, n_cols = z_path.shape
+    at = (row0, slice(col0, col0 + 1))
+    store(at, state)
+    steps = [
+        ((row0, slice(a, a + 1)), (row0, slice(b, b + 1)))
+        for a, b in _outward(n_cols, col0)
+    ] + _outward(n_rows, row0)
+    for src, dst in steps:
+        if src != at:
+            state = load(src)
+        state = _advance(potential, state, z_path[src], z_path[dst], phase, substeps)
+        store(dst, state)
+        at = dst
+
+    out = [
+        FrameField(x=x, y=y, t=float(tm), psi=psi, psi_t=psi_t, psi_tt=psi_tt)
+        for tm, (psi, psi_t, psi_tt) in zip(members, fields)
+    ]
+    return out if t_values.ndim else out[0]

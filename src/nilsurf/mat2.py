@@ -58,22 +58,6 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def diagonal_part(m):
-    """Zero out the off-diagonal entries."""
-    out = np.zeros_like(np.asarray(m))
-    out[..., 0, 0] = m[..., 0, 0]
-    out[..., 1, 1] = m[..., 1, 1]
-    return out
-
-
-def offdiagonal_part(m):
-    """Zero out the diagonal entries."""
-    out = np.zeros_like(np.asarray(m))
-    out[..., 0, 1] = m[..., 0, 1]
-    out[..., 1, 0] = m[..., 1, 0]
-    return out
-
-
 def point_to_matrix(p):
     """Embed points (..., 3) into the matrix model (..., 2, 2)."""
     p = np.asarray(p, dtype=float)

@@ -38,12 +38,6 @@ class MeshSummary:
     face_count: int
 
 
-def _fmt12(value):
-    """12-significant-digit decimal with canonical zero."""
-    value = float(value) + 0.0  # normalize -0.0
-    return f"{value:.12g}"
-
-
 def _fmt_full(value):
     """Shortest representation that round-trips a double exactly."""
     return repr(float(value) + 0.0)
@@ -55,25 +49,22 @@ def export_obj(surface, path):
     Vertices appear in row-major node order; each grid cell contributes
     two triangles wound consistently (counterclockwise as seen from the
     +x3 side of the parameter grid).  Returns a MeshSummary; a 9x9 grid
-    yields 81 vertices and 128 faces.
+    yields 81 vertices and 128 faces.  The file is written one grid row
+    at a time.
     """
-    coords = surface.coords()
+    coords = surface.coords() + 0.0  # normalize -0.0
     ny, nx = coords.shape[:2]
-    lines = []
-    for j in range(ny):
-        for i in range(nx):
-            p = coords[j, i]
-            lines.append(f"v {_fmt12(p[0])} {_fmt12(p[1])} {_fmt12(p[2])}")
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            v00 = j * nx + i + 1
-            v01 = v00 + 1
-            v10 = v00 + nx
-            v11 = v10 + 1
-            lines.append(f"f {v00} {v01} {v11}")
-            lines.append(f"f {v00} {v11} {v10}")
+    v00 = np.arange(1, nx * ny + 1).reshape(ny, nx)[:-1, :-1]
+    v10 = v00 + nx
+    # per cell: f v00 v01 v11, then f v00 v11 v10
+    faces = np.stack([v00, v00 + 1, v10 + 1, v00, v10 + 1, v10], axis=-1)
+    vertex_row = "v %.12g %.12g %.12g\n" * nx
+    face_row = "f %d %d %d\n" * (2 * (nx - 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for row in coords:
+            fh.write(vertex_row % tuple(row.ravel().tolist()))
+        for row in faces:
+            fh.write(face_row % tuple(row.ravel().tolist()))
     return MeshSummary(
         path=str(path),
         vertex_count=nx * ny,

@@ -184,15 +184,17 @@ def run_generate(config, log=print):
     surfaces_out = []
     all_pass = True
     try:
+        surfaces = generate_surface(
+            potential,
+            x,
+            y,
+            config.t_values,
+            shape_tol=config.shape_tol,
+            check_flatness=False,  # gated once above
+        )
         for t in config.t_values:
-            surf = generate_surface(
-                potential,
-                x,
-                y,
-                t,
-                shape_tol=config.shape_tol,
-                check_flatness=False,  # gated once above
-            )
+            # release each member once it is exported
+            surf = surfaces.pop(0)
             report = verify_surface(
                 surf,
                 potential=potential,

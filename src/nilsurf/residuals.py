@@ -357,14 +357,18 @@ def verify_surface(
     is compared against rho0 and the measured quadratic differential
     against |Q0| (ratio statistics in the report).
 
-    Raises DomainError when an axis has fewer than 2 * margin + 3 nodes:
-    the margin-trimmed interior must keep at least 3 nodes per axis.
+    Raises DomainError when margin < 1 (a zero or negative margin trims
+    nothing, or everything, from the interior slices) or when an axis has
+    fewer than 2 * margin + 3 nodes: the margin-trimmed interior must keep
+    at least 3 nodes per axis.
     Raises DegenerateNode when the interior metric density drops below
     degenerate_tol — the data fails to be an immersion there and none of
     the residuals are meaningful.
     """
     x = np.asarray(surface.x, dtype=float)
     y = np.asarray(surface.y, dtype=float)
+    if margin < 1:
+        raise DomainError(f"margin must be >= 1, got {margin}")
     if min(x.size, y.size) < 2 * margin + 3:
         raise DomainError(
             f"grid {y.size} x {x.size} is too small for margin {margin}: "

@@ -25,6 +25,13 @@ the residual suite exercises.
 At the base point z = 0 the triple is (identity, 0, 0) exactly, hence
 fhat(0) = 2 S and f(0) = 0: every generated surface passes through the
 origin with no roundoff.
+
+Both stages work on the four entries of each matrix field rather than on
+stacks of 2x2 matrices: fhat and d(fhat)/dt share one adjugate inverse of
+Psi, and a product with S only multiplies columns by i and -i.
+`generate_surface` takes one t or a sequence of them; a sequence is
+marched once (see the frame module), and each member is assembled and
+its frame released before the next.
 """
 
 from dataclasses import dataclass
@@ -36,22 +43,77 @@ from .errors import ShapeViolation
 from .frame import integrate_grid
 
 
+def _entries(m):
+    """The four entries (m00, m01, m10, m11) of a (..., 2, 2) field."""
+    m = np.asarray(m)
+    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+
+
+def _matrix(entries):
+    """Stack four entry arrays back into a (..., 2, 2) field."""
+    out = np.empty(np.broadcast(*entries).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
+    return out
+
+
+def _mul(a, b):
+    """Entry-wise 2x2 product a @ b."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (
+        a00 * b00 + a01 * b10,
+        a00 * b01 + a01 * b11,
+        a10 * b00 + a11 * b10,
+        a10 * b01 + a11 * b11,
+    )
+
+
+def _times_s(a):
+    """Entry-wise a @ S with S = DIAG_IMAG = diag(i, -i)."""
+    a00, a01, a10, a11 = a
+    return 1j * a00, -1j * a01, 1j * a10, -1j * a11
+
+
+def _add_scaled(out, scale, entries):
+    """out += scale * entries, entry by entry, in place."""
+    for view, e in zip(_entries(out), entries):
+        view += scale * e
+
+
+def _assemble(psi, psi_t, psi_tt=None):
+    """fhat and (given psi_tt) d(fhat)/dt, both from one inverse of psi.
+
+    With a = psi_t psi^-1 and g = psi S psi^-1,
+
+        fhat     = -2 a + 2 g,
+        dfhat/dt = -2 g a - 2 psi_tt psi^-1 + 2 a a + 2 psi_t S psi^-1.
+
+    d(fhat)/dt is summed in place and g released once used, so that few
+    entry-sized temporaries are alive beside the frame.
+    """
+    pinv = _entries(mat2.inv(psi))
+    a = _mul(_entries(psi_t), pinv)
+    g = _mul(_times_s(_entries(psi)), pinv)
+    fhat = _matrix(tuple(-2.0 * ai + 2.0 * gi for ai, gi in zip(a, g)))
+    if psi_tt is None:
+        return fhat, None
+    dfhat = _matrix(_mul(g, a))
+    dfhat *= -2.0
+    del g
+    _add_scaled(dfhat, -2.0, _mul(_entries(psi_tt), pinv))
+    _add_scaled(dfhat, 2.0, _mul(a, a))
+    _add_scaled(dfhat, 2.0, _mul(_times_s(_entries(psi_t)), pinv))
+    return fhat, dfhat
+
+
 def fhat_from_frame(psi, psi_t):
     """Auxiliary matrix map fhat = -2 psi_t psi^-1 + 2 psi S psi^-1."""
-    pinv = mat2.inv(psi)
-    return -2.0 * (psi_t @ pinv) + 2.0 * (psi @ mat2.DIAG_IMAG @ pinv)
+    return _assemble(psi, psi_t)[0]
 
 
 def dfhat_dt_from_frame(psi, psi_t, psi_tt):
     """t-derivative of fhat by the product rule on its defining formula."""
-    pinv = mat2.inv(psi)
-    a = psi_t @ pinv
-    return (
-        -2.0 * (psi_tt @ pinv)
-        + 2.0 * (a @ a)
-        + 2.0 * (psi_t @ mat2.DIAG_IMAG @ pinv)
-        - 2.0 * (psi @ mat2.DIAG_IMAG @ pinv @ a)
-    )
+    return _assemble(psi, psi_t, psi_tt)[1]
 
 
 def ft_from_fhat(fhat, dfhat_dt):
@@ -61,8 +123,9 @@ def ft_from_fhat(fhat, dfhat_dt):
     coordinate); off-diagonal part: copied from fhat (the horizontal
     coordinates).
     """
-    sd = mat2.DIAG_IMAG @ dfhat_dt
-    return -0.5 * mat2.diagonal_part(sd) + mat2.offdiagonal_part(fhat)
+    _, f01, f10, _ = _entries(fhat)
+    d00, _, _, d11 = _entries(dfhat_dt)
+    return _matrix((-0.5 * (1j * d00), f01, f10, -0.5 * (-1j * d11)))
 
 
 @dataclass
@@ -131,10 +194,7 @@ def surface_from_frame(frame_field, shape_tol=1e-6):
     shapes (raising ShapeViolation otherwise, via the coordinate
     extraction) before reading off coordinates.
     """
-    fhat = fhat_from_frame(frame_field.psi, frame_field.psi_t)
-    dfh = dfhat_dt_from_frame(
-        frame_field.psi, frame_field.psi_t, frame_field.psi_tt
-    )
+    fhat, dfh = _assemble(frame_field.psi, frame_field.psi_t, frame_field.psi_tt)
     ft = ft_from_fhat(fhat, dfh)
     fhat_dev = float(np.max(_fhat_shape_deviation(fhat)))
     if fhat_dev > shape_tol:
@@ -163,34 +223,31 @@ def surface_from_frame(frame_field, shape_tol=1e-6):
 def generate_surface(
     potential, x, y, t, substeps=1, shape_tol=1e-6, check_flatness=True
 ):
-    """Integrate frames and assemble the surface at one parameter value."""
-    field = integrate_grid(
+    """Integrate frames and assemble the surface at parameter(s) t.
+
+    t is a float, which returns one SurfaceGrid, or a 1-D sequence, which
+    returns a list of SurfaceGrid in the given order: one march for all
+    members, then each member is assembled and its frame released.
+    """
+    fields = integrate_grid(
         potential, x, y, t, substeps=substeps, check_flatness=check_flatness
     )
-    surf = surface_from_frame(field, shape_tol=shape_tol)
-    surf.substeps = substeps
-    return surf
+    if np.ndim(t) == 0:
+        fields = [fields]
+    surfaces = []
+    while fields:
+        surf = surface_from_frame(fields.pop(0), shape_tol=shape_tol)
+        surf.substeps = substeps
+        surfaces.append(surf)
+    return surfaces if np.ndim(t) else surfaces[0]
 
 
 def sweep_family(potential, x, y, t_values, substeps=1, shape_tol=1e-6):
     """Generate the associated family at each parameter in t_values.
 
-    All members share the potential and grid; each is an independent
-    integration.  Returns a list of SurfaceGrid in the given order.
+    All members share the potential, the grid and one march.  Returns a
+    list of SurfaceGrid in the given order.
     """
-    surfaces = []
-    check = True
-    for t in t_values:
-        surfaces.append(
-            generate_surface(
-                potential,
-                x,
-                y,
-                t,
-                substeps=substeps,
-                shape_tol=shape_tol,
-                check_flatness=check,
-            )
-        )
-        check = False  # admissibility is t-independent; gate once
-    return surfaces
+    return generate_surface(
+        potential, x, y, list(t_values), substeps=substeps, shape_tol=shape_tol
+    )

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 from nilsurf import frame
 from nilsurf.errors import DomainError, NonFlatInput
+from nilsurf.pde import newton_solve
 from nilsurf.potentials import Potential
 from nilsurf.surface import generate_surface
 
@@ -225,3 +226,84 @@ class TestIntegration:
         ax = np.linspace(-0.2, 0.2, 5)
         with pytest.raises(ValueError):
             frame.integrate_grid(UNIT_POTENTIAL, ax, ax, 0.0, path_order="spiral")
+
+
+@pytest.fixture(scope="module")
+def family_potentials():
+    xs = np.linspace(-0.5, 0.5, 33)
+    z = xs[None, :] + 1j * xs[:, None]
+    q0 = (0.0, 0.25)
+    solve = newton_solve(
+        Potential.constant(1.0, q0).q0(z), np.zeros(z.shape), xs, xs
+    )
+    return {
+        "constant": UNIT_POTENTIAL,
+        "liouville": Potential.liouville(),
+        "solved": Potential.solved(solve, q0),
+    }
+
+
+class TestFamilyMarch:
+    T_VALUES = [0.0, 0.7, 2.1]
+
+    @pytest.mark.parametrize("kind", ["constant", "liouville", "solved"])
+    @pytest.mark.parametrize("path_order", ["row-major", "column-major"])
+    @pytest.mark.parametrize("substeps", [1, 2])
+    def test_batched_march_equals_scalar_calls(
+        self, family_potentials, kind, path_order, substeps
+    ):
+        # Agreement is not bitwise: NumPy's vectorized complex products
+        # round an element differently depending on its position in the
+        # array, and the t axis moves every position (3e-17 seen).
+        pot = family_potentials[kind]
+        on_node = np.linspace(-0.4, 0.4, 9)
+        off_node = np.linspace(-0.35, 0.45, 9)
+        for ax in (on_node, off_node):
+            options = {"path_order": path_order, "substeps": substeps}
+            batch = frame.integrate_grid(pot, ax, ax, self.T_VALUES, **options)
+            assert [member.t for member in batch] == self.T_VALUES
+            for t, member in zip(self.T_VALUES, batch):
+                single = frame.integrate_grid(pot, ax, ax, t, **options)
+                for name in ("psi", "psi_t", "psi_tt"):
+                    np.testing.assert_allclose(
+                        getattr(member, name), getattr(single, name),
+                        rtol=0.0, atol=1e-14,
+                    )
+
+    def test_entry_wise_kernel_matches_dense_products(self, family_potentials):
+        # reference: the dense connection from connection_at and generic @
+        rng = np.random.default_rng(5)
+        pot = family_potentials["solved"]
+        t_values = np.array([0.2, 1.3])
+        z = 0.3 * (rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7))
+        dz = 0.05 * (rng.normal(size=7) + 1j * rng.normal(size=7))
+        shape = (3, 2, 2, t_values.size, z.size)
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        omega = frame._omega(pot, z, dz, np.exp(2j * t_values)[:, None])
+        k = frame._rhs(state, omega)
+        d = dz[:, None, None]
+        for m, t in enumerate(t_values):
+            pair = frame.connection_at(pot, z, t)
+            w = pair.u * d + pair.v * np.conj(d)
+            w_t = pair.u_t * d + pair.v_t * np.conj(d)
+            w_tt = pair.u_tt * d + pair.v_tt * np.conj(d)
+            psi, psi_t, psi_tt = np.moveaxis(state[..., m, :], -1, 1)
+            expected = (
+                psi @ w,
+                psi_t @ w + psi @ w_t,
+                psi_tt @ w + 2.0 * (psi_t @ w_t) + psi @ w_tt,
+            )
+            for got, want in zip(np.moveaxis(k[..., m, :], -1, 1), expected):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_members_own_their_arrays(self):
+        ax = np.linspace(-0.2, 0.2, 5)
+        a, b = frame.integrate_grid(UNIT_POTENTIAL, ax, ax, (0.1, 0.2))
+        for x in (a.psi, a.psi_t, a.psi_tt):
+            for y in (b.psi, b.psi_t, b.psi_tt):
+                assert not np.shares_memory(x, y)
+
+    def test_t_must_be_scalar_or_flat(self):
+        ax = np.linspace(-0.2, 0.2, 5)
+        with pytest.raises(ValueError):
+            frame.integrate_grid(UNIT_POTENTIAL, ax, ax, [[0.1, 0.2]])

@@ -83,13 +83,3 @@ def test_commutator():
     np.testing.assert_array_equal(
         mat2.commutator(b, a), -mat2.commutator(a, b)
     )
-
-
-def test_diagonal_offdiagonal_decomposition():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
-    np.testing.assert_array_equal(
-        mat2.diagonal_part(m) + mat2.offdiagonal_part(m), m
-    )
-    assert np.all(mat2.diagonal_part(m)[..., 0, 1] == 0)
-    assert np.all(mat2.offdiagonal_part(m)[..., 0, 0] == 0)

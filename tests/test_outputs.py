@@ -68,6 +68,29 @@ class TestObj:
         outputs.export_obj(surf, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("n", [9, 129])
+    def test_bytes_match_the_line_by_line_writer(self, tmp_path, n):
+        # reference: one formatted line per vertex and per triangle
+        surf = toy_surface(n, seed=n)
+        surf.F[0, 1] = complex(-0.0, 1e-17)
+        surf.height[0, 1] = -0.0
+        surf.F[1, 0] = complex(-123456789012345.0, 0.5)
+        coords = surf.coords()
+        lines = [
+            "v " + " ".join(f"{float(c) + 0.0:.12g}" for c in coords[j, i])
+            for j in range(n)
+            for i in range(n)
+        ]
+        for j in range(n - 1):
+            for i in range(n - 1):
+                v00 = j * n + i + 1
+                lines.append(f"f {v00} {v00 + 1} {v00 + n + 1}")
+                lines.append(f"f {v00} {v00 + n + 1} {v00 + n}")
+        path = tmp_path / "mesh.obj"
+        outputs.export_obj(surf, path)
+        assert "v 0 1e-17 0" in lines[1]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestSurfaceCsv:
     def test_round_trip_is_exact(self, tmp_path):

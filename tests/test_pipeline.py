@@ -189,6 +189,32 @@ class TestRunGenerate:
         assert (tmp_path / "s_0.500000.obj").exists()
         assert [s["t"] for s in report["surfaces"]] == [0.0, 0.5]
 
+    def test_family_members_do_not_couple(self, tmp_path):
+        # one march carries every t; member b must not see member a
+        a, b = 0.3, 1.1
+        potential = {
+            "q0_coefficients": [0.0, [0.25, 0.0]],
+            "rho0": {"source": "solved", "bc": 0.0},
+        }
+        paths = {}
+        for name, t_values in (("pair", [a, b]), ("alone", [b])):
+            out = tmp_path / name
+            out.mkdir()
+            cfg = make_config(
+                tmp_path,
+                potential=potential,
+                t_values=t_values,
+                outputs={
+                    "mesh": str(out / "s_{t}.obj"),
+                    "report": str(out / "report.json"),
+                },
+            )
+            code, report = pipeline.run_generate(cfg, log=lambda *_: None)
+            assert code == pipeline.EXIT_PASS
+            paths[name] = out / f"s_{b:.6f}.obj"
+            assert report["surfaces"][-1]["t"] == b
+        assert paths["pair"].read_bytes() == paths["alone"].read_bytes()
+
 
 class TestRunCheck:
     def test_vertical_plane_passes(self, tmp_path):
@@ -236,6 +262,23 @@ class TestRunCheck:
             path = tmp_path / "bad.csv"
             path.write_text(text)
             code, report = pipeline.run_check(path, log=lambda *_: None)
+            assert code == pipeline.EXIT_CONFIG
+            assert report is None
+
+    def test_margin_below_one_exits_2(self, tmp_path):
+        # a constant surface degenerates everywhere: margin 2 reaches the
+        # density gate (exit 4); margins 0 and -1 used to slice the
+        # interior empty, skip that gate and pass with exit 0
+        ticks = [k / 16 for k in range(-8, 9)]
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            "x,y,F_re,F_im,h\n"
+            + "".join(f"{x},{y},0,0,0\n" for y in ticks for x in ticks)
+        )
+        quiet = {"log": lambda *_: None}
+        assert pipeline.run_check(path, margin=2, **quiet)[0] == pipeline.EXIT_RESIDUAL
+        for margin in (0, -1):
+            code, report = pipeline.run_check(path, margin=margin, **quiet)
             assert code == pipeline.EXIT_CONFIG
             assert report is None
 

@@ -45,6 +45,32 @@ class TestMatrixAlgebra:
         lo = surface.fhat_from_frame(*triple(0.2 - d)[:2])
         np.testing.assert_allclose(got, (hi - lo) / (2 * d), atol=1e-8)
 
+    def test_entry_wise_assembly_matches_dense_products(self):
+        # reference: the defining formulas with generic @ on (n, 2, 2) stacks
+        rng = np.random.default_rng(7)
+        psi, psi_t, psi_tt = (
+            np.eye(2)
+            + 0.3 * (rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2)))
+            for _ in range(3)
+        )
+        s = mat2.DIAG_IMAG
+        pinv = np.linalg.inv(psi)
+        a = psi_t @ pinv
+        fhat = -2.0 * a + 2.0 * (psi @ s @ pinv)
+        dfhat = (
+            -2.0 * (psi_tt @ pinv)
+            + 2.0 * (a @ a)
+            + 2.0 * (psi_t @ s @ pinv)
+            - 2.0 * (psi @ s @ pinv @ a)
+        )
+        np.testing.assert_allclose(
+            surface.fhat_from_frame(psi, psi_t), fhat, rtol=0.0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            surface.dfhat_dt_from_frame(psi, psi_t, psi_tt), dfhat,
+            rtol=0.0, atol=1e-13,
+        )
+
     def test_ft_extracts_vertical_from_dfhat_and_horizontal_from_fhat(self):
         s, w, ds, dw = 3.0, 1.0 + 2.0j, 4.0, 9.0
         fhat = np.array([[1j * s, w], [np.conj(w), -1j * s]])
@@ -106,6 +132,22 @@ class TestGeneratedSurface:
         # members differ: the family rotates the surface through distinct
         # immersions even though the metric data is shared
         assert np.max(np.abs(members[0].F - members[2].F)) > 1e-3
+
+    def test_family_call_equals_scalar_calls(self):
+        t_values = [0.1, 0.9, 2.0]
+        members = surface.generate_surface(
+            UNIT_POTENTIAL, AXES, AXES, t_values, substeps=2
+        )
+        for t, member in zip(t_values, members):
+            single = surface.generate_surface(
+                UNIT_POTENTIAL, AXES, AXES, t, substeps=2
+            )
+            assert (member.t, member.substeps) == (t, 2)
+            for name in ("F", "height", "aux_height", "fhat"):
+                np.testing.assert_allclose(
+                    getattr(member, name), getattr(single, name),
+                    rtol=0.0, atol=1e-14,
+                )
 
     def test_substeps_are_recorded(self):
         surf = surface.generate_surface(UNIT_POTENTIAL, AXES, AXES, 0.0, substeps=2)
