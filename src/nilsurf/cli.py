@@ -14,7 +14,7 @@ threshold failure, 5 I/O failure.
 import argparse
 import sys
 
-from .config import load_config
+from .config import DEFAULT_TOLERANCES, load_config
 from .errors import DomainError, SchemaError
 from .pipeline import (
     EXIT_CONFIG,
@@ -62,25 +62,26 @@ def build_parser():
     p_check.add_argument(
         "--margin",
         type=int,
-        default=2,
-        help="boundary nodes excluded from max-norms, at least 1 (default 2)",
+        default=DEFAULT_TOLERANCES["margin"],
+        help="boundary nodes excluded from max-norms, at least 1 "
+        "(default %(default)s)",
     )
     p_check.add_argument(
         "--angle-cutoff",
         type=float,
-        default=0.05,
+        default=DEFAULT_TOLERANCES["angle_cutoff"],
         help="skip Gauss-map tension where the angle function is below this",
     )
     p_check.add_argument(
         "--residual-floor",
         type=float,
-        default=1e-10,
+        default=DEFAULT_TOLERANCES["residual_floor"],
         help="absolute floor of the residual thresholds",
     )
     p_check.add_argument(
         "--threshold-scale",
         type=float,
-        default=1.0,
+        default=DEFAULT_TOLERANCES["threshold_scale"],
         help="multiplier on the h^2 residual thresholds",
     )
 

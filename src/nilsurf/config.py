@@ -116,13 +116,13 @@ class RunConfig:
     solver_domain: GridSpec = None
     bc: object = 0.0
     t_values: tuple = DEFAULT_T_VALUES
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 50
-    shape_tol: float = 1e-6
-    angle_cutoff: float = 0.05
-    margin: int = 2
-    residual_floor: float = 1e-10
-    threshold_scale: float = 1.0
+    solver_tol: float = DEFAULT_SOLVER["tol"]
+    solver_max_iter: int = DEFAULT_SOLVER["max_iter"]
+    shape_tol: float = DEFAULT_TOLERANCES["shape"]
+    angle_cutoff: float = DEFAULT_TOLERANCES["angle_cutoff"]
+    margin: int = DEFAULT_TOLERANCES["margin"]
+    residual_floor: float = DEFAULT_TOLERANCES["residual_floor"]
+    threshold_scale: float = DEFAULT_TOLERANCES["threshold_scale"]
     mesh_pattern: str = DEFAULT_OUTPUTS["mesh"]
     report_path: str = DEFAULT_OUTPUTS["report"]
     solution_path: str = DEFAULT_OUTPUTS["solution"]

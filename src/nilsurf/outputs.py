@@ -38,9 +38,20 @@ class MeshSummary:
     face_count: int
 
 
-def _fmt_full(value):
-    """Shortest representation that round-trips a double exactly."""
-    return repr(float(value) + 0.0)
+def _write_grid_csv(path, header, x, y, values):
+    """Write one CSV row "x,y,values..." per grid node, row-major.
+
+    values has shape (len(y), len(x)) or (len(y), len(x), k).  Every number
+    is written in its shortest exactly round-tripping form (repr), negative
+    zero normalized.  The file is written one grid row at a time.
+    """
+    xx, yy = np.meshgrid(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    table = np.dstack([xx, yy, values]) + 0.0
+    line = ",".join(["%r"] * table.shape[-1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        for row in table:
+            fh.write((line * len(row)) % tuple(row.ravel().tolist()))
 
 
 def export_obj(surface, path):
@@ -94,18 +105,9 @@ def read_obj(path):
 
 def write_surface_csv(surface, path):
     """Write a surface as the CSV table consumed by `check`."""
-    coords = surface.coords()
-    x = np.asarray(surface.x, dtype=float)
-    y = np.asarray(surface.y, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,F_re,F_im,h\n")
-        for j in range(y.size):
-            for i in range(x.size):
-                fh.write(
-                    f"{_fmt_full(x[i])},{_fmt_full(y[j])},"
-                    f"{_fmt_full(coords[j, i, 0])},{_fmt_full(coords[j, i, 1])},"
-                    f"{_fmt_full(coords[j, i, 2])}\n"
-                )
+    _write_grid_csv(
+        path, "x,y,F_re,F_im,h\n", surface.x, surface.y, surface.coords()
+    )
 
 
 def read_surface_csv(path):
@@ -185,16 +187,7 @@ def read_surface_csv(path):
 
 def write_solution_csv(result, path):
     """Write a solved density grid as CSV (header x,y,u), row-major."""
-    x = np.asarray(result.x, dtype=float)
-    y = np.asarray(result.y, dtype=float)
-    u = np.asarray(result.u, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,u\n")
-        for j in range(y.size):
-            for i in range(x.size):
-                fh.write(
-                    f"{_fmt_full(x[i])},{_fmt_full(y[j])},{_fmt_full(u[j, i])}\n"
-                )
+    _write_grid_csv(path, "x,y,u\n", result.x, result.y, result.u)
 
 
 def write_json(obj, path):

@@ -24,13 +24,15 @@ spacing (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  The initial
 guess is the discrete harmonic extension of the boundary values (one
 linear solve, where the preconditioner with shift 0 is the exact
 inverse), which puts the iterate in the Newton basin for all tested data.
+
+The module needs NumPy only: no matrix is assembled, and the one stencil
+(_quarter_laplacian) serves the residual, the Newton operator and the
+boundary coupling of the harmonic fill.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import DomainError, LinearSolveFailure, MaxIterExceeded
 
@@ -100,6 +102,23 @@ def _check_axes(x, y):
     return x, y, float(h)
 
 
+def _quarter_laplacian(u, h):
+    """Laplacian(u)/4 on the interior nodes of u, 5-point stencil at spacing h.
+
+    The one discrete operator of the module: the residual applies it to the
+    iterate, the Newton step to the zero-padded search direction, and the
+    harmonic fill to the boundary data with a zeroed interior.
+    """
+    lap = (
+        u[1:-1, 2:]
+        + u[1:-1, :-2]
+        + u[2:, 1:-1]
+        + u[:-2, 1:-1]
+        - 4.0 * u[1:-1, 1:-1]
+    ) / h**2
+    return lap / 4.0
+
+
 def pde_residual(u, q0_abs_sq, h):
     """Discrete residual field of the integrability equation.
 
@@ -109,26 +128,13 @@ def pde_residual(u, q0_abs_sq, h):
     """
     u = np.asarray(u, dtype=float)
     r = np.zeros_like(u)
-    lap = (
-        u[1:-1, 2:]
-        + u[1:-1, :-2]
-        + u[2:, 1:-1]
-        + u[:-2, 1:-1]
-        - 4.0 * u[1:-1, 1:-1]
-    ) / h**2
     ui = u[1:-1, 1:-1]
-    r[1:-1, 1:-1] = lap / 4.0 - np.exp(ui) / 8.0 + 2.0 * q0_abs_sq[1:-1, 1:-1] * np.exp(-ui)
+    r[1:-1, 1:-1] = (
+        _quarter_laplacian(u, h)
+        - np.exp(ui) / 8.0
+        + 2.0 * q0_abs_sq[1:-1, 1:-1] * np.exp(-ui)
+    )
     return r
-
-
-def _neg_quarter_laplacian(nx, ny, h):
-    """Sparse matrix of -Laplacian/4 on interior nodes, Dirichlet boundary."""
-    n, m = nx - 2, ny - 2
-    ex = np.ones(n)
-    ey = np.ones(m)
-    tx = sp.diags([-ex[:-1], 2.0 * ex, -ex[:-1]], [-1, 0, 1], (n, n))
-    ty = sp.diags([-ey[:-1], 2.0 * ey, -ey[:-1]], [-1, 0, 1], (m, m))
-    return ((sp.kron(sp.eye(m), tx) + sp.kron(ty, sp.eye(n))) / (4.0 * h * h)).tocsr()
 
 
 def _dst1(a, axis):
@@ -146,6 +152,7 @@ def _fast_poisson(shape, h, shift):
 
     shape is the interior (rows, columns) with spacing h; the eigenvalues of
     -Laplacian/4 there are (sin^2(pi k / 2(m+1)) + sin^2(pi l / 2(n+1))) / h^2.
+    Returns a function of an interior array.
     """
     m, n = shape
     lam_y = np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1))) ** 2
@@ -153,63 +160,52 @@ def _fast_poisson(shape, h, shift):
     inverse = 1.0 / ((lam_y[:, None] + lam_x[None, :]) / (h * h) + shift)
 
     def solve(r):
-        coeffs = _dst1(_dst1(r.reshape(m, n), 0), 1) * inverse
-        return _dst1(_dst1(coeffs, 1), 0).ravel()
+        return _dst1(_dst1(_dst1(_dst1(r, 0), 1) * inverse, 1), 0)
 
-    return LinearOperator((m * n, m * n), matvec=solve, dtype=float)
+    return solve
 
 
-def _cg_solve(matrix, rhs, preconditioner, context):
-    """Preconditioned CG to CG_RTOL; returns (solution, iteration count).
+def _cg_solve(c, rhs, h, context):
+    """Solve (-Laplacian/4 + c) x = rhs on the interior grid; (x, iterations).
 
-    The stopping test is on the unpreconditioned residual
-    ||rhs - matrix x|| <= CG_RTOL ||rhs||.
+    c is a scalar or an interior array, rhs an interior array.  Conjugate
+    gradients preconditioned by _fast_poisson with shift mean(c), stopped
+    when the updated residual satisfies ||r|| < CG_RTOL ||rhs|| at the top
+    of an iteration; the count is the number of completed iterations.
+    Raises LinearSolveFailure after CG_MAXITER iterations.
     """
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    sol, info = cg(
-        matrix,
-        rhs,
-        rtol=CG_RTOL,
-        atol=0.0,
-        maxiter=CG_MAXITER,
-        M=preconditioner,
-        callback=count,
+    padded = np.zeros((rhs.shape[0] + 2, rhs.shape[1] + 2))
+    precondition = _fast_poisson(rhs.shape, h, float(np.mean(c)))
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    stop = CG_RTOL * np.linalg.norm(rhs)
+    if stop == 0.0:
+        return x, 0
+    for iteration in range(CG_MAXITER):
+        if np.linalg.norm(r) < stop:
+            return x, iteration
+        z = precondition(r)
+        rz = np.vdot(r, z)
+        p = z if iteration == 0 else z + (rz / rz_prev) * p
+        padded[1:-1, 1:-1] = p
+        q = c * p - _quarter_laplacian(padded, h)
+        alpha = rz / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rz_prev = rz
+    raise LinearSolveFailure(
+        f"conjugate gradients failed during {context} "
+        f"({CG_MAXITER} iterations without convergence)"
     )
-    if info != 0:
-        raise LinearSolveFailure(
-            f"conjugate gradients failed during {context} (info={info})"
-        )
-    return sol, iterations
 
 
-def _boundary_rhs(bc, h):
-    """Right-hand side coupling Dirichlet edge values into -Laplacian/4."""
-    ny, nx = bc.shape
-    rhs = np.zeros((ny - 2, nx - 2))
-    s = 4.0 * h * h
-    rhs[:, 0] += bc[1:-1, 0] / s
-    rhs[:, -1] += bc[1:-1, -1] / s
-    rhs[0, :] += bc[0, 1:-1] / s
-    rhs[-1, :] += bc[-1, 1:-1] / s
-    return rhs
-
-
-def _harmonic_fill(a0, bc, h):
-    """Harmonic interior fill of bc with a0 = -Laplacian/4; (u, CG iterations)."""
-    ny, nx = bc.shape
+def _harmonic_fill(bc, h):
+    """Harmonic interior fill of the edges of bc; (u, CG iterations)."""
     u = bc.copy()
-    sol, iterations = _cg_solve(
-        a0,
-        _boundary_rhs(bc, h).ravel(),
-        _fast_poisson((ny - 2, nx - 2), h, 0.0),
-        "harmonic extension",
+    u[1:-1, 1:-1] = 0.0
+    u[1:-1, 1:-1], iterations = _cg_solve(
+        0.0, _quarter_laplacian(u, h), h, "harmonic extension"
     )
-    u[1:-1, 1:-1] = sol.reshape(ny - 2, nx - 2)
     return u, iterations
 
 
@@ -220,9 +216,7 @@ def harmonic_extension(bc, h):
     data; interior entries are ignored.  Returns a full field agreeing with
     bc on the boundary and discretely harmonic inside.
     """
-    bc = np.asarray(bc, dtype=float)
-    ny, nx = bc.shape
-    return _harmonic_fill(_neg_quarter_laplacian(nx, ny, h), bc, h)[0]
+    return _harmonic_fill(np.asarray(bc, dtype=float), h)[0]
 
 
 def newton_solve(q0_values, bc, x, y, tol=1e-10, max_iter=50):
@@ -257,8 +251,7 @@ def newton_solve(q0_values, bc, x, y, tol=1e-10, max_iter=50):
                 f"boundary data shape {bc.shape} does not match grid ({ny}, {nx})"
             )
 
-    a0 = _neg_quarter_laplacian(nx, ny, h)
-    u, iterations = _harmonic_fill(a0, bc, h)
+    u, iterations = _harmonic_fill(bc, h)
     cg_counter = [iterations]
 
     history = []
@@ -280,15 +273,10 @@ def newton_solve(q0_values, bc, x, y, tol=1e-10, max_iter=50):
             break
         ui = u[1:-1, 1:-1]
         c = np.exp(ui) / 8.0 + 2.0 * q2[1:-1, 1:-1] * np.exp(-ui)
-        matrix = a0 + sp.diags(c.ravel())
         delta, iterations = _cg_solve(
-            matrix,
-            r[1:-1, 1:-1].ravel(),
-            _fast_poisson((ny - 2, nx - 2), h, float(c.mean())),
-            f"newton step {iteration + 1}",
+            c, r[1:-1, 1:-1], h, f"newton step {iteration + 1}"
         )
         cg_counter.append(iterations)
-        delta = delta.reshape(ny - 2, nx - 2)
         step = 1.0
         while True:
             trial = u.copy()

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from . import frame
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     DegenerateNode,
     DomainError,
@@ -83,7 +84,11 @@ def exit_code_for(exc):
     raise exc
 
 
-def residual_thresholds(h, floor=1e-10, scale=1.0):
+def residual_thresholds(
+    h,
+    floor=DEFAULT_TOLERANCES["residual_floor"],
+    scale=DEFAULT_TOLERANCES["threshold_scale"],
+):
     """Threshold per residual class: max(floor, scale * C * h^2)."""
     return {
         key: max(floor, scale * coeff * h * h)
@@ -262,10 +267,10 @@ def run_generate(config, log=print):
 def run_check(
     csv_path,
     report_path=None,
-    margin=2,
-    angle_cutoff=0.05,
-    residual_floor=1e-10,
-    threshold_scale=1.0,
+    margin=DEFAULT_TOLERANCES["margin"],
+    angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
+    residual_floor=DEFAULT_TOLERANCES["residual_floor"],
+    threshold_scale=DEFAULT_TOLERANCES["threshold_scale"],
     log=print,
 ):
     """Verify an externally supplied surface CSV; returns (exit_code, dict)."""
@@ -351,24 +356,26 @@ def run_solve(config, out_path=None, log=print):
     return EXIT_PASS, result
 
 
-def check_surface_like(surface, **kwargs):
+def check_surface_like(
+    surface,
+    potential=None,
+    margin=DEFAULT_TOLERANCES["margin"],
+    angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
+    residual_floor=DEFAULT_TOLERANCES["residual_floor"],
+    threshold_scale=DEFAULT_TOLERANCES["threshold_scale"],
+):
     """Convenience: verify+classify any surface grid without files.
 
-    Accepts the same keyword arguments as run_check's threshold options;
-    returns (passed, failures, report).
+    Takes run_check's threshold options, plus the potential for the
+    classes that need frame data; returns (passed, failures, report).
     """
-    margin = kwargs.pop("margin", 2)
-    angle_cutoff = kwargs.pop("angle_cutoff", 0.05)
-    floor = kwargs.pop("residual_floor", 1e-10)
-    scale = kwargs.pop("threshold_scale", 1.0)
-    potential = kwargs.pop("potential", None)
-    if kwargs:
-        raise TypeError(f"unknown options: {sorted(kwargs)}")
     hx = float(surface.x[1] - surface.x[0])
     hy = float(surface.y[1] - surface.y[0])
     report = verify_surface(
         surface, potential=potential, angle_cutoff=angle_cutoff, margin=margin
     )
-    thresholds = residual_thresholds(max(hx, hy), floor=floor, scale=scale)
+    thresholds = residual_thresholds(
+        max(hx, hy), floor=residual_floor, scale=threshold_scale
+    )
     passed, failures = classify_report(report, thresholds)
     return passed, failures, report

@@ -38,11 +38,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateNode, DomainError
 from .nil3 import covariant_derivative, frame_coeffs_from_coords
 
-DEFAULT_ANGLE_CUTOFF = 0.05
-DEFAULT_MARGIN = 2
 DEFAULT_DEGENERATE_TOL = 1e-8
 
 #: Stable keys of the residual classes, in reporting order.
@@ -205,7 +204,9 @@ def quadratic_differential(tangent, normal, hx, hy):
     return q, grid_dzbar(q, hx, hy)
 
 
-def gauss_map_tension(normal, phi, hx, hy, angle_cutoff=DEFAULT_ANGLE_CUTOFF):
+def gauss_map_tension(
+    normal, phi, hx, hy, angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"]
+):
     """Harmonic-map residual of the stereographically projected normal.
 
     Projects N from the south pole, g = (N1 + i N2)/(1 + N3), and evaluates
@@ -341,8 +342,8 @@ class ResidualReport:
 def verify_surface(
     surface,
     potential=None,
-    angle_cutoff=DEFAULT_ANGLE_CUTOFF,
-    margin=DEFAULT_MARGIN,
+    angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
+    margin=DEFAULT_TOLERANCES["margin"],
     degenerate_tol=DEFAULT_DEGENERATE_TOL,
     keep_fields=False,
 ):

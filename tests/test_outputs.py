@@ -22,6 +22,25 @@ def toy_surface(n=9, seed=3):
     return SurfaceGrid(x=x, y=y, t=0.0, F=f, height=h)
 
 
+def element_wise_csv(header, x, y, fields):
+    """Reference CSV writer: one repr per value, one line per node."""
+    lines = [header]
+    for j in range(y.size):
+        for i in range(x.size):
+            values = [x[i], y[j]] + [f[j, i] for f in fields]
+            lines.append(",".join(repr(float(v) + 0.0) for v in values))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def awkward_surface(n):
+    """toy_surface with -0.0, a tiny and a huge coordinate near the origin."""
+    surf = toy_surface(n, seed=n)
+    surf.F[0, 1] = complex(-0.0, 1e-17)
+    surf.height[0, 1] = -0.0
+    surf.F[1, 0] = complex(-1.2e14, 0.5)
+    return surf
+
+
 class TestObj:
     def test_counts_and_layout(self, tmp_path):
         surf = toy_surface(9)
@@ -109,6 +128,19 @@ class TestSurfaceCsv:
         path = tmp_path / "surface.csv"
         outputs.write_surface_csv(surf, path)
         assert path.read_text().splitlines()[0] == "x,y,F_re,F_im,h"
+
+    @pytest.mark.parametrize("n", [9, 65])
+    def test_bytes_match_the_element_wise_writer(self, tmp_path, n):
+        surf = awkward_surface(n)
+        coords = surf.coords()
+        expected = element_wise_csv(
+            "x,y,F_re,F_im,h", surf.x, surf.y, [coords[..., k] for k in range(3)]
+        )
+        path = tmp_path / "surface.csv"
+        outputs.write_surface_csv(surf, path)
+        assert b",-0.4,0.0,1e-17,0.0\n" in expected  # -0.0 normalized
+        assert b",-120000000000000.0,0.5," in expected
+        assert path.read_bytes() == expected
 
     def test_row_order_is_irrelevant_on_read(self, tmp_path):
         surf = toy_surface(9, seed=6)
@@ -227,6 +259,21 @@ class TestSolutionCsv:
             data[:, 2].reshape(9, 9), Result.u
         )
         np.testing.assert_array_equal(data[:9, 0], Result.x)
+
+    def test_bytes_match_the_element_wise_writer(self, tmp_path):
+        surf = awkward_surface(9)
+
+        class Result:
+            x = surf.x
+            y = surf.y[:7]
+            u = surf.coords()[:7, :, 0]
+
+        expected = element_wise_csv("x,y,u", Result.x, Result.y, [Result.u])
+        path = tmp_path / "solution.csv"
+        outputs.write_solution_csv(Result(), path)
+        assert b",-0.0\n" not in expected
+        assert b",-120000000000000.0\n" in expected
+        assert path.read_bytes() == expected
 
 
 class TestJson:

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nilsurf import cli, pipeline
+import nilsurf
+from nilsurf import cli, pde, pipeline
 from nilsurf.config import parse_config
 from nilsurf.errors import (
     DegenerateNode,
@@ -405,6 +410,47 @@ class TestCli:
         )
         assert code == 0
         assert out.read_text().startswith("x,y,u\n")
+
+    def test_solve_gauss_cg_failure_exits_3(self, tmp_path, monkeypatch):
+        # Q0 = z/4 with bc 0: the harmonic fill has a zero right-hand side,
+        # so the first Newton step's CG solve is the one that fails
+        monkeypatch.setattr(pde, "CG_MAXITER", 1)
+        path = self._write_config(
+            tmp_path,
+            potential={
+                "q0_coefficients": [[0.0, 0.0], [0.25, 0.0]],
+                "rho0": {"source": "solved", "bc": 0.0},
+            },
+        )
+        lines = []
+        code = cli.main(
+            ["solve-gauss", str(path), "--out", str(tmp_path / "u.csv")],
+            log=lines.append,
+        )
+        assert code == 3
+        assert "conjugate gradients failed during newton step 1" in lines[-1]
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_runtime_needs_no_scipy(self):
+        # SciPy is a test dependency only: importing the package and
+        # running a solve must not load it
+        src = str(Path(nilsurf.__file__).resolve().parents[1])
+        code = (
+            "import sys, numpy as np, nilsurf, nilsurf.cli\n"
+            "from nilsurf import pde\n"
+            "x = np.linspace(-0.5, 0.5, 9)\n"
+            "pde.newton_solve(np.zeros((9, 9)), 0.0, x, x)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_unknown_command_errors(self):
         with pytest.raises(SystemExit):
