@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFlatInput
+from .mat2 import commutator
 
 FLATNESS_PROBE = 1e-4
 
@@ -144,8 +145,7 @@ def flatness_residual(potential, z, t, probe=FLATNESS_PROBE):
     u_zbar = (ux + 1j * uy) / 2.0
     v_z = (vx - 1j * vy) / 2.0
     pair = connection_at(potential, z, t)
-    bracket = pair.u @ pair.v - pair.v @ pair.u
-    return u_zbar - v_z - bracket
+    return u_zbar - v_z - commutator(pair.u, pair.v)
 
 
 def _omega(potential, z, dz, phase):

@@ -14,10 +14,19 @@ defined here:
 
 A point (x1, x2, x3) is modeled as x1*BASIS_X1 + x2*BASIS_X2 + x3*BASIS_X3 =
 [[x3, x1 + i x2], [x1 - i x2, x3]].
+
+Products are written entry by entry, the one entry-wise toolkit of the
+package: `entries` splits a field into its four entry arrays (m00, m01,
+m10, m11), `mul` and `times_s` multiply such 4-tuples, and `from_entries`
+stacks one back into a (..., 2, 2) field.  Each entry of a product is then
+two whole-grid multiplications and one addition, where NumPy's `@` on
+(n, 2, 2) stacks runs one tiny matrix product per node.  The surface
+assembly and the residual suite (via `commutator`) use it.
 """
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import ShapeViolation, SingularFrameError
 
 DIAG_IMAG = np.array([[1j, 0.0], [0.0, -1j]])
@@ -53,9 +62,52 @@ def inv(m, tol=1e-13):
     return out / d[..., None, None]
 
 
+def entries(m):
+    """The four entries (m00, m01, m10, m11) of a (..., 2, 2) field."""
+    m = np.asarray(m)
+    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+
+
+def from_entries(e):
+    """Stack four entry arrays back into a complex (..., 2, 2) field."""
+    out = np.empty(np.broadcast(*e).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = e
+    return out
+
+
+def mul(a, b):
+    """Entry-wise 2x2 product a @ b of two entry 4-tuples."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (
+        a00 * b00 + a01 * b10,
+        a00 * b01 + a01 * b11,
+        a10 * b00 + a11 * b10,
+        a10 * b01 + a11 * b11,
+    )
+
+
+def times_s(a):
+    """Entry-wise a @ S of an entry 4-tuple, S = DIAG_IMAG = diag(i, -i)."""
+    a00, a01, a10, a11 = a
+    return 1j * a00, -1j * a01, 1j * a10, -1j * a11
+
+
 def commutator(a, b):
-    """Matrix commutator [a, b] = a@b - b@a over the trailing axes."""
-    return a @ b - b @ a
+    """Matrix commutator [a, b] = a@b - b@a over the trailing axes.
+
+    The commutator is traceless, so three entries are computed:
+    [a, b]00 = a01 b10 - b01 a10 = -[a, b]11, and the off-diagonal
+    entries from the diagonal differences a00 - a11 and b00 - b11.
+    """
+    a00, a01, a10, a11 = entries(a)
+    b00, b01, b10, b11 = entries(b)
+    da = a00 - a11
+    db = b00 - b11
+    c00 = a01 * b10 - b01 * a10
+    return from_entries(
+        (c00, b01 * da - a01 * db, a10 * db - b10 * da, -c00)
+    )
 
 
 def point_to_matrix(p):
@@ -82,7 +134,7 @@ def matrix_shape_deviation(m):
     return np.maximum(np.maximum(d1, d2), d3)
 
 
-def matrix_to_point(m, tol=1e-6):
+def matrix_to_point(m, tol=DEFAULT_TOLERANCES["shape"]):
     """Extract coordinates (..., 3) from matrices in the point model.
 
     Raises ShapeViolation if any matrix deviates from the model shape by

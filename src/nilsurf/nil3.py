@@ -122,12 +122,25 @@ def covariant_derivative(a, w, dw):
       dw -- directional derivative of w's coefficient functions along a.
 
     Returns the coefficients of nabla_a w = dw + sum_{i,j} a_i w_j
-    (nabla_{E_i} E_j); pure product-rule assembly over the constant table.
+    (nabla_{E_i} E_j).  The sum is written out as the six nonzero (+-1/2)
+    entries of CONNECTION_TABLE, component by component:
+
+        (nabla_a w)_1 = dw_1 + (a_2 w_3 + a_3 w_2)/2
+        (nabla_a w)_2 = dw_2 - (a_1 w_3 + a_3 w_1)/2
+        (nabla_a w)_3 = dw_3 + (a_1 w_2 - a_2 w_1)/2
     """
     a = np.asarray(a)
     w = np.asarray(w)
     dw = np.asarray(dw)
-    return dw + np.einsum("...i,...j,ijk->...k", a, w, CONNECTION_TABLE)
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+    out = np.empty(
+        np.broadcast(a, w, dw).shape, dtype=np.result_type(a, w, dw, float)
+    )
+    out[..., 0] = dw[..., 0] + 0.5 * (a2 * w3 + a3 * w2)
+    out[..., 1] = dw[..., 1] - 0.5 * (a1 * w3 + a3 * w1)
+    out[..., 2] = dw[..., 2] + 0.5 * (a1 * w2 - a2 * w1)
+    return out
 
 
 def group_mul(p, q):

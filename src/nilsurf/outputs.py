@@ -17,6 +17,7 @@ Formats:
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,26 +111,14 @@ def write_surface_csv(surface, path):
     )
 
 
-def read_surface_csv(path):
-    """Read an external surface table (header x,y,F_re,F_im,h) into a grid.
+def _parse_rows_by_line(path):
+    """The data rows as an (n, 5) array, parsed one line at a time.
 
-    The rows must cover a complete rectangular grid (any order) of at
-    least 3 x 3 nodes with uniformly spaced axes; raises SchemaError for a
-    bad header, non-numeric or non-finite data, too few distinct x or y
-    values, non-uniform spacing, or incomplete grids.
+    Every SchemaError names the offending line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(str(path), "empty CSV file") from None
-        header = [col.strip() for col in header]
-        if header != ["x", "y", "F_re", "F_im", "h"]:
-            raise SchemaError(
-                str(path),
-                f"expected header x,y,F_re,F_im,h; got {','.join(header)}",
-            )
+        next(reader)  # the header, checked by the caller
         rows = []
         linenos = []
         for lineno, row in enumerate(reader, start=2):
@@ -151,8 +140,68 @@ def read_surface_csv(path):
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]
         raise SchemaError(str(path), f"line {lineno}: non-finite value")
-    x = np.unique(data[:, 0])
-    y = np.unique(data[:, 1])
+    return data
+
+
+def _parse_rows(path):
+    """The data rows as a finite (n, 5) array.
+
+    NumPy's C parser reads a well-formed file in one call and converts
+    each field as float() does.  It rejects some text that float()
+    accepts (1_0, quoted fields, non-ASCII digits) and accepts some that
+    the schema refuses (a 4-column file, nan).  So any result other than
+    a non-empty, all-finite (n, 5) array reruns the line-by-line parser,
+    which returns what the schema accepts and otherwise names the line
+    of the first error.
+    """
+    with warnings.catch_warnings():
+        # an empty body is reported by the line-by-line parser
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning
+        )
+        try:
+            data = np.loadtxt(
+                path,
+                delimiter=",",
+                comments=None,
+                skiprows=1,
+                ndmin=2,
+                encoding="utf-8",
+            )
+        except ValueError:
+            data = None
+    if (
+        data is not None
+        and data.shape[0] > 0
+        and data.shape[1] == 5
+        and np.isfinite(data).all()
+    ):
+        return data
+    return _parse_rows_by_line(path)
+
+
+def read_surface_csv(path):
+    """Read an external surface table (header x,y,F_re,F_im,h) into a grid.
+
+    The rows must cover a complete rectangular grid (any order) of at
+    least 3 x 3 nodes with uniformly spaced axes; raises SchemaError for a
+    bad header, non-numeric or non-finite data, too few distinct x or y
+    values, non-uniform spacing, or incomplete grids.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise SchemaError(str(path), "empty CSV file") from None
+    header = [col.strip() for col in header]
+    if header != ["x", "y", "F_re", "F_im", "h"]:
+        raise SchemaError(
+            str(path),
+            f"expected header x,y,F_re,F_im,h; got {','.join(header)}",
+        )
+    data = _parse_rows(path)
+    x, ix = np.unique(data[:, 0], return_inverse=True)
+    y, iy = np.unique(data[:, 1], return_inverse=True)
     if x.size < 3 or y.size < 3:
         raise SchemaError(
             str(path),
@@ -176,8 +225,6 @@ def read_surface_csv(path):
         )
     f_grid = np.full((y.size, x.size), np.nan, dtype=complex)
     h_grid = np.full((y.size, x.size), np.nan, dtype=float)
-    ix = np.searchsorted(x, data[:, 0])
-    iy = np.searchsorted(y, data[:, 1])
     f_grid[iy, ix] = data[:, 2] + 1j * data[:, 3]
     h_grid[iy, ix] = data[:, 4]
     if np.any(np.isnan(h_grid)):

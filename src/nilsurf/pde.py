@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_SOLVER
 from .errors import DomainError, LinearSolveFailure, MaxIterExceeded
 
 CG_RTOL = 1e-12
@@ -219,7 +220,14 @@ def harmonic_extension(bc, h):
     return _harmonic_fill(np.asarray(bc, dtype=float), h)[0]
 
 
-def newton_solve(q0_values, bc, x, y, tol=1e-10, max_iter=50):
+def newton_solve(
+    q0_values,
+    bc,
+    x,
+    y,
+    tol=DEFAULT_SOLVER["tol"],
+    max_iter=DEFAULT_SOLVER["max_iter"],
+):
     """Solve the integrability equation for u = log rho0.
 
     Arguments:

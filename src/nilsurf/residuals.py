@@ -40,6 +40,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateNode, DomainError
+from .mat2 import commutator
 from .nil3 import covariant_derivative, frame_coeffs_from_coords
 
 DEFAULT_DEGENERATE_TOL = 1e-8
@@ -58,16 +59,20 @@ RESIDUAL_KEYS = (
 
 
 def _xy_differences(f, hx, hy):
-    """(f, f_x, f_y): f as complex and its central differences on the interior."""
-    f = np.asarray(f, dtype=complex)
-    fx = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hx)
-    fy = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hy)
-    return f, fx, fy
+    """(f_x/2, i f_y/2) by central differences on the interior.
+
+    A real f is differenced in real arithmetic; i f_y/2 is complex.
+    """
+    f = np.asarray(f)
+    fx = (f[1:-1, 2:] - f[1:-1, :-2]) / (4.0 * hx)
+    ify = 1j * ((f[2:, 1:-1] - f[:-2, 1:-1]) / (4.0 * hy))
+    return fx, ify
 
 
-def _nan_ring(f, interior):
-    """Array shaped like f holding interior inside a ring of NaN."""
-    out = np.full_like(f, np.nan + 0j)
+def _nan_ring(interior):
+    """Complex array holding interior inside a one-node ring of NaN."""
+    ny, nx = interior.shape[:2]
+    out = np.full((ny + 2, nx + 2) + interior.shape[2:], np.nan, dtype=complex)
     out[1:-1, 1:-1] = interior
     return out
 
@@ -78,36 +83,34 @@ def grid_dz(f, hx, hy):
     f has shape (ny, nx, ...); the outermost ring of nodes gets NaN since
     the stencil does not fit there.
     """
-    f, fx, fy = _xy_differences(f, hx, hy)
-    return _nan_ring(f, (fx - 1j * fy) / 2.0)
+    fx, ify = _xy_differences(f, hx, hy)
+    return _nan_ring(fx - ify)
 
 
 def grid_dzbar(f, hx, hy):
     """d/dz̄ = (d/dx + i d/dy)/2 by central differences (NaN ring)."""
-    f, fx, fy = _xy_differences(f, hx, hy)
-    return _nan_ring(f, (fx + 1j * fy) / 2.0)
+    fx, ify = _xy_differences(f, hx, hy)
+    return _nan_ring(fx + ify)
 
 
 def grid_dz_dzbar(f, hx, hy):
     """(d/dz, d/dz̄) of one field from a single pair of x/y differences."""
-    f, fx, fy = _xy_differences(f, hx, hy)
-    return _nan_ring(f, (fx - 1j * fy) / 2.0), _nan_ring(f, (fx + 1j * fy) / 2.0)
+    fx, ify = _xy_differences(f, hx, hy)
+    return _nan_ring(fx - ify), _nan_ring(fx + ify)
 
 
 def grid_dzzbar(f, hx, hy):
     """d2/dz dz̄ = Laplacian/4 by the 5-point stencil (NaN ring)."""
-    f = np.asarray(f, dtype=complex)
-    out = np.full_like(f, np.nan + 0j)
+    f = np.asarray(f)
     lap = (f[1:-1, 2:] + f[1:-1, :-2] - 2.0 * f[1:-1, 1:-1]) / hx**2 + (
         f[2:, 1:-1] + f[:-2, 1:-1] - 2.0 * f[1:-1, 1:-1]
     ) / hy**2
-    out[1:-1, 1:-1] = lap / 4.0
-    return out
+    return _nan_ring(lap / 4.0)
 
 
 @dataclass
 class TangentData:
-    """First-order tangent data of a surface grid in frame coefficients.
+    """Tangent data of a surface grid in frame coefficients.
 
     Attributes:
       F_z, F_zbar  complex derivatives of the horizontal coordinate
@@ -116,6 +119,10 @@ class TangentData:
       a            frame coefficients of f_z, shape (ny, nx, 3):
                    ((x1)_z, (x2)_z, A)
       b            frame coefficients of f_z̄ (= conj(a) for real surfaces)
+      a_z, a_zbar  d/dz and d/dz̄ of the coefficient functions a, from one
+                   pair of x/y differences (two NaN rings); they carry
+                   A_z̄ = a_zbar[..., 2] and, for real surfaces,
+                   b_z = conj(a_zbar)
     """
 
     F_z: np.ndarray
@@ -123,6 +130,8 @@ class TangentData:
     A: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    a_z: np.ndarray
+    a_zbar: np.ndarray
 
 
 def tangent_frame_coeffs(F, height, hx, hy):
@@ -130,6 +139,7 @@ def tangent_frame_coeffs(F, height, hx, hy):
     F = np.asarray(F, dtype=complex)
     p = np.stack([F.real, F.imag, np.asarray(height, dtype=float)], axis=-1)
     a = frame_coeffs_from_coords(p, grid_dz(p, hx, hy))
+    a_z, a_zbar = grid_dz_dzbar(a, hx, hy)
     # p is real, so the coordinate z̄-derivatives are conj(p_z).
     return TangentData(
         F_z=a[..., 0] + 1j * a[..., 1],
@@ -137,6 +147,8 @@ def tangent_frame_coeffs(F, height, hx, hy):
         A=np.ascontiguousarray(a[..., 2]),
         a=a,
         b=np.conj(a),
+        a_z=a_z,
+        a_zbar=a_zbar,
     )
 
 
@@ -160,18 +172,18 @@ def minimality_residuals(tangent, F, hx, hy):
     r1 = grid_dzzbar(F, hx, hy) - 0.5j * (
         np.conj(tangent.A) * tangent.F_z + tangent.A * tangent.F_zbar
     )
-    a_zbar = grid_dzbar(tangent.A, hx, hy)
+    a_zbar = tangent.a_zbar[..., 2]
     r2 = a_zbar + np.conj(a_zbar)
     return r1, r2
 
 
-def covariant_minimality_residual(tangent, hx, hy):
+def covariant_minimality_residual(tangent):
     """Frame coefficients of nabla_{f_z} f_z̄ (the tension field; zero iff minimal).
 
     The covariant derivative is the z-derivative of the coefficients of
-    f_z̄ plus the connection correction from the constant table.
+    f_z̄ (conj(a_z̄), since f is real) plus the connection correction.
     """
-    return covariant_derivative(tangent.a, tangent.b, grid_dz(tangent.b, hx, hy))
+    return covariant_derivative(tangent.a, tangent.b, np.conj(tangent.a_zbar))
 
 
 def unit_normal(tangent):
@@ -198,7 +210,7 @@ def quadratic_differential(tangent, normal, hx, hy):
     differential; on a minimal conformal immersion Q is holomorphic.
     Returns (Q, Q_z̄).
     """
-    accel = covariant_derivative(tangent.a, tangent.a, grid_dz(tangent.a, hx, hy))
+    accel = covariant_derivative(tangent.a, tangent.a, tangent.a_z)
     p = np.sum(accel * normal, axis=-1)
     q = 1j * p + tangent.A**2
     return q, grid_dzbar(q, hx, hy)
@@ -242,7 +254,7 @@ def fhat_laplace_identity(fhat, hx, hy):
     continuum for surfaces produced by the immersion formula.
     """
     fz, fzb = grid_dz_dzbar(fhat, hx, hy)
-    return grid_dzzbar(fhat, hx, hy) - 0.25j * (fz @ fzb - fzb @ fz)
+    return grid_dzzbar(fhat, hx, hy) - 0.25j * commutator(fz, fzb)
 
 
 def _interior_max(values, margin):
@@ -359,9 +371,12 @@ def verify_surface(
     against |Q0| (ratio statistics in the report).
 
     Raises DomainError when margin < 1 (a zero or negative margin trims
-    nothing, or everything, from the interior slices) or when an axis has
-    fewer than 2 * margin + 3 nodes: the margin-trimmed interior must keep
-    at least 3 nodes per axis.
+    nothing, or everything, from the interior slices), when an axis has
+    fewer than 2 * margin + 3 nodes (the margin-trimmed interior must keep
+    at least 3 nodes per axis), or when F or height holds a NaN or an
+    infinity: the NaN-aware maxima would drop the stencils around such a
+    node.  (The stencils' NaN rings and the Gauss-map angle mask are made
+    here, not read from the input.)
     Raises DegenerateNode when the interior metric density drops below
     degenerate_tol — the data fails to be an immersion there and none of
     the residuals are meaningful.
@@ -379,6 +394,19 @@ def verify_surface(
     hy = float(y[1] - y[0])
     F = np.asarray(surface.F, dtype=complex)
     height = np.asarray(surface.height, dtype=float)
+    poisoned = ~(np.isfinite(F) & np.isfinite(height))
+    if poisoned.any():
+        iy, ix = np.argwhere(poisoned)[0]
+        raise DomainError(
+            f"surface coordinates are not finite at "
+            f"{int(np.count_nonzero(poisoned))} node(s), the first at "
+            f"(x, y) = ({x[ix]:.6g}, {y[iy]:.6g})"
+        )
+
+    # The matrix field's stencils are the largest temporaries of the
+    # suite; taking them before the tangent data exists lowers the peak.
+    fhat = getattr(surface, "fhat", None)
+    fhat_res = fhat_laplace_identity(fhat, hx, hy) if fhat is not None else None
 
     tangent = tangent_frame_coeffs(F, height, hx, hy)
     conf, rho = conformality_residual(tangent)
@@ -392,7 +420,7 @@ def verify_surface(
         )
 
     r1, r2 = minimality_residuals(tangent, F, hx, hy)
-    cov = covariant_minimality_residual(tangent, hx, hy)
+    cov = covariant_minimality_residual(tangent)
     cov_norm = np.linalg.norm(cov, axis=-1)
     normal, phi = unit_normal(tangent)
     q, q_zbar = quadratic_differential(tangent, normal, hx, hy)
@@ -404,8 +432,6 @@ def verify_surface(
         if aux_height is not None
         else None
     )
-    fhat = getattr(surface, "fhat", None)
-    fhat_res = fhat_laplace_identity(fhat, hx, hy) if fhat is not None else None
 
     fields = {
         "conformality": conf,

@@ -27,8 +27,9 @@ fhat(0) = 2 S and f(0) = 0: every generated surface passes through the
 origin with no roundoff.
 
 Both stages work on the four entries of each matrix field rather than on
-stacks of 2x2 matrices: fhat and d(fhat)/dt share one adjugate inverse of
-Psi, and a product with S only multiplies columns by i and -i.
+stacks of 2x2 matrices, through the entry-wise toolkit in mat2 (entries,
+mul, times_s, from_entries): fhat and d(fhat)/dt share one adjugate
+inverse of Psi, and a product with S only multiplies columns by i and -i.
 `generate_surface` takes one t or a sequence of them; a sequence is
 marched once (see the frame module), and each member is assembled and
 its frame released before the next.
@@ -39,44 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat2
+from .config import DEFAULT_TOLERANCES
 from .errors import ShapeViolation
 from .frame import integrate_grid
 
 
-def _entries(m):
-    """The four entries (m00, m01, m10, m11) of a (..., 2, 2) field."""
-    m = np.asarray(m)
-    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-
-
-def _matrix(entries):
-    """Stack four entry arrays back into a (..., 2, 2) field."""
-    out = np.empty(np.broadcast(*entries).shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
-    return out
-
-
-def _mul(a, b):
-    """Entry-wise 2x2 product a @ b."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (
-        a00 * b00 + a01 * b10,
-        a00 * b01 + a01 * b11,
-        a10 * b00 + a11 * b10,
-        a10 * b01 + a11 * b11,
-    )
-
-
-def _times_s(a):
-    """Entry-wise a @ S with S = DIAG_IMAG = diag(i, -i)."""
-    a00, a01, a10, a11 = a
-    return 1j * a00, -1j * a01, 1j * a10, -1j * a11
-
-
-def _add_scaled(out, scale, entries):
-    """out += scale * entries, entry by entry, in place."""
-    for view, e in zip(_entries(out), entries):
+def _add_scaled(out, scale, terms):
+    """out += scale * terms, entry by entry, in place."""
+    for view, e in zip(mat2.entries(out), terms):
         view += scale * e
 
 
@@ -91,18 +62,20 @@ def _assemble(psi, psi_t, psi_tt=None):
     d(fhat)/dt is summed in place and g released once used, so that few
     entry-sized temporaries are alive beside the frame.
     """
-    pinv = _entries(mat2.inv(psi))
-    a = _mul(_entries(psi_t), pinv)
-    g = _mul(_times_s(_entries(psi)), pinv)
-    fhat = _matrix(tuple(-2.0 * ai + 2.0 * gi for ai, gi in zip(a, g)))
+    pinv = mat2.entries(mat2.inv(psi))
+    a = mat2.mul(mat2.entries(psi_t), pinv)
+    g = mat2.mul(mat2.times_s(mat2.entries(psi)), pinv)
+    fhat = mat2.from_entries(
+        tuple(-2.0 * ai + 2.0 * gi for ai, gi in zip(a, g))
+    )
     if psi_tt is None:
         return fhat, None
-    dfhat = _matrix(_mul(g, a))
+    dfhat = mat2.from_entries(mat2.mul(g, a))
     dfhat *= -2.0
     del g
-    _add_scaled(dfhat, -2.0, _mul(_entries(psi_tt), pinv))
-    _add_scaled(dfhat, 2.0, _mul(a, a))
-    _add_scaled(dfhat, 2.0, _mul(_times_s(_entries(psi_t)), pinv))
+    _add_scaled(dfhat, -2.0, mat2.mul(mat2.entries(psi_tt), pinv))
+    _add_scaled(dfhat, 2.0, mat2.mul(a, a))
+    _add_scaled(dfhat, 2.0, mat2.mul(mat2.times_s(mat2.entries(psi_t)), pinv))
     return fhat, dfhat
 
 
@@ -123,9 +96,9 @@ def ft_from_fhat(fhat, dfhat_dt):
     coordinate); off-diagonal part: copied from fhat (the horizontal
     coordinates).
     """
-    _, f01, f10, _ = _entries(fhat)
-    d00, _, _, d11 = _entries(dfhat_dt)
-    return _matrix((-0.5 * (1j * d00), f01, f10, -0.5 * (-1j * d11)))
+    _, f01, f10, _ = mat2.entries(fhat)
+    d00, _, _, d11 = mat2.entries(dfhat_dt)
+    return mat2.from_entries((-0.5 * (1j * d00), f01, f10, -0.5 * (-1j * d11)))
 
 
 @dataclass
@@ -187,7 +160,7 @@ def _fhat_shape_deviation(fhat):
     return np.maximum(np.maximum(d1, d2), d3)
 
 
-def surface_from_frame(frame_field, shape_tol=1e-6):
+def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
     """Assemble a SurfaceGrid from an integrated FrameField.
 
     Verifies that both matrix fields stay within shape_tol of their model
@@ -221,7 +194,13 @@ def surface_from_frame(frame_field, shape_tol=1e-6):
 
 
 def generate_surface(
-    potential, x, y, t, substeps=1, shape_tol=1e-6, check_flatness=True
+    potential,
+    x,
+    y,
+    t,
+    substeps=1,
+    shape_tol=DEFAULT_TOLERANCES["shape"],
+    check_flatness=True,
 ):
     """Integrate frames and assemble the surface at parameter(s) t.
 
@@ -242,7 +221,9 @@ def generate_surface(
     return surfaces if np.ndim(t) else surfaces[0]
 
 
-def sweep_family(potential, x, y, t_values, substeps=1, shape_tol=1e-6):
+def sweep_family(
+    potential, x, y, t_values, substeps=1, shape_tol=DEFAULT_TOLERANCES["shape"]
+):
     """Generate the associated family at each parameter in t_values.
 
     All members share the potential, the grid and one march.  Returns a

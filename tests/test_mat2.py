@@ -83,3 +83,47 @@ def test_commutator():
     np.testing.assert_array_equal(
         mat2.commutator(b, a), -mat2.commutator(a, b)
     )
+
+
+def random_stack(rng, shape):
+    """Random complex 2x2 matrices of shape (*shape, 2, 2)."""
+    shape = shape + (2, 2)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def assert_close_relative(actual, expected, rtol=1e-14):
+    """Max-norm error within rtol of the largest expected magnitude."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+def test_entries_round_trip():
+    m = random_stack(np.random.default_rng(3), (4, 5))
+    np.testing.assert_array_equal(mat2.from_entries(mat2.entries(m)), m)
+    # scalar entries broadcast against arrays
+    out = mat2.from_entries((1.0, np.arange(3.0), 0.0, 2j))
+    assert out.shape == (3, 2, 2)
+    np.testing.assert_array_equal(out[:, 0, 1], np.arange(3.0))
+
+
+def test_entry_wise_products_match_matmul():
+    rng = np.random.default_rng(5)
+    a = random_stack(rng, (6, 7))
+    b = random_stack(rng, (6, 7))
+    assert_close_relative(
+        mat2.from_entries(mat2.mul(mat2.entries(a), mat2.entries(b))), a @ b
+    )
+    assert_close_relative(
+        mat2.from_entries(mat2.times_s(mat2.entries(a))), a @ mat2.DIAG_IMAG
+    )
+
+
+def test_entry_wise_commutator_matches_matmul():
+    rng = np.random.default_rng(9)
+    a = random_stack(rng, (6, 7))
+    b = random_stack(rng, (6, 7))
+    c = mat2.commutator(a, b)
+    assert_close_relative(c, a @ b - b @ a)
+    np.testing.assert_array_equal(c[..., 0, 0], -c[..., 1, 1])
+    # broadcasting: one matrix against a stack
+    assert_close_relative(mat2.commutator(a[0, 0], b), a[0, 0] @ b - b @ a[0, 0])

@@ -211,6 +211,24 @@ class TestConnection:
                 nil3.covariant_derivative(a, w, zero), expected, atol=1e-15
             )
 
+    def test_covariant_derivative_matches_the_table_contraction(self):
+        # the six-term form against the full contraction over the table
+        rng = np.random.default_rng(23)
+
+        def field(shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for a_shape, w_shape in (((5, 6, 3), (5, 6, 3)), ((3,), (4, 5, 3))):
+            a, w, dw = field(a_shape), field(w_shape), field(w_shape)
+            expected = dw + np.einsum(
+                "...i,...j,ijk->...k", a, w, nil3.CONNECTION_TABLE
+            )
+            got = nil3.covariant_derivative(a, w, dw)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(
+                np.abs(expected)
+            )
+
     def test_covariant_derivative_flat_term(self):
         # With a zero connection contribution (w = E3-direction along E3
         # is nonzero, so use w = 0) the derivative is just dw.

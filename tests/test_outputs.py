@@ -1,9 +1,13 @@
 """Tests for the mesh, CSV, and JSON writers and their readers."""
 
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nilsurf import outputs
 from nilsurf.errors import SchemaError
@@ -238,6 +242,106 @@ class TestSurfaceCsv:
         path.write_text("x,y,F_re,F_im,h\n0,0,0,0\n")
         with pytest.raises(SchemaError):
             outputs.read_surface_csv(path)
+
+
+#: Finite doubles, with the awkward ones drawn often: signed zero, a
+#: value far below and one far above the grid scale, and subnormals.
+finite_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-17, -1.2e14, 5e-324, -2.5e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+#: repr is the writer's format; %.17g and %e are what other tools write.
+value_formats = st.sampled_from([repr, "%.17g".__mod__, "%e".__mod__])
+
+
+def toy_csv_lines(n=3):
+    """Header and rows of a valid n x n surface table."""
+    surf = toy_surface(n, seed=8)
+    coords = surf.coords()
+    lines = ["x,y,F_re,F_im,h"]
+    for j in range(n):
+        for i in range(n):
+            values = [surf.x[i], surf.y[j]] + list(coords[j, i])
+            lines.append(",".join(repr(float(v)) for v in values))
+    return lines
+
+
+class TestFastCsvParse:
+    """NumPy's parser against the line-by-line parser it stands in for."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.lists(st.tuples(finite_values, value_formats), min_size=5, max_size=5),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_fast_path_is_bitwise_equal_to_the_line_by_line_path(
+        self, tmp_path, rows
+    ):
+        path = tmp_path / "rows.csv"
+        text = "\n".join(",".join(fmt(v) for v, fmt in row) for row in rows)
+        path.write_text("x,y,F_re,F_im,h\n" + text + "\n")
+        slow = outputs._parse_rows_by_line(path)
+        # the fast path must accept every such file without falling back
+        with mock.patch.object(
+            outputs, "_parse_rows_by_line", side_effect=AssertionError
+        ):
+            fast = outputs._parse_rows(path)
+        assert fast.shape == slow.shape == (len(rows), 5)
+        assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize(
+        "written, meant",
+        [("1_0", "10"), ('"0.25"', "0.25"), ("\u0661", "1")],
+    )
+    def test_text_only_float_accepts_reads_as_before(self, tmp_path, written, meant):
+        # float() accepts underscores, quoted fields and non-ASCII digits;
+        # NumPy's parser does not, so these files take the line-by-line path
+        lines = toy_csv_lines()
+        paths = []
+        for name, value in (("written", written), ("meant", meant)):
+            cells = lines[5].split(",")
+            cells[4] = value
+            path = tmp_path / f"{name}.csv"
+            path.write_text(
+                "\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n",
+                encoding="utf-8",
+            )
+            paths.append(path)
+        got, expected = (outputs.read_surface_csv(p) for p in paths)
+        np.testing.assert_array_equal(got.height, expected.height)
+        np.testing.assert_array_equal(got.F, expected.F)
+
+    def test_empty_body_message_and_no_warning(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("x,y,F_re,F_im,h\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="header_only.csv: no data rows$"):
+                outputs.read_surface_csv(path)
+
+    def test_whitespace_only_line_names_its_line(self, tmp_path):
+        lines = toy_csv_lines()
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines[:4] + ["   "] + lines[4:]) + "\n")
+        with pytest.raises(SchemaError, match="line 5: expected 5 columns$"):
+            outputs.read_surface_csv(path)
+
+    def test_blank_line_is_skipped_by_both_paths(self, tmp_path):
+        lines = toy_csv_lines()
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines[:4] + [""] + lines[4:]) + "\n")
+        plain = tmp_path / "plain.csv"
+        plain.write_text("\n".join(lines) + "\n")
+        np.testing.assert_array_equal(
+            outputs.read_surface_csv(path).F, outputs.read_surface_csv(plain).F
+        )
 
 
 class TestSolutionCsv:

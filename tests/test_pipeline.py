@@ -24,7 +24,8 @@ from nilsurf.errors import (
     ShapeViolation,
 )
 from nilsurf.outputs import read_obj, write_surface_csv
-from nilsurf.surface import SurfaceGrid
+from nilsurf.potentials import Potential
+from nilsurf.surface import SurfaceGrid, generate_surface
 
 
 def make_config(tmp_path, **overrides):
@@ -350,6 +351,17 @@ class TestCheckSurfaceLike:
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError):
             pipeline.check_surface_like(dyadic_plane("vertical"), bogus=1)
+
+    @pytest.mark.parametrize("field, value", [("F", np.nan), ("height", np.inf)])
+    def test_non_finite_coordinates_fail_closed(self, field, value):
+        # NaN-aware maxima would drop the poisoned stencils and pass
+        pot = Potential.constant(1.0, (0.25,))
+        ax = np.linspace(-0.5, 0.5, 33)
+        surf = generate_surface(pot, ax, ax, 0.0)
+        assert pipeline.check_surface_like(surf, potential=pot)[0]
+        getattr(surf, field)[16, 16] = value
+        with pytest.raises(DomainError, match=r"not finite at 1 node\(s\)"):
+            pipeline.check_surface_like(surf, potential=pot)
 
 
 class TestCli:

@@ -131,7 +131,7 @@ class TestVerticalPlane:
         r1, r2 = residuals.minimality_residuals(t, surf.F, hx, hy)
         np.testing.assert_array_equal(interior(r1), 0.0)
         np.testing.assert_array_equal(interior2(r2), 0.0)
-        cov = residuals.covariant_minimality_residual(t, hx, hy)
+        cov = residuals.covariant_minimality_residual(t)
         np.testing.assert_array_equal(interior2(cov), 0.0)
         normal, phi = residuals.unit_normal(t)
         np.testing.assert_array_equal(
@@ -193,7 +193,7 @@ class TestHorizontalPlane:
         r1, r2 = residuals.minimality_residuals(t, surf.F, hx, hy)
         np.testing.assert_allclose(interior(r1), interior(-z / 8.0), atol=1e-14)
         np.testing.assert_allclose(interior2(r2), 0.0, atol=1e-14)
-        cov = residuals.covariant_minimality_residual(t, hx, hy)
+        cov = residuals.covariant_minimality_residual(t)
         expected = np.stack(
             [-z.real / 8.0, -z.imag / 8.0, np.zeros_like(z.real)], axis=-1
         )
@@ -314,6 +314,8 @@ class TestDegenerateDetection:
             A=np.zeros((5, 5), dtype=complex),
             a=np.zeros((5, 5, 3), dtype=complex),
             b=np.zeros((5, 5, 3), dtype=complex),
+            a_z=np.zeros((5, 5, 3), dtype=complex),
+            a_zbar=np.zeros((5, 5, 3), dtype=complex),
         )
         normal, phi = residuals.unit_normal(t)
         assert np.all(np.isnan(normal))
