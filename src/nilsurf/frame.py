@@ -32,6 +32,15 @@ off-diagonal, with omega_tt = (-2i, +2i) times the (0,1) and (1,0) entries
 of omega_t, so most of the products vanish.  `connection_at`, the dense
 matrices the tests compare against, is built from the same two functions.
 
+The potential is sampled once per march, not once per step: that data
+does not depend on t or on the state, so `integrate_grid` makes one
+`_sample` call on the end points of every step (the grid nodes and, with
+substeps, the points between them) and one on every midpoint, before it
+marches.  Each step then reads slices of those arrays and feeds them to
+the RK4 kernel `_rk4`, which `rk4_step` also calls after sampling its own
+three points.  A grid the potential cannot be evaluated on (past a solved
+rectangle, say) therefore fails before the first step.
+
 Admissibility of the potential is what makes the connection flat
 (curvature dz̄-derivative of U minus dz-derivative of V minus [U, V]
 vanishes), hence the integration path-independent.  The package checks
@@ -148,14 +157,15 @@ def flatness_residual(potential, z, t, probe=FLATNESS_PROBE):
     return u_zbar - v_z - commutator(pair.u, pair.v)
 
 
-def _omega(potential, z, dz, phase):
+def _omega(sample, dz, phase):
     """Entries of the increments omega = U dz + V dz̄, omega_t and omega_tt.
 
-    Returns (diag, off, off_t, off_tt), each of shape (2, T, n): the
-    diagonal (omega00, omega11) and the off-diagonal entries in swapped
-    order (omega10, omega01), which is what `_rhs` multiplies with.
+    sample is `_sample`'s data at the evaluation points.  Returns (diag,
+    off, off_t, off_tt), each of shape (2, T, n): the diagonal (omega00,
+    omega11) and the off-diagonal entries in swapped order (omega10,
+    omega01), which is what `_rhs` multiplies with.
     """
-    u00, u01, u10, v01, v10 = _connection_entries(_sample(potential, z), phase)
+    u00, u01, u10, v01, v10 = _connection_entries(sample, phase)
     dzbar = np.conj(dz)
     w = u00 * dz - np.conj(u00) * dzbar
     diag = np.empty((2,) + u10.shape, dtype=complex)
@@ -185,39 +195,48 @@ def _rhs(state, omega):
     return k
 
 
+def _rk4(state, dz, phase, start, mid, end):
+    """The RK4 kernel: one step of the frame triple over the increment dz.
+
+    start, mid and end are `_sample`'s data at the step's start point,
+    midpoint and end point; the two interior stages share the midpoint.
+    """
+    omega_mid = _omega(mid, dz, phase)
+    k1 = _rhs(state, _omega(start, dz, phase))
+    k2 = _rhs(state + 0.5 * k1, omega_mid)
+    k3 = _rhs(state + 0.5 * k2, omega_mid)
+    k4 = _rhs(state + k3, _omega(end, dz, phase))
+    return state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
 def rk4_step(potential, state, z0, z1, phase):
     """One classical RK4 step of the frame triple from z0 to z1.
 
     state has shape (3, 2, 2, T, n): (Psi, Psi_t, Psi_tt) entry by entry,
     for T family members at n nodes; phase is exp(2 i t) of shape (T, 1)
-    and z0, z1 have n points (or are scalars when n = 1).  The two
-    interior stages share the midpoint sample, so each step samples the
-    potential at three points per node, once for all T members.
+    and z0, z1 have n points (or are scalars when n = 1).  The step
+    samples the potential at its start, midpoint and end, once for all T
+    members.  `integrate_grid` samples the whole grid once per march and
+    calls the same kernel; this function serves its off-node base step.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
     dz = z1 - z0
-    omega0 = _omega(potential, z0, dz, phase)
-    omega_mid = _omega(potential, z0 + dz / 2.0, dz, phase)
-    omega1 = _omega(potential, z1, dz, phase)
-    k1 = _rhs(state, omega0)
-    k2 = _rhs(state + 0.5 * k1, omega_mid)
-    k3 = _rhs(state + 0.5 * k2, omega_mid)
-    k4 = _rhs(state + k3, omega1)
-    return state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return _rk4(
+        state,
+        dz,
+        phase,
+        _sample(potential, z0),
+        _sample(potential, z0 + dz / 2.0),
+        _sample(potential, z1),
+    )
 
 
-def _advance(potential, state, z0, z1, phase, substeps):
-    """March from z0 to z1 in `substeps` equal RK4 steps."""
+def _substep_points(z0, z1, substeps):
+    """Ends of `substeps` equal steps from z0 to z1, on a new leading axis."""
     if substeps == 1:
-        return rk4_step(potential, state, z0, z1, phase)
-    z0 = np.asarray(z0, dtype=complex)
-    z1 = np.asarray(z1, dtype=complex)
-    for k in range(substeps):
-        a = z0 + (z1 - z0) * (k / substeps)
-        b = z0 + (z1 - z0) * ((k + 1) / substeps)
-        state = rk4_step(potential, state, a, b, phase)
-    return state
+        return np.stack([z0, z1])
+    return np.stack([z0 + (z1 - z0) * (k / substeps) for k in range(substeps + 1)])
 
 
 @dataclass
@@ -291,7 +310,7 @@ def integrate_grid(
     t is a float, which returns one FrameField, or a 1-D sequence, which
     returns a list with one FrameField per value in the given order; all
     values are marched together, and each member's triple lives in its own
-    arrays.
+    (3, 2, 2, ny, nx) block, of which psi, psi_t and psi_tt are views.
 
     The march starts from the exact base point z = 0 with the triple
     (identity, 0, 0); the grid must contain 0 (the nearest node is reached
@@ -306,7 +325,8 @@ def integrate_grid(
 
     Raises NonFlatInput when the admissibility gate trips (disable with
     check_flatness=False to study that failure mode) and DomainError when
-    the grid does not contain the base point.
+    the grid does not contain the base point or the potential cannot be
+    sampled on it; both before the first step.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -324,55 +344,73 @@ def integrate_grid(
 
     members = np.atleast_1d(t_values)
     phase = np.exp(2j * members)[:, None]
-    fields = [
-        tuple(np.zeros((n_y, n_x, 2, 2), dtype=complex) for _ in range(3))
-        for _ in members
-    ]
+    # One (triple, row, column, y, x) block per member; the FrameField
+    # arrays are views of it.  Column-major marches transposed views.
+    blocks = [np.zeros((3, 2, 2, n_y, n_x), dtype=complex) for _ in members]
+    views = blocks
     i0 = int(np.argmin(np.abs(x)))
     j0 = int(np.argmin(np.abs(y)))
+    z_path, row0, col0 = z_nodes, j0, i0
+    if path_order == "column-major":
+        views = [b.swapaxes(-1, -2) for b in blocks]
+        z_path, row0, col0 = z_nodes.T, i0, j0
+
+    # The base line, then whole rows; a node is the destination of one step.
+    n_rows, n_cols = z_path.shape
+    steps = [
+        ((row0, slice(a, a + 1)), (row0, slice(b, b + 1)))
+        for a, b in _outward(n_cols, col0)
+    ] + [((a, slice(None)), (b, slice(None))) for a, b in _outward(n_rows, row0)]
+
+    # Sample every step of the march at once, indexed by (substep,
+    # destination node): the ends, the increments and the midpoints.
+    z_from = z_path.copy()
+    for src, dst in steps:
+        z_from[dst] = z_path[src]
+    points = _substep_points(z_from, z_path, substeps)
+    dz = points[1:] - points[:-1]
+    ends = _sample(potential, points)
+    mids = _sample(potential, points[:-1] + dz / 2.0)
 
     state = np.zeros((3, 2, 2, members.size, 1), dtype=complex)
     state[0, 0, 0] = state[0, 1, 1] = 1.0
     z_base = z_nodes[j0, i0]
     if z_base != 0.0:
-        state = _advance(potential, state, 0.0 + 0.0j, z_base, phase, substeps)
-
-    # Column-major marches the transposed views: writes land in psi.
-    views = fields
-    z_path, row0, col0 = z_nodes, j0, i0
-    if path_order == "column-major":
-        views = [tuple(f.swapaxes(0, 1) for f in triple) for triple in fields]
-        z_path, row0, col0 = z_nodes.T, i0, j0
+        base = _substep_points(np.asarray(0.0j), np.asarray(z_base), substeps)
+        for a, b in zip(base[:-1], base[1:]):
+            state = rk4_step(potential, state, a, b, phase)
 
     def store(at, state):
-        for m, triple in enumerate(views):
-            for f, value in zip(triple, state[..., m, :]):
-                f[at] = np.moveaxis(value, -1, 0)
+        for m, view in enumerate(views):
+            view[(...,) + at] = state[..., m, :]
 
     def load(at):
-        return np.stack(
-            [np.stack([np.moveaxis(f[at], 0, -1) for f in triple]) for triple in views],
-            axis=3,
-        )
+        return np.stack([view[(...,) + at] for view in views], axis=3)
+
+    def pick(sample, at):
+        return tuple(f[at] for f in sample)
 
     # Base-line nodes are 1-wide slices so every state has a node axis.  A
     # step whose source is the previous destination reuses the state.
-    n_rows, n_cols = z_path.shape
     at = (row0, slice(col0, col0 + 1))
     store(at, state)
-    steps = [
-        ((row0, slice(a, a + 1)), (row0, slice(b, b + 1)))
-        for a, b in _outward(n_cols, col0)
-    ] + _outward(n_rows, row0)
     for src, dst in steps:
         if src != at:
             state = load(src)
-        state = _advance(potential, state, z_path[src], z_path[dst], phase, substeps)
+        for k in range(substeps):
+            state = _rk4(
+                state,
+                dz[(k,) + dst],
+                phase,
+                pick(ends, (k,) + dst),
+                pick(mids, (k,) + dst),
+                pick(ends, (k + 1,) + dst),
+            )
         store(dst, state)
         at = dst
 
     out = [
-        FrameField(x=x, y=y, t=float(tm), psi=psi, psi_t=psi_t, psi_tt=psi_tt)
-        for tm, (psi, psi_t, psi_tt) in zip(members, fields)
+        FrameField(x, y, float(tm), *np.moveaxis(block, (1, 2), (3, 4)))
+        for tm, block in zip(members, blocks)
     ]
     return out if t_values.ndim else out[0]

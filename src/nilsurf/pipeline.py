@@ -44,7 +44,7 @@ from .outputs import (
 )
 from .pde import liouville_exact, newton_solve
 from .potentials import Potential
-from .residuals import RESIDUAL_KEYS, verify_surface
+from .residuals import COORDINATE_KEYS, RESIDUAL_KEYS, verify_surface
 from .surface import generate_surface
 
 #: Per-class coefficients C in the threshold law max(floor, scale*C*h^2),
@@ -100,17 +100,29 @@ def classify_report(report, thresholds):
     """Compare a ResidualReport's maxima against thresholds.
 
     Residual classes that were not computable (NaN maxima, e.g. auxiliary
-    checks on external surfaces) are skipped.  Returns (passed, failures)
-    where failures lists (key, value, threshold) triples.
+    checks on external surfaces) are skipped, except the COORDINATE_KEYS:
+    every surface has the data for those, so a NaN there (no finite value
+    on the interior, e.g. overflowed derivatives) fails.  Returns (passed,
+    failures) where failures lists (key, value, threshold) triples.
     """
     failures = []
     for key in RESIDUAL_KEYS:
         value = report.maxima.get(key, float("nan"))
         if value is None or math.isnan(value):
+            if key in COORDINATE_KEYS:
+                failures.append((key, float("nan"), thresholds[key]))
             continue
         if value > thresholds[key]:
             failures.append((key, value, thresholds[key]))
     return (not failures), failures
+
+
+def _failure_entries(failures):
+    """JSON entries of classify_report's failures; a NaN value is null."""
+    return [
+        {"residual": k, "value": None if math.isnan(v) else v, "threshold": thr}
+        for k, v, thr in failures
+    ]
 
 
 def build_potential(config):
@@ -231,10 +243,7 @@ def run_generate(config, log=print):
                         "faces": mesh.face_count,
                     },
                     "pass": passed,
-                    "failures": [
-                        {"residual": k, "value": v, "threshold": thr}
-                        for k, v, thr in failures
-                    ],
+                    "failures": _failure_entries(failures),
                     "verification": report.to_dict(),
                 }
             )
@@ -297,7 +306,9 @@ def run_check(
     passed, failures = classify_report(report, thresholds)
     for key in RESIDUAL_KEYS:
         value = report.maxima[key]
-        if math.isnan(value):
+        if math.isnan(value) and key in COORDINATE_KEYS:
+            log(f"  {key:<24} (no finite value on the interior)  OVER")
+        elif math.isnan(value):
             log(f"  {key:<24} (not computable from coordinate data)")
         else:
             verdict = "ok" if value <= thresholds[key] else "OVER"
@@ -310,10 +321,7 @@ def run_check(
         "input": str(csv_path),
         "thresholds": thresholds,
         "pass": passed,
-        "failures": [
-            {"residual": k, "value": v, "threshold": thr}
-            for k, v, thr in failures
-        ],
+        "failures": _failure_entries(failures),
         "verification": report.to_dict(),
     }
     if report_path is not None:

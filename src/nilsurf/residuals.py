@@ -57,6 +57,18 @@ RESIDUAL_KEYS = (
     "fhat_laplace_identity",
 )
 
+#: Classes computed from the coordinates of every surface, so each must
+#: have a finite value on the interior.  gauss_map_tension is computed from
+#: them too, but the angle cutoff may mask every node (the exact vertical
+#: plane).
+COORDINATE_KEYS = (
+    "conformality",
+    "minimality_horizontal",
+    "minimality_vertical",
+    "covariant_minimality",
+    "hopf_holomorphy",
+)
+
 
 def _xy_differences(f, hx, hy):
     """(f_x/2, i f_y/2) by central differences on the interior.

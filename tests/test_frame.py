@@ -279,7 +279,9 @@ class TestFamilyMarch:
         dz = 0.05 * (rng.normal(size=7) + 1j * rng.normal(size=7))
         shape = (3, 2, 2, t_values.size, z.size)
         state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        omega = frame._omega(pot, z, dz, np.exp(2j * t_values)[:, None])
+        omega = frame._omega(
+            frame._sample(pot, z), dz, np.exp(2j * t_values)[:, None]
+        )
         k = frame._rhs(state, omega)
         d = dz[:, None, None]
         for m, t in enumerate(t_values):
@@ -307,3 +309,122 @@ class TestFamilyMarch:
         ax = np.linspace(-0.2, 0.2, 5)
         with pytest.raises(ValueError):
             frame.integrate_grid(UNIT_POTENTIAL, ax, ax, [[0.1, 0.2]])
+
+
+def reference_march(potential, x, y, t_values, path_order, substeps):
+    """integrate_grid's march, one public rk4_step call per (sub)step.
+
+    The base line is marched node by node outward from the node nearest
+    z = 0 (after a starting step from z = 0 when that node is not 0), then
+    whole rows (columns for column-major) outward from the base line.
+    Returns the triple of each member as arrays of shape (3, ny, nx, 2, 2).
+    """
+    phase = np.exp(2j * np.asarray(t_values))[:, None]
+    z = x[None, :] + 1j * y[:, None]
+    i0, j0 = int(np.argmin(np.abs(x))), int(np.argmin(np.abs(y)))
+    if path_order == "column-major":
+        z, i0, j0 = z.T, j0, i0
+    out = np.zeros((3, 2, 2, len(t_values)) + z.shape, dtype=complex)
+
+    def advance(state, z0, z1):
+        if substeps == 1:
+            return frame.rk4_step(potential, state, z0, z1, phase)
+        for k in range(substeps):
+            a = z0 + (z1 - z0) * (k / substeps)
+            b = z0 + (z1 - z0) * ((k + 1) / substeps)
+            state = frame.rk4_step(potential, state, a, b, phase)
+        return state
+
+    state = np.zeros((3, 2, 2, len(t_values), 1), dtype=complex)
+    state[0, 0, 0] = state[0, 1, 1] = 1.0
+    if z[j0, i0] != 0.0:
+        # 0-d points, as in the march: a 1-element array can round otherwise
+        state = advance(state, np.asarray(0.0j), np.asarray(z[j0, i0]))
+    out[..., j0, i0 : i0 + 1] = state
+    n_rows, n_cols = z.shape
+    for cols in (range(i0 + 1, n_cols), range(i0 - 1, -1, -1)):
+        for i in cols:
+            src = i - 1 if i > i0 else i + 1
+            out[..., j0, i : i + 1] = advance(
+                out[..., j0, src : src + 1], z[j0, src : src + 1], z[j0, i : i + 1]
+            )
+    for rows in (range(j0 + 1, n_rows), range(j0 - 1, -1, -1)):
+        for j in rows:
+            src = j - 1 if j > j0 else j + 1
+            out[..., j, :] = advance(out[..., src, :], z[src], z[j])
+    if path_order == "column-major":
+        out = out.swapaxes(-1, -2)
+    return [np.moveaxis(out[:, :, :, m], (1, 2), (3, 4)) for m in range(len(t_values))]
+
+
+class TestSampledMarch:
+    T_VALUES = [0.0, 0.7, 2.1]
+
+    @pytest.mark.parametrize("kind", ["constant", "liouville", "solved"])
+    @pytest.mark.parametrize("path_order", ["row-major", "column-major"])
+    @pytest.mark.parametrize("substeps", [1, 2])
+    def test_march_equals_rk4_step_loop_bitwise(
+        self, family_potentials, kind, path_order, substeps
+    ):
+        pot = family_potentials[kind]
+        on_node = (np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 7))
+        off_node = (np.linspace(-0.35, 0.45, 9), np.linspace(-0.31, 0.41, 7))
+        for x, y in (on_node, off_node):
+            fields = frame.integrate_grid(
+                pot, x, y, self.T_VALUES, path_order=path_order, substeps=substeps
+            )
+            expected = reference_march(pot, x, y, self.T_VALUES, path_order, substeps)
+            for field, triple in zip(fields, expected):
+                for name, want in zip(("psi", "psi_t", "psi_tt"), triple):
+                    assert np.array_equal(getattr(field, name), want), name
+
+    def test_grid_past_the_solved_rectangle_fails_before_marching(
+        self, family_potentials, monkeypatch
+    ):
+        kernel_calls = []
+        kernel = frame._rk4
+        monkeypatch.setattr(
+            frame, "_rk4", lambda *args: kernel_calls.append(1) or kernel(*args)
+        )
+        ax = np.linspace(-0.4, 0.4, 9)
+        for x in (np.linspace(-0.4, 0.6, 11), np.linspace(-0.43, 0.57, 11)):
+            with pytest.raises(DomainError):
+                frame.integrate_grid(family_potentials["solved"], x, ax, 0.3)
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("kind", ["liouville", "solved"])
+    def test_potential_calls_do_not_grow_with_the_march(self, family_potentials, kind):
+        class Counting:
+            """The wrapped potential, counting its evaluator calls."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def _count(self, name, z):
+                self.calls += 1
+                return getattr(self.inner, name)(z)
+
+            def rho0(self, z):
+                return self._count("rho0", z)
+
+            def dlog_rho0_dz(self, z):
+                return self._count("dlog_rho0_dz", z)
+
+            def q0(self, z):
+                return self._count("q0", z)
+
+        def calls(n, t, offset):
+            pot = Counting(family_potentials[kind])
+            ax = np.linspace(-0.4, 0.4, n) + offset
+            frame.integrate_grid(pot, ax, ax, t)
+            return pot.calls
+
+        for offset in (0.0, 0.03):
+            counts = {
+                calls(n, t, offset) for n in (9, 33) for t in (0.3, [0.1, 0.3, 1.2])
+            }
+            assert len(counts) == 1

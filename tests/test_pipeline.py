@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import nilsurf
-from nilsurf import cli, pde, pipeline
+from nilsurf import cli, pde, pipeline, residuals
+from nilsurf.residuals import RESIDUAL_KEYS
 from nilsurf.config import parse_config
 from nilsurf.errors import (
     DegenerateNode,
@@ -87,11 +88,26 @@ class TestThresholds:
 
 class TestClassifyReport:
     def _report(self, **maxima):
-        full = {key: float("nan") for key in pipeline.THRESHOLD_COEFFS}
+        # coordinate classes default to a clean 0.0, the rest to NaN
+        full = {
+            key: 0.0 if key in residuals.COORDINATE_KEYS else float("nan")
+            for key in pipeline.THRESHOLD_COEFFS
+        }
         full.update(maxima)
         return types.SimpleNamespace(maxima=full)
 
-    def test_all_nan_passes(self):
+    def test_all_nan_fails_on_coordinate_classes(self):
+        # every surface has the data for the coordinate classes, so a NaN
+        # there means no finite interior value, not "not computable"
+        thresholds = pipeline.residual_thresholds(0.1)
+        report = self._report(**{key: float("nan") for key in RESIDUAL_KEYS})
+        passed, failures = pipeline.classify_report(report, thresholds)
+        assert not passed
+        assert [key for key, _, _ in failures] == list(residuals.COORDINATE_KEYS)
+        assert all(math.isnan(value) for _, value, _ in failures)
+
+    def test_nan_outside_coordinate_classes_is_skipped(self):
+        # auxiliary data missing, Gauss map masked by the angle cutoff
         thresholds = pipeline.residual_thresholds(0.1)
         passed, failures = pipeline.classify_report(self._report(), thresholds)
         assert passed and failures == []
@@ -248,6 +264,27 @@ class TestRunCheck:
         failed = {f["residual"] for f in report["failures"]}
         assert "conformality" in failed
         assert any("OVER" in line for line in lines)
+
+    def test_overflowing_coordinates_fail(self, tmp_path, capsys):
+        # finite coordinates whose derivatives overflow: every residual is
+        # NaN or inf on the interior, which used to print PASS and exit 0
+        plane = dyadic_plane("vertical")
+        x, y = plane.F.real, plane.height
+        plane.F = 1e300 * (x + 1j * np.sin(3.0 * x * y))
+        plane.height = 1e300 * y
+        path = tmp_path / "overflow.csv"
+        write_surface_csv(plane, path)
+        report_path = tmp_path / "check.json"
+        with np.errstate(all="ignore"):
+            code = cli.main(["check", str(path), "--report", str(report_path)])
+        assert code == pipeline.EXIT_RESIDUAL
+        assert "PASS" not in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        assert report["pass"] is False
+        assert [f["residual"] for f in report["failures"]] == list(
+            residuals.COORDINATE_KEYS
+        )
+        assert all(f["value"] is None for f in report["failures"])
 
     def test_malformed_csv_exits_2(self, tmp_path):
         header = "x,y,F_re,F_im,h\n"
