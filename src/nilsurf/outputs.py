@@ -44,15 +44,20 @@ def _write_grid_csv(path, header, x, y, values):
 
     values has shape (len(y), len(x)) or (len(y), len(x), k).  Every number
     is written in its shortest exactly round-tripping form (repr), negative
-    zero normalized.  The file is written one grid row at a time.
+    zero normalized.  Each x is formatted once per table and each y once
+    per grid row; a row's line template then takes only its values.  The
+    file is written one grid row at a time.
     """
-    xx, yy = np.meshgrid(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    table = np.dstack([xx, yy, values]) + 0.0
-    line = ",".join(["%r"] * table.shape[-1]) + "\n"
+    x_text = [repr(v) for v in (np.asarray(x, dtype=float) + 0.0).tolist()]
+    y_values = (np.asarray(y, dtype=float) + 0.0).tolist()
+    values = np.asarray(values, dtype=float) + 0.0
+    values = values.reshape(len(y_values), len(x_text), -1)
+    fields = ",%r" * values.shape[-1] + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)
-        for row in table:
-            fh.write((line * len(row)) % tuple(row.ravel().tolist()))
+        for y_value, row in zip(y_values, values):
+            tail = f",{y_value!r}{fields}"
+            fh.write((tail.join(x_text) + tail) % tuple(row.ravel().tolist()))
 
 
 def export_obj(surface, path):

@@ -25,6 +25,12 @@ guess is the discrete harmonic extension of the boundary values (one
 linear solve, where the preconditioner with shift 0 is the exact
 inverse), which puts the iterate in the Newton basin for all tested data.
 
+The steps are inexact Newton steps (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982): each CG solve stops at the relative tolerance of
+an Eisenstat-Walker forcing term (_forcing_term), loose while the
+residual is large and tightening as it converges.  CG_RTOL is the forcing
+term's floor and the tolerance of the harmonic fill.
+
 The module needs NumPy only: no matrix is assembled, and the one stencil
 (_quarter_laplacian) serves the residual, the Newton operator and the
 boundary coupling of the harmonic fill.
@@ -54,7 +60,9 @@ class SolveResult:
                        with the harmonic-extension initial guess
       newton_iterations  number of Newton updates taken
       cg_iterations    conjugate-gradient iteration counts, one per linear
-                       solve (initial guess first)
+                       solve (initial guess first); each Newton step's
+                       solve stops at its forcing term, whose floor is
+                       CG_RTOL, the harmonic fill's tolerance
     """
 
     x: np.ndarray
@@ -166,20 +174,22 @@ def _fast_poisson(shape, h, shift):
     return solve
 
 
-def _cg_solve(c, rhs, h, context):
+def _cg_solve(c, rhs, h, context, rtol=CG_RTOL):
     """Solve (-Laplacian/4 + c) x = rhs on the interior grid; (x, iterations).
 
     c is a scalar or an interior array, rhs an interior array.  Conjugate
     gradients preconditioned by _fast_poisson with shift mean(c), stopped
-    when the updated residual satisfies ||r|| < CG_RTOL ||rhs|| at the top
-    of an iteration; the count is the number of completed iterations.
+    when the updated residual satisfies ||r|| < rtol ||rhs|| at the top of
+    an iteration; the count is the number of completed iterations.  A
+    Newton step passes its forcing term as rtol; the harmonic fill keeps
+    the default CG_RTOL, which is also the forcing term's floor.
     Raises LinearSolveFailure after CG_MAXITER iterations.
     """
     padded = np.zeros((rhs.shape[0] + 2, rhs.shape[1] + 2))
     precondition = _fast_poisson(rhs.shape, h, float(np.mean(c)))
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    stop = CG_RTOL * np.linalg.norm(rhs)
+    stop = rtol * np.linalg.norm(rhs)
     if stop == 0.0:
         return x, 0
     for iteration in range(CG_MAXITER):
@@ -198,6 +208,26 @@ def _cg_solve(c, rhs, h, context):
         f"conjugate gradients failed during {context} "
         f"({CG_MAXITER} iterations without convergence)"
     )
+
+
+def _forcing_term(rnorm, previous_rnorm, previous_eta, tol):
+    """Relative CG tolerance for the Newton step at residual max-norm rnorm.
+
+    Eisenstat-Walker "choice 2" with gamma = 0.9 and exponent 2 (SIAM J.
+    Sci. Comput. 17, 1996): 0.5 on the first step (previous_rnorm None),
+    then 0.9 (rnorm / previous_rnorm)^2, raised to 0.9 previous_eta^2 when
+    that exceeds 0.1, capped at 0.5, and floored at 0.5 tol / rnorm (no
+    accuracy beyond what the stopping test needs) and at CG_RTOL.
+    """
+    if previous_rnorm is None:
+        eta = 0.5
+    else:
+        eta = 0.9 * (rnorm / previous_rnorm) ** 2
+        safeguard = 0.9 * previous_eta**2
+        if safeguard > 0.1:
+            eta = max(eta, safeguard)
+    eta = min(eta, 0.5)
+    return max(eta, 0.5 * tol / rnorm, CG_RTOL)
 
 
 def _harmonic_fill(bc, h):
@@ -263,8 +293,9 @@ def newton_solve(
     cg_counter = [iterations]
 
     history = []
+    r = pde_residual(u, q2, h)
+    eta = None
     for iteration in range(max_iter + 1):
-        r = pde_residual(u, q2, h)
         rnorm = float(np.max(np.abs(r)))
         history.append(rnorm)
         if rnorm <= tol:
@@ -279,17 +310,19 @@ def newton_solve(
             )
         if iteration == max_iter:
             break
+        eta = _forcing_term(rnorm, history[-2] if iteration else None, eta, tol)
         ui = u[1:-1, 1:-1]
         c = np.exp(ui) / 8.0 + 2.0 * q2[1:-1, 1:-1] * np.exp(-ui)
         delta, iterations = _cg_solve(
-            c, r[1:-1, 1:-1], h, f"newton step {iteration + 1}"
+            c, r[1:-1, 1:-1], h, f"newton step {iteration + 1}", rtol=eta
         )
         cg_counter.append(iterations)
         step = 1.0
         while True:
             trial = u.copy()
             trial[1:-1, 1:-1] += step * delta
-            if np.max(np.abs(pde_residual(trial, q2, h))) < rnorm:
+            r = pde_residual(trial, q2, h)
+            if np.max(np.abs(r)) < rnorm:
                 break
             step *= 0.5
             if step < MIN_LINESEARCH_STEP:

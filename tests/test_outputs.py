@@ -146,6 +146,23 @@ class TestSurfaceCsv:
         assert b",-120000000000000.0,0.5," in expected
         assert path.read_bytes() == expected
 
+    def test_bytes_match_the_element_wise_writer_on_a_rectangular_grid(
+        self, tmp_path
+    ):
+        # 11 columns, 6 rows: x and y are formatted on different schedules
+        big = awkward_surface(11)
+        surf = SurfaceGrid(
+            x=big.x, y=big.y[:6], t=0.0, F=big.F[:6], height=big.height[:6]
+        )
+        coords = surf.coords()
+        expected = element_wise_csv(
+            "x,y,F_re,F_im,h", surf.x, surf.y, [coords[..., k] for k in range(3)]
+        )
+        path = tmp_path / "surface.csv"
+        outputs.write_surface_csv(surf, path)
+        assert len(expected.splitlines()) == 1 + 6 * 11
+        assert path.read_bytes() == expected
+
     def test_row_order_is_irrelevant_on_read(self, tmp_path):
         surf = toy_surface(9, seed=6)
         path = tmp_path / "surface.csv"

@@ -118,13 +118,50 @@ class TestNewtonSolve:
     @pytest.mark.parametrize("n", [33, 65, 129])
     def test_cg_count_does_not_grow_with_resolution(self, n):
         # CG preconditioned by the DST-I inverse of -Laplacian/4 + mean(c)
-        # needs a bounded number of iterations per linear solve at any h
+        # needs a bounded number of iterations per linear solve at any h.
+        # Solving every Newton step to CG_RTOL takes 39 in all on the
+        # Liouville data; the forcing term asks only for what the outer
+        # iteration needs.
         x, y = square_axes(n, half_width=0.6)
         z = grid_z(x, y)
         liouville = (np.zeros((n, n)), np.log(pde.liouville_exact(z)))
         for q0, bc in (liouville, (z / 4.0, 0.0)):
             result = pde.newton_solve(q0, bc, x, y)
             assert max(result.cg_iterations) <= 12
+            assert sum(result.cg_iterations[1:]) <= 16
+            assert result.newton_iterations <= 8
+
+    def test_forcing_matches_the_tight_linear_solves(self, monkeypatch):
+        # the inexact steps land on the same discrete solution as Newton
+        # steps whose CG solves all run to CG_RTOL
+        n = 65
+        x, y = square_axes(n, half_width=0.6)
+        z = grid_z(x, y)
+        cases = [
+            (np.zeros((n, n)), np.log(pde.liouville_exact(z))),
+            (z / 4.0, 0.0),
+        ]
+        inexact = [pde.newton_solve(q0, bc, x, y) for q0, bc in cases]
+        monkeypatch.setattr(pde, "_forcing_term", lambda *args: pde.CG_RTOL)
+        tight = [pde.newton_solve(q0, bc, x, y) for q0, bc in cases]
+        for loose, exact in zip(inexact, tight):
+            assert np.max(np.abs(loose.u - exact.u)) <= 1e-10
+            assert loose.final_residual <= 1e-10
+            assert sum(exact.cg_iterations) > sum(loose.cg_iterations)
+
+    def test_residual_field_belongs_to_the_returned_iterate(self):
+        # the line search's residual of the accepted step is reused as the
+        # next step's residual, so it must be that of the final u, bitwise
+        n = 65
+        x, y = square_axes(n, half_width=0.6)
+        z = grid_z(x, y)
+        q0 = z / 4.0
+        bc = np.log(pde.liouville_exact(z)) / 4.0
+        result = pde.newton_solve(q0, bc, x, y)
+        assert result.newton_iterations >= 2
+        expected = pde.pde_residual(result.u, np.abs(q0) ** 2, x[1] - x[0])
+        np.testing.assert_array_equal(result.residual_field, expected)
+        assert result.residual_history[-1] == np.max(np.abs(expected))
 
     def test_harmonic_fill_is_one_preconditioned_iteration(self):
         # with shift 0 the preconditioner is the exact inverse of
@@ -172,6 +209,29 @@ class TestNewtonSolve:
             pde.newton_solve(np.zeros((9, 9)), np.zeros((5, 5)), x, y)
 
 
+class TestForcingTerm:
+    @pytest.mark.parametrize(
+        "rnorm, previous_rnorm, previous_eta, tol, expected",
+        [
+            # first Newton step
+            (10.0, None, None, 1e-10, 0.5),
+            # 0.9 (1/10)^2; safeguard 0.9 * 0.1^2 = 0.009 <= 0.1 is inactive
+            (1.0, 10.0, 0.1, 1e-10, 0.009),
+            # safeguard 0.9 * 0.5^2 = 0.225 > 0.1 lifts 0.009
+            (1.0, 10.0, 0.5, 1e-10, 0.225),
+            # 0.9 (9/10)^2 = 0.729 is capped
+            (9.0, 10.0, 0.1, 1e-10, 0.5),
+            # 9e-9 is raised to the tolerance floor 0.5 * 1e-10 / 1e-8
+            (1e-8, 1e-4, 0.01, 1e-10, 5e-3),
+            # 9e-15 is raised to CG_RTOL (the tol floor is 5e-14)
+            (1e-7, 1.0, 0.01, 1e-20, pde.CG_RTOL),
+        ],
+    )
+    def test_table(self, rnorm, previous_rnorm, previous_eta, tol, expected):
+        eta = pde._forcing_term(rnorm, previous_rnorm, previous_eta, tol)
+        assert eta == pytest.approx(expected, rel=1e-14)
+
+
 class TestLinearSolve:
     def test_pcg_matches_a_dense_solve_on_a_rectangular_interior(self):
         # (-Laplacian/4 + diag c) assembled entry by entry: interior node
@@ -192,3 +252,22 @@ class TestLinearSolve:
         assert sol.shape == (rows, cols)
         assert 0 < iterations <= 12
         np.testing.assert_allclose(sol, expected, rtol=0, atol=1e-11)
+
+    def test_rtol_is_the_relative_stopping_threshold(self):
+        rows, cols, h = 15, 15, 0.1
+        rng = np.random.default_rng(8)
+        c = 1.0 + 40.0 * rng.random((rows, cols))
+        rhs = rng.standard_normal((rows, cols))
+        padded = np.zeros((rows + 2, cols + 2))
+        counts = []
+        for rtol in (1e-2, 1e-6, pde.CG_RTOL):
+            sol, iterations = pde._cg_solve(c, rhs, h, "test", rtol=rtol)
+            padded[1:-1, 1:-1] = sol
+            residual = rhs - (c * sol - pde._quarter_laplacian(padded, h))
+            # at CG_RTOL the recomputed residual is at its rounding floor
+            if rtol > pde.CG_RTOL:
+                bound = 1.01 * rtol * np.linalg.norm(rhs)
+                assert np.linalg.norm(residual) < bound
+            counts.append(iterations)
+        assert counts[0] < counts[1] < counts[2]
+        assert pde._cg_solve(c, rhs, h, "test")[1] == counts[2]
