@@ -21,7 +21,7 @@ import numpy as np
 from nilsurf.outputs import export_obj
 from nilsurf.potentials import Potential
 from nilsurf.residuals import verify_surface
-from nilsurf.surface import sweep_family
+from nilsurf.surface import generate_surface
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -31,7 +31,7 @@ axis = np.arange(-(n // 2), n // 2 + 1) * (1.0 / (n - 1))
 potential = Potential.constant(1.0, (0.25,))
 
 t_values = [0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2]
-members = sweep_family(potential, axis, axis, t_values)
+members = generate_surface(potential, axis, axis, t_values)
 
 # ---------------------------------------------------------------------------
 # Verify every member and collect the fields we want to compare.
@@ -70,7 +70,7 @@ print(f"  compared after a 90deg turn: {aligned:.3e}   (same surface)")
 # ---------------------------------------------------------------------------
 # pi-periodicity: t and t + pi give the same immersion.
 # ---------------------------------------------------------------------------
-wrapped = sweep_family(potential, axis, axis, [np.pi / 8 + np.pi])[0]
+wrapped = generate_surface(potential, axis, axis, np.pi / 8 + np.pi)
 gap = max(
     float(np.max(np.abs(wrapped.F - members[1].F))),
     float(np.max(np.abs(wrapped.height - members[1].height))),

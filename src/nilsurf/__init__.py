@@ -44,7 +44,7 @@ from .frame import (
     integrate_grid,
     rk4_step,
 )
-from .pde import SolveResult, harmonic_extension, liouville_exact, newton_solve, pde_residual
+from .pde import SolveResult, harmonic_extension, newton_solve, pde_residual
 from .pipeline import (
     build_potential,
     classify_report,
@@ -53,7 +53,7 @@ from .pipeline import (
     run_generate,
     run_solve,
 )
-from .potentials import Potential
+from .potentials import Potential, liouville_exact
 from .residuals import (
     RESIDUAL_KEYS,
     ResidualReport,
@@ -67,7 +67,6 @@ from .surface import (
     ft_from_fhat,
     generate_surface,
     surface_from_frame,
-    sweep_family,
 )
 
 __version__ = "0.1.0"
@@ -115,7 +114,6 @@ __all__ = [
     "run_solve",
     "serialize",
     "surface_from_frame",
-    "sweep_family",
     "tangent_frame_coeffs",
     "verify_surface",
     "__version__",

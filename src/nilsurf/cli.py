@@ -9,31 +9,26 @@ Subcommands:
 
 Exit codes: 0 pass, 2 config error, 3 integrability failure, 4 residual
 threshold failure, 5 I/O failure.
+
+The `check` flags are the config's CHECK_TOLERANCES under their
+tolerances.* names and follow the same rules (a NaN, an infinity, a
+non-positive floor or scale, or a margin below 1 exits 2).  Every failure,
+loading the configuration included, goes through pipeline.guarded.
 """
 
 import argparse
 import sys
 
-from .config import DEFAULT_TOLERANCES, load_config
-from .errors import DomainError, SchemaError
-from .pipeline import (
-    EXIT_CONFIG,
-    EXIT_IO,
-    run_check,
-    run_generate,
-    run_solve,
-)
+from .config import CHECK_TOLERANCES, DEFAULT_TOLERANCES, load_config
+from .pipeline import EXIT_PASS, guarded, run_check, run_generate, run_solve
 
-
-def _load(path, log):
-    try:
-        return load_config(path), None
-    except (SchemaError, DomainError) as exc:
-        log(f"config error: {exc}")
-        return None, EXIT_CONFIG
-    except OSError as exc:
-        log(f"I/O error: {exc}")
-        return None, EXIT_IO
+CHECK_FLAG_HELP = {
+    "margin": "boundary nodes excluded from max-norms, at least 1 "
+    "(default %(default)s)",
+    "angle_cutoff": "skip Gauss-map tension where the angle function is below this",
+    "residual_floor": "absolute floor of the residual thresholds, positive",
+    "threshold_scale": "positive multiplier on the h^2 residual thresholds",
+}
 
 
 def build_parser():
@@ -59,31 +54,14 @@ def build_parser():
     p_check.add_argument(
         "--report", default=None, help="also write a JSON report to this path"
     )
-    p_check.add_argument(
-        "--margin",
-        type=int,
-        default=DEFAULT_TOLERANCES["margin"],
-        help="boundary nodes excluded from max-norms, at least 1 "
-        "(default %(default)s)",
-    )
-    p_check.add_argument(
-        "--angle-cutoff",
-        type=float,
-        default=DEFAULT_TOLERANCES["angle_cutoff"],
-        help="skip Gauss-map tension where the angle function is below this",
-    )
-    p_check.add_argument(
-        "--residual-floor",
-        type=float,
-        default=DEFAULT_TOLERANCES["residual_floor"],
-        help="absolute floor of the residual thresholds",
-    )
-    p_check.add_argument(
-        "--threshold-scale",
-        type=float,
-        default=DEFAULT_TOLERANCES["threshold_scale"],
-        help="multiplier on the h^2 residual thresholds",
-    )
+    for key in CHECK_TOLERANCES:
+        default = DEFAULT_TOLERANCES[key]
+        p_check.add_argument(
+            "--" + key.replace("_", "-"),
+            type=type(default),
+            default=default,
+            help=CHECK_FLAG_HELP[key],
+        )
 
     p_solve = sub.add_parser(
         "solve-gauss", help="solve the integrability equation only"
@@ -97,30 +75,15 @@ def build_parser():
 
 def main(argv=None, log=print):
     args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        config, err = _load(args.config, log)
-        if config is None:
-            return err
-        code, _ = run_generate(config, log=log)
-        return code
     if args.command == "check":
-        code, _ = run_check(
-            args.csv,
-            report_path=args.report,
-            margin=args.margin,
-            angle_cutoff=args.angle_cutoff,
-            residual_floor=args.residual_floor,
-            threshold_scale=args.threshold_scale,
-            log=log,
-        )
+        tolerances = {key: getattr(args, key) for key in CHECK_TOLERANCES}
+        return run_check(args.csv, report_path=args.report, log=log, **tolerances)[0]
+    code, config = guarded(lambda: (EXIT_PASS, load_config(args.config)), log)
+    if config is None:
         return code
-    if args.command == "solve-gauss":
-        config, err = _load(args.config, log)
-        if config is None:
-            return err
-        code, _ = run_solve(config, out_path=args.out, log=log)
-        return code
-    raise AssertionError(f"unhandled command {args.command!r}")
+    if args.command == "generate":
+        return run_generate(config, log=log)[0]
+    return run_solve(config, out_path=args.out, log=log)[0]
 
 
 def entry():

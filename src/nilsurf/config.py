@@ -38,15 +38,26 @@ Admissibility of the potential has no tolerance key: it is the one check
 in the frame module (integrability residual at most 1e-6 at every surface
 node), and a document that still sets "tolerances.flatness" is rejected
 as an unknown key.
+
+Every optional key of "solver", "tolerances" and "outputs" is stated once,
+as a RunConfig field made by `_option` (its section, key and validator;
+its default lives in DEFAULT_*).  OPTIONS collects those fields into the
+one table that parse_config and RunConfig.to_dict read.  check_tolerances
+applies the same validators to the tolerances the residual check takes
+as flags or keywords (CHECK_TOLERANCES), so a value a config file may not
+hold is refused there too: a NaN floor would make every comparison with
+the thresholds false and pass any surface.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
+from .potentials import MAX_Q0_DEGREE
 
 DEFAULT_T_VALUES = (0.0, math.pi / 4.0, math.pi / 2.0)
 DEFAULT_SOLVER = {"tol": 1e-10, "max_iter": 50}
@@ -62,8 +73,61 @@ DEFAULT_OUTPUTS = {
     "report": "report.json",
     "solution": "solution.csv",
 }
+_DEFAULTS = {
+    "solver": DEFAULT_SOLVER,
+    "tolerances": DEFAULT_TOLERANCES,
+    "outputs": DEFAULT_OUTPUTS,
+}
+#: The tolerances the residual check reads, which the `check` flags and the
+#: keywords of run_check and check_surface_like set.
+CHECK_TOLERANCES = ("margin", "angle_cutoff", "residual_floor", "threshold_scale")
 MIN_NODES = 9
-MAX_Q0_COEFFS = 9
+
+
+def _as_float(value, path):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(path, "expected a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(path, "expected a finite number")
+    return value
+
+
+def _as_int(value, path):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SchemaError(path, "expected an integer")
+    return int(value)
+
+
+def _positive(value, path):
+    value = _as_float(value, path)
+    if value <= 0:
+        raise SchemaError(path, "must be positive")
+    return value
+
+
+def _at_least_one(value, path):
+    value = _as_int(value, path)
+    if value < 1:
+        raise SchemaError(path, "must be >= 1")
+    return value
+
+
+def _nonempty_string(value, path):
+    if not isinstance(value, str) or not value:
+        raise SchemaError(path, "expected a nonempty string")
+    return value
+
+
+def _option(section, key, check):
+    """RunConfig field of the optional key section.key, validated by check."""
+    return field(
+        default=_DEFAULTS[section][key],
+        metadata={"key": (section, key), "check": check},
+    )
 
 
 @dataclass
@@ -95,14 +159,13 @@ class GridSpec:
         return self.xmin <= 0.0 <= self.xmax and self.ymin <= 0.0 <= self.ymax
 
     def to_dict(self):
-        return {
-            "xmin": self.xmin,
-            "xmax": self.xmax,
-            "ymin": self.ymin,
-            "ymax": self.ymax,
-            "nx": self.nx,
-            "ny": self.ny,
-        }
+        return asdict(self)
+
+    def farthest_corner(self):
+        """|z| of the rectangle's corner farthest from the origin."""
+        return math.hypot(
+            max(abs(self.xmin), abs(self.xmax)), max(abs(self.ymin), abs(self.ymax))
+        )
 
 
 @dataclass
@@ -116,16 +179,16 @@ class RunConfig:
     solver_domain: GridSpec = None
     bc: object = 0.0
     t_values: tuple = DEFAULT_T_VALUES
-    solver_tol: float = DEFAULT_SOLVER["tol"]
-    solver_max_iter: int = DEFAULT_SOLVER["max_iter"]
-    shape_tol: float = DEFAULT_TOLERANCES["shape"]
-    angle_cutoff: float = DEFAULT_TOLERANCES["angle_cutoff"]
-    margin: int = DEFAULT_TOLERANCES["margin"]
-    residual_floor: float = DEFAULT_TOLERANCES["residual_floor"]
-    threshold_scale: float = DEFAULT_TOLERANCES["threshold_scale"]
-    mesh_pattern: str = DEFAULT_OUTPUTS["mesh"]
-    report_path: str = DEFAULT_OUTPUTS["report"]
-    solution_path: str = DEFAULT_OUTPUTS["solution"]
+    solver_tol: float = _option("solver", "tol", _positive)
+    solver_max_iter: int = _option("solver", "max_iter", _at_least_one)
+    shape_tol: float = _option("tolerances", "shape", _positive)
+    angle_cutoff: float = _option("tolerances", "angle_cutoff", _as_float)
+    margin: int = _option("tolerances", "margin", _at_least_one)
+    residual_floor: float = _option("tolerances", "residual_floor", _positive)
+    threshold_scale: float = _option("tolerances", "threshold_scale", _positive)
+    mesh_pattern: str = _option("outputs", "mesh", _nonempty_string)
+    report_path: str = _option("outputs", "report", _nonempty_string)
+    solution_path: str = _option("outputs", "solution", _nonempty_string)
 
     def to_dict(self):
         """JSON-ready dictionary; parse(serialize(cfg)) == cfg."""
@@ -140,24 +203,14 @@ class RunConfig:
         if self.rho0_source == "solved":
             potential["rho0"]["bc"] = self.bc
             potential["rho0"]["solver_domain"] = self.resolved_solver_domain().to_dict()
-        return {
+        out = {
             "potential": potential,
             "domain": self.domain.to_dict(),
             "t_values": list(self.t_values),
-            "solver": {"tol": self.solver_tol, "max_iter": self.solver_max_iter},
-            "tolerances": {
-                "shape": self.shape_tol,
-                "angle_cutoff": self.angle_cutoff,
-                "margin": self.margin,
-                "residual_floor": self.residual_floor,
-                "threshold_scale": self.threshold_scale,
-            },
-            "outputs": {
-                "mesh": self.mesh_pattern,
-                "report": self.report_path,
-                "solution": self.solution_path,
-            },
         }
+        for (section, key), option in OPTIONS.items():
+            out.setdefault(section, {})[key] = getattr(self, option.name)
+        return out
 
     def resolved_solver_domain(self):
         """The solver rectangle: explicit, or the documented x2 default."""
@@ -172,6 +225,28 @@ class RunConfig:
             nx=4 * d.nx - 3,
             ny=4 * d.ny - 3,
         )
+
+
+#: The optional keys: (section, key) -> the RunConfig field that holds it.
+OPTIONS = {f.metadata["key"]: f for f in fields(RunConfig) if "key" in f.metadata}
+
+
+def check_tolerances(**values):
+    """The CHECK_TOLERANCES, validated by their tolerances.* rules.
+
+    Keys left out take their DEFAULT_TOLERANCES value.  Raises TypeError
+    on an unknown keyword and SchemaError on a value a config file may not
+    hold: not finite, not positive (floor, scale) or below 1 (margin).
+    """
+    unknown = sorted(set(values) - set(CHECK_TOLERANCES))
+    if unknown:
+        raise TypeError(f"unexpected tolerance keyword(s): {', '.join(unknown)}")
+    return {
+        key: OPTIONS["tolerances", key].metadata["check"](
+            values.get(key, DEFAULT_TOLERANCES[key]), f"tolerances.{key}"
+        )
+        for key in CHECK_TOLERANCES
+    }
 
 
 def _require(mapping, key, path, kind=None):
@@ -192,22 +267,7 @@ def _check_keys(mapping, allowed, path):
             )
 
 
-def _as_float(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, "expected a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise SchemaError(path, "expected a finite number")
-    return value
-
-
-def _as_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, "expected an integer")
-    return value
-
-
-def _parse_grid(raw, path, min_nodes=MIN_NODES):
+def _parse_grid(raw, path):
     _check_keys(raw, {"xmin", "xmax", "ymin", "ymax", "nx", "ny"}, path)
     grid = GridSpec(
         xmin=_as_float(_require(raw, "xmin", path), f"{path}.xmin"),
@@ -221,36 +281,27 @@ def _parse_grid(raw, path, min_nodes=MIN_NODES):
         raise SchemaError(f"{path}.xmin", "xmin must be < xmax")
     if grid.ymin >= grid.ymax:
         raise SchemaError(f"{path}.ymin", "ymin must be < ymax")
-    if grid.nx < min_nodes or grid.ny < min_nodes:
-        raise SchemaError(f"{path}.nx", f"node counts must be >= {min_nodes}")
+    if grid.nx < MIN_NODES or grid.ny < MIN_NODES:
+        raise SchemaError(f"{path}.nx", f"node counts must be >= {MIN_NODES}")
     return grid
 
 
 def _parse_q0(raw, path):
     if not isinstance(raw, list) or not raw:
         raise SchemaError(path, "expected a nonempty list of coefficients")
-    if len(raw) > MAX_Q0_COEFFS:
+    if len(raw) > MAX_Q0_DEGREE + 1:
         raise SchemaError(
-            path, f"at most {MAX_Q0_COEFFS} coefficients (degree <= 8) supported"
+            path,
+            f"at most {MAX_Q0_DEGREE + 1} coefficients "
+            f"(degree <= {MAX_Q0_DEGREE}) supported",
         )
     coeffs = []
     for k, entry in enumerate(raw):
         here = f"{path}[{k}]"
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            coeffs.append(complex(float(entry), 0.0))
-        elif (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in entry
-            )
-        ):
-            coeffs.append(complex(float(entry[0]), float(entry[1])))
-        else:
+        pair = entry if isinstance(entry, list) else [entry, 0.0]
+        if len(pair) != 2:
             raise SchemaError(here, "expected a number or an [re, im] pair")
-        if not (math.isfinite(coeffs[-1].real) and math.isfinite(coeffs[-1].imag)):
-            raise SchemaError(here, "coefficients must be finite")
+        coeffs.append(complex(*(_as_float(v, here) for v in pair)))
     return np.asarray(coeffs, dtype=complex)
 
 
@@ -269,11 +320,7 @@ def parse_config(text):
         raise SchemaError("<document>", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("<document>", "top level must be an object")
-    _check_keys(
-        raw,
-        {"potential", "domain", "t_values", "solver", "tolerances", "outputs"},
-        "",
-    )
+    _check_keys(raw, {"potential", "domain", "t_values", *_DEFAULTS}, "")
 
     potential_raw = _require(raw, "potential", "<document>", dict)
     _check_keys(potential_raw, {"q0_coefficients", "rho0"}, "potential")
@@ -294,11 +341,9 @@ def parse_config(text):
     bc = 0.0
     if source == "constant":
         _check_keys(rho0_raw, {"source", "value"}, "potential.rho0")
-        rho0_value = _as_float(
+        rho0_value = _positive(
             _require(rho0_raw, "value", "potential.rho0"), "potential.rho0.value"
         )
-        if rho0_value <= 0.0:
-            raise SchemaError("potential.rho0.value", "must be positive")
     elif source == "liouville":
         _check_keys(rho0_raw, {"source"}, "potential.rho0")
         if np.any(q0 != 0):
@@ -331,52 +376,17 @@ def parse_config(text):
             raise SchemaError("t_values", "expected a nonempty list of reals")
         t_values = tuple(_as_float(v, f"t_values[{k}]") for k, v in enumerate(tv))
 
-    solver = dict(DEFAULT_SOLVER)
-    if "solver" in raw:
-        if not isinstance(raw["solver"], dict):
-            raise SchemaError("solver", "expected object")
-        _check_keys(raw["solver"], set(DEFAULT_SOLVER), "solver")
-        for key, value in raw["solver"].items():
-            solver[key] = value
-    tol = _as_float(solver["tol"], "solver.tol")
-    if tol <= 0:
-        raise SchemaError("solver.tol", "must be positive")
-    max_iter = _as_int(solver["max_iter"], "solver.max_iter")
-    if max_iter < 1:
-        raise SchemaError("solver.max_iter", "must be >= 1")
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    if "tolerances" in raw:
-        if not isinstance(raw["tolerances"], dict):
-            raise SchemaError("tolerances", "expected object")
-        _check_keys(raw["tolerances"], set(DEFAULT_TOLERANCES), "tolerances")
-        for key, value in raw["tolerances"].items():
-            tolerances[key] = value
-    shape_tol = _as_float(tolerances["shape"], "tolerances.shape")
-    angle_cutoff = _as_float(tolerances["angle_cutoff"], "tolerances.angle_cutoff")
-    margin = _as_int(tolerances["margin"], "tolerances.margin")
-    floor = _as_float(tolerances["residual_floor"], "tolerances.residual_floor")
-    scale = _as_float(tolerances["threshold_scale"], "tolerances.threshold_scale")
-    for name, value in (
-        ("shape", shape_tol),
-        ("residual_floor", floor),
-        ("threshold_scale", scale),
-    ):
-        if value <= 0:
-            raise SchemaError(f"tolerances.{name}", "must be positive")
-    if margin < 1:
-        raise SchemaError("tolerances.margin", "must be >= 1")
-
-    outputs = dict(DEFAULT_OUTPUTS)
-    if "outputs" in raw:
-        if not isinstance(raw["outputs"], dict):
-            raise SchemaError("outputs", "expected object")
-        _check_keys(raw["outputs"], set(DEFAULT_OUTPUTS), "outputs")
-        for key, value in raw["outputs"].items():
-            if not isinstance(value, str) or not value:
-                raise SchemaError(f"outputs.{key}", "expected a nonempty string")
-            outputs[key] = value
-    if len(t_values) > 1 and "{t}" not in outputs["mesh"]:
+    for section in _DEFAULTS:
+        if not isinstance(raw.get(section, {}), dict):
+            raise SchemaError(section, "expected object")
+        _check_keys(raw.get(section, {}), set(_DEFAULTS[section]), section)
+    options = {
+        option.name: option.metadata["check"](
+            raw.get(section, {}).get(key, option.default), f"{section}.{key}"
+        )
+        for (section, key), option in OPTIONS.items()
+    }
+    if len(t_values) > 1 and "{t}" not in options["mesh_pattern"]:
         raise SchemaError(
             "outputs.mesh",
             "pattern must contain {t} when more than one t value is requested",
@@ -390,16 +400,7 @@ def parse_config(text):
         solver_domain=solver_domain,
         bc=bc,
         t_values=t_values,
-        solver_tol=tol,
-        solver_max_iter=max_iter,
-        shape_tol=shape_tol,
-        angle_cutoff=angle_cutoff,
-        margin=margin,
-        residual_floor=floor,
-        threshold_scale=scale,
-        mesh_pattern=outputs["mesh"],
-        report_path=outputs["report"],
-        solution_path=outputs["solution"],
+        **options,
     )
     _validate_geometry(config)
     return config
@@ -411,10 +412,7 @@ def _validate_geometry(config):
     if not domain.contains_origin():
         raise DomainError("surface domain must contain the base point z = 0")
     if config.rho0_source == "liouville":
-        corner = math.hypot(
-            max(abs(domain.xmin), abs(domain.xmax)),
-            max(abs(domain.ymin), abs(domain.ymax)),
-        )
+        corner = domain.farthest_corner()
         if corner >= 1.0:
             raise DomainError(
                 "liouville-source domain must close inside the unit disk; "
@@ -439,11 +437,7 @@ def _validate_geometry(config):
                 f"(got {hs:.6g} vs surface {min(domain.hx, domain.hy):.6g})"
             )
         if config.bc == "liouville":
-            corner = math.hypot(
-                max(abs(solver.xmin), abs(solver.xmax)),
-                max(abs(solver.ymin), abs(solver.ymax)),
-            )
-            if corner >= 1.0:
+            if solver.farthest_corner() >= 1.0:
                 raise DomainError(
                     "liouville boundary data requires the solver rectangle "
                     "to close inside the unit disk"

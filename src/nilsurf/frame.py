@@ -277,10 +277,15 @@ def _check_admissibility(potential, z_nodes):
     Evaluates `potential.integrability_residual` at every node: the closed
     form for analytic sources, the stored Newton residual for solved ones.
     Returns the worst magnitude; raises NonFlatInput when it exceeds
-    ADMISSIBILITY_THRESHOLD.
+    ADMISSIBILITY_THRESHOLD or is not finite.
     """
     first, second = potential.integrability_residual(z_nodes)
-    worst = max(float(np.max(np.abs(first))), float(np.max(np.abs(second))))
+    # np.maximum, not max: a NaN must survive the comparison
+    worst = float(np.maximum(np.max(np.abs(first)), np.max(np.abs(second))))
+    if not np.isfinite(worst):
+        raise NonFlatInput(
+            "integrability residual is not finite; potential data is not admissible"
+        )
     if worst > ADMISSIBILITY_THRESHOLD:
         raise NonFlatInput(
             f"integrability residual {worst:.3e} exceeds "

@@ -36,6 +36,9 @@ BASIS_X3 = np.eye(2, dtype=complex)
 
 IDENTITY = np.eye(2, dtype=complex)
 
+#: Smallest determinant magnitude `inv` accepts.
+SINGULAR_TOL = 1e-13
+
 
 def det(m):
     """Determinant over the trailing 2x2 axes."""
@@ -43,16 +46,19 @@ def det(m):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def inv(m, tol=1e-13):
+def inv(m):
     """Inverse over the trailing 2x2 axes via the adjugate formula.
 
-    Raises SingularFrameError if any determinant has magnitude below tol.
+    Raises SingularFrameError if any determinant is not finite or has
+    magnitude below SINGULAR_TOL.
     """
     m = np.asarray(m)
     d = det(m)
-    if np.any(np.abs(d) < tol):
+    if not np.all(np.isfinite(d)):
+        raise SingularFrameError("matrix determinant is not finite; cannot invert")
+    if np.any(np.abs(d) < SINGULAR_TOL):
         raise SingularFrameError(
-            f"matrix determinant below {tol:.1e}; cannot invert"
+            f"matrix determinant below {SINGULAR_TOL:.1e}; cannot invert"
         )
     out = np.empty_like(m)
     out[..., 0, 0] = m[..., 1, 1]
@@ -138,11 +144,14 @@ def matrix_to_point(m, tol=DEFAULT_TOLERANCES["shape"]):
     """Extract coordinates (..., 3) from matrices in the point model.
 
     Raises ShapeViolation if any matrix deviates from the model shape by
-    more than tol (checked entrywise; see matrix_shape_deviation).
+    more than tol (checked entrywise; see matrix_shape_deviation) or by a
+    deviation that is not finite.
     """
     m = np.asarray(m)
     dev = matrix_shape_deviation(m)
     worst = np.max(dev) if dev.size else 0.0
+    if not np.isfinite(worst):
+        raise ShapeViolation("matrix shape deviation is not finite")
     if worst > tol:
         raise ShapeViolation(
             f"matrix deviates from the point-model shape by {worst:.3e} "

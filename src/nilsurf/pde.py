@@ -42,6 +42,7 @@ import numpy as np
 
 from .config import DEFAULT_SOLVER
 from .errors import DomainError, LinearSolveFailure, MaxIterExceeded
+from .potentials import liouville_exact  # noqa: F401  (the solver's regression target)
 
 CG_RTOL = 1e-12
 CG_MAXITER = 40000
@@ -80,19 +81,6 @@ class SolveResult:
     @property
     def spacing(self):
         return float(self.x[1] - self.x[0])
-
-
-def liouville_exact(z):
-    """Closed-form density 16/(1-|z|^2)^2 on the unit disk.
-
-    Raises DomainError outside |z| < 1.  Used as the regression target for
-    the solver: with Q0 = 0 and boundary data sampled from this density the
-    solve must reproduce it to discretization accuracy.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("liouville density only defined on |z| < 1")
-    return 16.0 / (1.0 - np.abs(z) ** 2) ** 2
 
 
 def _check_axes(x, y):

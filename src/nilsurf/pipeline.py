@@ -4,9 +4,10 @@ The pipeline turns a validated RunConfig into surfaces, residual reports,
 and files, mapping every failure mode onto a stable exit code:
 
     0  all residual classes within thresholds
-    2  configuration problem (schema, domains)
+    2  configuration problem (schema, domains, check tolerances)
     3  integrability failure (inadmissible potential, failed solve)
-    4  residual/threshold failure (including shape and degeneracy checks)
+    4  residual/threshold failure (including shape, singular-frame and
+       degeneracy checks)
     5  I/O failure
 
 Residual thresholds scale with the grid: threshold = max(floor, scale * C
@@ -15,6 +16,16 @@ flagship configurations (documented in the README) and h the larger grid
 spacing.  A fixed absolute threshold would spuriously fail coarse grids
 and trivially pass fine ones; the h^2 law matches the second-order
 convergence of every residual class.
+
+Each rule has one site.  `_verdict` is the one verify -> thresholds ->
+classify step, shared by run_generate (h from the config domain),
+run_check and check_surface_like (h from the surface axes); the last two
+validate their tolerances with config.check_tolerances before they read
+or verify anything.  `guarded` is the one failure path: it turns a
+NilsurfError or an OSError into a log line and an exit code for every
+command, the configuration load of the command line included.  `_finish`
+is the one tail of generate and check: it writes the report and prints
+PASS or FAIL.
 """
 
 import math
@@ -22,7 +33,7 @@ import math
 import numpy as np
 
 from . import frame
-from .config import DEFAULT_TOLERANCES
+from .config import CHECK_TOLERANCES, DEFAULT_TOLERANCES, OPTIONS, check_tolerances
 from .errors import (
     DegenerateNode,
     DomainError,
@@ -42,8 +53,8 @@ from .outputs import (
     write_json,
     write_solution_csv,
 )
-from .pde import liouville_exact, newton_solve
-from .potentials import Potential
+from .pde import newton_solve
+from .potentials import Potential, liouville_exact
 from .residuals import COORDINATE_KEYS, RESIDUAL_KEYS, verify_surface
 from .surface import generate_surface
 
@@ -125,6 +136,49 @@ def _failure_entries(failures):
     ]
 
 
+def _verdict(
+    surface, h, potential, margin, angle_cutoff, residual_floor, threshold_scale
+):
+    """The one verify -> thresholds -> classify step of the pipeline.
+
+    Returns (report, thresholds, passed, failures).
+    """
+    report = verify_surface(
+        surface, potential=potential, angle_cutoff=angle_cutoff, margin=margin
+    )
+    thresholds = residual_thresholds(h, floor=residual_floor, scale=threshold_scale)
+    return (report, thresholds) + classify_report(report, thresholds)
+
+
+def _axis_step(surface):
+    """The larger spacing of a surface's own axes."""
+    return max(
+        float(surface.x[1] - surface.x[0]), float(surface.y[1] - surface.y[0])
+    )
+
+
+def guarded(step, log):
+    """The one failure path: run step() -> (exit_code, value).
+
+    A NilsurfError or OSError is logged and becomes (its exit code, None);
+    any other exception propagates.
+    """
+    try:
+        return step()
+    except (NilsurfError, OSError) as exc:
+        log(f"{'I/O error' if isinstance(exc, OSError) else 'error'}: {exc}")
+        return exit_code_for(exc), None
+
+
+def _finish(report_dict, report_path, passed, log):
+    """The tail of generate and check: write the report, print the verdict."""
+    if report_path is not None:
+        write_json(report_dict, report_path)
+        log(f"report -> {report_path}")
+    log("PASS" if passed else "FAIL: residual thresholds exceeded")
+    return (EXIT_PASS if passed else EXIT_RESIDUAL), report_dict
+
+
 def build_potential(config):
     """Construct the Potential a config describes, solving if necessary.
 
@@ -183,77 +237,60 @@ def _mesh_path(pattern, t):
 def run_generate(config, log=print):
     """Full pipeline for one config; returns (exit_code, report_dict).
 
-    Raises nothing for anticipated failures — they are logged, mapped to
-    the exit code, and (where meaningful) recorded in the report dict.
+    Raises nothing for anticipated failures: they are logged and mapped to
+    the exit code, with report_dict None.
     """
-    try:
-        potential, solver_summary, _ = build_potential(config)
-        x, y = config.domain.axes()
-        check_integrability(potential, x, y)
-    except NilsurfError as exc:
-        log(f"error: {exc}")
-        return exit_code_for(exc), None
+    return guarded(lambda: _generate(config, log), log)
 
+
+def _generate(config, log):
+    potential, solver_summary, _ = build_potential(config)
+    x, y = config.domain.axes()
+    check_integrability(potential, x, y)
     h = max(config.domain.hx, config.domain.hy)
-    thresholds = residual_thresholds(
-        h, floor=config.residual_floor, scale=config.threshold_scale
+    tolerances = {
+        key: getattr(config, OPTIONS["tolerances", key].name) for key in CHECK_TOLERANCES
+    }
+    surfaces = generate_surface(
+        potential,
+        x,
+        y,
+        config.t_values,
+        shape_tol=config.shape_tol,
+        check_flatness=False,  # gated once above
     )
     surfaces_out = []
-    all_pass = True
-    try:
-        surfaces = generate_surface(
-            potential,
-            x,
-            y,
-            config.t_values,
-            shape_tol=config.shape_tol,
-            check_flatness=False,  # gated once above
+    for t in config.t_values:
+        # release each member once it is exported
+        surf = surfaces.pop(0)
+        report, thresholds, passed, failures = _verdict(
+            surf, h, potential, **tolerances
         )
-        for t in config.t_values:
-            # release each member once it is exported
-            surf = surfaces.pop(0)
-            report = verify_surface(
-                surf,
-                potential=potential,
-                angle_cutoff=config.angle_cutoff,
-                margin=config.margin,
-            )
-            passed, failures = classify_report(report, thresholds)
-            all_pass = all_pass and passed
-            mesh_path = _mesh_path(config.mesh_pattern, t)
-            mesh = export_obj(surf, mesh_path)
-            status = "pass" if passed else "FAIL"
-            worst_key = max(
-                (k for k in RESIDUAL_KEYS if not math.isnan(report.maxima[k])),
-                key=lambda k: report.maxima[k] / thresholds[k],
-            )
-            log(
-                f"[t={t:.6f}] {status}  worst {worst_key} = "
-                f"{report.maxima[worst_key]:.3e} "
-                f"(threshold {thresholds[worst_key]:.3e}); mesh -> {mesh.path}"
-            )
-            for key, value, threshold in failures:
-                log(f"    over threshold: {key} = {value:.3e} > {threshold:.3e}")
-            surfaces_out.append(
-                {
-                    "t": float(t),
-                    "mesh_path": mesh.path,
-                    "mesh": {
-                        "vertices": mesh.vertex_count,
-                        "faces": mesh.face_count,
-                    },
-                    "pass": passed,
-                    "failures": _failure_entries(failures),
-                    "verification": report.to_dict(),
-                }
-            )
-    except NilsurfError as exc:
-        log(f"error: {exc}")
-        return exit_code_for(exc), None
-    except OSError as exc:
-        log(f"I/O error: {exc}")
-        return EXIT_IO, None
-
+        mesh = export_obj(surf, _mesh_path(config.mesh_pattern, t))
+        # a class with no finite value ranks last
+        worst_key = max(
+            RESIDUAL_KEYS,
+            key=lambda k: -math.inf
+            if math.isnan(report.maxima[k])
+            else report.maxima[k] / thresholds[k],
+        )
+        log(
+            f"[t={t:.6f}] {'pass' if passed else 'FAIL'}  worst "
+            f"{worst_key} = {report.maxima[worst_key]:.3e} "
+            f"(threshold {thresholds[worst_key]:.3e}); mesh -> {mesh.path}"
+        )
+        for key, value, threshold in failures:
+            log(f"    over threshold: {key} = {value:.3e} > {threshold:.3e}")
+        surfaces_out.append(
+            {
+                "t": float(t),
+                "mesh_path": mesh.path,
+                "mesh": {"vertices": mesh.vertex_count, "faces": mesh.face_count},
+                "pass": passed,
+                "failures": _failure_entries(failures),
+                "verification": report.to_dict(),
+            }
+        )
     report_dict = {
         "schema": "nilsurf-report/1",
         "config": config.to_dict(),
@@ -261,61 +298,36 @@ def run_generate(config, log=print):
         "thresholds": thresholds,
         "solver": solver_summary,
         "surfaces": surfaces_out,
-        "pass": all_pass,
+        "pass": all(entry["pass"] for entry in surfaces_out),
     }
-    try:
-        write_json(report_dict, config.report_path)
-    except OSError as exc:
-        log(f"I/O error: {exc}")
-        return EXIT_IO, report_dict
-    log(f"report -> {config.report_path}")
-    log("PASS" if all_pass else "FAIL: residual thresholds exceeded")
-    return (EXIT_PASS if all_pass else EXIT_RESIDUAL), report_dict
+    return _finish(report_dict, config.report_path, report_dict["pass"], log)
 
 
-def run_check(
-    csv_path,
-    report_path=None,
-    margin=DEFAULT_TOLERANCES["margin"],
-    angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
-    residual_floor=DEFAULT_TOLERANCES["residual_floor"],
-    threshold_scale=DEFAULT_TOLERANCES["threshold_scale"],
-    log=print,
-):
-    """Verify an externally supplied surface CSV; returns (exit_code, dict)."""
-    try:
-        surface = read_surface_csv(csv_path)
-    except NilsurfError as exc:
-        log(f"error: {exc}")
-        return exit_code_for(exc), None
-    except OSError as exc:
-        log(f"I/O error: {exc}")
-        return EXIT_IO, None
-    hx = float(surface.x[1] - surface.x[0])
-    hy = float(surface.y[1] - surface.y[0])
-    thresholds = residual_thresholds(
-        max(hx, hy), floor=residual_floor, scale=threshold_scale
+def run_check(csv_path, report_path=None, log=print, **tolerances):
+    """Verify an externally supplied surface CSV; returns (exit_code, dict).
+
+    tolerances are the CHECK_TOLERANCES keywords (margin, angle_cutoff,
+    residual_floor, threshold_scale; defaults from DEFAULT_TOLERANCES).  A
+    value a config file may not hold exits 2 before the file is read.
+    """
+    return guarded(lambda: _check(csv_path, report_path, tolerances, log), log)
+
+
+def _check(csv_path, report_path, tolerances, log):
+    tolerances = check_tolerances(**tolerances)
+    surface = read_surface_csv(csv_path)
+    report, thresholds, passed, failures = _verdict(
+        surface, _axis_step(surface), None, **tolerances
     )
-    try:
-        report = verify_surface(
-            surface, angle_cutoff=angle_cutoff, margin=margin
-        )
-    except NilsurfError as exc:
-        log(f"error: {exc}")
-        return exit_code_for(exc), None
-    passed, failures = classify_report(report, thresholds)
     for key in RESIDUAL_KEYS:
-        value = report.maxima[key]
+        value, threshold = report.maxima[key], thresholds[key]
         if math.isnan(value) and key in COORDINATE_KEYS:
             log(f"  {key:<24} (no finite value on the interior)  OVER")
         elif math.isnan(value):
             log(f"  {key:<24} (not computable from coordinate data)")
         else:
-            verdict = "ok" if value <= thresholds[key] else "OVER"
-            log(
-                f"  {key:<24} {value:.3e}  threshold {thresholds[key]:.3e}  "
-                f"{verdict}"
-            )
+            verdict = "ok" if value <= threshold else "OVER"
+            log(f"  {key:<24} {value:.3e}  threshold {threshold:.3e}  {verdict}")
     report_dict = {
         "schema": "nilsurf-check/1",
         "input": str(csv_path),
@@ -324,15 +336,7 @@ def run_check(
         "failures": _failure_entries(failures),
         "verification": report.to_dict(),
     }
-    if report_path is not None:
-        try:
-            write_json(report_dict, report_path)
-        except OSError as exc:
-            log(f"I/O error: {exc}")
-            return EXIT_IO, report_dict
-        log(f"report -> {report_path}")
-    log("PASS" if passed else "FAIL: residual thresholds exceeded")
-    return (EXIT_PASS if passed else EXIT_RESIDUAL), report_dict
+    return _finish(report_dict, report_path, passed, log)
 
 
 def run_solve(config, out_path=None, log=print):
@@ -341,20 +345,17 @@ def run_solve(config, out_path=None, log=print):
     Requires a solved rho0 source in the config — the other sources have
     closed forms and nothing to solve.
     """
+    return guarded(lambda: _solve(config, out_path, log), log)
+
+
+def _solve(config, out_path, log):
     if config.rho0_source != "solved":
-        log("error: solve-gauss requires potential.rho0.source == \"solved\"")
-        return EXIT_CONFIG, None
-    try:
-        _, _, result = build_potential(config)
-    except NilsurfError as exc:
-        log(f"error: {exc}")
-        return exit_code_for(exc), None
+        raise SchemaError(
+            "potential.rho0.source", 'solve-gauss requires the "solved" source'
+        )
+    _, _, result = build_potential(config)
     path = out_path if out_path is not None else config.solution_path
-    try:
-        write_solution_csv(result, path)
-    except OSError as exc:
-        log(f"I/O error: {exc}")
-        return EXIT_IO, None
+    write_solution_csv(result, path)
     history = ", ".join(f"{v:.3e}" for v in result.residual_history)
     log(
         f"solved {result.x.size} x {result.y.size} grid in "
@@ -364,26 +365,15 @@ def run_solve(config, out_path=None, log=print):
     return EXIT_PASS, result
 
 
-def check_surface_like(
-    surface,
-    potential=None,
-    margin=DEFAULT_TOLERANCES["margin"],
-    angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
-    residual_floor=DEFAULT_TOLERANCES["residual_floor"],
-    threshold_scale=DEFAULT_TOLERANCES["threshold_scale"],
-):
+def check_surface_like(surface, potential=None, **tolerances):
     """Convenience: verify+classify any surface grid without files.
 
-    Takes run_check's threshold options, plus the potential for the
-    classes that need frame data; returns (passed, failures, report).
+    Takes run_check's tolerance keywords, validated the same way
+    (SchemaError on a bad value, TypeError on an unknown keyword), plus
+    the potential for the classes that need frame data; returns (passed,
+    failures, report).
     """
-    hx = float(surface.x[1] - surface.x[0])
-    hy = float(surface.y[1] - surface.y[0])
-    report = verify_surface(
-        surface, potential=potential, angle_cutoff=angle_cutoff, margin=margin
+    report, _, passed, failures = _verdict(
+        surface, _axis_step(surface), potential, **check_tolerances(**tolerances)
     )
-    thresholds = residual_thresholds(
-        max(hx, hy), floor=residual_floor, scale=threshold_scale
-    )
-    passed, failures = classify_report(report, thresholds)
     return passed, failures, report

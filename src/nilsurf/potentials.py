@@ -71,28 +71,40 @@ class _ConstantSource:
         return {"source": "constant", "value": self.value}
 
 
+def _in_unit_disk(z):
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z) >= 1.0):
+        raise DomainError("liouville density only defined on |z| < 1")
+    return z
+
+
+def liouville_exact(z):
+    """Closed-form density 16/(1-|z|^2)^2 on the unit disk.
+
+    Raises DomainError outside |z| < 1.  The liouville source evaluates
+    it, and it is the regression target of the density solver: with
+    Q0 = 0 and boundary data sampled from it the solve must reproduce it
+    to discretization accuracy.
+    """
+    z = _in_unit_disk(z)
+    return 16.0 / (1.0 - np.abs(z) ** 2) ** 2
+
+
 class _LiouvilleSource:
     """rho0 = 16/(1-|z|^2)^2 on |z| < 1 (closed-form Liouville solution)."""
 
     name = "liouville"
     analytic = True
 
-    def _guard(self, z):
-        z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) >= 1.0):
-            raise DomainError("liouville density only defined on |z| < 1")
-        return z
-
     def rho0(self, z):
-        z = self._guard(z)
-        return 16.0 / (1.0 - np.abs(z) ** 2) ** 2
+        return liouville_exact(z)
 
     def dlog_dz(self, z):
-        z = self._guard(z)
+        z = _in_unit_disk(z)
         return 2.0 * np.conj(z) / (1.0 - np.abs(z) ** 2)
 
     def log_zzbar(self, z):
-        z = self._guard(z)
+        z = _in_unit_disk(z)
         return 2.0 / (1.0 - np.abs(z) ** 2) ** 2
 
     def describe(self):

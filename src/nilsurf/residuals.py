@@ -43,7 +43,8 @@ from .errors import DegenerateNode, DomainError
 from .mat2 import commutator
 from .nil3 import covariant_derivative, frame_coeffs_from_coords
 
-DEFAULT_DEGENERATE_TOL = 1e-8
+#: Interior metric density below which verify_surface raises DegenerateNode.
+DEGENERATE_TOL = 1e-8
 
 #: Stable keys of the residual classes, in reporting order.
 RESIDUAL_KEYS = (
@@ -368,7 +369,6 @@ def verify_surface(
     potential=None,
     angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
     margin=DEFAULT_TOLERANCES["margin"],
-    degenerate_tol=DEFAULT_DEGENERATE_TOL,
     keep_fields=False,
 ):
     """Run the full residual suite on a surface grid.
@@ -390,7 +390,7 @@ def verify_surface(
     node.  (The stencils' NaN rings and the Gauss-map angle mask are made
     here, not read from the input.)
     Raises DegenerateNode when the interior metric density drops below
-    degenerate_tol — the data fails to be an immersion there and none of
+    DEGENERATE_TOL — the data fails to be an immersion there and none of
     the residuals are meaningful.
     """
     x = np.asarray(surface.x, dtype=float)
@@ -425,10 +425,10 @@ def verify_surface(
 
     rho_interior = rho[margin:-margin, margin:-margin]
     finite_rho = rho_interior[np.isfinite(rho_interior)]
-    if finite_rho.size and float(np.min(finite_rho)) < degenerate_tol:
+    if finite_rho.size and float(np.min(finite_rho)) < DEGENERATE_TOL:
         raise DegenerateNode(
             f"metric density {np.min(finite_rho):.3e} below "
-            f"{degenerate_tol:.1e}; surface degenerates on the grid interior"
+            f"{DEGENERATE_TOL:.1e}; surface degenerates on the grid interior"
         )
 
     r1, r2 = minimality_residuals(tangent, F, hx, hy)

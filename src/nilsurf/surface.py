@@ -165,11 +165,15 @@ def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
 
     Verifies that both matrix fields stay within shape_tol of their model
     shapes (raising ShapeViolation otherwise, via the coordinate
-    extraction) before reading off coordinates.
+    extraction; a deviation that is not finite fails too) before reading
+    off coordinates.  A frame that is not finite fails first, as a
+    SingularFrameError of its inverse.
     """
     fhat, dfh = _assemble(frame_field.psi, frame_field.psi_t, frame_field.psi_tt)
     ft = ft_from_fhat(fhat, dfh)
     fhat_dev = float(np.max(_fhat_shape_deviation(fhat)))
+    if not np.isfinite(fhat_dev):
+        raise ShapeViolation("auxiliary matrix field is not finite")
     if fhat_dev > shape_tol:
         raise ShapeViolation(
             f"auxiliary matrix field deviates from its model shape by "
@@ -219,16 +223,3 @@ def generate_surface(
         surf.substeps = substeps
         surfaces.append(surf)
     return surfaces if np.ndim(t) else surfaces[0]
-
-
-def sweep_family(
-    potential, x, y, t_values, substeps=1, shape_tol=DEFAULT_TOLERANCES["shape"]
-):
-    """Generate the associated family at each parameter in t_values.
-
-    All members share the potential, the grid and one march.  Returns a
-    list of SurfaceGrid in the given order.
-    """
-    return generate_surface(
-        potential, x, y, list(t_values), substeps=substeps, shape_tol=shape_tol
-    )

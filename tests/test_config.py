@@ -222,6 +222,51 @@ class TestSchemaErrors:
             parse(base_document(tolerances={"margin": 0}))
 
 
+class TestOptionTable:
+    def test_table_covers_every_default(self):
+        for section, defaults in (
+            ("solver", config.DEFAULT_SOLVER),
+            ("tolerances", config.DEFAULT_TOLERANCES),
+            ("outputs", config.DEFAULT_OUTPUTS),
+        ):
+            assert {k for s, k in config.OPTIONS if s == section} == set(defaults)
+        assert set(config.CHECK_TOLERANCES) < set(config.DEFAULT_TOLERANCES)
+
+    def test_check_tolerances_fill_defaults(self):
+        assert config.check_tolerances() == {
+            key: config.DEFAULT_TOLERANCES[key] for key in config.CHECK_TOLERANCES
+        }
+        assert config.check_tolerances(margin=3)["margin"] == 3
+        # NumPy scalars are numbers too, for library callers
+        numpy_values = config.check_tolerances(
+            margin=np.int64(3), residual_floor=np.float32(0.5)
+        )
+        assert (numpy_values["margin"], numpy_values["residual_floor"]) == (3, 0.5)
+        with pytest.raises(TypeError):
+            config.check_tolerances(shape=1e-6)
+
+    @pytest.mark.parametrize("key", ["margin", "angle_cutoff", "residual_floor",
+                                     "threshold_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1, 0, "1", True])
+    def test_check_tolerances_agree_with_the_config(self, key, value):
+        try:
+            parse(base_document(tolerances={key: value}))
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as err:
+                config.check_tolerances(**{key: value})
+            assert err.value.path == exc.path == f"tolerances.{key}"
+        else:
+            assert config.check_tolerances(**{key: value})[key] == value
+
+    def test_huge_integers_are_not_finite(self):
+        with pytest.raises(SchemaError, match="finite"):
+            parse(base_document(tolerances={"residual_floor": 10**400}))
+        doc = base_document()
+        doc["potential"]["q0_coefficients"] = [[10**400, 0.0]]
+        with pytest.raises(SchemaError, match="finite"):
+            parse(doc)
+
+
 class TestGeometryErrors:
     def test_domain_must_contain_origin(self):
         doc = base_document()

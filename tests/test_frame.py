@@ -144,6 +144,24 @@ class TestFlatness:
             frame.integrate_grid(bad, ax, ax, 0.0)
 
 
+    def test_integrator_gate_rejects_a_nan_residual(self):
+        # one NaN in the stored solve residual: max |residual| is NaN, and
+        # NaN > threshold is false, so the gate used to let it through
+        class PoisonedSolution:
+            x = np.linspace(-0.5, 0.5, 17)
+            y = np.linspace(-0.5, 0.5, 17)
+            u = np.zeros((17, 17))
+            residual_field = np.zeros((17, 17))
+
+        PoisonedSolution.residual_field[8, 8] = np.nan  # at z = 0
+        bad = Potential.solved(PoisonedSolution(), (0.25,))
+        ax = np.linspace(-0.2, 0.2, 5)
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFlatInput, match="not finite"
+        ):
+            frame.integrate_grid(bad, ax, ax, 0.0)
+
+
 class TestIntegration:
     def test_base_node_is_exact(self):
         ax = np.linspace(-0.4, 0.4, 9)

@@ -75,6 +75,25 @@ def test_inv_singular_raises():
         mat2.inv(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inv_refuses_a_determinant_that_is_not_finite(bad):
+    # |nan| < tol is false: a NaN determinant used to pass the gate
+    m = np.array([np.eye(2), [[bad, 0.0], [0.0, 1.0]]], dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(
+        SingularFrameError, match="not finite"
+    ):
+        mat2.inv(m)
+
+
+def test_matrix_to_point_refuses_a_nan_deviation():
+    m = mat2.point_to_matrix(np.zeros((3, 3)))
+    m[1, 0, 1] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(
+        ShapeViolation, match="not finite"
+    ):
+        mat2.matrix_to_point(m)
+
+
 def test_commutator():
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)

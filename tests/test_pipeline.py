@@ -199,6 +199,24 @@ class TestRunGenerate:
         assert (tmp_path / "report.json").exists()
         assert any("FAIL" in line for line in lines)
 
+    def test_overflowing_frames_exit_4(self, tmp_path):
+        # admissible data whose frames overflow to NaN: the NaN coordinates
+        # used to reach verify_surface and exit 2 as a bad input
+        cfg = make_config(
+            tmp_path,
+            potential={
+                "q0_coefficients": [1e20],
+                "rho0": {"source": "constant", "value": 4e20},
+            },
+            domain={"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0},
+        )
+        lines = []
+        with np.errstate(all="ignore"):
+            code, report = pipeline.run_generate(cfg, log=lines.append)
+        assert (code, report) == (pipeline.EXIT_RESIDUAL, None)
+        assert "not finite" in lines[-1]
+        assert not (tmp_path / "surface.obj").exists()
+
     def test_family_writes_one_mesh_per_t(self, tmp_path):
         cfg = make_config(
             tmp_path,
@@ -325,6 +343,35 @@ class TestRunCheck:
             assert code == pipeline.EXIT_CONFIG
             assert report is None
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--residual-floor", "nan"),
+            ("--residual-floor", "inf"),
+            ("--residual-floor", "0"),
+            ("--threshold-scale", "-1"),
+            ("--threshold-scale", "-inf"),
+            ("--angle-cutoff", "nan"),
+            ("--margin", "0"),
+        ],
+    )
+    def test_flags_follow_the_config_rules(self, tmp_path, flag, value, capsys):
+        # max(nan, C h^2) is NaN and value > NaN is false: a NaN floor used
+        # to pass the horizontal plane with exit 0
+        path = tmp_path / "horizontal.csv"
+        write_surface_csv(dyadic_plane("horizontal"), path)
+        report_path = tmp_path / "check.json"
+        argv = ["check", str(path), "--report", str(report_path), f"{flag}={value}"]
+        assert cli.main(argv) == pipeline.EXIT_CONFIG
+        assert "PASS" not in capsys.readouterr().out
+        assert not report_path.exists()
+
+    def test_bad_flag_exits_2_before_reading(self, tmp_path):
+        code, report = pipeline.run_check(
+            tmp_path / "nope.csv", residual_floor=float("nan"), log=lambda *_: None
+        )
+        assert (code, report) == (pipeline.EXIT_CONFIG, None)
+
     def test_missing_file_exits_5(self, tmp_path):
         code, report = pipeline.run_check(
             tmp_path / "nope.csv", log=lambda *_: None
@@ -388,6 +435,21 @@ class TestCheckSurfaceLike:
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError):
             pipeline.check_surface_like(dyadic_plane("vertical"), bogus=1)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("residual_floor", float("nan")),
+            ("residual_floor", float("inf")),
+            ("threshold_scale", 0.0),
+            ("angle_cutoff", float("nan")),
+            ("margin", 0),
+            ("margin", 2.0),
+        ],
+    )
+    def test_options_follow_the_config_rules(self, option, value):
+        with pytest.raises(SchemaError, match=f"tolerances.{option}"):
+            pipeline.check_surface_like(dyadic_plane("horizontal"), **{option: value})
 
     @pytest.mark.parametrize("field, value", [("F", np.nan), ("height", np.inf)])
     def test_non_finite_coordinates_fail_closed(self, field, value):
@@ -500,6 +562,29 @@ class TestCli:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "kind, flags, code",
+        [
+            ("vertical", [], 0),
+            ("horizontal", [], 4),
+            ("vertical", ["--residual-floor", "nan"], 2),
+        ],
+    )
+    def test_process_exit_status(self, tmp_path, kind, flags, code):
+        # the status entry() hands to sys.exit, which main's callers here
+        # never see
+        path = tmp_path / f"{kind}.csv"
+        write_surface_csv(dyadic_plane(kind), path)
+        src = str(Path(nilsurf.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "nilsurf", "check", str(path), *flags],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == code, done.stdout + done.stderr
 
     def test_unknown_command_errors(self):
         with pytest.raises(SystemExit):

@@ -1,0 +1,213 @@
+"""Property tests of the front end's contract: every input maps to an exit code.
+
+(a) Run configurations built around a valid document, with keys dropped
+or added and values replaced by NaN, infinities, zero, negative numbers
+or values of the wrong type: `generate` and `solve-gauss` return one of
+the documented exit codes and raise nothing.
+(b) `check` with drawn tolerance flags on a vertical plane (a minimal
+surface, residuals exactly 0) and a horizontal plane (not conformal):
+exit 2 exactly when a flag breaks the tolerances.* rules of the config
+(or the margin leaves no interior on the 17 x 17 grid), and never exit 0
+on the horizontal plane.
+
+The inputs overflow on purpose, so every call runs under
+np.errstate(all="ignore").
+"""
+
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilsurf import cli, config
+from nilsurf.outputs import write_surface_csv
+from nilsurf.surface import SurfaceGrid
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+GRID_NODES = 17
+
+SOURCES = {
+    "constant": {
+        "q0_coefficients": [[0.25, 0.0]],
+        "rho0": {"source": "constant", "value": 1.0},
+    },
+    "liouville": {"q0_coefficients": [0.0], "rho0": {"source": "liouville"}},
+    "solved": {
+        "q0_coefficients": [0.0, [0.25, 0.0]],
+        "rho0": {"source": "solved", "bc": 0.0},
+    },
+}
+
+#: Replacement values: non-finite, zero, negative, extreme, wrong type.
+BAD_VALUES = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    0,
+    0.0,
+    -1,
+    -2.5,
+    1e-300,
+    -1e-300,
+    1e20,
+    1e300,
+    "x",
+    True,
+    None,
+    [],
+    {},
+]
+#: Only where a number is not a node count: a node count this large would
+#: ask for a grid far beyond the 17 x 17 these tests run.
+HUGE_INT = 10**400
+COUNT_KEYS = ("nx", "ny")
+
+FRONTEND = settings(max_examples=25, deadline=None)
+
+
+def base_document(source, n):
+    return {
+        "potential": json.loads(json.dumps(SOURCES[source])),
+        "domain": {
+            "xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5, "nx": n, "ny": n,
+        },
+        "t_values": [0.0, 0.5],
+        "solver": dict(config.DEFAULT_SOLVER),
+        "tolerances": dict(config.DEFAULT_TOLERANCES),
+        "outputs": dict(config.DEFAULT_OUTPUTS),
+    }
+
+
+def _paths(node, prefix=()):
+    """Every (path to a container, key) of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def documents(draw):
+    doc = base_document(
+        draw(st.sampled_from(sorted(SOURCES))), draw(st.sampled_from([9, 13, 17]))
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        prefix, key = draw(st.sampled_from(list(_paths(doc))))
+        parent = _at(doc, prefix)
+        action = draw(st.sampled_from(["drop", "add", "set"]))
+        if action == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "add" and isinstance(parent, dict):
+            parent["unexpected"] = 1
+        else:
+            values = BAD_VALUES if key in COUNT_KEYS else BAD_VALUES + [HUGE_INT]
+            parent[key] = draw(st.sampled_from(values))
+    return doc
+
+
+def _run(argv):
+    with np.errstate(all="ignore"):
+        return cli.main(argv, log=lambda *_: None)
+
+
+@FRONTEND
+@given(doc=documents())
+def test_any_document_maps_to_an_exit_code(doc):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        # relative output paths, including mutated ones, land in work
+        os.chdir(work)
+        try:
+            with open("run.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            assert _run(["generate", "run.json"]) in EXIT_CODES
+            assert _run(["solve-gauss", "run.json", "--out", "u.csv"]) in EXIT_CODES
+        finally:
+            os.chdir(cwd)
+
+
+def _plane(kind):
+    ax = (np.arange(GRID_NODES) - GRID_NODES // 2) * 0.125
+    x2d, y2d = np.meshgrid(ax, ax)
+    if kind == "vertical":
+        return SurfaceGrid(x=ax, y=ax, t=0.0, F=x2d.astype(complex), height=y2d)
+    return SurfaceGrid(
+        x=ax, y=ax, t=0.0, F=x2d + 1j * y2d, height=np.zeros_like(x2d)
+    )
+
+
+@pytest.fixture(scope="module")
+def plane_csvs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("planes")
+    paths = {}
+    for kind in ("vertical", "horizontal"):
+        paths[kind] = str(directory / f"{kind}.csv")
+        write_surface_csv(_plane(kind), paths[kind])
+    return paths
+
+
+def _breaks_rules(value, positive):
+    return not math.isfinite(value) or (positive and value <= 0)
+
+
+#: Valid floors up to 1e-2 and scales up to 1 keep the horizontal plane's
+#: thresholds below its residuals (conformality 0.070 against at most
+#: 2 h^2 = 0.031), so that surface must fail.
+floors = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e-2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+)
+scales = st.one_of(
+    st.floats(min_value=1e-300, max_value=1.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -3.0]),
+)
+cutoffs = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@FRONTEND
+@given(
+    kind=st.sampled_from(["vertical", "horizontal"]),
+    margin=st.integers(-2, 9),
+    cutoff=cutoffs,
+    floor=floors,
+    scale=scales,
+)
+def test_check_flags_follow_the_config_rules(
+    plane_csvs, kind, margin, cutoff, floor, scale
+):
+    code = _run(
+        [
+            "check",
+            plane_csvs[kind],
+            f"--margin={margin}",
+            f"--angle-cutoff={cutoff!r}",
+            f"--residual-floor={floor!r}",
+            f"--threshold-scale={scale!r}",
+        ]
+    )
+    refused = (
+        margin < 1
+        or 2 * margin + 3 > GRID_NODES  # no interior left to check
+        or _breaks_rules(cutoff, positive=False)
+        or _breaks_rules(floor, positive=True)
+        or _breaks_rules(scale, positive=True)
+    )
+    if refused:
+        assert code == 2
+    else:
+        assert code == (0 if kind == "vertical" else 4)

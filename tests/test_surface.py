@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nilsurf import frame, mat2, surface
-from nilsurf.errors import ShapeViolation
+from nilsurf.errors import ShapeViolation, SingularFrameError
 from nilsurf.potentials import Potential
 
 UNIT_POTENTIAL = Potential.constant(1.0, (0.25,))
@@ -121,13 +121,13 @@ class TestGeneratedSurface:
         assert np.max(np.abs(mid.height - 0.5 * fd)) < 1e-6
 
     def test_family_is_pi_periodic(self):
-        a, b = surface.sweep_family(UNIT_POTENTIAL, AXES, AXES, (0.4, 0.4 + np.pi))
+        a, b = surface.generate_surface(UNIT_POTENTIAL, AXES, AXES, (0.4, 0.4 + np.pi))
         assert np.max(np.abs(a.F - b.F)) < 1e-12
         assert np.max(np.abs(a.height - b.height)) < 1e-12
 
-    def test_sweep_family_orders_and_tags_members(self):
+    def test_family_call_orders_and_tags_members(self):
         t_values = (0.0, 0.25, 0.5)
-        members = surface.sweep_family(UNIT_POTENTIAL, AXES, AXES, t_values)
+        members = surface.generate_surface(UNIT_POTENTIAL, AXES, AXES, t_values)
         assert [m.t for m in members] == list(t_values)
         # members differ: the family rotates the surface through distinct
         # immersions even though the metric data is shared
@@ -166,6 +166,26 @@ class TestShapeGate:
         field.psi_t[2, 3] += np.array([[0.05, 0.0], [0.0, 0.0]])
         with pytest.raises(ShapeViolation):
             surface.surface_from_frame(field)
+
+    def test_nan_derivative_is_rejected(self):
+        # a NaN deviation compares false against the tolerance
+        field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
+        field.psi_t[2, 3, 0, 0] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(
+            ShapeViolation, match="auxiliary matrix field is not finite"
+        ):
+            surface.surface_from_frame(field)
+
+    def test_overflowing_frames_are_singular(self):
+        # rho0 = 4e20 with Q0 = 1e20 is admissible (residual 0), but the
+        # frames overflow to NaN on [-1, 1]^2; the assembly used to return
+        # NaN coordinates with shape_deviation = nan
+        huge = Potential.constant(4e20, (1e20,))
+        ax = np.linspace(-1.0, 1.0, 17)
+        with np.errstate(all="ignore"), pytest.raises(
+            SingularFrameError, match="not finite"
+        ):
+            surface.generate_surface(huge, ax, ax, 0.0)
 
     def test_loose_tolerance_admits_the_same_frame(self):
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
