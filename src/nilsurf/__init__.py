@@ -64,7 +64,6 @@ from .residuals import (
 from .surface import (
     SurfaceGrid,
     fhat_from_frame,
-    ft_from_fhat,
     generate_surface,
     surface_from_frame,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "connection_at",
     "fhat_from_frame",
     "flatness_residual",
-    "ft_from_fhat",
     "generate_surface",
     "harmonic_extension",
     "integrate_grid",

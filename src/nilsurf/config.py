@@ -32,7 +32,8 @@ integration grid (so interpolation error stays below the integration
 error), and pushing the artificial Dirichlet boundary away from the
 surface window keeps the boundary's corner kinks — where the constant
 boundary data is incompatible with the nonzero right-hand side — out of
-the region whose derivatives feed the surface.
+the region whose derivatives feed the surface.  Every grid, that default
+included, has at most MAX_NODES nodes per axis.
 
 Admissibility of the potential has no tolerance key: it is the one check
 in the frame module (integrability residual at most 1e-6 at every surface
@@ -82,6 +83,10 @@ _DEFAULTS = {
 #: keywords of run_check and check_surface_like set.
 CHECK_TOLERANCES = ("margin", "angle_cutoff", "residual_floor", "threshold_scale")
 MIN_NODES = 9
+#: Most nodes per axis of any grid: the surface domain, an explicit solver
+#: domain, and the default 4n - 3 solver grid (so a solved source with the
+#: default solver grid takes at most 513 surface nodes per axis).
+MAX_NODES = 2049
 
 
 def _as_float(value, path):
@@ -161,6 +166,17 @@ class GridSpec:
     def to_dict(self):
         return asdict(self)
 
+    def doubled(self):
+        """The rectangle doubled about the origin at half the spacing."""
+        return GridSpec(
+            xmin=2.0 * self.xmin,
+            xmax=2.0 * self.xmax,
+            ymin=2.0 * self.ymin,
+            ymax=2.0 * self.ymax,
+            nx=4 * self.nx - 3,
+            ny=4 * self.ny - 3,
+        )
+
     def farthest_corner(self):
         """|z| of the rectangle's corner farthest from the origin."""
         return math.hypot(
@@ -216,15 +232,7 @@ class RunConfig:
         """The solver rectangle: explicit, or the documented x2 default."""
         if self.solver_domain is not None:
             return self.solver_domain
-        d = self.domain
-        return GridSpec(
-            xmin=2.0 * d.xmin,
-            xmax=2.0 * d.xmax,
-            ymin=2.0 * d.ymin,
-            ymax=2.0 * d.ymax,
-            nx=4 * d.nx - 3,
-            ny=4 * d.ny - 3,
-        )
+        return self.domain.doubled()
 
 
 #: The optional keys: (section, key) -> the RunConfig field that holds it.
@@ -283,7 +291,14 @@ def _parse_grid(raw, path):
         raise SchemaError(f"{path}.ymin", "ymin must be < ymax")
     if grid.nx < MIN_NODES or grid.ny < MIN_NODES:
         raise SchemaError(f"{path}.nx", f"node counts must be >= {MIN_NODES}")
+    _at_most_max_nodes(grid, path)
     return grid
+
+
+def _at_most_max_nodes(grid, path, what="node count"):
+    for key in ("nx", "ny"):
+        if getattr(grid, key) > MAX_NODES:
+            raise SchemaError(f"{path}.{key}", f"{what} must be <= {MAX_NODES}")
 
 
 def _parse_q0(raw, path):
@@ -368,6 +383,12 @@ def parse_config(text):
             )
 
     domain = _parse_grid(_require(raw, "domain", "<document>", dict), "domain")
+    if source == "solved" and solver_domain is None:
+        _at_most_max_nodes(
+            domain.doubled(),
+            "domain",
+            "the default solver grid's node count (4n - 3)",
+        )
 
     t_values = tuple(DEFAULT_T_VALUES)
     if "t_values" in raw:

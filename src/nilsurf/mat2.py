@@ -2,39 +2,28 @@
 
 All routines accept arrays of shape (..., 2, 2) and operate on the trailing
 two axes, so a whole grid of matrices is processed in one vectorized call.
-The four constant basis matrices used by the ambient-space matrix model are
-defined here:
+One constant matrix is defined here:
 
-    DIAG_IMAG  = [[ i, 0], [0, -i]]   -- diagonal imaginary generator; its
-                                         conjugation term anchors the
-                                         immersion formula's base point
-    BASIS_X1   = [[ 0, 1], [1,  0]]   -- carries the first coordinate
-    BASIS_X2   = [[ 0, i], [-i, 0]]   -- carries the second coordinate
-    BASIS_X3   = [[ 1, 0], [0,  1]]   -- carries the third coordinate
+    DIAG_IMAG  = [[ i, 0], [0, -i]]   -- the diagonal imaginary generator S
+                                         of the immersion formula
 
-A point (x1, x2, x3) is modeled as x1*BASIS_X1 + x2*BASIS_X2 + x3*BASIS_X3 =
-[[x3, x1 + i x2], [x1 - i x2, x3]].
+(how a point is encoded in a 2x2 matrix is the surface module's business).
 
 Products are written entry by entry, the one entry-wise toolkit of the
 package: `entries` splits a field into its four entry arrays (m00, m01,
-m10, m11), `mul` and `times_s` multiply such 4-tuples, and `from_entries`
-stacks one back into a (..., 2, 2) field.  Each entry of a product is then
-two whole-grid multiplications and one addition, where NumPy's `@` on
-(n, 2, 2) stacks runs one tiny matrix product per node.  The surface
-assembly and the residual suite (via `commutator`) use it.
+m10, m11), `mul`, `mul_diagonal` and `times_s` multiply such 4-tuples,
+and `from_entries` stacks one back into a (..., 2, 2) field.  Each entry
+of a product is then two whole-grid multiplications and one addition,
+where NumPy's `@` on (n, 2, 2) stacks runs one tiny matrix product per
+node.  The surface assembly and the residual suite (via `commutator`)
+use it.
 """
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
-from .errors import ShapeViolation, SingularFrameError
+from .errors import SingularFrameError
 
 DIAG_IMAG = np.array([[1j, 0.0], [0.0, -1j]])
-BASIS_X1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-BASIS_X2 = np.array([[0.0, 1j], [-1j, 0.0]])
-BASIS_X3 = np.eye(2, dtype=complex)
-
-IDENTITY = np.eye(2, dtype=complex)
 
 #: Smallest determinant magnitude `inv` accepts.
 SINGULAR_TOL = 1e-13
@@ -93,6 +82,13 @@ def mul(a, b):
     )
 
 
+def mul_diagonal(a, b):
+    """The diagonal entries (00, 11) of the product a @ b, as in `mul`."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return a00 * b00 + a01 * b10, a10 * b01 + a11 * b11
+
+
 def times_s(a):
     """Entry-wise a @ S of an entry 4-tuple, S = DIAG_IMAG = diag(i, -i)."""
     a00, a01, a10, a11 = a
@@ -114,51 +110,3 @@ def commutator(a, b):
     return from_entries(
         (c00, b01 * da - a01 * db, a10 * db - b10 * da, -c00)
     )
-
-
-def point_to_matrix(p):
-    """Embed points (..., 3) into the matrix model (..., 2, 2)."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = p[..., 2]
-    out[..., 1, 1] = p[..., 2]
-    out[..., 0, 1] = p[..., 0] + 1j * p[..., 1]
-    out[..., 1, 0] = p[..., 0] - 1j * p[..., 1]
-    return out
-
-
-def matrix_shape_deviation(m):
-    """Distance of m from the point-model shape, per matrix.
-
-    Returns the entrywise maximum of |m11 - m22|, |Im m11| and
-    |m21 - conj(m12)|; zero exactly when m encodes a real point.
-    """
-    m = np.asarray(m)
-    d1 = np.abs(m[..., 0, 0] - m[..., 1, 1])
-    d2 = np.abs(m[..., 0, 0].imag)
-    d3 = np.abs(m[..., 1, 0] - np.conj(m[..., 0, 1]))
-    return np.maximum(np.maximum(d1, d2), d3)
-
-
-def matrix_to_point(m, tol=DEFAULT_TOLERANCES["shape"]):
-    """Extract coordinates (..., 3) from matrices in the point model.
-
-    Raises ShapeViolation if any matrix deviates from the model shape by
-    more than tol (checked entrywise; see matrix_shape_deviation) or by a
-    deviation that is not finite.
-    """
-    m = np.asarray(m)
-    dev = matrix_shape_deviation(m)
-    worst = np.max(dev) if dev.size else 0.0
-    if not np.isfinite(worst):
-        raise ShapeViolation("matrix shape deviation is not finite")
-    if worst > tol:
-        raise ShapeViolation(
-            f"matrix deviates from the point-model shape by {worst:.3e} "
-            f"(tolerance {tol:.1e})"
-        )
-    out = np.empty(m.shape[:-2] + (3,), dtype=float)
-    out[..., 0] = m[..., 0, 1].real
-    out[..., 1] = m[..., 0, 1].imag
-    out[..., 2] = m[..., 0, 0].real
-    return out

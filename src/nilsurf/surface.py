@@ -13,26 +13,28 @@ stages, following the Sym-Bobenko recipe adapted to the Heisenberg group:
          f = -1/2 diag(S d(fhat)/dt) + offdiag(fhat),
 
 i.e. the horizontal part is read directly from fhat while the vertical
-(diagonal) part comes from the t-derivative.  In the matrix model the
-point coordinates appear as
+(diagonal) part comes from the diagonal of the t-derivative, the only
+part of it that is computed.  A point (x1, x2, x3) is the matrix
 
-    x1 + i x2 = f[0, 1],    x3 = Re f[0, 0],
+    [[x3, x1 + i x2], [x1 - i x2, x3]],
 
-and fhat itself stores a companion height Im fhat[0, 0] whose z-derivative
-reproduces the vertical frame coefficient of f_z — one of the cross-checks
-the residual suite exercises.
+so x1 + i x2 = f[0, 1] = fhat[0, 1] and x3 = Re f[0, 0].  fhat itself
+stores a companion height Im fhat[0, 0] whose z-derivative reproduces the
+vertical frame coefficient of f_z — one of the cross-checks the residual
+suite exercises.  `surface_from_frame` is the one place that reads
+coordinates off these matrices, after checking both shapes once.
 
 At the base point z = 0 the triple is (identity, 0, 0) exactly, hence
 fhat(0) = 2 S and f(0) = 0: every generated surface passes through the
 origin with no roundoff.
 
-Both stages work on the four entries of each matrix field rather than on
+Both stages work on the entries of each matrix field rather than on
 stacks of 2x2 matrices, through the entry-wise toolkit in mat2 (entries,
-mul, times_s, from_entries): fhat and d(fhat)/dt share one adjugate
-inverse of Psi, and a product with S only multiplies columns by i and -i.
-`generate_surface` takes one t or a sequence of them; a sequence is
-marched once (see the frame module), and each member is assembled and
-its frame released before the next.
+mul, mul_diagonal, times_s, from_entries): fhat and the diagonal of
+d(fhat)/dt share one adjugate inverse of Psi, and a product with S only
+multiplies columns by i and -i.  `generate_surface` takes one t or a
+sequence of them; a sequence is marched once (see the frame module), and
+each member is assembled and its frame released before the next.
 """
 
 from dataclasses import dataclass
@@ -45,60 +47,37 @@ from .errors import ShapeViolation
 from .frame import integrate_grid
 
 
-def _add_scaled(out, scale, terms):
-    """out += scale * terms, entry by entry, in place."""
-    for view, e in zip(mat2.entries(out), terms):
-        view += scale * e
-
-
 def _assemble(psi, psi_t, psi_tt=None):
-    """fhat and (given psi_tt) d(fhat)/dt, both from one inverse of psi.
+    """fhat's entries and (given psi_tt) the diagonal of d(fhat)/dt.
 
-    With a = psi_t psi^-1 and g = psi S psi^-1,
+    With a = psi_t psi^-1 and g = psi S psi^-1, both from one inverse of
+    psi,
 
         fhat     = -2 a + 2 g,
         dfhat/dt = -2 g a - 2 psi_tt psi^-1 + 2 a a + 2 psi_t S psi^-1.
 
-    d(fhat)/dt is summed in place and g released once used, so that few
-    entry-sized temporaries are alive beside the frame.
+    The immersion formula reads only the diagonal (d00, d11) of dfhat/dt,
+    so its off-diagonal entries are never formed.  Returns the entry
+    4-tuple of fhat and the pair (d00, d11), or None without psi_tt.
     """
     pinv = mat2.entries(mat2.inv(psi))
     a = mat2.mul(mat2.entries(psi_t), pinv)
     g = mat2.mul(mat2.times_s(mat2.entries(psi)), pinv)
-    fhat = mat2.from_entries(
-        tuple(-2.0 * ai + 2.0 * gi for ai, gi in zip(a, g))
-    )
+    fhat = tuple(-2.0 * ai + 2.0 * gi for ai, gi in zip(a, g))
     if psi_tt is None:
         return fhat, None
-    dfhat = mat2.from_entries(mat2.mul(g, a))
-    dfhat *= -2.0
-    del g
-    _add_scaled(dfhat, -2.0, mat2.mul(mat2.entries(psi_tt), pinv))
-    _add_scaled(dfhat, 2.0, mat2.mul(a, a))
-    _add_scaled(dfhat, 2.0, mat2.mul(mat2.times_s(mat2.entries(psi_t)), pinv))
-    return fhat, dfhat
+    ga = mat2.mul_diagonal(g, a)
+    tt = mat2.mul_diagonal(mat2.entries(psi_tt), pinv)
+    aa = mat2.mul_diagonal(a, a)
+    ts = mat2.mul_diagonal(mat2.times_s(mat2.entries(psi_t)), pinv)
+    return fhat, tuple(
+        -2.0 * ga[k] + -2.0 * tt[k] + 2.0 * aa[k] + 2.0 * ts[k] for k in (0, 1)
+    )
 
 
 def fhat_from_frame(psi, psi_t):
     """Auxiliary matrix map fhat = -2 psi_t psi^-1 + 2 psi S psi^-1."""
-    return _assemble(psi, psi_t)[0]
-
-
-def dfhat_dt_from_frame(psi, psi_t, psi_tt):
-    """t-derivative of fhat by the product rule on its defining formula."""
-    return _assemble(psi, psi_t, psi_tt)[1]
-
-
-def ft_from_fhat(fhat, dfhat_dt):
-    """Immersion matrix from fhat and its t-derivative.
-
-    Diagonal part: -1/2 of the diagonal of S @ dfhat_dt (the vertical
-    coordinate); off-diagonal part: copied from fhat (the horizontal
-    coordinates).
-    """
-    _, f01, f10, _ = mat2.entries(fhat)
-    d00, _, _, d11 = mat2.entries(dfhat_dt)
-    return mat2.from_entries((-0.5 * (1j * d00), f01, f10, -0.5 * (-1j * d11)))
+    return mat2.from_entries(_assemble(psi, psi_t)[0])
 
 
 @dataclass
@@ -146,54 +125,59 @@ class SurfaceGrid:
         return out
 
 
-def _fhat_shape_deviation(fhat):
-    """Deviation of fhat from its model shape.
-
-    fhat matrices carry a purely imaginary, trace-free diagonal and
-    conjugate off-diagonal entries: [[i s, w], [conj(w), -i s]] with s
-    real.  Measures the max of |Re fhat11|, |fhat11 + fhat22| and
-    |fhat21 - conj(fhat12)|.
-    """
-    d1 = np.abs(fhat[..., 0, 0].real)
-    d2 = np.abs(fhat[..., 0, 0] + fhat[..., 1, 1])
-    d3 = np.abs(fhat[..., 1, 0] - np.conj(fhat[..., 0, 1]))
-    return np.maximum(np.maximum(d1, d2), d3)
+def _worst(deviation, tol, not_finite, deviates):
+    """Max of a deviation field; ShapeViolation if not finite or over tol."""
+    worst = float(np.max(deviation))
+    if not np.isfinite(worst):
+        raise ShapeViolation(not_finite)
+    if worst > tol:
+        raise ShapeViolation(f"{deviates} by {worst:.3e} (tolerance {tol:.1e})")
+    return worst
 
 
 def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
     """Assemble a SurfaceGrid from an integrated FrameField.
 
-    Verifies that both matrix fields stay within shape_tol of their model
-    shapes (raising ShapeViolation otherwise, via the coordinate
-    extraction; a deviation that is not finite fails too) before reading
-    off coordinates.  A frame that is not finite fails first, as a
+    The one reader of the immersion matrix f.  It checks fhat against its
+    shape [[i s, w], [conj(w), -i s]] (s real), then f against the point
+    model [[x3, F], [conj(F), x3]] (x3 real), raising ShapeViolation if
+    either deviates by more than shape_tol or by a deviation that is not
+    finite; then reads F = f01, height = x3 and aux_height = s.  f shares
+    its off-diagonal entries with fhat, so the f check needs only its
+    diagonal terms.  A frame that is not finite fails first, as a
     SingularFrameError of its inverse.
     """
-    fhat, dfh = _assemble(frame_field.psi, frame_field.psi_t, frame_field.psi_tt)
-    ft = ft_from_fhat(fhat, dfh)
-    fhat_dev = float(np.max(_fhat_shape_deviation(fhat)))
-    if not np.isfinite(fhat_dev):
-        raise ShapeViolation("auxiliary matrix field is not finite")
-    if fhat_dev > shape_tol:
-        raise ShapeViolation(
-            f"auxiliary matrix field deviates from its model shape by "
-            f"{fhat_dev:.3e} (tolerance {shape_tol:.1e})"
-        )
-    coords = mat2.matrix_to_point(ft, tol=shape_tol)
-    shape_dev = max(
-        fhat_dev,
-        float(np.max(mat2.matrix_shape_deviation(ft))),
+    (h00, h01, h10, h11), (d00, d11) = _assemble(
+        frame_field.psi, frame_field.psi_t, frame_field.psi_tt
+    )
+    fhat_dev = _worst(
+        np.maximum(
+            np.maximum(np.abs(h00.real), np.abs(h00 + h11)),
+            np.abs(h10 - np.conj(h01)),
+        ),
+        shape_tol,
+        "auxiliary matrix field is not finite",
+        "auxiliary matrix field deviates from its model shape",
+    )
+    # f = -1/2 diag(S dfhat/dt) + offdiag(fhat)
+    f00 = -0.5 * (1j * d00)
+    f11 = -0.5 * (-1j * d11)
+    f_dev = _worst(
+        np.maximum(np.abs(f00 - f11), np.abs(f00.imag)),
+        shape_tol,
+        "matrix shape deviation is not finite",
+        "matrix deviates from the point-model shape",
     )
     return SurfaceGrid(
         x=frame_field.x,
         y=frame_field.y,
         t=frame_field.t,
-        F=coords[..., 0] + 1j * coords[..., 1],
-        height=coords[..., 2],
-        aux_height=fhat[..., 0, 0].imag.copy(),
-        fhat=fhat,
+        F=h01,
+        height=f00.real.copy(),
+        aux_height=h00.imag.copy(),
+        fhat=mat2.from_entries((h00, h01, h10, h11)),
         det_deviation=frame_field.det_deviation(),
-        shape_deviation=shape_dev,
+        shape_deviation=max(fhat_dev, f_dev),
     )
 
 

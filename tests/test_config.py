@@ -193,6 +193,37 @@ class TestSchemaErrors:
                 parse(doc)
             assert path_part in err.value.path
 
+    def test_node_counts_are_bounded(self):
+        for key, count in (("nx", 10**400), ("ny", config.MAX_NODES + 1)):
+            doc = base_document()
+            doc["domain"][key] = count
+            with pytest.raises(SchemaError, match=f"<= {config.MAX_NODES}") as err:
+                parse(doc)
+            assert err.value.path == f"domain.{key}"
+        doc = base_document()
+        doc["domain"]["nx"] = config.MAX_NODES
+        assert parse(doc).domain.nx == config.MAX_NODES
+
+    def test_solver_grids_are_bounded(self):
+        box = {"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0}
+        doc = base_document()
+        doc["potential"]["rho0"] = {
+            "source": "solved",
+            "solver_domain": dict(box, nx=129, ny=config.MAX_NODES + 1),
+        }
+        with pytest.raises(SchemaError) as err:
+            parse(doc)
+        assert err.value.path == "potential.rho0.solver_domain.ny"
+        # the default solver grid has 4n - 3 nodes per axis
+        largest = (config.MAX_NODES + 3) // 4
+        doc["potential"]["rho0"] = {"source": "solved"}
+        doc["domain"].update(nx=largest, ny=largest)
+        assert parse(doc).resolved_solver_domain().ny == config.MAX_NODES
+        doc["domain"]["ny"] = largest + 1
+        with pytest.raises(SchemaError, match="4n - 3") as err:
+            parse(doc)
+        assert err.value.path == "domain.ny"
+
     def test_missing_required_sections(self):
         with pytest.raises(SchemaError):
             parse({"domain": base_document()["domain"]})

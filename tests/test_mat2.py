@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from nilsurf import mat2
-from nilsurf.errors import ShapeViolation, SingularFrameError
+from nilsurf import frame, mat2, surface
+from nilsurf.errors import SingularFrameError
 
 
 def test_basis_constants():
@@ -12,52 +12,49 @@ def test_basis_constants():
         mat2.DIAG_IMAG, np.array([[1j, 0], [0, -1j]])
     )
     np.testing.assert_array_equal(mat2.DIAG_IMAG @ mat2.DIAG_IMAG, -np.eye(2))
-    np.testing.assert_array_equal(mat2.BASIS_X3, np.eye(2))
-    # the three coordinate basis matrices are Hermitian
-    for basis in (mat2.BASIS_X1, mat2.BASIS_X2, mat2.BASIS_X3):
-        np.testing.assert_array_equal(basis, np.conj(basis.T))
+
+
+
+def one_node_surface(w, ds):
+    """surface_from_frame on a one-node triple with fhat = offdiag(w) and
+    diag d(fhat)/dt = (i ds, -i ds), i.e. immersion matrix
+    [[ds / 2, w], [conj(w), ds / 2]].
+
+    With psi = I the product rule gives fhat = -2 K + 2 S for psi_t = K,
+    and psi_tt = M is solved for the wanted d(fhat)/dt.
+    """
+    s = mat2.DIAG_IMAG
+    fhat = np.array([[0.0, w], [np.conj(w), 0.0]])
+    dfhat = np.array([[1j * ds, 0.0], [0.0, -1j * ds]])
+    k = s - fhat / 2
+    m = (-2 * s @ k + 2 * k @ k + 2 * k @ s - dfhat) / 2
+    field = frame.FrameField(
+        x=np.zeros(1), y=np.zeros(1), t=0.0,
+        psi=np.eye(2, dtype=complex)[None, None], psi_t=k[None, None],
+        psi_tt=m[None, None],
+    )
+    return surface.surface_from_frame(field)
 
 
 def test_point_matrix_example():
-    m = np.array([[3.0, 1.0 + 2.0j], [1.0 - 2.0j, 3.0]])
-    np.testing.assert_array_equal(mat2.matrix_to_point(m), [1.0, 2.0, 3.0])
+    # the immersion matrix [[3, 1 + 2i], [1 - 2i, 3]] is the point (1, 2, 3)
+    surf = one_node_surface(1.0 + 2.0j, 6.0)
+    np.testing.assert_allclose(surf.coords(), [[[1.0, 2.0, 3.0]]], atol=1e-14)
 
 
 def test_zero_matrix_is_origin():
-    np.testing.assert_array_equal(
-        mat2.matrix_to_point(np.zeros((2, 2), dtype=complex)), [0.0, 0.0, 0.0]
+    # the identity frame with vanishing t-derivatives has fhat = 2 S and
+    # immersion matrix 0, decoded exactly as the origin
+    field = frame.FrameField(
+        x=np.zeros(1), y=np.zeros(1), t=0.0,
+        psi=np.eye(2, dtype=complex)[None, None],
+        psi_t=np.zeros((1, 1, 2, 2), dtype=complex),
+        psi_tt=np.zeros((1, 1, 2, 2), dtype=complex),
     )
-
-
-def test_imaginary_diagonal_rejected():
-    with pytest.raises(ShapeViolation):
-        mat2.matrix_to_point(np.array([[1j, 0.0], [0.0, -1j]]))
-
-
-def test_point_matrix_round_trip_batched():
-    rng = np.random.default_rng(7)
-    p = rng.normal(size=(4, 5, 3))
-    m = mat2.point_to_matrix(p)
-    assert m.shape == (4, 5, 2, 2)
-    np.testing.assert_array_equal(mat2.matrix_shape_deviation(m), 0.0)
-    np.testing.assert_array_equal(mat2.matrix_to_point(m), p)
-    # the embedding is the linear combination of the basis matrices
-    expected = (
-        p[..., 0, None, None] * mat2.BASIS_X1
-        + p[..., 1, None, None] * mat2.BASIS_X2
-        + p[..., 2, None, None] * mat2.BASIS_X3
-    )
-    np.testing.assert_array_equal(m, expected)
-
-
-def test_shape_deviation_measures_each_defect():
-    good = mat2.point_to_matrix(np.array([1.0, 2.0, 3.0]))
-    for row, col, bump in [(0, 0, 1e-3), (0, 1, 1e-3j)]:
-        bad = good.copy()
-        bad[row, col] += bump
-        assert mat2.matrix_shape_deviation(bad) >= 1e-3 / 2
-        with pytest.raises(ShapeViolation):
-            mat2.matrix_to_point(bad, tol=1e-6)
+    surf = surface.surface_from_frame(field)
+    np.testing.assert_array_equal(surf.coords(), [[[0.0, 0.0, 0.0]]])
+    assert surf.shape_deviation == 0.0
+    np.testing.assert_array_equal(one_node_surface(0.0, 0.0).coords(), 0.0)
 
 
 def test_det_and_inv_batched():
@@ -83,15 +80,6 @@ def test_inv_refuses_a_determinant_that_is_not_finite(bad):
         SingularFrameError, match="not finite"
     ):
         mat2.inv(m)
-
-
-def test_matrix_to_point_refuses_a_nan_deviation():
-    m = mat2.point_to_matrix(np.zeros((3, 3)))
-    m[1, 0, 1] = np.nan
-    with np.errstate(all="ignore"), pytest.raises(
-        ShapeViolation, match="not finite"
-    ):
-        mat2.matrix_to_point(m)
 
 
 def test_commutator():
@@ -134,6 +122,11 @@ def test_entry_wise_products_match_matmul():
     )
     assert_close_relative(
         mat2.from_entries(mat2.times_s(mat2.entries(a))), a @ mat2.DIAG_IMAG
+    )
+    product = a @ b
+    assert_close_relative(
+        np.stack(mat2.mul_diagonal(mat2.entries(a), mat2.entries(b))),
+        np.stack((product[..., 0, 0], product[..., 1, 1])),
     )
 
 

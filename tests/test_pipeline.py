@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nilsurf
-from nilsurf import cli, pde, pipeline, residuals
+from nilsurf import cli, config, pde, pipeline, residuals
 from nilsurf.residuals import RESIDUAL_KEYS
 from nilsurf.config import parse_config
 from nilsurf.errors import (
@@ -484,6 +484,19 @@ class TestCli:
         path.write_text("{broken")
         code = cli.main(["generate", str(path)], log=lambda *_: None)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "nx", [10**400, config.MAX_NODES + 1], ids=["10**400", "MAX_NODES+1"]
+    )
+    def test_generate_refuses_too_many_nodes(self, tmp_path, nx):
+        # 10**400 used to reach np.linspace and end in a traceback
+        doc = json.loads(self._write_config(tmp_path).read_text())
+        doc["domain"]["nx"] = nx
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        lines = []
+        assert cli.main(["generate", str(path)], log=lines.append) == 2
+        assert lines == [f"error: domain.nx: node count must be <= {config.MAX_NODES}"]
 
     def test_generate_missing_config_exits_5(self, tmp_path):
         code = cli.main(

@@ -9,6 +9,11 @@ surface, residuals exactly 0) and a horizontal plane (not conformal):
 exit 2 exactly when a flag breaks the tolerances.* rules of the config
 (or the margin leaves no interior on the 17 x 17 grid), and never exit 0
 on the horizontal plane.
+(c) `check` on a valid 17 x 17 surface CSV with one edit of its content
+(a cell made non-numeric, NaN, infinite or empty, a column added or
+removed, a row dropped or duplicated, an axis value shifted, or a
+coordinate replaced by another finite number): exit 2 exactly when the
+edit breaks the documented CSV schema, else 0 or 4.
 
 The inputs overflow on purpose, so every call runs under
 np.errstate(all="ignore").
@@ -26,7 +31,8 @@ from hypothesis import strategies as st
 
 from nilsurf import cli, config
 from nilsurf.outputs import write_surface_csv
-from nilsurf.surface import SurfaceGrid
+from nilsurf.potentials import Potential
+from nilsurf.surface import SurfaceGrid, generate_surface
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 GRID_NODES = 17
@@ -62,9 +68,9 @@ BAD_VALUES = [
     [],
     {},
 ]
-#: Only where a number is not a node count: a node count this large would
-#: ask for a grid far beyond the 17 x 17 these tests run.
 HUGE_INT = 10**400
+#: Node counts also draw the smallest count above config.MAX_NODES; each
+#: must be refused before any grid is allocated.
 COUNT_KEYS = ("nx", "ny")
 
 FRONTEND = settings(max_examples=25, deadline=None)
@@ -112,7 +118,9 @@ def documents(draw):
         elif action == "add" and isinstance(parent, dict):
             parent["unexpected"] = 1
         else:
-            values = BAD_VALUES if key in COUNT_KEYS else BAD_VALUES + [HUGE_INT]
+            values = BAD_VALUES + [HUGE_INT]
+            if key in COUNT_KEYS:
+                values = values + [config.MAX_NODES + 1]
             parent[key] = draw(st.sampled_from(values))
     return doc
 
@@ -211,3 +219,72 @@ def test_check_flags_follow_the_config_rules(
         assert code == 2
     else:
         assert code == (0 if kind == "vertical" else 4)
+
+
+#: Cell texts the CSV schema refuses: not a number, or not finite.
+BAD_CELLS = ["abc", "", " ", "1.0.0", "0x10", "nan", "NaN", "inf", "-inf", "Infinity"]
+CSV_EDITS = (
+    "cell", "value", "add_column", "drop_column", "drop_row", "duplicate_row",
+    "shift_axis",
+)
+#: Axis step of the CSV's grid, 17 nodes on [-0.5, 0.5].
+CSV_STEP = 1.0 / (GRID_NODES - 1)
+
+
+@pytest.fixture(scope="module")
+def surface_csv_rows(tmp_path_factory):
+    """Header and split data rows of a generated 17 x 17 surface CSV."""
+    axis = np.linspace(-0.5, 0.5, GRID_NODES)
+    path = tmp_path_factory.mktemp("surface") / "surface.csv"
+    write_surface_csv(
+        generate_surface(Potential.constant(1.0, (0.25,)), axis, axis, 0.3), path
+    )
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def _edit_csv(draw, header, rows):
+    """Apply one drawn edit in place; True when it breaks the CSV schema."""
+    kind = draw(st.sampled_from(CSV_EDITS))
+    r = draw(st.integers(0, len(rows) - 1))
+    if kind == "cell":
+        rows[r][draw(st.integers(0, 4))] = draw(st.sampled_from(BAD_CELLS))
+    elif kind == "value":
+        value = draw(st.floats(allow_nan=False, allow_infinity=False))
+        rows[r][draw(st.integers(2, 4))] = repr(value)
+        return False
+    elif kind in ("add_column", "drop_column"):
+        c = draw(st.integers(0, 4))
+        for line in [header, *rows] if draw(st.booleans()) else [rows[r]]:
+            if kind == "add_column":
+                line.insert(c, "0.0")
+            else:
+                del line[c]
+    elif kind == "drop_row":
+        del rows[r]
+    elif kind == "duplicate_row":
+        rows.insert(r, list(rows[r]))
+    else:
+        c = draw(st.integers(0, 1))
+        shift = draw(
+            st.sampled_from([CSV_STEP, -CSV_STEP, CSV_STEP / 2, 3 * CSV_STEP, 1e-9])
+        )
+        rows[r][c] = repr(float(rows[r][c]) + shift)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_malformed_csv_content_is_refused(surface_csv_rows, data):
+    header = list(surface_csv_rows[0])
+    rows = [list(row) for row in surface_csv_rows[1]]
+    breaks = _edit_csv(data.draw, header, rows)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "edited.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(",".join(line) + "\n" for line in [header, *rows])
+        code = _run(["check", path])
+    if breaks:
+        assert code == 2
+    else:
+        assert code in (0, 4)

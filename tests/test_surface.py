@@ -25,8 +25,9 @@ class TestMatrixAlgebra:
         )
 
     def test_dfhat_dt_matches_finite_difference_of_fhat(self):
-        # independent check of the product-rule expansion: move the frame
-        # along a synthetic t-line psi(t) = psi0 @ expm(t K)
+        # independent check of the product-rule expansion of the diagonal
+        # of d(fhat)/dt, the part the immersion formula reads: move the
+        # frame along a synthetic t-line psi(t) = psi0 @ expm(t K)
         from scipy.linalg import expm
 
         rng = np.random.default_rng(41)
@@ -40,10 +41,11 @@ class TestMatrixAlgebra:
 
         d = 1e-5
         psi, psi_t, psi_tt = triple(0.2)
-        got = surface.dfhat_dt_from_frame(psi, psi_t, psi_tt)
+        got = surface._assemble(psi, psi_t, psi_tt)[1]
         hi = surface.fhat_from_frame(*triple(0.2 + d)[:2])
         lo = surface.fhat_from_frame(*triple(0.2 - d)[:2])
-        np.testing.assert_allclose(got, (hi - lo) / (2 * d), atol=1e-8)
+        fd = (hi - lo) / (2 * d)
+        np.testing.assert_allclose(got, (fd[0, 0], fd[1, 1]), atol=1e-8)
 
     def test_entry_wise_assembly_matches_dense_products(self):
         # reference: the defining formulas with generic @ on (n, 2, 2) stacks
@@ -66,22 +68,36 @@ class TestMatrixAlgebra:
         np.testing.assert_allclose(
             surface.fhat_from_frame(psi, psi_t), fhat, rtol=0.0, atol=1e-13
         )
+        fhat_entries, diagonal = surface._assemble(psi, psi_t, psi_tt)
         np.testing.assert_allclose(
-            surface.dfhat_dt_from_frame(psi, psi_t, psi_tt), dfhat,
-            rtol=0.0, atol=1e-13,
+            mat2.from_entries(fhat_entries), fhat, rtol=0.0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            diagonal, (dfhat[:, 0, 0], dfhat[:, 1, 1]), rtol=0.0, atol=1e-13
         )
 
     def test_ft_extracts_vertical_from_dfhat_and_horizontal_from_fhat(self):
+        # a one-node frame triple built so that fhat = [[i s, w], [conj w,
+        # -i s]] and diag d(fhat)/dt = (i ds, -i ds): with psi = I,
+        # fhat = -2 K + 2 S for psi_t = K, and psi_tt = M solves the
+        # product rule for the wanted d(fhat)/dt
         s, w, ds, dw = 3.0, 1.0 + 2.0j, 4.0, 9.0
+        S = mat2.DIAG_IMAG
         fhat = np.array([[1j * s, w], [np.conj(w), -1j * s]])
         dfhat = np.array([[1j * ds, dw], [np.conj(dw), -1j * ds]])
-        ft = surface.ft_from_fhat(fhat, dfhat)
-        np.testing.assert_allclose(
-            ft, np.array([[ds / 2, w], [np.conj(w), ds / 2]]), atol=1e-15
+        k = S - fhat / 2
+        m = (-2 * S @ k + 2 * k @ k + 2 * k @ S - dfhat) / 2
+        field = frame.FrameField(
+            x=np.zeros(1), y=np.zeros(1), t=0.0,
+            psi=np.eye(2, dtype=complex)[None, None], psi_t=k[None, None],
+            psi_tt=m[None, None],
         )
-        np.testing.assert_allclose(
-            mat2.matrix_to_point(ft), [w.real, w.imag, ds / 2], atol=1e-15
-        )
+        surf = surface.surface_from_frame(field)
+        np.testing.assert_allclose(surf.F, [[w]], atol=1e-15)
+        np.testing.assert_allclose(surf.height, [[ds / 2]], atol=1e-14)
+        np.testing.assert_allclose(surf.aux_height, [[s]], atol=1e-15)
+        np.testing.assert_allclose(surf.fhat, fhat[None, None], atol=1e-15)
+        assert surf.shape_deviation < 1e-14
 
 
 class TestGeneratedSurface:
@@ -165,6 +181,35 @@ class TestShapeGate:
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
         field.psi_t[2, 3] += np.array([[0.05, 0.0], [0.0, 0.0]])
         with pytest.raises(ShapeViolation):
+            surface.surface_from_frame(field)
+
+    def test_corrupted_second_derivative_is_rejected(self):
+        # psi_tt enters only the diagonal of the immersion matrix: fhat
+        # keeps its shape, the point-model check must catch it
+        field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
+        field.psi_tt[2, 3, 0, 0] += 0.05
+        with pytest.raises(
+            ShapeViolation, match="matrix deviates from the point-model shape"
+        ):
+            surface.surface_from_frame(field)
+
+    def test_each_immersion_defect_is_measured(self):
+        # a real bump of psi_tt[0, 0] makes Im f00 nonzero, an imaginary
+        # one makes f00 != f11 with both real
+        for bump in (1e-3, 1e-3j):
+            field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
+            field.psi_tt[2, 3, 0, 0] += bump
+            loose = surface.surface_from_frame(field, shape_tol=1.0)
+            assert loose.shape_deviation >= 1e-3 / 2
+            with pytest.raises(ShapeViolation, match="point-model shape"):
+                surface.surface_from_frame(field, shape_tol=1e-6)
+
+    def test_nan_second_derivative_is_rejected(self):
+        field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
+        field.psi_tt[2, 3, 0, 0] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(
+            ShapeViolation, match="matrix shape deviation is not finite"
+        ):
             surface.surface_from_frame(field)
 
     def test_nan_derivative_is_rejected(self):
