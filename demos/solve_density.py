@@ -16,7 +16,8 @@ import os
 import numpy as np
 
 from nilsurf.outputs import write_solution_csv
-from nilsurf.pde import liouville_exact, newton_solve
+from nilsurf.pde import newton_solve
+from nilsurf.potentials import liouville_exact
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)

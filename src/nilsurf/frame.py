@@ -41,6 +41,16 @@ the RK4 kernel `_rk4`, which `rk4_step` also calls after sampling its own
 three points.  A grid the potential cannot be evaluated on (past a solved
 rectangle, say) therefore fails before the first step.
 
+The outward steps run in pairs.  Along the base line, the step to column
+col0 + k and the step to col0 - k are one `_rk4` call on both nodes; then
+the steps to rows row0 + k and row0 - k are one call on both rows.  Where
+one side is longer, its remaining steps run alone.  At a few nodes a
+step's cost is NumPy's per-call overhead, so halving the calls (128
+instead of 256 at 129 x 129) is what saves time.  The frames do not
+change, bitwise: the kernel is entry-wise, so every node is computed from
+its own source state, increment and samples, the same ones as in a march
+that takes one direction at a time.
+
 Admissibility of the potential is what makes the connection flat
 (curvature dz̄-derivative of U minus dz-derivative of V minus [U, V]
 vanishes), hence the integration path-independent.  The package checks
@@ -295,10 +305,25 @@ def _check_admissibility(potential, z_nodes):
 
 
 def _outward(n, start):
-    """(from, to) index pairs marching away from start in both directions."""
-    return [(k - 1, k) for k in range(start + 1, n)] + [
-        (k + 1, k) for k in range(start - 1, -1, -1)
-    ]
+    """Paired steps marching away from start: (from, to, chained) per step.
+
+    Step k takes start + k - 1 to start + k and start - k + 1 to start - k
+    together, as index arrays of one or two entries: both while both lie
+    in range(n), then the longer side alone.  chained marks a step whose
+    sources are the previous step's destinations.
+    """
+    steps = []
+    for k in range(1, max(start, n - 1 - start) + 1):
+        sides = [s for s in (1, -1) if 0 <= start + s * k < n]
+        chained = k > 1 and len(sides) == len(steps[-1][1])
+        steps.append(
+            (
+                np.array([start + s * (k - 1) for s in sides]),
+                np.array([start + s * k for s in sides]),
+                chained,
+            )
+        )
+    return steps
 
 
 def integrate_grid(
@@ -320,10 +345,13 @@ def integrate_grid(
     The march starts from the exact base point z = 0 with the triple
     (identity, 0, 0); the grid must contain 0 (the nearest node is reached
     by a single starting step when 0 is not itself a node).  With
-    path_order "row-major" the sweep fills the base row sequentially and
-    then advances whole rows in batched steps along y; "column-major" does
+    path_order "row-major" the sweep fills the base row outward from that
+    node and then advances whole rows outward along y; "column-major" does
     the transpose.  For flat connections the two sweeps agree to RK4
-    accuracy, which is the practical test of path independence.
+    accuracy, which is the practical test of path independence.  Each
+    kernel call takes a pair of steps, one on each side of the base node
+    (or row), until the shorter side runs out; the pair shares nothing but
+    the call, so the frames are bitwise those of single steps.
 
     substeps > 1 subdivides every segment into that many equal RK4 steps,
     scaling the local error by substeps^-4.
@@ -360,17 +388,29 @@ def integrate_grid(
         views = [b.swapaxes(-1, -2) for b in blocks]
         z_path, row0, col0 = z_nodes.T, i0, j0
 
-    # The base line, then whole rows; a node is the destination of one step.
+    # The base line, then whole rows, each in paired outward steps; a node
+    # is the destination of one step.  Steps index nodes by (row, column)
+    # arrays of equal length, so a pair of rows is one node axis.
     n_rows, n_cols = z_path.shape
+
+    def on_base_line(cols):
+        return np.full(cols.size, row0), cols
+
+    def whole_rows(rows):
+        return np.repeat(rows, n_cols), np.tile(np.arange(n_cols), rows.size)
+
     steps = [
-        ((row0, slice(a, a + 1)), (row0, slice(b, b + 1)))
-        for a, b in _outward(n_cols, col0)
-    ] + [((a, slice(None)), (b, slice(None))) for a, b in _outward(n_rows, row0)]
+        (on_base_line(a), on_base_line(b), chained)
+        for a, b, chained in _outward(n_cols, col0)
+    ] + [
+        (whole_rows(a), whole_rows(b), chained)
+        for a, b, chained in _outward(n_rows, row0)
+    ]
 
     # Sample every step of the march at once, indexed by (substep,
     # destination node): the ends, the increments and the midpoints.
     z_from = z_path.copy()
-    for src, dst in steps:
+    for src, dst, _ in steps:
         z_from[dst] = z_path[src]
     points = _substep_points(z_from, z_path, substeps)
     dz = points[1:] - points[:-1]
@@ -395,12 +435,11 @@ def integrate_grid(
     def pick(sample, at):
         return tuple(f[at] for f in sample)
 
-    # Base-line nodes are 1-wide slices so every state has a node axis.  A
-    # step whose source is the previous destination reuses the state.
-    at = (row0, slice(col0, col0 + 1))
-    store(at, state)
-    for src, dst in steps:
-        if src != at:
+    # Every state has a node axis.  A chained step continues from the
+    # state of the previous one; any other step loads its sources.
+    store((np.array([row0]), np.array([col0])), state)
+    for src, dst, chained in steps:
+        if not chained:
             state = load(src)
         for k in range(substeps):
             state = _rk4(
@@ -412,7 +451,6 @@ def integrate_grid(
                 pick(ends, (k + 1,) + dst),
             )
         store(dst, state)
-        at = dst
 
     out = [
         FrameField(x, y, float(tm), *np.moveaxis(block, (1, 2), (3, 4)))

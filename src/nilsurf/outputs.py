@@ -8,7 +8,9 @@ Formats:
   * Mesh: plain OBJ-style text; one "v x1 x2 x3" line per grid node in
     row-major order (12 significant digits, negative zero normalized), then
     "f i j k" lines with 1-based vertex indices, two triangles per grid
-    cell with consistent winding.
+    cell with consistent winding.  The face block depends only on the
+    grid: `generate` formats it once (`obj_faces`) and shares the text
+    among the meshes of one family; nothing keeps it past that call.
   * Surface CSV (for `check`): header x,y,F_re,F_im,h then one row per
     node, row-major, full double precision.
   * Solution CSV (from `solve-gauss`): header x,y,u, same layout.
@@ -60,53 +62,44 @@ def _write_grid_csv(path, header, x, y, values):
             fh.write((tail.join(x_text) + tail) % tuple(row.ravel().tolist()))
 
 
-def export_obj(surface, path):
-    """Write a surface grid as an OBJ-style triangle mesh.
+def obj_faces(nx, ny):
+    """The face block of an OBJ mesh of an nx x ny grid, as text.
 
-    Vertices appear in row-major node order; each grid cell contributes
-    two triangles wound consistently (counterclockwise as seen from the
-    +x3 side of the parameter grid).  Returns a MeshSummary; a 9x9 grid
-    yields 81 vertices and 128 faces.  The file is written one grid row
-    at a time.
+    Two triangles per grid cell, "f i j k" with 1-based vertex indices in
+    row-major node order, wound consistently (counterclockwise as seen
+    from the +x3 side of the parameter grid).  The block depends only on
+    the grid, so `generate` formats it once for the whole family.
     """
-    coords = surface.coords() + 0.0  # normalize -0.0
-    ny, nx = coords.shape[:2]
     v00 = np.arange(1, nx * ny + 1).reshape(ny, nx)[:-1, :-1]
     v10 = v00 + nx
     # per cell: f v00 v01 v11, then f v00 v11 v10
     faces = np.stack([v00, v00 + 1, v10 + 1, v00, v10 + 1, v10], axis=-1)
-    vertex_row = "v %.12g %.12g %.12g\n" * nx
     face_row = "f %d %d %d\n" * (2 * (nx - 1))
+    return "".join(face_row % tuple(row.ravel().tolist()) for row in faces)
+
+
+def export_obj(surface, path, faces=None):
+    """Write a surface grid as an OBJ-style triangle mesh.
+
+    Vertices appear in row-major node order, one grid row at a time, then
+    the face block: faces, the text `obj_faces` returns for the grid, or
+    formatted here when it is None.  Returns a MeshSummary; a 9x9 grid
+    yields 81 vertices and 128 faces.
+    """
+    coords = surface.coords() + 0.0  # normalize -0.0
+    ny, nx = coords.shape[:2]
+    if faces is None:
+        faces = obj_faces(nx, ny)
+    vertex_row = "v %.12g %.12g %.12g\n" * nx
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in coords:
             fh.write(vertex_row % tuple(row.ravel().tolist()))
-        for row in faces:
-            fh.write(face_row % tuple(row.ravel().tolist()))
+        fh.write(faces)
     return MeshSummary(
         path=str(path),
         vertex_count=nx * ny,
         face_count=2 * (nx - 1) * (ny - 1),
     )
-
-
-def read_obj(path):
-    """Read back an OBJ-style mesh written by export_obj.
-
-    Returns (vertices, faces) with vertices an (n, 3) float array and
-    faces an (m, 3) int array of 0-based indices.
-    """
-    vertices = []
-    faces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                vertices.append([float(v) for v in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(v) - 1 for v in parts[1:4]])
-    return np.asarray(vertices, dtype=float), np.asarray(faces, dtype=int)
 
 
 def write_surface_csv(surface, path):

@@ -31,6 +31,12 @@ an Eisenstat-Walker forcing term (_forcing_term), loose while the
 residual is large and tightening as it converges.  CG_RTOL is the forcing
 term's floor and the tolerance of the harmonic fill.
 
+The iteration stops when the residual max-norm reaches tol or
+ROUNDING_FLOOR_FACTOR times the residual's rounding floor at the iterate
+(_rounding_floor), whichever is larger.  The stencil divides differences
+of u by h^2, so on fine grids that floor passes the default tol, and a
+fixed tol would leave the line search stagnating above it.
+
 The module needs NumPy only: no matrix is assembled, and the one stencil
 (_quarter_laplacian) serves the residual, the Newton operator and the
 boundary coupling of the harmonic fill.
@@ -42,11 +48,14 @@ import numpy as np
 
 from .config import DEFAULT_SOLVER
 from .errors import DomainError, LinearSolveFailure, MaxIterExceeded
-from .potentials import liouville_exact  # noqa: F401  (the solver's regression target)
 
 CG_RTOL = 1e-12
 CG_MAXITER = 40000
 MIN_LINESEARCH_STEP = 1e-12
+#: The Newton iteration stops at max(tol, ROUNDING_FLOOR_FACTOR * floor),
+#: with floor the rounding floor of the discrete residual (_rounding_floor).
+ROUNDING_FLOOR_FACTOR = 2.0
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -64,6 +73,8 @@ class SolveResult:
                        solve (initial guess first); each Newton step's
                        solve stops at its forcing term, whose floor is
                        CG_RTOL, the harmonic fill's tolerance
+      rounding_floor   rounding floor of the residual at the final iterate
+                       (_rounding_floor)
     """
 
     x: np.ndarray
@@ -73,6 +84,7 @@ class SolveResult:
     residual_history: list = field(default_factory=list)
     newton_iterations: int = 0
     cg_iterations: list = field(default_factory=list)
+    rounding_floor: float = 0.0
 
     @property
     def final_residual(self):
@@ -132,6 +144,21 @@ def pde_residual(u, q0_abs_sq, h):
         + 2.0 * q0_abs_sq[1:-1, 1:-1] * np.exp(-ui)
     )
     return r
+
+
+def _rounding_floor(u, h):
+    """Rounding floor of the max-norm residual at the iterate u.
+
+    The stencil divides differences of u by h^2, so one unit of roundoff
+    in its five terms is eps (|u_E| + |u_W| + |u_N| + |u_S| + 4|u|) / 4h^2;
+    the largest value over the interior nodes is the floor.  On a fine
+    grid it exceeds a fixed tol: about 4e-10 at 513^2 on Liouville data.
+    """
+    a = np.abs(u)
+    terms = (
+        a[1:-1, 2:] + a[1:-1, :-2] + a[2:, 1:-1] + a[:-2, 1:-1] + 4.0 * a[1:-1, 1:-1]
+    )
+    return float(EPS * np.max(terms) / (4.0 * h * h))
 
 
 def _dst1(a, axis):
@@ -253,7 +280,9 @@ def newton_solve(
       bc         Dirichlet data for u: scalar or full (ny, nx) array whose
                  edges are used (interior ignored)
       x, y       uniform axes with square cells
-      tol        convergence threshold on the residual max-norm
+      tol        convergence threshold on the residual max-norm, raised
+                 to ROUNDING_FLOOR_FACTOR times the rounding floor where
+                 that is larger
       max_iter   Newton iteration cap
 
     Returns a SolveResult.  Raises MaxIterExceeded when the iteration cap
@@ -286,7 +315,12 @@ def newton_solve(
     for iteration in range(max_iter + 1):
         rnorm = float(np.max(np.abs(r)))
         history.append(rnorm)
-        if rnorm <= tol:
+        # the floor is at most 2 eps max|u| / h^2: evaluate it only below that
+        reach = ROUNDING_FLOOR_FACTOR * 2.0 * EPS * np.max(np.abs(u)) / (h * h)
+        stop = tol
+        if tol < rnorm <= reach:
+            stop = max(tol, ROUNDING_FLOOR_FACTOR * _rounding_floor(u, h))
+        if rnorm <= stop:
             return SolveResult(
                 x=x,
                 y=y,
@@ -295,6 +329,7 @@ def newton_solve(
                 residual_history=history,
                 newton_iterations=iteration,
                 cg_iterations=cg_counter,
+                rounding_floor=_rounding_floor(u, h),
             )
         if iteration == max_iter:
             break
@@ -317,9 +352,10 @@ def newton_solve(
                 raise MaxIterExceeded(
                     iterations=iteration,
                     residual=rnorm,
-                    tol=tol,
-                    message="line search stagnated; residual no longer decreasing",
+                    tol=stop,
+                    message="line search stagnated; residual no longer "
+                    f"decreasing (rounding floor {_rounding_floor(u, h):.3e})",
                 )
         u = trial
 
-    raise MaxIterExceeded(iterations=max_iter, residual=history[-1], tol=tol)
+    raise MaxIterExceeded(iterations=max_iter, residual=history[-1], tol=stop)

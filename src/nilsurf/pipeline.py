@@ -49,6 +49,7 @@ from .errors import (
 )
 from .outputs import (
     export_obj,
+    obj_faces,
     read_surface_csv,
     write_json,
     write_solution_csv,
@@ -217,6 +218,7 @@ def build_potential(config):
         "final_residual": result.final_residual,
         "residual_history": [float(v) for v in result.residual_history],
         "cg_iterations": [int(v) for v in result.cg_iterations],
+        "rounding_floor": result.rounding_floor,
     }
     return potential, summary, result
 
@@ -259,6 +261,8 @@ def _generate(config, log):
         shape_tol=config.shape_tol,
         check_flatness=False,  # gated once above
     )
+    # every member's mesh shares the grid, hence the face block
+    faces = obj_faces(x.size, y.size)
     surfaces_out = []
     for t in config.t_values:
         # release each member once it is exported
@@ -266,7 +270,7 @@ def _generate(config, log):
         report, thresholds, passed, failures = _verdict(
             surf, h, potential, **tolerances
         )
-        mesh = export_obj(surf, _mesh_path(config.mesh_pattern, t))
+        mesh = export_obj(surf, _mesh_path(config.mesh_pattern, t), faces)
         # a class with no finite value ranks last
         worst_key = max(
             RESIDUAL_KEYS,
@@ -359,7 +363,8 @@ def _solve(config, out_path, log):
     history = ", ".join(f"{v:.3e}" for v in result.residual_history)
     log(
         f"solved {result.x.size} x {result.y.size} grid in "
-        f"{result.newton_iterations} Newton steps; residual history: {history}"
+        f"{result.newton_iterations} Newton steps; residual history: {history} "
+        f"(rounding floor {result.rounding_floor:.3e})"
     )
     log(f"solution -> {path}")
     return EXIT_PASS, result

@@ -38,9 +38,9 @@ import scipy.linalg
 from nilsurf import nil3
 from nilsurf.config import parse_config
 from nilsurf.frame import connection_at, integrate_grid
-from nilsurf.pde import liouville_exact, newton_solve
+from nilsurf.pde import newton_solve
 from nilsurf.pipeline import classify_report, residual_thresholds, run_generate
-from nilsurf.potentials import Potential
+from nilsurf.potentials import Potential, liouville_exact
 from nilsurf.residuals import RESIDUAL_KEYS, verify_surface
 from nilsurf.surface import SurfaceGrid, generate_surface
 

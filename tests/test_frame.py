@@ -10,6 +10,8 @@ with this oracle to its own discretization accuracy on every node.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nilsurf import frame
@@ -409,6 +411,59 @@ class TestSampledMarch:
             with pytest.raises(DomainError):
                 frame.integrate_grid(family_potentials["solved"], x, ax, 0.3)
         assert kernel_calls == []
+
+    @pytest.mark.parametrize("path_order", ["row-major", "column-major"])
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    def test_outward_steps_run_in_pairs(self, monkeypatch, path_order, substeps):
+        # the steps to col0 + k and col0 - k share a kernel call, and so do
+        # those to row0 + k and row0 - k: one call per step of the longer side
+        kernel_calls = []
+        kernel = frame._rk4
+        monkeypatch.setattr(
+            frame, "_rk4", lambda *args: kernel_calls.append(1) or kernel(*args)
+        )
+        centred = (np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 7))
+        edge = (np.linspace(0.0, 0.4, 11), np.linspace(-0.36, 0.0, 10))
+        lopsided = (np.linspace(-0.1, 0.4, 11), np.linspace(-0.35, 0.05, 9))
+        off_node = (np.linspace(-0.13, 0.37, 11), np.linspace(-0.31, 0.41, 7))
+        for x, y in (centred, edge, lopsided, off_node):
+            i0, j0 = int(np.argmin(np.abs(x))), int(np.argmin(np.abs(y)))
+            longer = max(i0, x.size - 1 - i0) + max(j0, y.size - 1 - j0)
+            base = int(x[i0] != 0.0 or y[j0] != 0.0)
+            kernel_calls.clear()
+            frame.integrate_grid(
+                UNIT_POTENTIAL, x, y, [0.1, 0.2],
+                path_order=path_order, substeps=substeps,
+            )
+            assert len(kernel_calls) == substeps * (longer + base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_paired_march_equals_rk4_step_loop_bitwise(self, family_potentials, data):
+        # the base node anywhere, on or off a node, so that one side of the
+        # base line (or of the base row) is longer than the other
+        def axis(n, spacing):
+            base = data.draw(st.integers(0, n - 1))
+            shift = data.draw(st.sampled_from([0.0, 0.17, 0.4, -0.23, -0.4]))
+            if (base == 0 and shift > 0.0) or (base == n - 1 and shift < 0.0):
+                shift = -shift  # keep z = 0 inside the grid
+            return spacing * (np.arange(n) - base + shift)
+
+        nx = data.draw(st.integers(3, 15))
+        x = axis(nx, 0.03)
+        y = axis(data.draw(st.integers(3, 15).filter(lambda n: n != nx)), 0.027)
+        kind = data.draw(st.sampled_from(["constant", "liouville", "solved"]))
+        pot = family_potentials[kind]
+        path_order = data.draw(st.sampled_from(["row-major", "column-major"]))
+        substeps = data.draw(st.integers(1, 3))
+        t_values = [0.0, 0.7, 2.1]
+        fields = frame.integrate_grid(
+            pot, x, y, t_values, path_order=path_order, substeps=substeps
+        )
+        expected = reference_march(pot, x, y, t_values, path_order, substeps)
+        for field, triple in zip(fields, expected):
+            for name, want in zip(("psi", "psi_t", "psi_tt"), triple):
+                assert np.array_equal(getattr(field, name), want), name
 
     @pytest.mark.parametrize("kind", ["liouville", "solved"])
     def test_potential_calls_do_not_grow_with_the_march(self, family_potentials, kind):

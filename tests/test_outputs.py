@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from obj_reader import read_obj
 
 from nilsurf import outputs
 from nilsurf.errors import SchemaError
@@ -65,7 +66,7 @@ class TestObj:
         surf = toy_surface(9)
         path = tmp_path / "mesh.obj"
         outputs.export_obj(surf, path)
-        _, faces = outputs.read_obj(path)
+        _, faces = read_obj(path)
         # first cell: nodes 0, 1, 9, 10 (0-based after read-back)
         np.testing.assert_array_equal(faces[0], [0, 1, 10])
         np.testing.assert_array_equal(faces[1], [0, 10, 9])
@@ -78,7 +79,7 @@ class TestObj:
         surf = toy_surface(11, seed=8)
         path = tmp_path / "mesh.obj"
         outputs.export_obj(surf, path)
-        verts, _ = outputs.read_obj(path)
+        verts, _ = read_obj(path)
         expected = surf.coords().reshape(-1, 3)
         err = np.abs(verts - expected)
         scale = np.maximum(np.abs(expected), 1.0)

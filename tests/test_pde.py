@@ -5,6 +5,7 @@ import pytest
 
 from nilsurf import pde
 from nilsurf.errors import DomainError, LinearSolveFailure, MaxIterExceeded
+from nilsurf.potentials import liouville_exact
 
 
 def square_axes(n, half_width=0.5):
@@ -19,16 +20,16 @@ def grid_z(x, y):
 
 class TestLiouvilleExact:
     def test_values(self):
-        assert pde.liouville_exact(0.0j) == 16.0
+        assert liouville_exact(0.0j) == 16.0
         np.testing.assert_allclose(
-            pde.liouville_exact((1.0 + 1.0j) / 2.0), 64.0, rtol=1e-15
+            liouville_exact((1.0 + 1.0j) / 2.0), 64.0, rtol=1e-15
         )
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            pde.liouville_exact(1.0 + 0.0j)
+            liouville_exact(1.0 + 0.0j)
         with pytest.raises(DomainError):
-            pde.liouville_exact(np.array([0.2j, -1.01]))
+            liouville_exact(np.array([0.2j, -1.01]))
 
 
 class TestResidualField:
@@ -108,7 +109,7 @@ class TestNewtonSolve:
         for n in (17, 33):
             x, y = square_axes(n)
             z = grid_z(x, y)
-            bc = np.log(pde.liouville_exact(z))
+            bc = np.log(liouville_exact(z))
             result = pde.newton_solve(np.zeros((n, n)), bc, x, y, tol=1e-11)
             errors.append(np.max(np.abs(result.u - bc)))
         assert errors[1] < 5e-4
@@ -124,12 +125,36 @@ class TestNewtonSolve:
         # iteration needs.
         x, y = square_axes(n, half_width=0.6)
         z = grid_z(x, y)
-        liouville = (np.zeros((n, n)), np.log(pde.liouville_exact(z)))
+        liouville = (np.zeros((n, n)), np.log(liouville_exact(z)))
         for q0, bc in (liouville, (z / 4.0, 0.0)):
             result = pde.newton_solve(q0, bc, x, y)
             assert max(result.cg_iterations) <= 12
             assert sum(result.cg_iterations[1:]) <= 16
             assert result.newton_iterations <= 8
+
+    @pytest.mark.parametrize("n", [65, 129, 193])
+    def test_rounding_floor_leaves_the_default_tol_in_charge(self, n):
+        # below 2 floors < tol the stopping rule is the fixed tol: these
+        # Newton and CG counts are the ones before the floor was estimated
+        x, y = square_axes(n, half_width=0.6)
+        bc = np.log(liouville_exact(grid_z(x, y)))
+        result = pde.newton_solve(np.zeros((n, n)), bc, x, y)
+        assert result.cg_iterations == [1, 1, 1, 2, 3, 3]
+        assert result.final_residual <= 1e-10
+        assert 0.0 < result.rounding_floor < 1e-10
+
+    def test_fine_grid_stops_at_the_rounding_floor(self):
+        # at 513^2 the max-norm residual cannot reach tol = 1e-10: the
+        # stencil's h^-2 lifts its rounding floor to about 4e-10
+        n = 513
+        x, y = square_axes(n, half_width=0.6)
+        bc = np.log(liouville_exact(grid_z(x, y)))
+        result = pde.newton_solve(np.zeros((n, n)), bc, x, y)
+        assert result.rounding_floor > 1e-10
+        assert result.final_residual <= 2.0 * result.rounding_floor
+        assert result.rounding_floor == pde._rounding_floor(result.u, x[1] - x[0])
+        # criterion 4's accuracy law, scaled to h = 1.2 / 512
+        assert np.max(np.abs(result.u - bc)) <= 5e-4 / 16.0
 
     def test_forcing_matches_the_tight_linear_solves(self, monkeypatch):
         # the inexact steps land on the same discrete solution as Newton
@@ -138,7 +163,7 @@ class TestNewtonSolve:
         x, y = square_axes(n, half_width=0.6)
         z = grid_z(x, y)
         cases = [
-            (np.zeros((n, n)), np.log(pde.liouville_exact(z))),
+            (np.zeros((n, n)), np.log(liouville_exact(z))),
             (z / 4.0, 0.0),
         ]
         inexact = [pde.newton_solve(q0, bc, x, y) for q0, bc in cases]
@@ -156,7 +181,7 @@ class TestNewtonSolve:
         x, y = square_axes(n, half_width=0.6)
         z = grid_z(x, y)
         q0 = z / 4.0
-        bc = np.log(pde.liouville_exact(z)) / 4.0
+        bc = np.log(liouville_exact(z)) / 4.0
         result = pde.newton_solve(q0, bc, x, y)
         assert result.newton_iterations >= 2
         expected = pde.pde_residual(result.u, np.abs(q0) ** 2, x[1] - x[0])
@@ -179,7 +204,7 @@ class TestNewtonSolve:
         # convergence test only runs at the top of the next iteration
         monkeypatch.setattr(pde, "CG_MAXITER", 1)
         x, y = square_axes(17, half_width=0.6)
-        bc = np.log(pde.liouville_exact(grid_z(x, y)))
+        bc = np.log(liouville_exact(grid_z(x, y)))
         with pytest.raises(LinearSolveFailure, match="harmonic extension"):
             pde.newton_solve(np.zeros((17, 17)), bc, x, y)
 

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from obj_reader import read_obj
 
 import nilsurf
-from nilsurf import cli, config, pde, pipeline, residuals
+from nilsurf import cli, config, outputs, pde, pipeline, residuals
 from nilsurf.residuals import RESIDUAL_KEYS
 from nilsurf.config import parse_config
 from nilsurf.errors import (
@@ -24,7 +25,7 @@ from nilsurf.errors import (
     SchemaError,
     ShapeViolation,
 )
-from nilsurf.outputs import read_obj, write_surface_csv
+from nilsurf.outputs import write_surface_csv
 from nilsurf.potentials import Potential
 from nilsurf.surface import SurfaceGrid, generate_surface
 
@@ -173,6 +174,43 @@ class TestRunGenerate:
         pipeline.run_generate(cfg, log=lambda *_: None)
         assert (tmp_path / "report.json").read_bytes() == first_report
         assert (tmp_path / "surface.obj").read_bytes() == first_mesh
+
+    def test_family_shares_one_face_block(self, tmp_path, monkeypatch):
+        # every member's mesh equals a standalone export_obj of its surface,
+        # and each generate call formats the face block of its own grid once
+        calls = []
+        formatter = pipeline.obj_faces
+        monkeypatch.setattr(
+            pipeline, "obj_faces", lambda *grid: calls.append(grid) or formatter(*grid)
+        )
+        for nx, ny, half_height in ((17, 13, 0.375), (13, 9, 1.0 / 3.0)):
+            run = tmp_path / f"{nx}x{ny}"
+            run.mkdir()
+            cfg = make_config(
+                run,
+                domain={"nx": nx, "ny": ny, "ymin": -half_height, "ymax": half_height},
+                t_values=[0.0, 0.4, 1.1],
+                outputs={"mesh": str(run / "surface_{t}.obj")},
+            )
+            calls.clear()
+            code, report = pipeline.run_generate(cfg, log=lambda *_: None)
+            assert code == pipeline.EXIT_PASS
+            assert calls == [(nx, ny)]
+            x, y = cfg.domain.axes()
+            potential = pipeline.build_potential(cfg)[0]
+            members = generate_surface(potential, x, y, cfg.t_values)
+            assert len(report["surfaces"]) == len(members) == 3
+            for entry, surface in zip(report["surfaces"], members):
+                alone = run / "alone.obj"
+                outputs.export_obj(surface, alone)
+                assert Path(entry["mesh_path"]).read_bytes() == alone.read_bytes()
+                verts, faces = read_obj(alone)
+                assert verts.shape == (nx * ny, 3)
+                assert faces.shape == (2 * (nx - 1) * (ny - 1), 3)
+                assert faces.max() == nx * ny - 1
+                # the last cell's second triangle: v00, v11, v10
+                v00 = nx * ny - nx - 2
+                assert faces[-1].tolist() == [v00, v00 + nx + 1, v00 + nx]
 
     def test_inadmissible_potential_exits_3(self, tmp_path):
         # Q0 = 0 is far from admissible; Q0 = 1/4 + 4e-6 leaves an
