@@ -57,8 +57,6 @@ from .potentials import Potential, liouville_exact
 from .residuals import (
     RESIDUAL_KEYS,
     ResidualReport,
-    TangentData,
-    tangent_frame_coeffs,
     verify_surface,
 )
 from .surface import (
@@ -91,7 +89,6 @@ __all__ = [
     "SingularFrameError",
     "SolveResult",
     "SurfaceGrid",
-    "TangentData",
     "build_potential",
     "classify_report",
     "connection_at",
@@ -112,7 +109,6 @@ __all__ = [
     "run_solve",
     "serialize",
     "surface_from_frame",
-    "tangent_frame_coeffs",
     "verify_surface",
     "__version__",
 ]

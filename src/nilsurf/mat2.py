@@ -11,12 +11,13 @@ One constant matrix is defined here:
 
 Products are written entry by entry, the one entry-wise toolkit of the
 package: `entries` splits a field into its four entry arrays (m00, m01,
-m10, m11), `mul`, `mul_diagonal` and `times_s` multiply such 4-tuples,
-and `from_entries` stacks one back into a (..., 2, 2) field.  Each entry
+m10, m11), `mul`, `mul_diagonal`, `times_s` and `commutator_entries` act
+on such 4-tuples, and `from_entries` stacks one back into a (..., 2, 2)
+field.  Each entry
 of a product is then two whole-grid multiplications and one addition,
 where NumPy's `@` on (n, 2, 2) stacks runs one tiny matrix product per
-node.  The surface assembly and the residual suite (via `commutator`)
-use it.
+node.  The surface assembly, the flatness residual (`commutator`) and
+the residual suite (`commutator_entries`) use it.
 """
 
 import numpy as np
@@ -102,11 +103,14 @@ def commutator(a, b):
     [a, b]00 = a01 b10 - b01 a10 = -[a, b]11, and the off-diagonal
     entries from the diagonal differences a00 - a11 and b00 - b11.
     """
-    a00, a01, a10, a11 = entries(a)
-    b00, b01, b10, b11 = entries(b)
+    return from_entries(commutator_entries(entries(a), entries(b)))
+
+
+def commutator_entries(a, b):
+    """`commutator` of two entry 4-tuples, as an entry 4-tuple."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
     da = a00 - a11
     db = b00 - b11
     c00 = a01 * b10 - b01 * a10
-    return from_entries(
-        (c00, b01 * da - a01 * db, a10 * db - b10 * da, -c00)
-    )
+    return c00, b01 * da - a01 * db, a10 * db - b10 * da, -c00

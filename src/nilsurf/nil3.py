@@ -47,9 +47,23 @@ def vertical_form(p, u):
     theta measures the vertical component: the metric is
     <u, v> = u1 v1 + u2 v2 + theta(u) theta(v).
     """
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u)
-    return 0.5 * (p[..., 1] * u[..., 0] - p[..., 0] * u[..., 1]) + u[..., 2]
+    return vertical_form_planes(
+        _planes(np.asarray(p, dtype=float)), _planes(np.asarray(u))
+    )
+
+
+def _planes(v):
+    """The component planes (v1, v2, v3) of a (..., 3) array, as views."""
+    return np.moveaxis(v, -1, 0)
+
+
+def vertical_form_planes(p, u):
+    """vertical_form on component planes.
+
+    p = (x1, x2, ...) and u = (u1, u2, u3) are sequences of arrays of one
+    shape; p's third plane is not read.
+    """
+    return 0.5 * (p[1] * u[0] - p[0] * u[1]) + u[2]
 
 
 def metric_at(p, u, v):
@@ -132,15 +146,28 @@ def covariant_derivative(a, w, dw):
     a = np.asarray(a)
     w = np.asarray(w)
     dw = np.asarray(dw)
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
     out = np.empty(
         np.broadcast(a, w, dw).shape, dtype=np.result_type(a, w, dw, float)
     )
-    out[..., 0] = dw[..., 0] + 0.5 * (a2 * w3 + a3 * w2)
-    out[..., 1] = dw[..., 1] - 0.5 * (a1 * w3 + a3 * w1)
-    out[..., 2] = dw[..., 2] + 0.5 * (a1 * w2 - a2 * w1)
+    out[..., 0], out[..., 1], out[..., 2] = covariant_derivative_planes(
+        _planes(a), _planes(w), _planes(dw)
+    )
     return out
+
+
+def covariant_derivative_planes(a, w, dw):
+    """covariant_derivative on component planes.
+
+    a, w and dw are sequences of three arrays (the frame coefficients'
+    planes); returns the three planes of nabla_a w.
+    """
+    a1, a2, a3 = a
+    w1, w2, w3 = w
+    return (
+        dw[0] + 0.5 * (a2 * w3 + a3 * w2),
+        dw[1] - 0.5 * (a1 * w3 + a3 * w1),
+        dw[2] + 0.5 * (a1 * w2 - a2 * w1),
+    )
 
 
 def group_mul(p, q):

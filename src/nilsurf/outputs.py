@@ -25,11 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
+from .residuals import nonuniform_step
 from .surface import SurfaceGrid
-
-# The residual stencils assume uniform axes.  CSV round trips of a uniform
-# axis deviate by ~1e-13 relative; a misplaced node is off by order 1.
-UNIFORM_SPACING_RTOL = 1e-6
 
 
 @dataclass
@@ -207,13 +204,12 @@ def read_surface_csv(path):
             f"{y.size} y",
         )
     for name, axis in (("x", x), ("y", y)):
-        mean_step = (axis[-1] - axis[0]) / (axis.size - 1)
-        worst = float(np.max(np.abs(np.diff(axis) - mean_step)))
-        if worst > UNIFORM_SPACING_RTOL * mean_step:
+        bad = nonuniform_step(axis)
+        if bad is not None:
             raise SchemaError(
                 str(path),
                 f"{name} axis is not uniformly spaced (a step deviates from "
-                f"the mean {mean_step:.6g} by {worst:.3g})",
+                f"the mean {bad[0]:.6g} by {bad[1]:.3g})",
             )
     if x.size * y.size != data.shape[0]:
         raise SchemaError(

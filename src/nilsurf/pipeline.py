@@ -142,20 +142,17 @@ def _verdict(
 ):
     """The one verify -> thresholds -> classify step of the pipeline.
 
-    Returns (report, thresholds, passed, failures).
+    h None takes the larger spacing of the surface's own axes, once
+    verify_surface has checked them.  Returns (report, thresholds, passed,
+    failures).
     """
     report = verify_surface(
         surface, potential=potential, angle_cutoff=angle_cutoff, margin=margin
     )
+    if h is None:
+        h = max(abs(step) for step in report.spacing)
     thresholds = residual_thresholds(h, floor=residual_floor, scale=threshold_scale)
     return (report, thresholds) + classify_report(report, thresholds)
-
-
-def _axis_step(surface):
-    """The larger spacing of a surface's own axes."""
-    return max(
-        float(surface.x[1] - surface.x[0]), float(surface.y[1] - surface.y[0])
-    )
 
 
 def guarded(step, log):
@@ -321,12 +318,14 @@ def _check(csv_path, report_path, tolerances, log):
     tolerances = check_tolerances(**tolerances)
     surface = read_surface_csv(csv_path)
     report, thresholds, passed, failures = _verdict(
-        surface, _axis_step(surface), None, **tolerances
+        surface, None, None, **tolerances
     )
     for key in RESIDUAL_KEYS:
         value, threshold = report.maxima[key], thresholds[key]
         if math.isnan(value) and key in COORDINATE_KEYS:
             log(f"  {key:<24} (no finite value on the interior)  OVER")
+        elif math.isnan(value) and key == "gauss_map_tension":
+            log(f"  {key:<24} ({_tension_mask_note(report)})")
         elif math.isnan(value):
             log(f"  {key:<24} (not computable from coordinate data)")
         else:
@@ -341,6 +340,18 @@ def _check(csv_path, report_path, tolerances, log):
         "verification": report.to_dict(),
     }
     return _finish(report_dict, report_path, passed, log)
+
+
+def _tension_mask_note(report):
+    """Why gauss_map_tension has no value: the angle mask, or no finite value."""
+    interior = (report.nx - 2 * report.margin) * (report.ny - 2 * report.margin)
+    cutoff = f"the angle cutoff {report.angle_cutoff:g}"
+    if report.tension_skipped == interior:
+        return f"every interior node masked by {cutoff}"
+    return (
+        f"no finite value on the interior; {report.tension_skipped} of "
+        f"{interior} interior nodes masked by {cutoff}"
+    )
 
 
 def run_solve(config, out_path=None, log=print):
@@ -376,9 +387,10 @@ def check_surface_like(surface, potential=None, **tolerances):
     Takes run_check's tolerance keywords, validated the same way
     (SchemaError on a bad value, TypeError on an unknown keyword), plus
     the potential for the classes that need frame data; returns (passed,
-    failures, report).
+    failures, report).  A grid the stencils cannot use raises
+    verify_surface's DomainError.
     """
     report, _, passed, failures = _verdict(
-        surface, _axis_step(surface), potential, **check_tolerances(**tolerances)
+        surface, None, potential, **check_tolerances(**tolerances)
     )
     return passed, failures, report

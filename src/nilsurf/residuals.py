@@ -28,23 +28,42 @@ The suite checks, by central finite differences,
   * auxiliary Laplace identity: when the auxiliary matrix field is
                          available, fhat_zz̄ = (i/4)[fhat_z, fhat_z̄].
 
-All derivative fields carry NaN rings where the stencil does not fit, and
-all reported max-norms exclude a configurable boundary margin (default 2
+The suite works on component planes: one 2-D array per component (x1,
+x2, x3; the three frame coefficients of f_z; the four entries of fhat),
+each covering only the nodes its stencils reach.  A
+plane "of trim k" holds the nodes k in from every side: the tangent data,
+normal and Gauss map have trim 1, quantities built from differences of
+them trim 2, and Q_z̄ trim 3.  Each class takes |·| once, reads its
+margin-gated and ungated maxima off that one array and is dropped.  NaN
+rings appear only in the fields kept on request (`keep_fields`), which
+are padded back to grid shape, and in the `grid_*` stencil wrappers.
+Reported max-norms exclude a configurable boundary margin (default 2
 nodes) because second-difference quantities lose an order there; the
 ungated maxima are reported alongside for transparency.
 """
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateNode, DomainError
-from .mat2 import commutator
-from .nil3 import covariant_derivative, frame_coeffs_from_coords
+from .mat2 import commutator_entries, entries, from_entries
+from .nil3 import covariant_derivative_planes, vertical_form_planes
 
 #: Interior metric density below which verify_surface raises DegenerateNode.
 DEGENERATE_TOL = 1e-8
+
+#: The stencils difference with one step per axis.  CSV round trips of a
+#: uniform axis deviate by ~1e-13 relative; a misplaced node is off by
+#: order 1.
+UNIFORM_SPACING_RTOL = 1e-6
+
+#: Nodes per axis the widest class needs: Q_z̄ (hopf_holomorphy) is a
+#: difference of a difference of a difference, so it reaches 3 nodes in
+#: from each side and has a node only on 7 or more.
+MIN_STENCIL_NODES = 7
 
 #: Stable keys of the residual classes, in reporting order.
 RESIDUAL_KEYS = (
@@ -71,6 +90,26 @@ COORDINATE_KEYS = (
 )
 
 
+def nonuniform_step(axis):
+    """(mean step, worst step deviation) when axis breaks the uniform rule.
+
+    The rule: the mean step is finite and nonzero, and every step lies
+    within UNIFORM_SPACING_RTOL of it (in magnitude).  Returns None for an
+    axis that keeps it; a NaN or an infinity anywhere breaks it.
+    """
+    axis = np.asarray(axis, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_step = float((axis[-1] - axis[0]) / (axis.size - 1))
+        worst = float(np.max(np.abs(np.diff(axis) - mean_step)))
+    if (
+        math.isfinite(mean_step)
+        and mean_step != 0.0
+        and worst <= UNIFORM_SPACING_RTOL * abs(mean_step)
+    ):
+        return None
+    return mean_step, worst
+
+
 def _xy_differences(f, hx, hy):
     """(f_x/2, i f_y/2) by central differences on the interior.
 
@@ -82,11 +121,40 @@ def _xy_differences(f, hx, hy):
     return fx, ify
 
 
-def _nan_ring(interior):
-    """Complex array holding interior inside a one-node ring of NaN."""
+def _dz(f, hx, hy):
+    """d/dz = (d/dx - i d/dy)/2 on the nodes one in from every side."""
+    fx, ify = _xy_differences(f, hx, hy)
+    return fx - ify
+
+
+def _dzbar(f, hx, hy):
+    """d/dz̄ = (d/dx + i d/dy)/2 on the nodes one in from every side."""
+    fx, ify = _xy_differences(f, hx, hy)
+    return fx + ify
+
+
+def _dz_dzbar(f, hx, hy):
+    """(d/dz, d/dz̄) of one plane from a single pair of x/y differences."""
+    fx, ify = _xy_differences(f, hx, hy)
+    return fx - ify, fx + ify
+
+
+def _dzzbar(f, hx, hy):
+    """d2/dz dz̄ = Laplacian/4 by the 5-point stencil, one node in."""
+    f = np.asarray(f)
+    lap = (f[1:-1, 2:] + f[1:-1, :-2] - 2.0 * f[1:-1, 1:-1]) / hx**2 + (
+        f[2:, 1:-1] + f[:-2, 1:-1] - 2.0 * f[1:-1, 1:-1]
+    ) / hy**2
+    return lap / 4.0
+
+
+def _nan_ring(interior, width=1, dtype=complex):
+    """interior inside a ring of NaN `width` nodes wide."""
     ny, nx = interior.shape[:2]
-    out = np.full((ny + 2, nx + 2) + interior.shape[2:], np.nan, dtype=complex)
-    out[1:-1, 1:-1] = interior
+    out = np.full(
+        (ny + 2 * width, nx + 2 * width) + interior.shape[2:], np.nan, dtype=dtype
+    )
+    out[width:-width, width:-width] = interior
     return out
 
 
@@ -96,188 +164,48 @@ def grid_dz(f, hx, hy):
     f has shape (ny, nx, ...); the outermost ring of nodes gets NaN since
     the stencil does not fit there.
     """
-    fx, ify = _xy_differences(f, hx, hy)
-    return _nan_ring(fx - ify)
+    return _nan_ring(_dz(f, hx, hy))
 
 
 def grid_dzbar(f, hx, hy):
     """d/dz̄ = (d/dx + i d/dy)/2 by central differences (NaN ring)."""
-    fx, ify = _xy_differences(f, hx, hy)
-    return _nan_ring(fx + ify)
+    return _nan_ring(_dzbar(f, hx, hy))
 
 
 def grid_dz_dzbar(f, hx, hy):
     """(d/dz, d/dz̄) of one field from a single pair of x/y differences."""
-    fx, ify = _xy_differences(f, hx, hy)
-    return _nan_ring(fx - ify), _nan_ring(fx + ify)
+    return tuple(_nan_ring(d) for d in _dz_dzbar(f, hx, hy))
 
 
 def grid_dzzbar(f, hx, hy):
     """d2/dz dz̄ = Laplacian/4 by the 5-point stencil (NaN ring)."""
-    f = np.asarray(f)
-    lap = (f[1:-1, 2:] + f[1:-1, :-2] - 2.0 * f[1:-1, 1:-1]) / hx**2 + (
-        f[2:, 1:-1] + f[:-2, 1:-1] - 2.0 * f[1:-1, 1:-1]
-    ) / hy**2
-    return _nan_ring(lap / 4.0)
+    return _nan_ring(_dzzbar(f, hx, hy))
 
 
-@dataclass
-class TangentData:
-    """Tangent data of a surface grid in frame coefficients.
-
-    Attributes:
-      F_z, F_zbar  complex derivatives of the horizontal coordinate
-      A            vertical frame coefficient of f_z (nil3.vertical_form of
-                   f_z): A = h_z - (i/4)(F conj(F)_z - conj(F) F_z)
-      a            frame coefficients of f_z, shape (ny, nx, 3):
-                   ((x1)_z, (x2)_z, A)
-      b            frame coefficients of f_z̄ (= conj(a) for real surfaces)
-      a_z, a_zbar  d/dz and d/dz̄ of the coefficient functions a, from one
-                   pair of x/y differences (two NaN rings); they carry
-                   A_z̄ = a_zbar[..., 2] and, for real surfaces,
-                   b_z = conj(a_zbar)
-    """
-
-    F_z: np.ndarray
-    F_zbar: np.ndarray
-    A: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    a_z: np.ndarray
-    a_zbar: np.ndarray
+def _inner(plane, k=1):
+    """The nodes k in from every side of a plane."""
+    return plane[k : plane.shape[0] - k, k : plane.shape[1] - k]
 
 
-def tangent_frame_coeffs(F, height, hx, hy):
-    """Compute TangentData from the coordinate grids by central differences."""
-    F = np.asarray(F, dtype=complex)
-    p = np.stack([F.real, F.imag, np.asarray(height, dtype=float)], axis=-1)
-    a = frame_coeffs_from_coords(p, grid_dz(p, hx, hy))
-    a_z, a_zbar = grid_dz_dzbar(a, hx, hy)
-    # p is real, so the coordinate z̄-derivatives are conj(p_z).
-    return TangentData(
-        F_z=a[..., 0] + 1j * a[..., 1],
-        F_zbar=np.conj(a[..., 0]) + 1j * np.conj(a[..., 1]),
-        A=np.ascontiguousarray(a[..., 2]),
-        a=a,
-        b=np.conj(a),
-        a_z=a_z,
-        a_zbar=a_zbar,
-    )
-
-
-def conformality_residual(tangent):
-    """Bilinear self-product <f_z, f_z> (zero iff conformal) and metric density.
-
-    Returns (conf, rho) with conf = sum_k a_k^2 and rho = 2 sum_k |a_k|^2;
-    rho is the conformal factor of the induced metric when conf vanishes.
-    """
-    conf = np.sum(tangent.a * tangent.a, axis=-1)
-    rho = 2.0 * np.sum(np.abs(tangent.a) ** 2, axis=-1)
-    return conf, rho
-
-
-def minimality_residuals(tangent, F, hx, hy):
-    """Horizontal and vertical minimality residuals.
-
-    Horizontal: F_zz̄ - (i/2)(conj(A) F_z + A F_z̄).
-    Vertical:   A_z̄ + conj(A_z̄) = 2 Re A_z̄.
-    """
-    r1 = grid_dzzbar(F, hx, hy) - 0.5j * (
-        np.conj(tangent.A) * tangent.F_z + tangent.A * tangent.F_zbar
-    )
-    a_zbar = tangent.a_zbar[..., 2]
-    r2 = a_zbar + np.conj(a_zbar)
-    return r1, r2
-
-
-def covariant_minimality_residual(tangent):
-    """Frame coefficients of nabla_{f_z} f_z̄ (the tension field; zero iff minimal).
-
-    The covariant derivative is the z-derivative of the coefficients of
-    f_z̄ (conj(a_z̄), since f is real) plus the connection correction.
-    """
-    return covariant_derivative(tangent.a, tangent.b, np.conj(tangent.a_zbar))
-
-
-def unit_normal(tangent):
-    """Unit normal in frame coefficients and its vertical angle function.
-
-    Built from the real coordinate-direction tangents f_x = 2 Re a and
-    f_y = -2 Im a; the frame is orthonormal so the Euclidean cross product
-    computes the metric normal.  Returns (N, phi) with phi = <N, E3>.
-    """
-    fx = 2.0 * tangent.a.real
-    fy = -2.0 * tangent.a.imag
-    cross = np.cross(fx, fy)
-    norm = np.linalg.norm(cross, axis=-1)
-    safe = np.where(norm == 0.0, 1.0, norm)
-    normal = cross / safe[..., None]
-    normal = np.where(norm[..., None] == 0.0, np.nan, normal)
-    return normal, normal[..., 2]
-
-
-def quadratic_differential(tangent, normal, hx, hy):
-    """The holomorphic quadratic differential candidate and its z̄-derivative.
-
-    Q = i <nabla_{f_z} f_z, N> + A^2, the Abresch-Rosenberg-type
-    differential; on a minimal conformal immersion Q is holomorphic.
-    Returns (Q, Q_z̄).
-    """
-    accel = covariant_derivative(tangent.a, tangent.a, tangent.a_z)
-    p = np.sum(accel * normal, axis=-1)
-    q = 1j * p + tangent.A**2
-    return q, grid_dzbar(q, hx, hy)
-
-
-def gauss_map_tension(
-    normal, phi, hx, hy, angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"]
-):
-    """Harmonic-map residual of the stereographically projected normal.
-
-    Projects N from the south pole, g = (N1 + i N2)/(1 + N3), and evaluates
-
-        tau = g_zz̄ + 2 conj(g) g_z g_z̄ / (1 - |g|^2),
-
-    the tension field of maps into the hyperbolic disk.  Masked to NaN
-    where phi <= angle_cutoff: there |g| -> 1 and the hyperbolic factor
-    blows up, so the check is only meaningful on the upward-tilted region.
-    Returns (g, tau_masked).
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = 1.0 + normal[..., 2]
-        denom = np.where(denom == 0.0, np.nan, denom)
-        g = (normal[..., 0] + 1j * normal[..., 1]) / denom
-        g_z, g_zbar = grid_dz_dzbar(g, hx, hy)
-        tau = grid_dzzbar(g, hx, hy) + 2.0 * np.conj(g) * g_z * g_zbar / (
-            1.0 - np.abs(g) ** 2
-        )
-        tau = np.where(phi > angle_cutoff, tau, np.nan)
-    return g, tau
-
-
-def aux_height_consistency(tangent, aux_height, hx, hy):
-    """Residual A - i (aux_height)_z linking f_z's vertical part to fhat."""
-    return tangent.A - 1j * grid_dz(aux_height, hx, hy)
-
-
-def fhat_laplace_identity(fhat, hx, hy):
-    """Residual of the auxiliary map's Laplace-type identity.
-
-    fhat_zz̄ - (i/4)[fhat_z, fhat_z̄], a matrix field; zero in the
-    continuum for surfaces produced by the immersion formula.
-    """
-    fz, fzb = grid_dz_dzbar(fhat, hx, hy)
-    return grid_dzzbar(fhat, hx, hy) - 0.25j * commutator(fz, fzb)
-
-
-def _interior_max(values, margin):
-    """NaN-aware max magnitude over the margin-trimmed interior."""
-    values = np.abs(np.asarray(values))
-    if margin > 0:
-        values = values[margin:-margin, margin:-margin]
-    if values.size == 0 or not np.any(np.isfinite(values)):
+def _nanmax(magnitudes):
+    """NaN-aware max over |·| planes; NaN when none holds a finite value."""
+    top = np.nan
+    for m in magnitudes:
+        top = np.fmax(top, np.fmax.reduce(m, axis=None, initial=np.nan))
+    if top == np.inf and not any(np.isfinite(m).any() for m in magnitudes):
         return float("nan")
-    return float(np.nanmax(values))
+    return float(top)
+
+
+def _maxima(magnitudes, trim, margin):
+    """(gated, ungated) maxima of a class's |·| planes of trim `trim`.
+
+    The gate drops `margin` nodes from every side of the grid; the planes
+    already lack `trim` of them.
+    """
+    inset = max(margin - trim, 0)
+    gated = [_inner(m, inset) for m in magnitudes]
+    return _nanmax(gated), _nanmax(magnitudes)
 
 
 @dataclass
@@ -364,6 +292,58 @@ class ResidualReport:
         }
 
 
+def _checked_grid(surface, margin):
+    """(x, y, F, height) of a surface whose grid the suite can difference.
+
+    Raises DomainError for anything the stencils cannot use; see
+    verify_surface.
+    """
+    x = np.asarray(surface.x, dtype=float)
+    y = np.asarray(surface.y, dtype=float)
+    F = np.asarray(surface.F, dtype=complex)
+    height = np.asarray(surface.height, dtype=float)
+    if margin < 1:
+        raise DomainError(f"margin must be >= 1, got {margin}")
+    if x.ndim != 1 or y.ndim != 1 or F.shape != (y.size, x.size):
+        raise DomainError(
+            f"F has shape {F.shape}, but the axes give a "
+            f"{y.size} x {x.size} grid (ny, nx)"
+        )
+    companions = (
+        ("height", height, F.shape),
+        ("aux_height", getattr(surface, "aux_height", None), F.shape),
+        ("fhat", getattr(surface, "fhat", None), F.shape + (2, 2)),
+    )
+    for name, value, shape in companions:
+        if value is not None and np.shape(value) != shape:
+            raise DomainError(
+                f"{name} has shape {np.shape(value)}, expected {shape}"
+            )
+    need = max(2 * margin + 3, MIN_STENCIL_NODES)
+    if min(x.size, y.size) < need:
+        raise DomainError(
+            f"grid {y.size} x {x.size} is too small for margin {margin}: "
+            f"need at least {need} nodes per axis"
+        )
+    for name, axis in (("x", x), ("y", y)):
+        bad = nonuniform_step(axis)
+        if bad is not None:
+            raise DomainError(
+                f"{name} axis is not uniformly spaced (a step deviates from "
+                f"the mean {bad[0]:.6g} by {bad[1]:.3g}); the stencils "
+                f"difference with one step"
+            )
+    poisoned = ~(np.isfinite(F) & np.isfinite(height))
+    if poisoned.any():
+        iy, ix = np.argwhere(poisoned)[0]
+        raise DomainError(
+            f"surface coordinates are not finite at "
+            f"{int(np.count_nonzero(poisoned))} node(s), the first at "
+            f"(x, y) = ({x[ix]:.6g}, {y[iy]:.6g})"
+        )
+    return x, y, F, height
+
+
 def verify_surface(
     surface,
     potential=None,
@@ -383,113 +363,178 @@ def verify_surface(
     against |Q0| (ratio statistics in the report).
 
     Raises DomainError when margin < 1 (a zero or negative margin trims
-    nothing, or everything, from the interior slices), when an axis has
-    fewer than 2 * margin + 3 nodes (the margin-trimmed interior must keep
-    at least 3 nodes per axis), or when F or height holds a NaN or an
-    infinity: the NaN-aware maxima would drop the stencils around such a
-    node.  (The stencils' NaN rings and the Gauss-map angle mask are made
-    here, not read from the input.)
+    nothing, or everything, from the interior slices); when F's shape is
+    not (y.size, x.size) or height, aux_height or fhat does not match it;
+    when an axis has fewer than max(2 * margin + 3, MIN_STENCIL_NODES)
+    nodes (the margin-trimmed interior must keep at least 3 nodes per
+    axis, and hopf_holomorphy's stencil reaches 3 nodes in from each
+    side); when an axis breaks the uniform-spacing rule of
+    `nonuniform_step` (the stencils difference with the first step
+    throughout); or when F or height holds a NaN or an infinity: the
+    NaN-aware maxima would drop the stencils around such a node.  (The
+    Gauss-map angle mask is made here, not read from the input.)
     Raises DegenerateNode when the interior metric density drops below
     DEGENERATE_TOL — the data fails to be an immersion there and none of
     the residuals are meaningful.
+
+    With keep_fields, report.fields holds each computed class's residual
+    grid (covariant_minimality as the norm of the tension field) and the
+    metric_density, angle_function, quadratic_differential, gauss_map and
+    normal grids, all of grid shape with NaN where a stencil does not fit.
     """
-    x = np.asarray(surface.x, dtype=float)
-    y = np.asarray(surface.y, dtype=float)
-    if margin < 1:
-        raise DomainError(f"margin must be >= 1, got {margin}")
-    if min(x.size, y.size) < 2 * margin + 3:
-        raise DomainError(
-            f"grid {y.size} x {x.size} is too small for margin {margin}: "
-            f"need at least {2 * margin + 3} nodes per axis"
-        )
+    x, y, F, height = _checked_grid(surface, margin)
     hx = float(x[1] - x[0])
     hy = float(y[1] - y[0])
-    F = np.asarray(surface.F, dtype=complex)
-    height = np.asarray(surface.height, dtype=float)
-    poisoned = ~(np.isfinite(F) & np.isfinite(height))
-    if poisoned.any():
-        iy, ix = np.argwhere(poisoned)[0]
-        raise DomainError(
-            f"surface coordinates are not finite at "
-            f"{int(np.count_nonzero(poisoned))} node(s), the first at "
-            f"(x, y) = ({x[ix]:.6g}, {y[iy]:.6g})"
-        )
+    maxima = dict.fromkeys(RESIDUAL_KEYS, float("nan"))
+    maxima_ungated = dict(maxima)
+    fields = {}
+
+    def settle(key, planes, trim):
+        """Record a class's maxima from its planes, keeping them on request."""
+        magnitudes = [np.abs(p) for p in planes]
+        maxima[key], maxima_ungated[key] = _maxima(magnitudes, trim, margin)
+        if keep_fields:
+            field = planes[0] if len(planes) == 1 else from_entries(planes)
+            fields[key] = _nan_ring(field, trim, field.dtype)
 
     # The matrix field's stencils are the largest temporaries of the
     # suite; taking them before the tangent data exists lowers the peak.
     fhat = getattr(surface, "fhat", None)
-    fhat_res = fhat_laplace_identity(fhat, hx, hy) if fhat is not None else None
+    if fhat is not None:
+        fhat = [np.ascontiguousarray(e) for e in entries(fhat)]
+        derivatives = [_dz_dzbar(e, hx, hy) for e in fhat]
+        bracket = commutator_entries(*zip(*derivatives))
+        del derivatives
+        settle(
+            "fhat_laplace_identity",
+            [_dzzbar(e, hx, hy) - 0.25j * c for e, c in zip(fhat, bracket)],
+            1,
+        )
+        del fhat, bracket
 
-    tangent = tangent_frame_coeffs(F, height, hx, hy)
-    conf, rho = conformality_residual(tangent)
+    # Frame coefficients of f_z (trim 1): the coordinate z-derivatives,
+    # the third made vertical by nil3's vertical form.
+    x1, x2 = np.ascontiguousarray(F.real), np.ascontiguousarray(F.imag)
+    a = [_dz(c, hx, hy) for c in (x1, x2, height)]
+    a[2] = vertical_form_planes((_inner(x1), _inner(x2)), a)
+    a0, a1, A = a
 
-    rho_interior = rho[margin:-margin, margin:-margin]
-    finite_rho = rho_interior[np.isfinite(rho_interior)]
-    if finite_rho.size and float(np.min(finite_rho)) < DEGENERATE_TOL:
+    conf = a0 * a0 + a1 * a1 + A * A
+    rho = 2.0 * (np.abs(a0) ** 2 + np.abs(a1) ** 2 + np.abs(A) ** 2)
+    rho_window = _inner(rho, margin - 1)
+    rho_interior = rho_window[np.isfinite(rho_window)]
+    if rho_interior.size and float(np.min(rho_interior)) < DEGENERATE_TOL:
         raise DegenerateNode(
-            f"metric density {np.min(finite_rho):.3e} below "
+            f"metric density {np.min(rho_interior):.3e} below "
             f"{DEGENERATE_TOL:.1e}; surface degenerates on the grid interior"
         )
+    settle("conformality", [conf], 1)
+    del conf
 
-    r1, r2 = minimality_residuals(tangent, F, hx, hy)
-    cov = covariant_minimality_residual(tangent)
-    cov_norm = np.linalg.norm(cov, axis=-1)
-    normal, phi = unit_normal(tangent)
-    q, q_zbar = quadratic_differential(tangent, normal, hx, hy)
-    g, tau = gauss_map_tension(normal, phi, hx, hy, angle_cutoff=angle_cutoff)
+    F_z = a0 + 1j * a1
+    F_zbar = np.conj(a0) + 1j * np.conj(a1)
+    settle(
+        "minimality_horizontal",
+        [_dzzbar(F, hx, hy) - 0.5j * (np.conj(A) * F_z + A * F_zbar)],
+        1,
+    )
+    del F_z, F_zbar
 
     aux_height = getattr(surface, "aux_height", None)
-    aux_res = (
-        aux_height_consistency(tangent, aux_height, hx, hy)
-        if aux_height is not None
-        else None
+    if aux_height is not None:
+        settle("aux_height_consistency", [A - 1j * _dz(aux_height, hx, hy)], 1)
+
+    # Unit normal from the real coordinate-direction tangents f_x = 2 Re a
+    # and f_y = -2 Im a; the frame is orthonormal, so the Euclidean cross
+    # product computes the metric normal (NaN where it vanishes).
+    fx = [2.0 * c.real for c in a]
+    fy = [-2.0 * c.imag for c in a]
+    cross = (
+        fx[1] * fy[2] - fx[2] * fy[1],
+        fx[2] * fy[0] - fx[0] * fy[2],
+        fx[0] * fy[1] - fx[1] * fy[0],
     )
+    del fx, fy
+    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    safe = np.where(norm == 0.0, 1.0, norm)
+    normal = [np.where(norm == 0.0, np.nan, c / safe) for c in cross]
+    del cross, safe, norm
+    phi = normal[2]
 
-    fields = {
-        "conformality": conf,
-        "minimality_horizontal": r1,
-        "minimality_vertical": r2,
-        "covariant_minimality": cov_norm,
-        "aux_height_consistency": aux_res,
-        "hopf_holomorphy": q_zbar,
-        "gauss_map_tension": tau,
-        "fhat_laplace_identity": fhat_res,
-    }
-    maxima = {
-        k: (_interior_max(v, margin) if v is not None else float("nan"))
-        for k, v in fields.items()
-    }
-    maxima_ungated = {
-        k: (_interior_max(v, 0) if v is not None else float("nan"))
-        for k, v in fields.items()
-    }
+    # Derivatives of the frame coefficients (trim 2).
+    a_z, a_zbar = zip(*(_dz_dzbar(c, hx, hy) for c in a))
+    a_in = [_inner(c) for c in a]
+    del a
 
-    interior = (slice(margin, -margin), slice(margin, -margin))
-    phi_interior = phi[interior]
-    phi_finite = phi_interior[np.isfinite(phi_interior)]
-    tau_interior = tau[interior]
+    settle("minimality_vertical", [a_zbar[2] + np.conj(a_zbar[2])], 2)
+
+    # nabla_{f_z} f_z̄: the coefficients of f_z̄ are conj(a) and their
+    # z-derivatives conj(a_z̄), since f is real.
+    cov = covariant_derivative_planes(
+        a_in, [np.conj(c) for c in a_in], [np.conj(c) for c in a_zbar]
+    )
+    del a_zbar
+    squares = [(np.conj(c) * c).real for c in cov]
+    cov_norm = np.sqrt(squares[0] + squares[1] + squares[2])
+    del cov, squares
+    settle("covariant_minimality", [cov_norm], 2)
+    del cov_norm
+
+    # Q = i <nabla_{f_z} f_z, N> + A^2 (trim 2) and its z̄-derivative.
+    accel = covariant_derivative_planes(a_in, a_in, a_z)
+    del a_z
+    normal_in = [_inner(c) for c in normal]
+    q = 1j * (
+        accel[0] * normal_in[0] + accel[1] * normal_in[1] + accel[2] * normal_in[2]
+    ) + a_in[2] ** 2
+    del accel, normal_in, a_in
+    settle("hopf_holomorphy", [_dzbar(q, hx, hy)], 3)
+
+    # Harmonic-map residual of g = (N1 + i N2)/(1 + N3), the south-pole
+    # stereographic projection of the normal, masked to NaN where
+    # phi <= angle_cutoff: there |g| -> 1 and the hyperbolic factor blows
+    # up, so the check is only meaningful on the upward-tilted region.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        denom = 1.0 + normal[2]
+        denom = np.where(denom == 0.0, np.nan, denom)
+        g = (normal[0] + 1j * normal[1]) / denom
+        del denom
+        g_z, g_zbar = _dz_dzbar(g, hx, hy)
+        g_in = _inner(g)
+        tau = _dzzbar(g, hx, hy) + 2.0 * np.conj(g_in) * g_z * g_zbar / (
+            1.0 - np.abs(g_in) ** 2
+        )
+        del g_z, g_zbar, g_in
+        tau = np.where(_inner(phi) > angle_cutoff, tau, np.nan)
+    settle("gauss_map_tension", [tau], 2)
+
+    phi_window = _inner(phi, margin - 1)
+    phi_finite = phi_window[np.isfinite(phi_window)]
     # interior nodes whose tension was computable vs masked out by angle
-    evaluated = int(np.count_nonzero(np.isfinite(tau_interior)))
-    maskable = int(np.count_nonzero(np.isfinite(phi_interior)))
-    skipped = maskable - int(np.count_nonzero(phi_interior > angle_cutoff))
+    evaluated = int(np.count_nonzero(np.isfinite(_inner(tau, max(margin - 2, 0)))))
+    skipped = phi_finite.size - int(np.count_nonzero(phi_window > angle_cutoff))
 
     rho_ratio_mean = rho_ratio_spread = None
     q_ratio_mean = q_ratio_spread = None
     if potential is not None:
-        z_nodes = (x[None, :] + 1j * y[:, None])[interior]
-        rho0 = potential.rho0(z_nodes)
-        ratio = rho_interior / rho0
+        z_nodes = x[None, :] + 1j * y[:, None]
+        ratio = rho_window / potential.rho0(_inner(z_nodes, margin))
         ratio = ratio[np.isfinite(ratio)]
         if ratio.size:
             rho_ratio_mean = float(np.mean(ratio))
             rho_ratio_spread = float(np.std(ratio))
-        q0 = potential.q0(z_nodes)
-        q_interior = np.abs(q[interior])
-        ok = (np.abs(q0) > 1e-12) & np.isfinite(q_interior)
+        # Q has trim 2: under a margin of 1 its first ring is not there
+        inset = max(margin, 2)
+        q0 = potential.q0(_inner(z_nodes, inset))
+        q_window = np.abs(_inner(q, inset - 2))
+        ok = (np.abs(q0) > 1e-12) & np.isfinite(q_window)
         if np.any(ok):
-            qr = q_interior[ok] / np.abs(q0[ok])
+            qr = q_window[ok] / np.abs(q0[ok])
             q_ratio_mean = float(np.mean(qr))
             q_ratio_spread = float(np.std(qr))
+
+    def statistic(values, reduce):
+        return float(reduce(values)) if values.size else float("nan")
 
     report = ResidualReport(
         t=float(getattr(surface, "t", 0.0)),
@@ -500,11 +545,11 @@ def verify_surface(
         angle_cutoff=angle_cutoff,
         maxima=maxima,
         maxima_ungated=maxima_ungated,
-        rho_min=float(np.min(finite_rho)) if finite_rho.size else float("nan"),
-        rho_max=float(np.max(finite_rho)) if finite_rho.size else float("nan"),
-        rho_mean=float(np.mean(finite_rho)) if finite_rho.size else float("nan"),
-        phi_min_observed=float(np.min(phi_finite)) if phi_finite.size else float("nan"),
-        phi_max_observed=float(np.max(phi_finite)) if phi_finite.size else float("nan"),
+        rho_min=statistic(rho_interior, np.min),
+        rho_max=statistic(rho_interior, np.max),
+        rho_mean=statistic(rho_interior, np.mean),
+        phi_min_observed=statistic(phi_finite, np.min),
+        phi_max_observed=statistic(phi_finite, np.max),
         tension_evaluated=evaluated,
         tension_skipped=skipped,
         det_deviation=float(getattr(surface, "det_deviation", float("nan"))),
@@ -515,10 +560,13 @@ def verify_surface(
         q_ratio_spread=q_ratio_spread,
     )
     if keep_fields:
-        report.fields = {k: v for k, v in fields.items() if v is not None}
-        report.fields["metric_density"] = rho
-        report.fields["angle_function"] = phi
-        report.fields["quadratic_differential"] = q
-        report.fields["gauss_map"] = g
-        report.fields["normal"] = normal
+        # the classes in reporting order, then the geometric fields
+        report.fields = {k: fields[k] for k in RESIDUAL_KEYS if k in fields}
+        report.fields.update(
+            metric_density=_nan_ring(rho, 1, rho.dtype),
+            angle_function=_nan_ring(phi, 1, phi.dtype),
+            quadratic_differential=_nan_ring(q, 2, q.dtype),
+            gauss_map=_nan_ring(g, 1, g.dtype),
+            normal=_nan_ring(np.stack(normal, axis=-1), 1, phi.dtype),
+        )
     return report

@@ -310,6 +310,28 @@ class TestRunCheck:
         assert any("not computable" in line for line in lines)
         assert any(line.strip() == "PASS" for line in lines)
 
+    def test_vertical_plane_log_names_the_angle_mask(self, tmp_path):
+        # gauss_map_tension is computed from the coordinates; on the
+        # vertical plane the angle cutoff masks every interior node
+        path = tmp_path / "vertical.csv"
+        write_surface_csv(dyadic_plane("vertical"), path)
+        lines = []
+        assert pipeline.run_check(path, log=lines.append)[0] == pipeline.EXIT_PASS
+        (line,) = [x for x in lines if x.split()[0] == "gauss_map_tension"]
+        assert "(every interior node masked by the angle cutoff 0.05)" in line
+        assert "not computable" not in line
+
+    @pytest.mark.parametrize("n, code", [(5, 2), (6, 2), (7, 0)])
+    def test_hopf_reach_gates_the_grid_at_margin_1(self, tmp_path, n, code):
+        # 2 * margin + 3 = 5 nodes leave hopf_holomorphy (3 nodes in from
+        # each side) without a node: that used to exit 4 on the exact plane
+        ax = (np.arange(n) - n // 2) * 0.125
+        xx, yy = np.meshgrid(ax, ax)
+        path = tmp_path / "plane.csv"
+        write_surface_csv(SurfaceGrid(x=ax, y=ax, t=0.0, F=xx + 0j, height=yy), path)
+        argv = ["check", str(path), "--margin", "1"]
+        assert cli.main(argv, log=lambda *_: None) == code
+
     def test_horizontal_plane_rejected(self, tmp_path):
         path = tmp_path / "horizontal.csv"
         write_surface_csv(dyadic_plane("horizontal"), path)
@@ -334,7 +356,10 @@ class TestRunCheck:
         with np.errstate(all="ignore"):
             code = cli.main(["check", str(path), "--report", str(report_path)])
         assert code == pipeline.EXIT_RESIDUAL
-        assert "PASS" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" not in out
+        # the tension is NaN on nodes the angle mask keeps, and says so
+        assert "no finite value on the interior; 13 of 169 interior nodes" in out
         report = json.loads(report_path.read_text())
         assert report["pass"] is False
         assert [f["residual"] for f in report["failures"]] == list(
@@ -499,6 +524,27 @@ class TestCheckSurfaceLike:
         getattr(surf, field)[16, 16] = value
         with pytest.raises(DomainError, match=r"not finite at 1 node\(s\)"):
             pipeline.check_surface_like(surf, potential=pot)
+
+
+    @pytest.mark.parametrize("defect", ["non_uniform", "swapped", "height", "one_node"])
+    def test_grids_the_stencils_cannot_use_are_refused(self, defect):
+        # each of these used to PASS, FAIL or end in a NumPy error
+        plane = dyadic_plane("vertical")
+        if defect == "non_uniform":
+            # still the exact plane, on a moved node
+            plane.x = plane.x.copy()
+            plane.x[8] += 0.01
+            plane.F = np.broadcast_to(plane.x + 0j, plane.F.shape).copy()
+        elif defect == "swapped":
+            plane.F, plane.height = plane.F[:, :15], plane.height[:, :15]
+            plane.x, plane.y = plane.y, plane.x[:15]
+        elif defect == "height":
+            plane.height = plane.height[:, :15]
+        else:
+            plane.x = plane.x[:1]
+        with pytest.raises(DomainError) as err:
+            pipeline.check_surface_like(plane)
+        assert pipeline.exit_code_for(err.value) == pipeline.EXIT_CONFIG
 
 
 class TestCli:

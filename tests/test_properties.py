@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from nilsurf import cli, config
 from nilsurf.outputs import write_surface_csv
 from nilsurf.potentials import Potential
+from nilsurf.residuals import MIN_STENCIL_NODES
 from nilsurf.surface import SurfaceGrid, generate_surface
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -210,7 +211,8 @@ def test_check_flags_follow_the_config_rules(
     )
     refused = (
         margin < 1
-        or 2 * margin + 3 > GRID_NODES  # no interior left to check
+        # no interior left to check, or no node for the widest stencil
+        or max(2 * margin + 3, MIN_STENCIL_NODES) > GRID_NODES
         or _breaks_rules(cutoff, positive=False)
         or _breaks_rules(floor, positive=True)
         or _breaks_rules(scale, positive=True)

@@ -13,12 +13,16 @@ stencil is exact and the predicted residuals hold to machine precision:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import residual_oracle as oracle
 from nilsurf import residuals
-from nilsurf.errors import DegenerateNode
+from nilsurf.errors import DegenerateNode, DomainError
 from nilsurf.potentials import Potential
 from nilsurf.surface import SurfaceGrid, generate_surface
 
@@ -47,6 +51,10 @@ def interior2(field):
     # residuals built by differentiating a differentiated field carry two
     # NaN rings, the reason the report's default margin is 2
     return field[2:-2, 2:-2]
+
+
+def kept_fields(surface, **kwargs):
+    return residuals.verify_surface(surface, keep_fields=True, **kwargs).fields
 
 
 class TestComplexDerivatives:
@@ -112,8 +120,9 @@ class TestVerticalPlane:
     """All gated residuals vanish identically for f = (x, 0, y)."""
 
     def test_tangent_data(self):
+        # verify_surface does not expose the tangent data: the oracle does
         surf = plane_surface("vertical")
-        t = residuals.tangent_frame_coeffs(surf.F, surf.height, *surf.spacing)
+        t = oracle.tangent_frame_coeffs(surf.F, surf.height, *surf.spacing)
         np.testing.assert_array_equal(interior(t.F_z), 0.5)
         np.testing.assert_array_equal(interior(t.A), -0.5j)
         np.testing.assert_array_equal(
@@ -122,28 +131,31 @@ class TestVerticalPlane:
         )
 
     def test_every_residual_class(self):
-        surf = plane_surface("vertical")
-        hx, hy = surf.spacing
-        t = residuals.tangent_frame_coeffs(surf.F, surf.height, hx, hy)
-        conf, rho = residuals.conformality_residual(t)
-        np.testing.assert_array_equal(interior(conf), 0.0)
-        np.testing.assert_array_equal(interior(rho), 1.0)
-        r1, r2 = residuals.minimality_residuals(t, surf.F, hx, hy)
-        np.testing.assert_array_equal(interior(r1), 0.0)
-        np.testing.assert_array_equal(interior2(r2), 0.0)
-        cov = residuals.covariant_minimality_residual(t)
-        np.testing.assert_array_equal(interior2(cov), 0.0)
-        normal, phi = residuals.unit_normal(t)
+        fields = kept_fields(plane_surface("vertical"))
+        np.testing.assert_array_equal(interior(fields["conformality"]), 0.0)
+        np.testing.assert_array_equal(interior(fields["metric_density"]), 1.0)
         np.testing.assert_array_equal(
-            interior(normal),
+            interior(fields["minimality_horizontal"]), 0.0
+        )
+        np.testing.assert_array_equal(
+            interior2(fields["minimality_vertical"]), 0.0
+        )
+        # the norm of the tension field nabla_{f_z} f_z̄
+        np.testing.assert_array_equal(
+            interior2(fields["covariant_minimality"]), 0.0
+        )
+        np.testing.assert_array_equal(
+            interior(fields["normal"]),
             np.broadcast_to(np.array([0.0, -1.0, 0.0]), (15, 15, 3)),
         )
-        np.testing.assert_array_equal(interior(phi), 0.0)
-        q, q_zbar = residuals.quadratic_differential(t, normal, hx, hy)
-        np.testing.assert_array_equal(interior2(q), 0.0)
-        np.testing.assert_array_equal(q_zbar[3:-3, 3:-3], 0.0)
-        aux = residuals.aux_height_consistency(t, surf.aux_height, hx, hy)
-        np.testing.assert_array_equal(interior(aux), 0.0)
+        np.testing.assert_array_equal(interior(fields["angle_function"]), 0.0)
+        np.testing.assert_array_equal(
+            interior2(fields["quadratic_differential"]), 0.0
+        )
+        np.testing.assert_array_equal(fields["hopf_holomorphy"][3:-3, 3:-3], 0.0)
+        np.testing.assert_array_equal(
+            interior(fields["aux_height_consistency"]), 0.0
+        )
 
     def test_full_verification_report(self):
         report = residuals.verify_surface(plane_surface("vertical"))
@@ -171,7 +183,7 @@ class TestHorizontalPlane:
     def test_tangent_data(self):
         surf = plane_surface("horizontal")
         z = surf.z_nodes
-        t = residuals.tangent_frame_coeffs(surf.F, surf.height, *surf.spacing)
+        t = oracle.tangent_frame_coeffs(surf.F, surf.height, *surf.spacing)
         np.testing.assert_array_equal(interior(t.F_z), 1.0)
         np.testing.assert_array_equal(interior(t.F_zbar), 0.0)
         np.testing.assert_allclose(
@@ -180,20 +192,35 @@ class TestHorizontalPlane:
 
     def test_exact_defects(self):
         surf = plane_surface("horizontal")
-        hx, hy = surf.spacing
         z = surf.z_nodes
-        t = residuals.tangent_frame_coeffs(surf.F, surf.height, hx, hy)
-        conf, rho = residuals.conformality_residual(t)
+        fields = kept_fields(surf)
         np.testing.assert_allclose(
-            interior(conf), interior(-np.conj(z) ** 2 / 16.0), atol=1e-15
+            interior(fields["conformality"]),
+            interior(-np.conj(z) ** 2 / 16.0),
+            atol=1e-15,
         )
         np.testing.assert_allclose(
-            interior(rho), interior(1.0 + np.abs(z) ** 2 / 8.0), atol=1e-15
+            interior(fields["metric_density"]),
+            interior(1.0 + np.abs(z) ** 2 / 8.0),
+            atol=1e-15,
         )
-        r1, r2 = residuals.minimality_residuals(t, surf.F, hx, hy)
-        np.testing.assert_allclose(interior(r1), interior(-z / 8.0), atol=1e-14)
-        np.testing.assert_allclose(interior2(r2), 0.0, atol=1e-14)
-        cov = residuals.covariant_minimality_residual(t)
+        np.testing.assert_allclose(
+            interior(fields["minimality_horizontal"]), interior(-z / 8.0),
+            atol=1e-14,
+        )
+        np.testing.assert_allclose(
+            interior2(fields["minimality_vertical"]), 0.0, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            interior2(fields["covariant_minimality"]),
+            interior2(np.abs(z) / 8.0),
+            atol=1e-14,
+        )
+        # the report keeps the tension field's norm; its frame
+        # coefficients come from the oracle
+        hx, hy = surf.spacing
+        t = oracle.tangent_frame_coeffs(surf.F, surf.height, hx, hy)
+        cov = oracle.covariant_minimality_residual(t)
         expected = np.stack(
             [-z.real / 8.0, -z.imag / 8.0, np.zeros_like(z.real)], axis=-1
         )
@@ -201,8 +228,8 @@ class TestHorizontalPlane:
 
     def test_normal_tilts_away_from_vertical(self):
         surf = plane_surface("horizontal")
-        t = residuals.tangent_frame_coeffs(surf.F, surf.height, *surf.spacing)
-        normal, phi = residuals.unit_normal(t)
+        fields = kept_fields(surf)
+        normal, phi = fields["normal"], fields["angle_function"]
         z = surf.z_nodes
         expected_phi = 1.0 / np.sqrt(1.0 + np.abs(z) ** 2 / 4.0)
         np.testing.assert_allclose(interior(phi), interior(expected_phi), atol=1e-14)
@@ -228,15 +255,19 @@ class TestHorizontalPlane:
 class TestStretchedPlane:
     def test_conformality_defect_is_exactly_minus_three_quarters(self):
         surf = plane_surface("stretched")
-        t = residuals.tangent_frame_coeffs(surf.F, surf.height, *surf.spacing)
-        conf, rho = residuals.conformality_residual(t)
-        np.testing.assert_array_equal(interior(conf), -0.75)
-        np.testing.assert_array_equal(interior(rho), 2.5)
-        report = residuals.verify_surface(surf)
+        report = residuals.verify_surface(surf, keep_fields=True)
+        np.testing.assert_array_equal(interior(report.fields["conformality"]), -0.75)
+        np.testing.assert_array_equal(interior(report.fields["metric_density"]), 2.5)
         assert report.maxima["conformality"] == 0.75
 
 
 class TestGaussMap:
+    """The tension formula on a given normal field.
+
+    verify_surface derives the normal from the coordinates, so these use
+    the oracle, which verify_surface matches bit for bit.
+    """
+
     def test_holomorphic_gauss_map_has_zero_tension(self):
         # build the normal field whose stereographic projection is the
         # holomorphic map g = z/3; the tension must vanish to rounding
@@ -250,7 +281,7 @@ class TestGaussMap:
         )
         phi = normal[..., 2]
         h = ax[1] - ax[0]
-        g_back, tau = residuals.gauss_map_tension(normal, phi, h, h)
+        g_back, tau = oracle.gauss_map_tension(normal, phi, h, h)
         np.testing.assert_allclose(g_back, g, atol=1e-14)
         assert np.nanmax(np.abs(tau)) < 1e-12
 
@@ -264,7 +295,7 @@ class TestGaussMap:
             axis=-1,
         )
         phi = normal[..., 2]
-        _, tau = residuals.gauss_map_tension(normal, phi, 0.125, 0.125, angle_cutoff=0.9)
+        _, tau = oracle.gauss_map_tension(normal, phi, 0.125, 0.125, angle_cutoff=0.9)
         finite = np.isfinite(tau[1:-1, 1:-1])
         expected = phi[1:-1, 1:-1] > 0.9
         np.testing.assert_array_equal(finite, expected)
@@ -274,14 +305,16 @@ class TestGaussMap:
 class TestFhatIdentity:
     def test_linear_matrix_field_value(self):
         # fhat = x C1 + y C2 has exact first derivatives and zero
-        # Laplacian, leaving only the commutator term
-        ax = np.linspace(-1.0, 1.0, 9)
-        xx, yy = np.meshgrid(ax, ax)
+        # Laplacian, leaving only the commutator term; the vertical plane
+        # carries it through verify_surface
+        surf = plane_surface("vertical", n=9)
+        xx, yy = np.meshgrid(surf.x, surf.y)
         c1 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         c2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-        fhat = xx[..., None, None] * c1 + yy[..., None, None] * c2
-        h = ax[1] - ax[0]
-        res = residuals.fhat_laplace_identity(fhat, h, h)
+        surf.fhat = xx[..., None, None] * c1 + yy[..., None, None] * c2
+        res = kept_fields(surf)["fhat_laplace_identity"]
+        assert res.shape == (9, 9, 2, 2)
+        assert np.all(np.isnan(res[0])) and np.all(np.isnan(res[:, -1]))
         fz = (c1 - 1j * c2) / 2.0
         fzb = (c1 + 1j * c2) / 2.0
         expected = -0.25j * (fz @ fzb - fzb @ fz)
@@ -308,7 +341,7 @@ class TestDegenerateDetection:
             residuals.verify_surface(surf)
 
     def test_zero_norm_normal_is_nan_not_crash(self):
-        t = residuals.TangentData(
+        t = oracle.TangentData(
             F_z=np.zeros((5, 5), dtype=complex),
             F_zbar=np.zeros((5, 5), dtype=complex),
             A=np.zeros((5, 5), dtype=complex),
@@ -317,9 +350,20 @@ class TestDegenerateDetection:
             a_z=np.zeros((5, 5, 3), dtype=complex),
             a_zbar=np.zeros((5, 5, 3), dtype=complex),
         )
-        normal, phi = residuals.unit_normal(t)
+        normal, phi = oracle.unit_normal(t)
         assert np.all(np.isnan(normal))
         assert np.all(np.isnan(phi))
+
+    def test_parallel_tangents_give_a_nan_normal_in_kept_fields(self):
+        # rows 0-2 share one height, so f_y vanishes on row 1 and the
+        # cross product with f_x is zero there; row 1 lies outside the
+        # default margin, so the density gate does not see it
+        surf = plane_surface("vertical", n=11)
+        surf.height[:3] = surf.height[2]
+        fields = kept_fields(surf)
+        assert np.all(np.isnan(fields["normal"][1]))
+        assert np.all(np.isnan(fields["angle_function"][1]))
+        assert np.all(np.isfinite(interior(fields["normal"])[1:]))
 
 
 class TestGeneratedSurfaceVerification:
@@ -361,6 +405,129 @@ class TestGeneratedSurfaceVerification:
         assert "fhat_laplace_identity" not in report.fields
         assert not residuals.verify_surface(surf).fields
 
+    def test_kept_fields_have_grid_shape_and_nan_rings(self):
+        pot = Potential.constant(1.0, (0.25,))
+        ax = np.linspace(-0.4, 0.4, 13)
+        surf = generate_surface(pot, ax, ax[:11], 0.3)
+        fields = residuals.verify_surface(surf, keep_fields=True).fields
+        assert list(fields) == list(residuals.RESIDUAL_KEYS) + [
+            "metric_density",
+            "angle_function",
+            "quadratic_differential",
+            "gauss_map",
+            "normal",
+        ]
+        # the ring width is how far in each stencil reaches
+        rings = {
+            "conformality": 1,
+            "minimality_horizontal": 1,
+            "minimality_vertical": 2,
+            "covariant_minimality": 2,
+            "aux_height_consistency": 1,
+            "hopf_holomorphy": 3,
+            "gauss_map_tension": 2,
+            "fhat_laplace_identity": 1,
+            "metric_density": 1,
+            "angle_function": 1,
+            "quadratic_differential": 2,
+            "gauss_map": 1,
+            "normal": 1,
+        }
+        for key, width in rings.items():
+            field = fields[key]
+            assert field.shape[:2] == (11, 13), key
+            inside = np.zeros((11, 13), dtype=bool)
+            inside[width:-width, width:-width] = True
+            finite = np.isfinite(field).reshape(11, 13, -1).all(axis=-1)
+            np.testing.assert_array_equal(finite, inside, err_msg=key)
+        assert fields["fhat_laplace_identity"].shape == (11, 13, 2, 2)
+        assert fields["normal"].shape == (11, 13, 3)
+
+
+def vertical_plane(nx, ny):
+    """f = (x, 0, y) on nx x ny nodes of spacing 0.125."""
+    x = (np.arange(nx) - nx // 2) * 0.125
+    y = (np.arange(ny) - ny // 2) * 0.125
+    xx, yy = np.meshgrid(x, y)
+    return SurfaceGrid(x=x, y=y, t=0.0, F=xx + 0j, height=yy, aux_height=-xx)
+
+
+class TestGridGate:
+    """verify_surface refuses grids its stencils cannot difference."""
+
+    @pytest.mark.parametrize("margin", [1, 2, 3, 4])
+    def test_smallest_grid_for_each_margin(self, margin):
+        need = max(2 * margin + 3, residuals.MIN_STENCIL_NODES)
+        report = residuals.verify_surface(vertical_plane(need, need + 2), margin=margin)
+        # every coordinate class, hopf_holomorphy's 3-node reach included,
+        # has a node inside the margin
+        for key in residuals.COORDINATE_KEYS:
+            assert report.maxima[key] == 0.0, key
+        for nx, ny in ((need - 1, need), (need, need - 1)):
+            with pytest.raises(DomainError, match=f"need at least {need} nodes"):
+                residuals.verify_surface(vertical_plane(nx, ny), margin=margin)
+
+    def test_hopf_reach_sets_the_minimum_at_margin_1(self):
+        # 2 * 1 + 3 = 5 nodes used to pass the gate and leave
+        # hopf_holomorphy without a node
+        assert residuals.MIN_STENCIL_NODES == 7
+        for n in (5, 6):
+            with pytest.raises(DomainError, match="need at least 7 nodes"):
+                residuals.verify_surface(vertical_plane(n, n), margin=1)
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_non_uniform_axis(self, name):
+        surf = vertical_plane(9, 9)
+        axis = getattr(surf, name).copy()
+        axis[4] += 1e-3 * 0.125
+        # the plane stays exact on the moved node
+        xx, yy = np.meshgrid(
+            axis if name == "x" else surf.x, axis if name == "y" else surf.y
+        )
+        surf = SurfaceGrid(
+            x=xx[0], y=yy[:, 0], t=0.0, F=xx + 0j, height=yy, aux_height=-xx
+        )
+        with pytest.raises(DomainError, match=f"{name} axis is not uniformly"):
+            residuals.verify_surface(surf)
+
+    @pytest.mark.parametrize(
+        "axis",
+        [np.zeros(9), np.r_[np.arange(8.0), np.nan], np.r_[np.arange(8.0), np.inf],
+         np.r_[-1.5e308, np.zeros(7), 1.5e308]],
+        ids=["repeated", "nan", "inf", "overflowing-step"],
+    )
+    def test_axis_without_one_finite_step(self, axis):
+        surf = vertical_plane(9, 9)
+        surf.x = axis
+        with pytest.raises(DomainError, match="x axis is not uniformly"):
+            residuals.verify_surface(surf)
+
+    def test_swapped_axes(self):
+        surf = vertical_plane(9, 11)
+        surf.x, surf.y = surf.y, surf.x
+        with pytest.raises(DomainError, match=r"F has shape \(11, 9\)"):
+            residuals.verify_surface(surf)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("height", (9, 10)), ("aux_height", (10, 9)), ("fhat", (9, 9))],
+    )
+    def test_companion_grid_of_another_shape(self, name, shape):
+        surf = vertical_plane(9, 9)
+        setattr(surf, name, np.zeros(shape))
+        with pytest.raises(DomainError, match=f"{name} has shape"):
+            residuals.verify_surface(surf)
+
+    def test_decreasing_uniform_axis_is_accepted(self):
+        # a uniform axis may run either way; the stencils take its signed step
+        surf = vertical_plane(9, 9)
+        surf.x = surf.x[::-1].copy()
+        surf.F = np.broadcast_to(surf.x + 0j, (9, 9)).copy()
+        surf.aux_height = -surf.F.real
+        report = residuals.verify_surface(surf)
+        for key in residuals.COORDINATE_KEYS + ("aux_height_consistency",):
+            assert report.maxima[key] == 0.0, key
+
 
 class TestReportSerialization:
     def test_to_dict_is_json_ready_and_nan_free(self):
@@ -373,3 +540,122 @@ class TestReportSerialization:
         assert d["grid"] == {"nx": 17, "ny": 17, "hx": 0.125, "hy": 0.125}
         assert d["tension_nodes"]["evaluated"] == 0
         assert set(d["maxima"]) == set(residuals.RESIDUAL_KEYS)
+
+
+# --- the plane suite against the NaN-ring oracle, bit for bit -------------
+
+STATISTICS = (
+    "rho_min",
+    "rho_max",
+    "rho_mean",
+    "phi_min_observed",
+    "phi_max_observed",
+    "tension_evaluated",
+    "tension_skipped",
+    "rho_ratio_mean",
+    "rho_ratio_spread",
+    "q_ratio_mean",
+    "q_ratio_spread",
+)
+
+
+def same_bits(a, b):
+    """Equal floats with equal signs, or both NaN, or both None."""
+    if a is None or b is None:
+        return a is b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def assert_same_bits(new, old, name):
+    assert new.shape == old.shape and new.dtype == old.dtype, name
+    nan = np.isnan(old)
+    np.testing.assert_array_equal(np.isnan(new), nan, err_msg=name)
+    # compare the bits of every non-NaN value, so -0.0 differs from 0.0
+    np.testing.assert_array_equal(
+        new[~nan].view(np.uint64), old[~nan].view(np.uint64), err_msg=name
+    )
+
+
+def assert_matches_oracle(surface, **kwargs):
+    new = residuals.verify_surface(surface, keep_fields=True, **kwargs)
+    old = oracle.verify_surface(surface, keep_fields=True, **kwargs)
+    for key in residuals.RESIDUAL_KEYS:
+        assert same_bits(new.maxima[key], old.maxima[key]), key
+        assert same_bits(new.maxima_ungated[key], old.maxima_ungated[key]), key
+    for name in STATISTICS:
+        assert same_bits(getattr(new, name), getattr(old, name)), name
+    assert list(new.fields) == list(old.fields)
+    for name, field in old.fields.items():
+        assert_same_bits(new.fields[name], field, name)
+    assert new.to_dict() == old.to_dict()
+
+
+@st.composite
+def smooth_surfaces(draw):
+    """A smooth immersion on a drawn uniform grid, with drawn companions.
+
+    x1 = x + c0 x^2 + c1 x y keeps d(x1)/dx >= 0.4 on the drawn domain,
+    so the metric density stays far above the degeneracy gate.
+    """
+    margin = draw(st.integers(1, 3))
+    least = max(2 * margin + 3, residuals.MIN_STENCIL_NODES)
+    nx = draw(st.integers(least, 40))
+    ny = draw(st.integers(least, 40))
+    unit = st.floats(-1.0, 1.0)
+    c = [0.2 * draw(unit) for _ in range(2)] + [draw(unit) for _ in range(10)]
+    x = draw(st.floats(-0.5, 0.0)) + draw(st.floats(0.005, 0.025)) * np.arange(nx)
+    y = draw(st.floats(-0.5, 0.0)) + draw(st.floats(0.005, 0.025)) * np.arange(ny)
+    xx, yy = np.meshgrid(x, y)
+    F = (xx + c[0] * xx**2 + c[1] * xx * yy) + 1j * (
+        (1.0 + 0.5 * c[2]) * yy + c[3] * yy**2 + c[4] * np.sin(xx)
+    )
+    height = c[5] * xx * yy + c[6] * np.sin(2.0 * yy) + c[7] * xx + c[8] * yy
+    surface = SurfaceGrid(x=x, y=y, t=0.0, F=F, height=height)
+    if draw(st.booleans()):
+        surface.aux_height = c[9] * np.sin(xx - yy) + c[10] * xx * yy
+    if draw(st.booleans()):
+        waves = (np.cos(xx + yy), np.sin(2.0 * xx), xx * yy, np.cos(yy) + 1j * xx)
+        surface.fhat = np.stack(
+            [c[11] * w + k for k, w in enumerate(waves)], axis=-1
+        ).reshape(ny, nx, 2, 2)
+    return surface, margin
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=smooth_surfaces(),
+    cutoff=st.one_of(st.floats(-1.0, 1.0), st.just(0.05)),
+    quantile=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    rho0=st.one_of(st.none(), st.floats(0.5, 2.0)),
+)
+def test_plane_suite_matches_the_oracle_bit_for_bit(drawn, cutoff, quantile, rho0):
+    surface, margin = drawn
+    if quantile is not None:
+        # a cutoff inside the surface's own angle range masks some nodes
+        tangent = oracle.tangent_frame_coeffs(
+            surface.F, surface.height, *surface.spacing
+        )
+        cutoff = float(np.nanquantile(oracle.unit_normal(tangent)[1], quantile))
+    potential = None if rho0 is None else Potential.constant(rho0, (0.25, 0.1j))
+    assert_matches_oracle(
+        surface, potential=potential, angle_cutoff=cutoff, margin=margin
+    )
+
+
+@pytest.mark.parametrize(
+    "potential, n",
+    [(Potential.constant(1.0, (0.25,)), 49), (Potential.liouville(), 65)],
+)
+@pytest.mark.parametrize("margin", [1, 2])
+def test_generated_surfaces_match_the_oracle_bit_for_bit(potential, n, margin):
+    ax = np.linspace(-0.3, 0.3, n)
+    surface = generate_surface(potential, ax, ax, 0.4)
+    assert_matches_oracle(surface, potential=potential, margin=margin)
+
+
+@pytest.mark.parametrize("kind", ["vertical", "horizontal", "stretched"])
+def test_plane_fixtures_match_the_oracle_bit_for_bit(kind):
+    assert_matches_oracle(plane_surface(kind), margin=1)
+
