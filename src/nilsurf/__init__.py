@@ -40,7 +40,6 @@ from .frame import (
     ConnectionPair,
     FrameField,
     connection_at,
-    flatness_residual,
     integrate_grid,
     rk4_step,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "classify_report",
     "connection_at",
     "fhat_from_frame",
-    "flatness_residual",
     "generate_surface",
     "harmonic_extension",
     "integrate_grid",

@@ -24,13 +24,29 @@ One march serves the whole associated family.  `_sample` takes the
 t-independent data (sqrt(rho0), (log rho0)_z, Q0) once per sample point,
 and `_connection_entries` turns it into the nonzero entries of U and V with
 the phase e as a (T, 1) factor, so every entry carries a leading axis over
-the T requested t values.  The RK4 kernel works on the entries directly:
-the state is one array of shape (3, 2, 2, T, n) (triple, row, column, t,
-node), and a product Psi @ omega is Psi * diag(omega) + Psi[:, ::-1] *
-offdiag(omega) over the column axis.  omega_t and omega_tt are
-off-diagonal, with omega_tt = (-2i, +2i) times the (0,1) and (1,0) entries
-of omega_t, so most of the products vanish.  `connection_at`, the dense
-matrices the tests compare against, is built from the same two functions.
+the T requested t values.  The RK4 kernel works on the entries directly: a
+product Psi @ omega is Psi * diag(omega) + Psi[..., ::-1] * offdiag(omega)
+over the column axis, and row i of it depends only on row i of Psi.
+omega_t and omega_tt are off-diagonal, with omega_tt = (-2i, +2i) times the
+(0,1) and (1,0) entries of omega_t, so most of the products vanish.
+`connection_at`, the dense matrices the tests compare against, is built
+from the same two functions.
+
+Only row 0 is marched.  With rho0 > 0 and real t, sqrt(rho0) is real, the
+diagonal w = u00 dz - conj(u00 dz) of omega = U dz + V dz̄ is imaginary and
+omega10 = conj(omega01) (v01 = conj(u10), v10 = -u01), so omega lies in
+su(1,1) and the frame stays in SU(1,1): Psi = [[a, b], [conj(b), conj(a)]],
+and so do Psi_t and Psi_tt because t is real.  The march state is one array
+of shape (3, 2, T, n) (triple, column, t, node); after the march each
+member fills row 1 as psi[1, 1] = conj(psi[0, 0]), psi[1, 0] =
+conj(psi[0, 1]), and likewise for psi_t and psi_tt.  Row 1 of the full
+RK4 march is that conjugate swap bitwise, up to the sign of a zero, so the
+frames do not change.  The argument needs a real sqrt(rho0): `integrate_grid`
+raises DomainError before the first step when a sample of it is not a real
+array (NaN and inf are real, and take their usual path).  `rk4_step`
+keeps the full (3, 2, 2, T, n) state, which the kernel also accepts; it
+takes the starting step to a base node off z = 0, whose row 0 seeds the
+march.
 
 The potential is sampled once per march, not once per step: that data
 does not depend on t or on the state, so `integrate_grid` makes one
@@ -66,9 +82,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFlatInput
-from .mat2 import commutator
-
-FLATNESS_PROBE = 1e-4
 
 #: Bound on the integrability residual at every node (analytic residuals
 #: are ~1e-16, stored solve residuals <= solver tol; inadmissible data is
@@ -137,36 +150,6 @@ def connection_at(potential, z, t):
     return ConnectionPair(u, v, u_t, v_t, u_tt, v_tt)
 
 
-def flatness_residual(potential, z, t, probe=FLATNESS_PROBE):
-    """Curvature of the connection at points z by central differences.
-
-    Returns the matrix field
-
-        d(U)/dz̄ - d(V)/dz - [U, V]
-
-    sampled with central differences of step `probe` in x and y.  For
-    admissible analytic data this vanishes to O(probe^2); for inadmissible
-    data it is O(1).  An independent check of `connection_at` against the
-    admissibility condition; the integration gate is `_check_admissibility`.
-    """
-    z = np.asarray(z, dtype=complex)
-
-    def u_of(w):
-        return connection_at(potential, w, t).u
-
-    def v_of(w):
-        return connection_at(potential, w, t).v
-
-    ux = (u_of(z + probe) - u_of(z - probe)) / (2.0 * probe)
-    uy = (u_of(z + 1j * probe) - u_of(z - 1j * probe)) / (2.0 * probe)
-    vx = (v_of(z + probe) - v_of(z - probe)) / (2.0 * probe)
-    vy = (v_of(z + 1j * probe) - v_of(z - 1j * probe)) / (2.0 * probe)
-    u_zbar = (ux + 1j * uy) / 2.0
-    v_z = (vx - 1j * vy) / 2.0
-    pair = connection_at(potential, z, t)
-    return u_zbar - v_z - commutator(pair.u, pair.v)
-
-
 def _omega(sample, dz, phase):
     """Entries of the increments omega = U dz + V dz̄, omega_t and omega_tt.
 
@@ -194,10 +177,12 @@ def _rhs(state, omega):
     """Derivative of (Psi, Psi_t, Psi_tt) along the step direction.
 
     (Psi @ omega)[i, j] = Psi[i, j] omega[j, j] + Psi[i, 1 - j] omega[1 - j, j],
-    and omega_t, omega_tt have no diagonal.
+    and omega_t, omega_tt have no diagonal.  state is the full triple,
+    (3, 2, 2, T, n), or its row 0, (3, 2, T, n): the column axis is -3 in
+    both.
     """
     diag, off, off_t, off_tt = omega
-    swapped = state[:, :, ::-1]
+    swapped = state[..., ::-1, :, :]
     k = state * diag + swapped * off
     k[1] += swapped[0] * off_t
     k[2] += 2.0 * (swapped[1] * off_t)
@@ -210,13 +195,22 @@ def _rk4(state, dz, phase, start, mid, end):
 
     start, mid and end are `_sample`'s data at the step's start point,
     midpoint and end point; the two interior stages share the midpoint.
+    state is a full or a row state (see `_rhs`).
     """
     omega_mid = _omega(mid, dz, phase)
     k1 = _rhs(state, _omega(start, dz, phase))
     k2 = _rhs(state + 0.5 * k1, omega_mid)
     k3 = _rhs(state + 0.5 * k2, omega_mid)
     k4 = _rhs(state + k3, _omega(end, dz, phase))
-    return state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    # state + (k1 + 2 k2 + 2 k3 + k4) / 6, in place, in that order
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 /= 6.0
+    k1 += state
+    return k1
 
 
 def rk4_step(potential, state, z0, z1, phase):
@@ -227,7 +221,8 @@ def rk4_step(potential, state, z0, z1, phase):
     and z0, z1 have n points (or are scalars when n = 1).  The step
     samples the potential at its start, midpoint and end, once for all T
     members.  `integrate_grid` samples the whole grid once per march and
-    calls the same kernel; this function serves its off-node base step.
+    calls the same kernel on row 0 alone; this function serves its off-node
+    base step.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
@@ -307,19 +302,21 @@ def _check_admissibility(potential, z_nodes):
 def _outward(n, start):
     """Paired steps marching away from start: (from, to, chained) per step.
 
-    Step k takes start + k - 1 to start + k and start - k + 1 to start - k
-    together, as index arrays of one or two entries: both while both lie
-    in range(n), then the longer side alone.  chained marks a step whose
-    sources are the previous step's destinations.
+    Step k takes start - k + 1 to start - k and start + k - 1 to start + k
+    together: both while both lie in range(n), then the longer side alone.
+    from is an index array of the one or two sources, to the slice of the
+    destinations in the same (ascending) order.  chained marks a step
+    whose sources are the previous step's destinations.
     """
     steps = []
     for k in range(1, max(start, n - 1 - start) + 1):
-        sides = [s for s in (1, -1) if 0 <= start + s * k < n]
-        chained = k > 1 and len(sides) == len(steps[-1][1])
+        sides = [s for s in (-1, 1) if 0 <= start + s * k < n]
+        chained = k > 1 and len(sides) == len(steps[-1][0])
+        first, last = start + sides[0] * k, start + sides[-1] * k
         steps.append(
             (
                 np.array([start + s * (k - 1) for s in sides]),
-                np.array([start + s * k for s in sides]),
+                slice(first, last + 1, max(last - first, 1)),
                 chained,
             )
         )
@@ -340,7 +337,9 @@ def integrate_grid(
     t is a float, which returns one FrameField, or a 1-D sequence, which
     returns a list with one FrameField per value in the given order; all
     values are marched together, and each member's triple lives in its own
-    (3, 2, 2, ny, nx) block, of which psi, psi_t and psi_tt are views.
+    (3, 2, 2, ny, nx) block, of which psi, psi_t and psi_tt are views.  The
+    march fills row 0 of every block; row 1 is its conjugate swap (see the
+    module docstring).
 
     The march starts from the exact base point z = 0 with the triple
     (identity, 0, 0); the grid must contain 0 (the nearest node is reached
@@ -358,8 +357,9 @@ def integrate_grid(
 
     Raises NonFlatInput when the admissibility gate trips (disable with
     check_flatness=False to study that failure mode) and DomainError when
-    the grid does not contain the base point or the potential cannot be
-    sampled on it; both before the first step.
+    the grid does not contain the base point, the potential cannot be
+    sampled on it or its sqrt(rho0) is not real there; all before the
+    first step.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -378,44 +378,44 @@ def integrate_grid(
     members = np.atleast_1d(t_values)
     phase = np.exp(2j * members)[:, None]
     # One (triple, row, column, y, x) block per member; the FrameField
-    # arrays are views of it.  Column-major marches transposed views.
+    # arrays are views of it.  The march reads and writes row 0 of each
+    # block, column-major through transposed views.
     blocks = [np.zeros((3, 2, 2, n_y, n_x), dtype=complex) for _ in members]
-    views = blocks
+    views = [b[:, 0] for b in blocks]
     i0 = int(np.argmin(np.abs(x)))
     j0 = int(np.argmin(np.abs(y)))
     z_path, row0, col0 = z_nodes, j0, i0
     if path_order == "column-major":
-        views = [b.swapaxes(-1, -2) for b in blocks]
+        views = [v.swapaxes(-1, -2) for v in views]
         z_path, row0, col0 = z_nodes.T, i0, j0
 
     # The base line, then whole rows, each in paired outward steps; a node
-    # is the destination of one step.  Steps index nodes by (row, column)
-    # arrays of equal length, so a pair of rows is one node axis.
+    # is the destination of one step.  A step reads its sources through
+    # (row, column) index arrays and writes its destinations through
+    # (row, column) slices; either way its nodes, taken row by row, are
+    # one node axis, so a pair of rows is one state.
     n_rows, n_cols = z_path.shape
-
-    def on_base_line(cols):
-        return np.full(cols.size, row0), cols
-
-    def whole_rows(rows):
-        return np.repeat(rows, n_cols), np.tile(np.arange(n_cols), rows.size)
-
     steps = [
-        (on_base_line(a), on_base_line(b), chained)
+        ((np.array([row0]), a), (slice(row0, row0 + 1), b), chained)
         for a, b, chained in _outward(n_cols, col0)
     ] + [
-        (whole_rows(a), whole_rows(b), chained)
+        ((a, np.arange(n_cols)), (b, slice(None)), chained)
         for a, b, chained in _outward(n_rows, row0)
     ]
 
-    # Sample every step of the march at once, indexed by (substep,
-    # destination node): the ends, the increments and the midpoints.
+    # Sample every step of the march at once, indexed by (substep, row,
+    # column) of the destination node: the ends, the increments and the
+    # midpoints.
     z_from = z_path.copy()
     for src, dst, _ in steps:
-        z_from[dst] = z_path[src]
+        z_from[dst] = z_path[np.ix_(*src)]
     points = _substep_points(z_from, z_path, substeps)
     dz = points[1:] - points[:-1]
     ends = _sample(potential, points)
     mids = _sample(potential, points[:-1] + dz / 2.0)
+    # the row march needs a real sqrt(rho0) (module docstring)
+    if ends[0].dtype.kind != "f" or mids[0].dtype.kind != "f":
+        raise DomainError("sqrt(rho0) is not real on the grid")
 
     state = np.zeros((3, 2, 2, members.size, 1), dtype=complex)
     state[0, 0, 0] = state[0, 1, 1] = 1.0
@@ -424,33 +424,40 @@ def integrate_grid(
         base = _substep_points(np.asarray(0.0j), np.asarray(z_base), substeps)
         for a, b in zip(base[:-1], base[1:]):
             state = rk4_step(potential, state, a, b, phase)
+    # Row 0 seeds the march; row 1 is its conjugate swap (module docstring)
+    state = state[:, 0]
 
     def store(at, state):
         for m, view in enumerate(views):
-            view[(...,) + at] = state[..., m, :]
+            target = view[(...,) + at]
+            target[...] = state[:, :, m].reshape(target.shape)
 
     def load(at):
-        return np.stack([view[(...,) + at] for view in views], axis=3)
+        loaded = np.stack([view[(...,) + np.ix_(*at)] for view in views], axis=2)
+        return loaded.reshape(loaded.shape[:3] + (-1,))
 
-    def pick(sample, at):
-        return tuple(f[at] for f in sample)
+    def pick(sample, k, at):
+        return tuple(f[(k,) + at].reshape(-1) for f in sample)
 
     # Every state has a node axis.  A chained step continues from the
     # state of the previous one; any other step loads its sources.
-    store((np.array([row0]), np.array([col0])), state)
+    store((slice(row0, row0 + 1), slice(col0, col0 + 1)), state)
     for src, dst, chained in steps:
         if not chained:
             state = load(src)
         for k in range(substeps):
             state = _rk4(
                 state,
-                dz[(k,) + dst],
+                dz[(k,) + dst].reshape(-1),
                 phase,
-                pick(ends, (k,) + dst),
-                pick(mids, (k,) + dst),
-                pick(ends, (k + 1,) + dst),
+                pick(ends, k, dst),
+                pick(mids, k, dst),
+                pick(ends, k + 1, dst),
             )
         store(dst, state)
+    # row 1 = (conj(row 0[1]), conj(row 0[0])) in every block
+    for block in blocks:
+        np.conjugate(block[:, 0, ::-1], out=block[:, 1])
 
     out = [
         FrameField(x, y, float(tm), *np.moveaxis(block, (1, 2), (3, 4)))

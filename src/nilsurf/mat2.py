@@ -16,8 +16,8 @@ on such 4-tuples, and `from_entries` stacks one back into a (..., 2, 2)
 field.  Each entry
 of a product is then two whole-grid multiplications and one addition,
 where NumPy's `@` on (n, 2, 2) stacks runs one tiny matrix product per
-node.  The surface assembly, the flatness residual (`commutator`) and
-the residual suite (`commutator_entries`) use it.
+node.  The surface assembly and the residual suite (`commutator_entries`)
+use it; the stacked `commutator` now serves only the tests' oracles.
 """
 
 import numpy as np

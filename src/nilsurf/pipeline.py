@@ -112,21 +112,39 @@ def classify_report(report, thresholds):
     """Compare a ResidualReport's maxima against thresholds.
 
     Residual classes that were not computable (NaN maxima, e.g. auxiliary
-    checks on external surfaces) are skipped, except the COORDINATE_KEYS:
-    every surface has the data for those, so a NaN there (no finite value
-    on the interior, e.g. overflowed derivatives) fails.  Returns (passed,
+    checks on external surfaces) are skipped, except where the surface had
+    the data (see `_nan_fails`): a NaN there means no finite value on the
+    interior, e.g. overflowed derivatives, and fails.  Returns (passed,
     failures) where failures lists (key, value, threshold) triples.
     """
     failures = []
     for key in RESIDUAL_KEYS:
         value = report.maxima.get(key, float("nan"))
         if value is None or math.isnan(value):
-            if key in COORDINATE_KEYS:
+            if _nan_fails(report, key):
                 failures.append((key, float("nan"), thresholds[key]))
             continue
         if value > thresholds[key]:
             failures.append((key, value, thresholds[key]))
     return (not failures), failures
+
+
+def _interior_nodes(report):
+    """Nodes inside the report's margin, where its maxima are taken."""
+    return (report.nx - 2 * report.margin) * (report.ny - 2 * report.margin)
+
+
+def _nan_fails(report, key):
+    """Whether a NaN maximum of class key fails rather than being skipped.
+
+    Every surface has the data for the COORDINATE_KEYS, and for
+    gauss_map_tension at every interior node the angle cutoff keeps; only
+    a cutoff that masks the whole interior (the exact vertical plane)
+    leaves the tension nothing to evaluate.
+    """
+    if key == "gauss_map_tension":
+        return report.tension_skipped < _interior_nodes(report)
+    return key in COORDINATE_KEYS
 
 
 def _failure_entries(failures):
@@ -320,14 +338,17 @@ def _check(csv_path, report_path, tolerances, log):
     report, thresholds, passed, failures = _verdict(
         surface, None, None, **tolerances
     )
+    failed = {key for key, _, _ in failures}
     for key in RESIDUAL_KEYS:
         value, threshold = report.maxima[key], thresholds[key]
-        if math.isnan(value) and key in COORDINATE_KEYS:
-            log(f"  {key:<24} (no finite value on the interior)  OVER")
-        elif math.isnan(value) and key == "gauss_map_tension":
-            log(f"  {key:<24} ({_tension_mask_note(report)})")
-        elif math.isnan(value):
-            log(f"  {key:<24} (not computable from coordinate data)")
+        if math.isnan(value):
+            if key in COORDINATE_KEYS:
+                note = "no finite value on the interior"
+            elif key == "gauss_map_tension":
+                note = _tension_mask_note(report)
+            else:
+                note = "not computable from coordinate data"
+            log(f"  {key:<24} ({note})" + ("  OVER" if key in failed else ""))
         else:
             verdict = "ok" if value <= threshold else "OVER"
             log(f"  {key:<24} {value:.3e}  threshold {threshold:.3e}  {verdict}")
@@ -344,7 +365,7 @@ def _check(csv_path, report_path, tolerances, log):
 
 def _tension_mask_note(report):
     """Why gauss_map_tension has no value: the angle mask, or no finite value."""
-    interior = (report.nx - 2 * report.margin) * (report.ny - 2 * report.margin)
+    interior = _interior_nodes(report)
     cutoff = f"the angle cutoff {report.angle_cutoff:g}"
     if report.tension_skipped == interior:
         return f"every interior node masked by {cutoff}"

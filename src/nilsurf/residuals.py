@@ -80,7 +80,7 @@ RESIDUAL_KEYS = (
 #: Classes computed from the coordinates of every surface, so each must
 #: have a finite value on the interior.  gauss_map_tension is computed from
 #: them too, but the angle cutoff may mask every node (the exact vertical
-#: plane).
+#: plane); the classifier fails its NaN only where the mask kept a node.
 COORDINATE_KEYS = (
     "conformality",
     "minimality_horizontal",

@@ -16,6 +16,7 @@ from scipy.linalg import expm
 
 from nilsurf import frame
 from nilsurf.errors import DomainError, NonFlatInput
+from nilsurf.mat2 import commutator
 from nilsurf.pde import newton_solve
 from nilsurf.potentials import Potential
 from nilsurf.surface import generate_surface
@@ -47,6 +48,36 @@ def expm_oracle(potential, z, t):
     big[..., 0:2, 4:6] = m_tt / 2.0
     e = expm(big)
     return e[..., 0:2, 0:2], e[..., 0:2, 2:4], 2.0 * e[..., 0:2, 4:6]
+
+
+def flatness_residual(potential, z, t, probe=1e-4):
+    """Curvature of the connection at points z by central differences.
+
+    Returns the matrix field
+
+        d(U)/dz̄ - d(V)/dz - [U, V]
+
+    sampled with central differences of step `probe` in x and y.  For
+    admissible analytic data this vanishes to O(probe^2); for inadmissible
+    data it is O(1).  An independent check of `connection_at` against the
+    admissibility condition; the integration gate is `_check_admissibility`.
+    """
+    z = np.asarray(z, dtype=complex)
+
+    def u_of(w):
+        return frame.connection_at(potential, w, t).u
+
+    def v_of(w):
+        return frame.connection_at(potential, w, t).v
+
+    ux = (u_of(z + probe) - u_of(z - probe)) / (2.0 * probe)
+    uy = (u_of(z + 1j * probe) - u_of(z - 1j * probe)) / (2.0 * probe)
+    vx = (v_of(z + probe) - v_of(z - probe)) / (2.0 * probe)
+    vy = (v_of(z + 1j * probe) - v_of(z - 1j * probe)) / (2.0 * probe)
+    u_zbar = (ux + 1j * uy) / 2.0
+    v_z = (vx - 1j * vy) / 2.0
+    pair = frame.connection_at(potential, z, t)
+    return u_zbar - v_z - commutator(pair.u, pair.v)
 
 
 class TestConnection:
@@ -100,21 +131,21 @@ class TestConnection:
 class TestFlatness:
     def test_admissible_constant_data_is_exactly_flat(self):
         z = np.array([0.1 + 0.2j, -0.3j])
-        res = frame.flatness_residual(UNIT_POTENTIAL, z, 0.0)
+        res = flatness_residual(UNIT_POTENTIAL, z, 0.0)
         np.testing.assert_array_equal(res, 0.0)
         # away from t = 0 the family phase rounds, leaving only dust
-        res = frame.flatness_residual(UNIT_POTENTIAL, z, 0.8)
+        res = flatness_residual(UNIT_POTENTIAL, z, 0.8)
         assert np.max(np.abs(res)) < 1e-15
 
     def test_admissible_liouville_data_is_flat_to_probe_accuracy(self):
         z = np.array([0.0j, 0.3 - 0.2j, 0.5 + 0.1j])
-        res = frame.flatness_residual(Potential.liouville(), z, 0.0)
+        res = flatness_residual(Potential.liouville(), z, 0.0)
         assert np.max(np.abs(res)) < 1e-7
 
     def test_inadmissible_data_has_order_one_curvature(self):
         # rho0 = 1 with Q0 = 0 violates the structure equation; the
         # curvature is the constant commutator diag(1/16, -1/16).
-        res = frame.flatness_residual(Potential.constant(1.0, (0.0,)), 0.0j, 0.0)
+        res = flatness_residual(Potential.constant(1.0, (0.0,)), 0.0j, 0.0)
         np.testing.assert_allclose(
             res, np.diag([-1.0 / 16.0, 1.0 / 16.0]), atol=1e-12
         )
@@ -464,6 +495,73 @@ class TestSampledMarch:
         for field, triple in zip(fields, expected):
             for name, want in zip(("psi", "psi_t", "psi_tt"), triple):
                 assert np.array_equal(getattr(field, name), want), name
+
+    @pytest.mark.parametrize("kind", ["constant", "liouville", "solved"])
+    @pytest.mark.parametrize("path_order", ["row-major", "column-major"])
+    @pytest.mark.parametrize("substeps", [1, 2])
+    def test_row_1_is_the_conjugate_swap_of_row_0(
+        self, family_potentials, kind, path_order, substeps
+    ):
+        # the triple lives in SU(1,1): [[a, b], [conj(b), conj(a)]], both in
+        # the full-state reference march and in the row march
+        pot = family_potentials[kind]
+        on_node = (np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 7))
+        off_node = (np.linspace(-0.35, 0.45, 9), np.linspace(-0.31, 0.41, 7))
+        for x, y in (on_node, off_node):
+            fields = frame.integrate_grid(
+                pot, x, y, self.T_VALUES, path_order=path_order, substeps=substeps
+            )
+            expected = reference_march(pot, x, y, self.T_VALUES, path_order, substeps)
+            for field, triple in zip(fields, expected):
+                marched = (field.psi, field.psi_t, field.psi_tt)
+                for m in marched + tuple(triple):
+                    assert np.array_equal(m[..., 1, 1], np.conj(m[..., 0, 0]))
+                    assert np.array_equal(m[..., 1, 0], np.conj(m[..., 0, 1]))
+
+    def test_march_hands_the_kernel_row_states(self, monkeypatch):
+        # (triple, column, t, node): only row 0 is marched; the off-node
+        # base step alone takes the full (3, 2, 2, T, 1) state
+        shapes = []
+        kernel = frame._rk4
+        monkeypatch.setattr(
+            frame,
+            "_rk4",
+            lambda state, *args: shapes.append(state.shape) or kernel(state, *args),
+        )
+        centred = (np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 7))
+        off_node = (np.linspace(-0.35, 0.45, 9), np.linspace(-0.31, 0.41, 7))
+        for (x, y), base in ((centred, []), (off_node, [(3, 2, 2, 3, 1)])):
+            shapes.clear()
+            frame.integrate_grid(UNIT_POTENTIAL, x, y, [0.1, 0.2, 0.3])
+            assert shapes[: len(base)] == base
+            rows = shapes[len(base) :]
+            assert rows and all(len(s) == 4 and s[:3] == (3, 2, 3) for s in rows)
+            # pairs of nodes along the base line, then pairs of whole rows
+            assert {s[3] for s in rows} <= {1, 2, 9, 18}
+            assert {2, 18} <= {s[3] for s in rows}
+
+    @pytest.mark.parametrize("factor", [1.0 + 0.0j, np.exp(0.1j)])
+    def test_complex_root_fails_before_marching(self, monkeypatch, factor):
+        # the row march rests on a real sqrt(rho0); a source that returns a
+        # complex array is refused, even when its values are real
+        class ComplexRoot:
+            """UNIT_POTENTIAL with rho0 as a complex array."""
+
+            def __getattr__(self, name):
+                return getattr(UNIT_POTENTIAL, name)
+
+            def rho0(self, z):
+                return UNIT_POTENTIAL.rho0(z) * factor
+
+        kernel_calls = []
+        kernel = frame._rk4
+        monkeypatch.setattr(
+            frame, "_rk4", lambda *args: kernel_calls.append(1) or kernel(*args)
+        )
+        for ax in (np.linspace(-0.4, 0.4, 9), np.linspace(-0.35, 0.45, 9)):
+            with pytest.raises(DomainError, match="not real"):
+                frame.integrate_grid(ComplexRoot(), ax, ax, [0.1, 0.2])
+        assert kernel_calls == []
 
     @pytest.mark.parametrize("kind", ["liouville", "solved"])
     def test_potential_calls_do_not_grow_with_the_march(self, family_potentials, kind):

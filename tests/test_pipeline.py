@@ -88,14 +88,17 @@ class TestThresholds:
 
 
 class TestClassifyReport:
-    def _report(self, **maxima):
-        # coordinate classes default to a clean 0.0, the rest to NaN
+    def _report(self, tension_skipped=13 * 13, **maxima):
+        # coordinate classes default to a clean 0.0, the rest to NaN; by
+        # default the angle cutoff masks all 13 x 13 interior nodes
         full = {
             key: 0.0 if key in residuals.COORDINATE_KEYS else float("nan")
             for key in pipeline.THRESHOLD_COEFFS
         }
         full.update(maxima)
-        return types.SimpleNamespace(maxima=full)
+        return types.SimpleNamespace(
+            maxima=full, nx=17, ny=17, margin=2, tension_skipped=tension_skipped
+        )
 
     def test_all_nan_fails_on_coordinate_classes(self):
         # every surface has the data for the coordinate classes, so a NaN
@@ -112,6 +115,16 @@ class TestClassifyReport:
         thresholds = pipeline.residual_thresholds(0.1)
         passed, failures = pipeline.classify_report(self._report(), thresholds)
         assert passed and failures == []
+
+    def test_nan_tension_fails_where_the_mask_kept_nodes(self):
+        # the tension is the only NaN class; one interior node escaped the
+        # angle mask, so the class had data and found no finite value
+        thresholds = pipeline.residual_thresholds(0.1)
+        report = self._report(tension_skipped=13 * 13 - 1)
+        passed, failures = pipeline.classify_report(report, thresholds)
+        assert not passed
+        assert [key for key, _, _ in failures] == ["gauss_map_tension"]
+        assert math.isnan(failures[0][1])
 
     def test_single_failure_reported_with_threshold(self):
         thresholds = pipeline.residual_thresholds(0.1)
@@ -321,6 +334,31 @@ class TestRunCheck:
         assert "(every interior node masked by the angle cutoff 0.05)" in line
         assert "not computable" not in line
 
+    def test_nan_tension_alone_fails(self, tmp_path, monkeypatch):
+        # a surface whose only non-finite class is the tension, on nodes
+        # the angle mask keeps: it used to be skipped and pass
+        ax = np.linspace(-0.5, 0.5, 17)
+        path = tmp_path / "surface.csv"
+        surface = generate_surface(Potential.constant(1.0, (0.25,)), ax, ax, 0.3)
+        write_surface_csv(surface, path)
+        verify = pipeline.verify_surface
+
+        def tension_lost(*args, **kwargs):
+            report = verify(*args, **kwargs)
+            assert report.tension_skipped < 13 * 13
+            report.maxima["gauss_map_tension"] = float("nan")
+            return report
+
+        assert pipeline.run_check(path, log=lambda *_: None)[0] == pipeline.EXIT_PASS
+        monkeypatch.setattr(pipeline, "verify_surface", tension_lost)
+        lines = []
+        code, report = pipeline.run_check(path, log=lines.append)
+        assert code == pipeline.EXIT_RESIDUAL
+        assert [f["residual"] for f in report["failures"]] == ["gauss_map_tension"]
+        (line,) = [x for x in lines if x.split()[0] == "gauss_map_tension"]
+        assert "no finite value on the interior" in line and line.endswith("OVER")
+        assert "PASS" not in lines
+
     @pytest.mark.parametrize("n, code", [(5, 2), (6, 2), (7, 0)])
     def test_hopf_reach_gates_the_grid_at_margin_1(self, tmp_path, n, code):
         # 2 * margin + 3 = 5 nodes leave hopf_holomorphy (3 nodes in from
@@ -358,13 +396,16 @@ class TestRunCheck:
         assert code == pipeline.EXIT_RESIDUAL
         out = capsys.readouterr().out
         assert "PASS" not in out
-        # the tension is NaN on nodes the angle mask keeps, and says so
+        # the tension is NaN on nodes the angle mask keeps: it says so, and
+        # fails with the coordinate classes
         assert "no finite value on the interior; 13 of 169 interior nodes" in out
+        tension = [line for line in out.splitlines() if "gauss_map_tension" in line]
+        assert len(tension) == 1 and tension[0].endswith("OVER")
         report = json.loads(report_path.read_text())
         assert report["pass"] is False
         assert [f["residual"] for f in report["failures"]] == list(
             residuals.COORDINATE_KEYS
-        )
+        ) + ["gauss_map_tension"]
         assert all(f["value"] is None for f in report["failures"])
 
     def test_malformed_csv_exits_2(self, tmp_path):
