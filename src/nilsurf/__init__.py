@@ -30,7 +30,6 @@ from .errors import (
     MaxIterExceeded,
     NilsurfError,
     NonFlatInput,
-    PoleError,
     PotentialDataError,
     SchemaError,
     ShapeViolation,
@@ -43,7 +42,7 @@ from .frame import (
     integrate_grid,
     rk4_step,
 )
-from .pde import SolveResult, harmonic_extension, newton_solve, pde_residual
+from .pde import SolveResult, newton_solve, pde_residual
 from .pipeline import (
     build_potential,
     classify_report,
@@ -60,7 +59,6 @@ from .residuals import (
 )
 from .surface import (
     SurfaceGrid,
-    fhat_from_frame,
     generate_surface,
     surface_from_frame,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "MaxIterExceeded",
     "NilsurfError",
     "NonFlatInput",
-    "PoleError",
     "Potential",
     "PotentialDataError",
     "RESIDUAL_KEYS",
@@ -91,9 +88,7 @@ __all__ = [
     "build_potential",
     "classify_report",
     "connection_at",
-    "fhat_from_frame",
     "generate_surface",
-    "harmonic_extension",
     "integrate_grid",
     "liouville_exact",
     "load_config",

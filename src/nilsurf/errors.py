@@ -30,10 +30,6 @@ class DomainError(NilsurfError):
     """
 
 
-class PoleError(NilsurfError):
-    """Stereographic projection requested at the projection center."""
-
-
 class PotentialDataError(NilsurfError):
     """Stored potential data is unusable (e.g. a corrupted solve)."""
 

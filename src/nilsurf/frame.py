@@ -81,6 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mat2
 from .errors import DomainError, NonFlatInput
 
 #: Bound on the integrability residual at every node (analytic residuals
@@ -263,17 +264,9 @@ class FrameField:
     psi_t: np.ndarray
     psi_tt: np.ndarray
 
-    @property
-    def z_nodes(self):
-        return self.x[None, :] + 1j * self.y[:, None]
-
     def det_deviation(self):
         """Max deviation of det(psi) from 1 (a flat-integration invariant)."""
-        det = (
-            self.psi[..., 0, 0] * self.psi[..., 1, 1]
-            - self.psi[..., 0, 1] * self.psi[..., 1, 0]
-        )
-        return float(np.max(np.abs(det - 1.0)))
+        return float(np.max(np.abs(mat2.det(self.psi) - 1.0)))
 
 
 def _check_admissibility(potential, z_nodes):

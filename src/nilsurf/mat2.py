@@ -1,7 +1,8 @@
 """Batched 2x2 complex matrix helpers.
 
-All routines accept arrays of shape (..., 2, 2) and operate on the trailing
-two axes, so a whole grid of matrices is processed in one vectorized call.
+`det` and the adjugate `inv` act on the trailing two axes of (..., 2, 2)
+arrays, so a whole grid of matrices is processed in one vectorized call;
+`det` is also the determinant of the frames' det(psi) = 1 invariant.
 One constant matrix is defined here:
 
     DIAG_IMAG  = [[ i, 0], [0, -i]]   -- the diagonal imaginary generator S
@@ -13,11 +14,10 @@ Products are written entry by entry, the one entry-wise toolkit of the
 package: `entries` splits a field into its four entry arrays (m00, m01,
 m10, m11), `mul`, `mul_diagonal`, `times_s` and `commutator_entries` act
 on such 4-tuples, and `from_entries` stacks one back into a (..., 2, 2)
-field.  Each entry
-of a product is then two whole-grid multiplications and one addition,
-where NumPy's `@` on (n, 2, 2) stacks runs one tiny matrix product per
-node.  The surface assembly and the residual suite (`commutator_entries`)
-use it; the stacked `commutator` now serves only the tests' oracles.
+field.  Each entry of a product is then two whole-grid multiplications
+and one addition, where NumPy's `@` on (n, 2, 2) stacks runs one tiny
+matrix product per node.  The surface assembly uses the products, the
+residual suite `commutator_entries`.
 """
 
 import numpy as np
@@ -96,18 +96,13 @@ def times_s(a):
     return 1j * a00, -1j * a01, 1j * a10, -1j * a11
 
 
-def commutator(a, b):
-    """Matrix commutator [a, b] = a@b - b@a over the trailing axes.
+def commutator_entries(a, b):
+    """The commutator [a, b] = a@b - b@a of two entry 4-tuples.
 
     The commutator is traceless, so three entries are computed:
     [a, b]00 = a01 b10 - b01 a10 = -[a, b]11, and the off-diagonal
     entries from the diagonal differences a00 - a11 and b00 - b11.
     """
-    return from_entries(commutator_entries(entries(a), entries(b)))
-
-
-def commutator_entries(a, b):
-    """`commutator` of two entry 4-tuples, as an entry 4-tuple."""
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
     da = a00 - a11

@@ -246,23 +246,17 @@ def _forcing_term(rnorm, previous_rnorm, previous_eta, tol):
 
 
 def _harmonic_fill(bc, h):
-    """Harmonic interior fill of the edges of bc; (u, CG iterations)."""
+    """Harmonic interior fill of the edges of bc; (u, CG iterations).
+
+    bc is a float (ny, nx) array whose edge rows and columns hold the
+    Dirichlet data; its interior entries are ignored.
+    """
     u = bc.copy()
     u[1:-1, 1:-1] = 0.0
     u[1:-1, 1:-1], iterations = _cg_solve(
         0.0, _quarter_laplacian(u, h), h, "harmonic extension"
     )
     return u, iterations
-
-
-def harmonic_extension(bc, h):
-    """Discrete harmonic interior fill of the boundary values in bc.
-
-    bc is a full (ny, nx) array whose edge rows/columns hold the Dirichlet
-    data; interior entries are ignored.  Returns a full field agreeing with
-    bc on the boundary and discretely harmonic inside.
-    """
-    return _harmonic_fill(np.asarray(bc, dtype=float), h)[0]
 
 
 def newton_solve(

@@ -41,7 +41,6 @@ from .errors import (
     MaxIterExceeded,
     NilsurfError,
     NonFlatInput,
-    PoleError,
     PotentialDataError,
     SchemaError,
     ShapeViolation,
@@ -87,9 +86,7 @@ def exit_code_for(exc):
         exc, (PotentialDataError, MaxIterExceeded, LinearSolveFailure, NonFlatInput)
     ):
         return EXIT_INTEGRABILITY
-    if isinstance(
-        exc, (ShapeViolation, DegenerateNode, SingularFrameError, PoleError)
-    ):
+    if isinstance(exc, (ShapeViolation, DegenerateNode, SingularFrameError)):
         return EXIT_RESIDUAL
     if isinstance(exc, OSError):
         return EXIT_IO

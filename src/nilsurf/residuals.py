@@ -36,7 +36,9 @@ normal and Gauss map have trim 1, quantities built from differences of
 them trim 2, and Q_z̄ trim 3.  Each class takes |·| once, reads its
 margin-gated and ungated maxima off that one array and is dropped.  NaN
 rings appear only in the fields kept on request (`keep_fields`), which
-are padded back to grid shape, and in the `grid_*` stencil wrappers.
+are padded back to grid shape.  The Nil3 geometry (the vertical form,
+the covariant derivative and the stereographic chart of the Gauss map)
+comes from the nil3 module; the 2x2 algebra of fhat from mat2.
 Reported max-norms exclude a configurable boundary margin (default 2
 nodes) because second-difference quantities lose an order there; the
 ungated maxima are reported alongside for transparency.
@@ -50,7 +52,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateNode, DomainError
 from .mat2 import commutator_entries, entries, from_entries
-from .nil3 import covariant_derivative_planes, vertical_form_planes
+from .nil3 import covariant_derivative, stereographic_south, vertical_form
 
 #: Interior metric density below which verify_surface raises DegenerateNode.
 DEGENERATE_TOL = 1e-8
@@ -156,30 +158,6 @@ def _nan_ring(interior, width=1, dtype=complex):
     )
     out[width:-width, width:-width] = interior
     return out
-
-
-def grid_dz(f, hx, hy):
-    """d/dz = (d/dx - i d/dy)/2 by central differences.
-
-    f has shape (ny, nx, ...); the outermost ring of nodes gets NaN since
-    the stencil does not fit there.
-    """
-    return _nan_ring(_dz(f, hx, hy))
-
-
-def grid_dzbar(f, hx, hy):
-    """d/dz̄ = (d/dx + i d/dy)/2 by central differences (NaN ring)."""
-    return _nan_ring(_dzbar(f, hx, hy))
-
-
-def grid_dz_dzbar(f, hx, hy):
-    """(d/dz, d/dz̄) of one field from a single pair of x/y differences."""
-    return tuple(_nan_ring(d) for d in _dz_dzbar(f, hx, hy))
-
-
-def grid_dzzbar(f, hx, hy):
-    """d2/dz dz̄ = Laplacian/4 by the 5-point stencil (NaN ring)."""
-    return _nan_ring(_dzzbar(f, hx, hy))
 
 
 def _inner(plane, k=1):
@@ -416,7 +394,7 @@ def verify_surface(
     # the third made vertical by nil3's vertical form.
     x1, x2 = np.ascontiguousarray(F.real), np.ascontiguousarray(F.imag)
     a = [_dz(c, hx, hy) for c in (x1, x2, height)]
-    a[2] = vertical_form_planes((_inner(x1), _inner(x2)), a)
+    a[2] = vertical_form((_inner(x1), _inner(x2)), a)
     a0, a1, A = a
 
     conf = a0 * a0 + a1 * a1 + A * A
@@ -470,7 +448,7 @@ def verify_surface(
 
     # nabla_{f_z} f_z̄: the coefficients of f_z̄ are conj(a) and their
     # z-derivatives conj(a_z̄), since f is real.
-    cov = covariant_derivative_planes(
+    cov = covariant_derivative(
         a_in, [np.conj(c) for c in a_in], [np.conj(c) for c in a_zbar]
     )
     del a_zbar
@@ -481,7 +459,7 @@ def verify_surface(
     del cov_norm
 
     # Q = i <nabla_{f_z} f_z, N> + A^2 (trim 2) and its z̄-derivative.
-    accel = covariant_derivative_planes(a_in, a_in, a_z)
+    accel = covariant_derivative(a_in, a_in, a_z)
     del a_z
     normal_in = [_inner(c) for c in normal]
     q = 1j * (
@@ -494,11 +472,8 @@ def verify_surface(
     # stereographic projection of the normal, masked to NaN where
     # phi <= angle_cutoff: there |g| -> 1 and the hyperbolic factor blows
     # up, so the check is only meaningful on the upward-tilted region.
+    g = stereographic_south(normal)
     with np.errstate(invalid="ignore", divide="ignore"):
-        denom = 1.0 + normal[2]
-        denom = np.where(denom == 0.0, np.nan, denom)
-        g = (normal[0] + 1j * normal[1]) / denom
-        del denom
         g_z, g_zbar = _dz_dzbar(g, hx, hy)
         g_in = _inner(g)
         tau = _dzzbar(g, hx, hy) + 2.0 * np.conj(g_in) * g_z * g_zbar / (

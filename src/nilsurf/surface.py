@@ -32,9 +32,11 @@ Both stages work on the entries of each matrix field rather than on
 stacks of 2x2 matrices, through the entry-wise toolkit in mat2 (entries,
 mul, mul_diagonal, times_s, from_entries): fhat and the diagonal of
 d(fhat)/dt share one adjugate inverse of Psi, and a product with S only
-multiplies columns by i and -i.  `generate_surface` takes one t or a
-sequence of them; a sequence is marched once (see the frame module), and
-each member is assembled and its frame released before the next.
+multiplies columns by i and -i.  The module has two entry points:
+`surface_from_frame` assembles one FrameField, and `generate_surface`
+marches and assembles.  The latter takes one t or a sequence of them; a
+sequence is marched once (see the frame module), and each member is
+assembled and its frame released before the next.
 """
 
 from dataclasses import dataclass
@@ -47,8 +49,8 @@ from .errors import ShapeViolation
 from .frame import integrate_grid
 
 
-def _assemble(psi, psi_t, psi_tt=None):
-    """fhat's entries and (given psi_tt) the diagonal of d(fhat)/dt.
+def _assemble(psi, psi_t, psi_tt):
+    """fhat's entries and the diagonal of d(fhat)/dt.
 
     With a = psi_t psi^-1 and g = psi S psi^-1, both from one inverse of
     psi,
@@ -58,14 +60,12 @@ def _assemble(psi, psi_t, psi_tt=None):
 
     The immersion formula reads only the diagonal (d00, d11) of dfhat/dt,
     so its off-diagonal entries are never formed.  Returns the entry
-    4-tuple of fhat and the pair (d00, d11), or None without psi_tt.
+    4-tuple of fhat and the pair (d00, d11).
     """
     pinv = mat2.entries(mat2.inv(psi))
     a = mat2.mul(mat2.entries(psi_t), pinv)
     g = mat2.mul(mat2.times_s(mat2.entries(psi)), pinv)
     fhat = tuple(-2.0 * ai + 2.0 * gi for ai, gi in zip(a, g))
-    if psi_tt is None:
-        return fhat, None
     ga = mat2.mul_diagonal(g, a)
     tt = mat2.mul_diagonal(mat2.entries(psi_tt), pinv)
     aa = mat2.mul_diagonal(a, a)
@@ -73,11 +73,6 @@ def _assemble(psi, psi_t, psi_tt=None):
     return fhat, tuple(
         -2.0 * ga[k] + -2.0 * tt[k] + 2.0 * aa[k] + 2.0 * ts[k] for k in (0, 1)
     )
-
-
-def fhat_from_frame(psi, psi_t):
-    """Auxiliary matrix map fhat = -2 psi_t psi^-1 + 2 psi S psi^-1."""
-    return mat2.from_entries(_assemble(psi, psi_t)[0])
 
 
 @dataclass
@@ -106,11 +101,6 @@ class SurfaceGrid:
     fhat: np.ndarray = None
     det_deviation: float = 0.0
     shape_deviation: float = 0.0
-    substeps: int = 1
-
-    @property
-    def z_nodes(self):
-        return self.x[None, :] + 1j * self.y[:, None]
 
     @property
     def spacing(self):
@@ -203,7 +193,5 @@ def generate_surface(
         fields = [fields]
     surfaces = []
     while fields:
-        surf = surface_from_frame(fields.pop(0), shape_tol=shape_tol)
-        surf.substeps = substeps
-        surfaces.append(surf)
+        surfaces.append(surface_from_frame(fields.pop(0), shape_tol=shape_tol))
     return surfaces if np.ndim(t) else surfaces[0]

@@ -8,25 +8,59 @@ computes the same formulas, in the same order of operations, on
 interior-only component planes; `verify_surface` below is the oracle its
 reports are compared with bit for bit.  The per-class helpers also give
 the tests the quantities that `verify_surface` does not expose (the
-tangent data, the acceleration term of Q).
+tangent data, the acceleration term of Q), and the `grid_*` wrappers the
+program's stencils on full grids.  The oracle runs the program's own
+stencils, Nil3 kernel (on component planes) and entry-wise commutator, so
+the two suites share every formula and differ only in layout.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from nil3_model import planes, stack
 from nilsurf.config import DEFAULT_TOLERANCES
 from nilsurf.errors import DegenerateNode, DomainError
-from nilsurf.mat2 import commutator
-from nilsurf.nil3 import covariant_derivative, frame_coeffs_from_coords
+from nilsurf.mat2 import commutator_entries, entries, from_entries
+from nilsurf.nil3 import covariant_derivative, vertical_form
 from nilsurf.residuals import (
     DEGENERATE_TOL,
     ResidualReport,
-    grid_dz,
-    grid_dz_dzbar,
-    grid_dzbar,
-    grid_dzzbar,
+    _dz,
+    _dz_dzbar,
+    _dzbar,
+    _dzzbar,
+    _nan_ring,
 )
+
+
+def grid_dz(f, hx, hy):
+    """d/dz = (d/dx - i d/dy)/2 by central differences.
+
+    f has shape (ny, nx, ...); the outermost ring of nodes gets NaN since
+    the stencil does not fit there.
+    """
+    return _nan_ring(_dz(f, hx, hy))
+
+
+def grid_dzbar(f, hx, hy):
+    """d/dz̄ = (d/dx + i d/dy)/2 by central differences (NaN ring)."""
+    return _nan_ring(_dzbar(f, hx, hy))
+
+
+def grid_dz_dzbar(f, hx, hy):
+    """(d/dz, d/dz̄) of one field from a single pair of x/y differences."""
+    return tuple(_nan_ring(d) for d in _dz_dzbar(f, hx, hy))
+
+
+def grid_dzzbar(f, hx, hy):
+    """d2/dz dz̄ = Laplacian/4 by the 5-point stencil (NaN ring)."""
+    return _nan_ring(_dzzbar(f, hx, hy))
+
+
+def stacked_covariant_derivative(a, w, dw):
+    """nil3.covariant_derivative on (..., 3) arrays."""
+    return stack(covariant_derivative(planes(a), planes(w), planes(dw)))
 
 
 @dataclass
@@ -59,7 +93,9 @@ def tangent_frame_coeffs(F, height, hx, hy):
     """Compute TangentData from the coordinate grids by central differences."""
     F = np.asarray(F, dtype=complex)
     p = np.stack([F.real, F.imag, np.asarray(height, dtype=float)], axis=-1)
-    a = frame_coeffs_from_coords(p, grid_dz(p, hx, hy))
+    # frame coefficients (u1, u2, theta(u)) of the coordinate derivative u
+    u = grid_dz(p, hx, hy)
+    a = stack((u[..., 0], u[..., 1], vertical_form(planes(p), planes(u))))
     a_z, a_zbar = grid_dz_dzbar(a, hx, hy)
     # p is real, so the coordinate z̄-derivatives are conj(p_z).
     return TangentData(
@@ -104,7 +140,9 @@ def covariant_minimality_residual(tangent):
     The covariant derivative is the z-derivative of the coefficients of
     f_z̄ (conj(a_z̄), since f is real) plus the connection correction.
     """
-    return covariant_derivative(tangent.a, tangent.b, np.conj(tangent.a_zbar))
+    return stacked_covariant_derivative(
+        tangent.a, tangent.b, np.conj(tangent.a_zbar)
+    )
 
 
 def unit_normal(tangent):
@@ -131,7 +169,7 @@ def quadratic_differential(tangent, normal, hx, hy):
     differential; on a minimal conformal immersion Q is holomorphic.
     Returns (Q, Q_z̄).
     """
-    accel = covariant_derivative(tangent.a, tangent.a, tangent.a_z)
+    accel = stacked_covariant_derivative(tangent.a, tangent.a, tangent.a_z)
     p = np.sum(accel * normal, axis=-1)
     q = 1j * p + tangent.A**2
     return q, grid_dzbar(q, hx, hy)
@@ -175,7 +213,8 @@ def fhat_laplace_identity(fhat, hx, hy):
     continuum for surfaces produced by the immersion formula.
     """
     fz, fzb = grid_dz_dzbar(fhat, hx, hy)
-    return grid_dzzbar(fhat, hx, hy) - 0.25j * commutator(fz, fzb)
+    bracket = from_entries(commutator_entries(entries(fz), entries(fzb)))
+    return grid_dzzbar(fhat, hx, hy) - 0.25j * bracket
 
 
 def _interior_max(values, margin):

@@ -22,8 +22,9 @@ shows the measured numbers behind each verdict.  The guarantees:
      under the domain rotation induced by the family phase at machine
      precision, |Q| is pointwise t-invariant to O(h^2), and the discrete
      matrix-Laplace identity for the auxiliary field holds at O(h^2).
-  7. The geometry kernel (frame, metric, connection, group law) is exact
-     at machine precision on random points.
+  7. The geometry kernel is exact at machine precision on random points:
+     the model's frame, metric, connection table and group law, and the
+     program's vertical form and covariant derivative against them.
   8. The flagship pipeline run is bitwise deterministic.
 """
 
@@ -35,6 +36,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import nil3_model as model
+from nil3_model import planes, stack
 from nilsurf import nil3
 from nilsurf.config import parse_config
 from nilsurf.frame import connection_at, integrate_grid
@@ -347,30 +350,57 @@ def test_criterion_7_geometry_kernel_is_exact():
     p = rng.standard_normal((100, 3)) * 5.0
     q = rng.standard_normal((100, 3)) * 5.0
 
-    frames = nil3.frame_at(p)
+    frames = model.frame_at(p)
     for i in range(3):
         for j in range(3):
             np.testing.assert_array_equal(
-                nil3.metric_at(p, frames[:, i], frames[:, j]),
+                model.metric_at(p, frames[:, i], frames[:, j]),
                 float(i == j),
             )
 
     np.testing.assert_array_equal(
-        nil3.left_translation_differential(p[:, None, :], nil3.frame_at(q)),
-        nil3.frame_at(nil3.group_mul(p, q)),
+        model.left_translation_differential(p[:, None, :], model.frame_at(q)),
+        model.frame_at(model.group_mul(p, q)),
     )
 
-    table = nil3.CONNECTION_TABLE
+    table = model.CONNECTION_TABLE
     np.testing.assert_array_equal(table + table.transpose(0, 2, 1), 0.0)
     brackets = np.zeros((3, 3, 3))
     brackets[0, 1, 2] = 1.0
     brackets[1, 0, 2] = -1.0
     np.testing.assert_array_equal(table - table.transpose(1, 0, 2), brackets)
 
+    # The program's kernel on the same points.  Frame coefficients of a
+    # coordinate vector are (u1, u2, theta(u)); on the frame rows they are
+    # the standard basis, so the model frame is orthonormal in the
+    # program's vertical form too.
+    basis = np.eye(3)
+    for j in range(3):
+        np.testing.assert_array_equal(
+            frames[:, j, :2], np.broadcast_to(basis[j, :2], (p.shape[0], 2))
+        )
+        np.testing.assert_array_equal(
+            nil3.vertical_form(planes(p), planes(frames[:, j])), basis[j, 2]
+        )
+    # nabla_{E_i} E_j in the program's six-term form is the table entry
+    zero = np.zeros(p.shape)
+    for i in range(3):
+        for j in range(3):
+            got = nil3.covariant_derivative(
+                planes(np.broadcast_to(basis[i], p.shape)),
+                planes(np.broadcast_to(basis[j], p.shape)),
+                planes(zero),
+            )
+            np.testing.assert_array_equal(
+                stack(got), np.broadcast_to(table[i, j], p.shape)
+            )
+
     announce(
         7,
         "orthonormality and left-invariance exact at 100 random points; "
-        "connection metric-compatible and torsion-free exactly",
+        "connection metric-compatible and torsion-free exactly; the "
+        "program's vertical form and covariant derivative reproduce the "
+        "frame coefficients and the connection table exactly",
     )
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from nilsurf.errors import (
     DomainError,
     MaxIterExceeded,
     NonFlatInput,
-    PoleError,
     SchemaError,
     ShapeViolation,
 )
@@ -149,7 +149,6 @@ class TestExitCodes:
             (MaxIterExceeded(3, 1.0, 1e-10), pipeline.EXIT_INTEGRABILITY),
             (ShapeViolation("m"), pipeline.EXIT_RESIDUAL),
             (DegenerateNode("m"), pipeline.EXIT_RESIDUAL),
-            (PoleError("m"), pipeline.EXIT_RESIDUAL),
             (OSError("m"), pipeline.EXIT_IO),
         ]
         for exc, code in cases:
@@ -369,6 +368,32 @@ class TestRunCheck:
         write_surface_csv(SurfaceGrid(x=ax, y=ax, t=0.0, F=xx + 0j, height=yy), path)
         argv = ["check", str(path), "--margin", "1"]
         assert cli.main(argv, log=lambda *_: None) == code
+
+    def test_mirrored_plane_meets_the_pole_of_the_chart(self, tmp_path):
+        # F = conj(z), h = 0 on a dyadic 17^2 grid over [-0.5, 0.5]^2: the
+        # normal is exactly (0, 0, -1) at the centre node, the pole of the
+        # Gauss map's stereographic chart.  The chart gives NaN there
+        # without a warning, the downward normal masks every tension node,
+        # and the plane is not conformal: exit 4.
+        ax = np.arange(-8, 9) / 16.0
+        xx, yy = np.meshgrid(ax, ax)
+        plane = SurfaceGrid(
+            x=ax, y=ax, t=0.0, F=xx - 1j * yy, height=np.zeros_like(xx)
+        )
+        path = tmp_path / "mirrored.csv"
+        write_surface_csv(plane, path)
+        report_path = tmp_path / "check.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fields = residuals.verify_surface(plane, keep_fields=True).fields
+            argv = ["check", str(path), "--report", str(report_path)]
+            code = cli.main(argv, log=lambda *_: None)
+        np.testing.assert_array_equal(fields["normal"][8, 8], [0.0, 0.0, -1.0])
+        assert np.isnan(fields["gauss_map"][8, 8])
+        assert code == pipeline.EXIT_RESIDUAL
+        report = json.loads(report_path.read_text())
+        assert report["verification"]["tension_nodes"]["evaluated"] == 0
+        assert "conformality" in {f["residual"] for f in report["failures"]}
 
     def test_horizontal_plane_rejected(self, tmp_path):
         path = tmp_path / "horizontal.csv"

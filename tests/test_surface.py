@@ -11,16 +11,23 @@ UNIT_POTENTIAL = Potential.constant(1.0, (0.25,))
 AXES = np.linspace(-0.4, 0.4, 9)
 
 
+def fhat_of(psi, psi_t):
+    """fhat = -2 psi_t psi^-1 + 2 psi S psi^-1, from the assembly's entries."""
+    psi = np.asarray(psi, dtype=complex)
+    fhat, _ = surface._assemble(psi, psi_t, np.zeros_like(psi))
+    return mat2.from_entries(fhat)
+
+
 class TestMatrixAlgebra:
     def test_fhat_at_identity_frame(self):
-        fhat = surface.fhat_from_frame(np.eye(2, dtype=complex), np.zeros((2, 2)))
+        fhat = fhat_of(np.eye(2, dtype=complex), np.zeros((2, 2)))
         np.testing.assert_array_equal(fhat, 2.0 * mat2.DIAG_IMAG)
 
     def test_fhat_hand_value(self):
         psi = np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex)
         psi_t = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         np.testing.assert_array_equal(
-            surface.fhat_from_frame(psi, psi_t),
+            fhat_of(psi, psi_t),
             np.array([[2j, -4.0], [0.0, -2j]]),
         )
 
@@ -42,8 +49,8 @@ class TestMatrixAlgebra:
         d = 1e-5
         psi, psi_t, psi_tt = triple(0.2)
         got = surface._assemble(psi, psi_t, psi_tt)[1]
-        hi = surface.fhat_from_frame(*triple(0.2 + d)[:2])
-        lo = surface.fhat_from_frame(*triple(0.2 - d)[:2])
+        hi = fhat_of(*triple(0.2 + d)[:2])
+        lo = fhat_of(*triple(0.2 - d)[:2])
         fd = (hi - lo) / (2 * d)
         np.testing.assert_allclose(got, (fd[0, 0], fd[1, 1]), atol=1e-8)
 
@@ -66,7 +73,7 @@ class TestMatrixAlgebra:
             - 2.0 * (psi @ s @ pinv @ a)
         )
         np.testing.assert_allclose(
-            surface.fhat_from_frame(psi, psi_t), fhat, rtol=0.0, atol=1e-13
+            fhat_of(psi, psi_t), fhat, rtol=0.0, atol=1e-13
         )
         fhat_entries, diagonal = surface._assemble(psi, psi_t, psi_tt)
         np.testing.assert_allclose(
@@ -118,9 +125,6 @@ class TestGeneratedSurface:
         hx, hy = surf.spacing
         assert hx == pytest.approx(0.1)
         assert hy == pytest.approx(0.1)
-        np.testing.assert_array_equal(
-            surf.z_nodes, AXES[None, :] + 1j * AXES[:, None]
-        )
         pts = surf.coords()
         assert pts.shape == (9, 9, 3)
         np.testing.assert_array_equal(pts[..., 0] + 1j * pts[..., 1], surf.F)
@@ -158,16 +162,12 @@ class TestGeneratedSurface:
             single = surface.generate_surface(
                 UNIT_POTENTIAL, AXES, AXES, t, substeps=2
             )
-            assert (member.t, member.substeps) == (t, 2)
+            assert member.t == t
             for name in ("F", "height", "aux_height", "fhat"):
                 np.testing.assert_allclose(
                     getattr(member, name), getattr(single, name),
                     rtol=0.0, atol=1e-14,
                 )
-
-    def test_substeps_are_recorded(self):
-        surf = surface.generate_surface(UNIT_POTENTIAL, AXES, AXES, 0.0, substeps=2)
-        assert surf.substeps == 2
 
 
 class TestShapeGate:
