@@ -50,12 +50,13 @@ march.
 
 The potential is sampled once per march, not once per step: that data
 does not depend on t or on the state, so `integrate_grid` makes one
-`_sample` call on the end points of every step (the grid nodes and, with
-substeps, the points between them) and one on every midpoint, before it
-marches.  Each step then reads slices of those arrays and feeds them to
-the RK4 kernel `_rk4`, which `rk4_step` also calls after sampling its own
-three points.  A grid the potential cannot be evaluated on (past a solved
-rectangle, say) therefore fails before the first step.
+`_sample` call on the grid nodes and, with substeps, the points between
+them, each once, and one on every midpoint, before it marches.  Each
+step then reads the samples of its source and destination nodes and its
+slices of the other arrays, and feeds them to the RK4 kernel `_rk4`,
+which `rk4_step` also calls after sampling its own three points.  A grid
+the potential cannot be evaluated on (past a solved rectangle, say)
+therefore fails before the first step.
 
 The outward steps run in pairs.  Along the base line, the step to column
 col0 + k and the step to col0 - k are one `_rk4` call on both nodes; then
@@ -397,14 +398,16 @@ def integrate_grid(
     ]
 
     # Sample every step of the march at once, indexed by (substep, row,
-    # column) of the destination node: the ends, the increments and the
-    # midpoints.
+    # column) of the destination node: the increments and the midpoints.
+    # A step starts and ends on nodes, so its ends are sampled once each:
+    # the nodes at index 0, the points between substeps at 1 to
+    # substeps - 1 (see `point`).
     z_from = z_path.copy()
     for src, dst, _ in steps:
         z_from[dst] = z_path[np.ix_(*src)]
     points = _substep_points(z_from, z_path, substeps)
     dz = points[1:] - points[:-1]
-    ends = _sample(potential, points)
+    ends = _sample(potential, np.concatenate([z_path[None], points[1:-1]]))
     mids = _sample(potential, points[:-1] + dz / 2.0)
     # the row march needs a real sqrt(rho0) (module docstring)
     if ends[0].dtype.kind != "f" or mids[0].dtype.kind != "f":
@@ -429,8 +432,13 @@ def integrate_grid(
         loaded = np.stack([view[(...,) + np.ix_(*at)] for view in views], axis=2)
         return loaded.reshape(loaded.shape[:3] + (-1,))
 
-    def pick(sample, k, at):
-        return tuple(f[(k,) + at].reshape(-1) for f in sample)
+    def pick(sample, at):
+        return tuple(f[at].reshape(-1) for f in sample)
+
+    def point(k, src, dst):
+        """Index in `ends` of end k of the step src -> dst: its sources at
+        k = 0, its destinations at k = substeps, else a point between."""
+        return (0,) + np.ix_(*src) if k == 0 else (k % substeps,) + dst
 
     # Every state has a node axis.  A chained step continues from the
     # state of the previous one; any other step loads its sources.
@@ -443,9 +451,9 @@ def integrate_grid(
                 state,
                 dz[(k,) + dst].reshape(-1),
                 phase,
-                pick(ends, k, dst),
-                pick(mids, k, dst),
-                pick(ends, k + 1, dst),
+                pick(ends, point(k, src, dst)),
+                pick(mids, (k,) + dst),
+                pick(ends, point(k + 1, src, dst)),
             )
         store(dst, state)
     # row 1 = (conj(row 0[1]), conj(row 0[0])) in every block

@@ -18,11 +18,15 @@ by conjugate gradients preconditioned by the DST-I inverse of
 -Laplacian/4 + mean(c), followed by a step-halving line search on the
 max-norm of the nonlinear residual.  The 5-point Laplacian with Dirichlet
 rows is diagonalised by the discrete sine transform on a uniform grid, so
-that inverse is exact and costs four real FFT passes; it is spectrally
-equivalent to the Jacobian, which keeps the CG count independent of the
-spacing (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  The initial
-guess is the discrete harmonic extension of the boundary values (one
-linear solve, where the preconditioner with shift 0 is the exact
+that inverse is exact; it is spectrally equivalent to the Jacobian, which
+keeps the CG count independent of the spacing (Concus & Golub, SIAM J.
+Numer. Anal. 10, 1973).  The transform is applied as dense sine-matrix
+products along each axis (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
+7, 1970), split by mirror symmetry into two half-size products per axis
+(_fast_poisson); newton_solve builds those matrices and the eigenvalues
+once (_sine_basis) and every linear solve of the solve shares them.  The
+initial guess is the discrete harmonic extension of the boundary values
+(one linear solve, where the preconditioner with shift 0 is the exact
 inverse), which puts the iterate in the Newton basin for all tested data.
 
 The steps are inexact Newton steps (Dembo, Eisenstat & Steihaug, SIAM J.
@@ -37,9 +41,9 @@ ROUNDING_FLOOR_FACTOR times the residual's rounding floor at the iterate
 of u by h^2, so on fine grids that floor passes the default tol, and a
 fixed tol would leave the line search stagnating above it.
 
-The module needs NumPy only: no matrix is assembled, and the one stencil
-(_quarter_laplacian) serves the residual, the Newton operator and the
-boundary coupling of the harmonic fill.
+The module needs NumPy only: no matrix of the operator is assembled, and
+the one stencil (_quarter_laplacian) serves the residual, the Newton
+operator and the boundary coupling of the harmonic fill.
 """
 
 from dataclasses import dataclass, field
@@ -89,10 +93,6 @@ class SolveResult:
     @property
     def final_residual(self):
         return float(np.max(np.abs(self.residual_field)))
-
-    @property
-    def spacing(self):
-        return float(self.x[1] - self.x[0])
 
 
 def _check_axes(x, y):
@@ -161,47 +161,123 @@ def _rounding_floor(u, h):
     return float(EPS * np.max(terms) / (4.0 * h * h))
 
 
-def _dst1(a, axis):
-    """Orthonormal DST-I of a along axis; the transform is its own inverse."""
-    a = np.moveaxis(a, axis, -1)
-    n = a.shape[-1]
-    pad = np.zeros(a.shape[:-1] + (1,))
-    odd = np.concatenate([pad, a, pad, -a[..., ::-1]], axis=-1)
-    out = np.fft.rfft(odd, axis=-1).imag[..., 1 : n + 1] * -np.sqrt(0.5 / (n + 1))
-    return np.moveaxis(out, -1, axis)
+@dataclass
+class _SineBasis:
+    """The fast Poisson preconditioner's data for one interior grid.
+
+    rows and cols hold the (sym, anti) halves of each axis's sine matrix
+    (_sine_halves); lam holds the eigenvalues of -Laplacian/4 at spacing h,
+    with both mode axes in the same split order as the halves.
+    """
+
+    h: float
+    rows: tuple
+    cols: tuple
+    lam: np.ndarray
 
 
-def _fast_poisson(shape, h, shift):
-    """Exact inverse of -Laplacian/4 + shift on the interior grid, by DST-I.
+def _sine_halves(n):
+    """Mirror halves of the orthonormal n-point DST-I matrix; (sym, anti, lam).
 
-    shape is the interior (rows, columns) with spacing h; the eigenvalues of
-    -Laplacian/4 there are (sin^2(pi k / 2(m+1)) + sin^2(pi l / 2(n+1))) / h^2.
+    S[j, k] = sqrt(2/(n+1)) sin(pi j k / (n+1)), j, k = 1..n, is symmetric,
+    its own inverse, and satisfies S[n+1-j, k] = (-1)^(k+1) S[j, k]: odd
+    modes k are even about the middle row and even modes odd.  sym holds
+    the odd modes on the first ceil(n/2) rows (middle row included), anti
+    the even modes on the first floor(n/2); both are square.  lam holds
+    sin^2(pi k / 2(n+1)), the odd modes first, then the even ones.
+    """
+    k = np.arange(1, n + 1)
+    half = n // 2
+    scale = np.sqrt(2.0 / (n + 1))
+    # j k reduced mod 2(n+1) keeps the sine's argument below 2 pi, where
+    # its rounding error is that of one ulp of pi
+    sym, anti = (
+        scale * np.sin(np.pi * (np.outer(j, m) % (2 * (n + 1))) / (n + 1))
+        for j, m in ((k[: n - half], k[0::2]), (k[:half], k[1::2]))
+    )
+    lam = np.sin(np.pi * k / (2 * (n + 1))) ** 2
+    return sym, anti, np.concatenate([lam[0::2], lam[1::2]])
+
+
+def _sine_basis(shape, h):
+    """_SineBasis of the interior (rows, columns) shape at spacing h."""
+    sym_y, anti_y, lam_y = _sine_halves(shape[0])
+    sym_x, anti_x, lam_x = _sine_halves(shape[1])
+    lam = (lam_y[:, None] + lam_x[None, :]) / (h * h)
+    return _SineBasis(h, (sym_y, anti_y), (sym_x, anti_x), lam)
+
+
+def _to_sines(r, sym, anti):
+    """S r along axis 0, as coefficients in split order (odd modes first).
+
+    Odd modes read the sums of mirrored rows (and the middle row), even
+    modes their differences.  The column pass of _fast_poisson hands in a
+    transposed view; the copies keep its memory order ("K"), so none of
+    them transposes the data.
+    """
+    half, n_odd = anti.shape[0], sym.shape[0]
+    head, tail = r[:n_odd], r[::-1][:half]
+    sums = head.copy(order="K")
+    sums[:half] += tail
+    out = np.empty_like(r)
+    np.matmul(sym.T, sums, out=out[:n_odd])
+    np.matmul(anti.T, head[:half] - tail, out=out[n_odd:])
+    return out
+
+
+def _from_sines(a, sym, anti):
+    """S a along axis 0 for split-order coefficients a; inverts _to_sines."""
+    half, n_odd = anti.shape[0], sym.shape[0]
+    even_about_middle = sym @ a[:n_odd]
+    odd_about_middle = anti @ a[n_odd:]
+    out = np.empty_like(a)
+    out[:n_odd] = even_about_middle
+    out[:half] += odd_about_middle
+    np.subtract(even_about_middle[:half], odd_about_middle, out=out[::-1][:half])
+    return out
+
+
+def _fast_poisson(basis, shift):
+    """Exact inverse of -Laplacian/4 + shift on the interior grid of basis.
+
+    The orthonormal DST-I matrix S of each axis diagonalises -Laplacian/4
+    with Dirichlet rows (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+    1970), so the inverse takes r to S_y (S_y r S_x / (lam + shift)) S_x.
+    By the mirror symmetry of S (_sine_halves), each product by S is one
+    product of a ceil(n/2)-square matrix with the sums of mirrored rows
+    and one of a floor(n/2)-square matrix with their differences: on an m x n
+    interior one application costs about m n (m + n) multiply-adds in
+    eight BLAS-3 products, half as many as products by S.  That grows as
+    n^3 on an n x n interior where FFT passes grow as n^2 log n, so near
+    the MAX_NODES cap the products are the slower of the two.  Only
+    1/(lam + shift) is formed here: the basis is built once per solve.
     Returns a function of an interior array.
     """
-    m, n = shape
-    lam_y = np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1))) ** 2
-    lam_x = np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
-    inverse = 1.0 / ((lam_y[:, None] + lam_x[None, :]) / (h * h) + shift)
+    inverse = 1.0 / (basis.lam + shift)
+    rows, cols = basis.rows, basis.cols
 
     def solve(r):
-        return _dst1(_dst1(_dst1(_dst1(r, 0), 1) * inverse, 1), 0)
+        a = _to_sines(_to_sines(r, *rows).T, *cols).T * inverse
+        return _from_sines(_from_sines(a.T, *cols).T, *rows)
 
     return solve
 
 
-def _cg_solve(c, rhs, h, context, rtol=CG_RTOL):
+def _cg_solve(c, rhs, basis, context, rtol=CG_RTOL):
     """Solve (-Laplacian/4 + c) x = rhs on the interior grid; (x, iterations).
 
-    c is a scalar or an interior array, rhs an interior array.  Conjugate
-    gradients preconditioned by _fast_poisson with shift mean(c), stopped
-    when the updated residual satisfies ||r|| < rtol ||rhs|| at the top of
-    an iteration; the count is the number of completed iterations.  A
-    Newton step passes its forcing term as rtol; the harmonic fill keeps
-    the default CG_RTOL, which is also the forcing term's floor.
-    Raises LinearSolveFailure after CG_MAXITER iterations.
+    c is a scalar or an interior array, rhs an interior array, basis the
+    _SineBasis of the interior grid.  Conjugate gradients preconditioned
+    by _fast_poisson with shift mean(c), stopped when the updated residual
+    satisfies ||r|| < rtol ||rhs|| at the top of an iteration; the count
+    is the number of completed iterations.  A Newton step passes its
+    forcing term as rtol; the harmonic fill keeps the default CG_RTOL,
+    which is also the forcing term's floor.  Raises LinearSolveFailure
+    after CG_MAXITER iterations.
     """
+    h = basis.h
     padded = np.zeros((rhs.shape[0] + 2, rhs.shape[1] + 2))
-    precondition = _fast_poisson(rhs.shape, h, float(np.mean(c)))
+    precondition = _fast_poisson(basis, float(np.mean(c)))
     x = np.zeros_like(rhs)
     r = rhs.copy()
     stop = rtol * np.linalg.norm(rhs)
@@ -245,16 +321,17 @@ def _forcing_term(rnorm, previous_rnorm, previous_eta, tol):
     return max(eta, 0.5 * tol / rnorm, CG_RTOL)
 
 
-def _harmonic_fill(bc, h):
+def _harmonic_fill(bc, basis):
     """Harmonic interior fill of the edges of bc; (u, CG iterations).
 
     bc is a float (ny, nx) array whose edge rows and columns hold the
-    Dirichlet data; its interior entries are ignored.
+    Dirichlet data; its interior entries are ignored.  basis is the
+    _SineBasis of its interior.
     """
     u = bc.copy()
     u[1:-1, 1:-1] = 0.0
     u[1:-1, 1:-1], iterations = _cg_solve(
-        0.0, _quarter_laplacian(u, h), h, "harmonic extension"
+        0.0, _quarter_laplacian(u, basis.h), basis, "harmonic extension"
     )
     return u, iterations
 
@@ -300,7 +377,8 @@ def newton_solve(
                 f"boundary data shape {bc.shape} does not match grid ({ny}, {nx})"
             )
 
-    u, iterations = _harmonic_fill(bc, h)
+    basis = _sine_basis((ny - 2, nx - 2), h)
+    u, iterations = _harmonic_fill(bc, basis)
     cg_counter = [iterations]
 
     history = []
@@ -331,7 +409,7 @@ def newton_solve(
         ui = u[1:-1, 1:-1]
         c = np.exp(ui) / 8.0 + 2.0 * q2[1:-1, 1:-1] * np.exp(-ui)
         delta, iterations = _cg_solve(
-            c, r[1:-1, 1:-1], h, f"newton step {iteration + 1}", rtol=eta
+            c, r[1:-1, 1:-1], basis, f"newton step {iteration + 1}", rtol=eta
         )
         cg_counter.append(iterations)
         step = 1.0

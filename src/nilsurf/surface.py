@@ -102,10 +102,6 @@ class SurfaceGrid:
     det_deviation: float = 0.0
     shape_deviation: float = 0.0
 
-    @property
-    def spacing(self):
-        return float(self.x[1] - self.x[0]), float(self.y[1] - self.y[0])
-
     def coords(self):
         """Point coordinates as a real array of shape (ny, nx, 3)."""
         out = np.empty(self.F.shape + (3,), dtype=float)

@@ -18,6 +18,14 @@ def grid_z(x, y):
     return xx + 1j * yy
 
 
+def basis_of(interior, h):
+    return pde._sine_basis(interior.shape, h)
+
+
+def harmonic_fill(bc, h):
+    return pde._harmonic_fill(bc, basis_of(bc[1:-1, 1:-1], h))[0]
+
+
 class TestLiouvilleExact:
     def test_values(self):
         assert liouville_exact(0.0j) == 16.0
@@ -65,13 +73,13 @@ class TestHarmonicExtension:
         x, y = square_axes(17)
         xx, yy = np.meshgrid(x, y)
         target = xx**2 - yy**2
-        ext = pde._harmonic_fill(target, x[1] - x[0])[0]
+        ext = harmonic_fill(target, x[1] - x[0])
         np.testing.assert_allclose(ext, target, atol=1e-10)
 
     def test_constant_extends_to_constant(self):
         bc = np.full((9, 9), 3.5)
         bc[1:-1, 1:-1] = -99.0  # interior values must be ignored
-        ext = pde._harmonic_fill(bc, 0.125)[0]
+        ext = harmonic_fill(bc, 0.125)
         np.testing.assert_allclose(ext, 3.5, atol=1e-11)
 
 
@@ -100,7 +108,7 @@ class TestNewtonSolve:
         hist = np.array(result.residual_history)
         assert np.all(np.diff(hist) < 0)
         assert len(result.cg_iterations) == result.newton_iterations + 1
-        assert result.spacing == pytest.approx(x[1] - x[0])
+        assert result.x[1] - result.x[0] == pytest.approx(x[1] - x[0])
 
     def test_liouville_regression_second_order(self):
         # Solve with Q0 = 0 and exact boundary data; the discrete solution
@@ -118,8 +126,9 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize("n", [33, 65, 129])
     def test_cg_count_does_not_grow_with_resolution(self, n):
-        # CG preconditioned by the DST-I inverse of -Laplacian/4 + mean(c)
-        # needs a bounded number of iterations per linear solve at any h.
+        # CG preconditioned by the exact inverse of -Laplacian/4 + mean(c),
+        # sine-matrix products along each axis, needs a bounded number of
+        # iterations per linear solve at any h.
         # Solving every Newton step to CG_RTOL takes 39 in all on the
         # Liouville data; the forcing term asks only for what the outer
         # iteration needs.
@@ -188,16 +197,40 @@ class TestNewtonSolve:
         np.testing.assert_array_equal(result.residual_field, expected)
         assert result.residual_history[-1] == np.max(np.abs(expected))
 
-    def test_harmonic_fill_is_one_preconditioned_iteration(self):
+    @pytest.mark.parametrize(
+        "rows, cols",
+        # interiors: odd x odd, one node (a 3 x 3 grid), 2 x 3, odd x even,
+        # even x odd, and 190 columns, the even neighbour of the 191-node
+        # interior the benchmark solves
+        [(23, 39), (1, 1), (2, 3), (23, 40), (24, 39), (23, 190)],
+    )
+    def test_harmonic_fill_is_one_preconditioned_iteration(self, rows, cols):
         # with shift 0 the preconditioner is the exact inverse of
-        # -Laplacian/4, also on a rectangular grid of square cells
-        x = np.linspace(-0.5, 0.5, 41)
-        y = -0.3 + (x[1] - x[0]) * np.arange(25)
+        # -Laplacian/4, also on a rectangular grid of square cells and on
+        # either parity of each axis's mirror split
+        x = np.linspace(-0.5, 0.5, cols + 2)
+        y = -0.3 + (x[1] - x[0]) * np.arange(rows + 2)
         xx, yy = np.meshgrid(x, y)
         bc = 0.3 * xx - 0.2 * yy**2
         result = pde.newton_solve((xx + 1j * yy) / 4.0, bc, x, y)
         assert result.cg_iterations[0] <= 1
         assert result.final_residual <= 1e-10
+
+    def test_sine_basis_is_built_once_per_solve(self, monkeypatch):
+        # the harmonic fill and every Newton step share one basis
+        built = []
+
+        def counting(shape, h):
+            built.append(shape)
+            return sine_basis(shape, h)
+
+        sine_basis = pde._sine_basis
+        monkeypatch.setattr(pde, "_sine_basis", counting)
+        x, y = square_axes(33, half_width=0.6)
+        bc = np.log(liouville_exact(grid_z(x, y)))
+        result = pde.newton_solve(np.zeros((33, 33)), bc, x, y)
+        assert len(result.cg_iterations) >= 3
+        assert built == [(31, 31)]
 
     def test_cg_iteration_cap_raises(self, monkeypatch):
         # one CG iteration solves the harmonic fill exactly, but the
@@ -258,6 +291,17 @@ class TestForcingTerm:
 
 
 class TestLinearSolve:
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (7, 4), (6, 9)])
+    def test_fast_poisson_inverts_the_shifted_operator(self, rows, cols):
+        # the exact inverse, not one up to a factor, which CG would not see
+        h, shift = 0.1, 2.5
+        x = np.random.default_rng(9).standard_normal((rows, cols))
+        padded = np.zeros((rows + 2, cols + 2))
+        padded[1:-1, 1:-1] = x
+        image = shift * x - pde._quarter_laplacian(padded, h)
+        solve = pde._fast_poisson(basis_of(x, h), shift)
+        np.testing.assert_allclose(solve(image), x, rtol=0, atol=1e-13)
+
     def test_pcg_matches_a_dense_solve_on_a_rectangular_interior(self):
         # (-Laplacian/4 + diag c) assembled entry by entry: interior node
         # (j, i) of a rows x cols interior is unknown j * cols + i
@@ -273,7 +317,7 @@ class TestLinearSolve:
                     if 0 <= j + dj < rows and 0 <= i + di < cols:
                         dense[index[j, i], index[j + dj, i + di]] = -0.25 / h**2
         expected = np.linalg.solve(dense, rhs.ravel()).reshape(rows, cols)
-        sol, iterations = pde._cg_solve(c, rhs, h, "test")
+        sol, iterations = pde._cg_solve(c, rhs, basis_of(rhs, h), "test")
         assert sol.shape == (rows, cols)
         assert 0 < iterations <= 12
         np.testing.assert_allclose(sol, expected, rtol=0, atol=1e-11)
@@ -284,9 +328,10 @@ class TestLinearSolve:
         c = 1.0 + 40.0 * rng.random((rows, cols))
         rhs = rng.standard_normal((rows, cols))
         padded = np.zeros((rows + 2, cols + 2))
+        basis = basis_of(rhs, h)
         counts = []
         for rtol in (1e-2, 1e-6, pde.CG_RTOL):
-            sol, iterations = pde._cg_solve(c, rhs, h, "test", rtol=rtol)
+            sol, iterations = pde._cg_solve(c, rhs, basis, "test", rtol=rtol)
             padded[1:-1, 1:-1] = sol
             residual = rhs - (c * sol - pde._quarter_laplacian(padded, h))
             # at CG_RTOL the recomputed residual is at its rounding floor
@@ -295,4 +340,4 @@ class TestLinearSolve:
                 assert np.linalg.norm(residual) < bound
             counts.append(iterations)
         assert counts[0] < counts[1] < counts[2]
-        assert pde._cg_solve(c, rhs, h, "test")[1] == counts[2]
+        assert pde._cg_solve(c, rhs, basis, "test")[1] == counts[2]

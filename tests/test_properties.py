@@ -220,7 +220,10 @@ def test_check_flags_follow_the_config_rules(
     if refused:
         assert code == 2
     else:
-        assert code == (0 if kind == "vertical" else 4)
+        # the vertical plane's angle function is 0 at every node: a
+        # negative cutoff masks none, and on its Gauss map, which lies on
+        # the unit circle, the tension has no finite value, so it fails
+        assert code == (0 if kind == "vertical" and cutoff >= 0.0 else 4)
 
 
 #: Cell texts the CSV schema refuses: not a number, or not finite.

@@ -48,6 +48,11 @@ def nodes(surface):
     return surface.x[None, :] + 1j * surface.y[:, None]
 
 
+def steps(surface):
+    """The grid steps (hx, hy), read off the axes."""
+    return float(surface.x[1] - surface.x[0]), float(surface.y[1] - surface.y[0])
+
+
 def interior(field):
     return field[1:-1, 1:-1]
 
@@ -127,7 +132,7 @@ class TestVerticalPlane:
     def test_tangent_data(self):
         # verify_surface does not expose the tangent data: the oracle does
         surf = plane_surface("vertical")
-        t = oracle.tangent_frame_coeffs(surf.F, surf.height, *surf.spacing)
+        t = oracle.tangent_frame_coeffs(surf.F, surf.height, *steps(surf))
         np.testing.assert_array_equal(interior(t.F_z), 0.5)
         np.testing.assert_array_equal(interior(t.A), -0.5j)
         np.testing.assert_array_equal(
@@ -188,7 +193,7 @@ class TestHorizontalPlane:
     def test_tangent_data(self):
         surf = plane_surface("horizontal")
         z = nodes(surf)
-        t = oracle.tangent_frame_coeffs(surf.F, surf.height, *surf.spacing)
+        t = oracle.tangent_frame_coeffs(surf.F, surf.height, *steps(surf))
         np.testing.assert_array_equal(interior(t.F_z), 1.0)
         np.testing.assert_array_equal(interior(t.F_zbar), 0.0)
         np.testing.assert_allclose(
@@ -223,7 +228,7 @@ class TestHorizontalPlane:
         )
         # the report keeps the tension field's norm; its frame
         # coefficients come from the oracle
-        hx, hy = surf.spacing
+        hx, hy = steps(surf)
         t = oracle.tangent_frame_coeffs(surf.F, surf.height, hx, hy)
         cov = oracle.covariant_minimality_residual(t)
         expected = np.stack(
@@ -640,7 +645,7 @@ def test_plane_suite_matches_the_oracle_bit_for_bit(drawn, cutoff, quantile, rho
     if quantile is not None:
         # a cutoff inside the surface's own angle range masks some nodes
         tangent = oracle.tangent_frame_coeffs(
-            surface.F, surface.height, *surface.spacing
+            surface.F, surface.height, *steps(surface)
         )
         cutoff = float(np.nanquantile(oracle.unit_normal(tangent)[1], quantile))
     potential = None if rho0 is None else Potential.constant(rho0, (0.25, 0.1j))

@@ -122,7 +122,7 @@ class TestGeneratedSurface:
 
     def test_grid_properties(self):
         surf = surface.generate_surface(UNIT_POTENTIAL, AXES, AXES, 0.0)
-        hx, hy = surf.spacing
+        hx, hy = surf.x[1] - surf.x[0], surf.y[1] - surf.y[0]
         assert hx == pytest.approx(0.1)
         assert hy == pytest.approx(0.1)
         pts = surf.coords()
