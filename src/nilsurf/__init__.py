@@ -40,7 +40,6 @@ from .frame import (
     FrameField,
     connection_at,
     integrate_grid,
-    rk4_step,
 )
 from .pde import SolveResult, newton_solve, pde_residual
 from .pipeline import (
@@ -96,7 +95,6 @@ __all__ = [
     "parse_config",
     "pde_residual",
     "residual_thresholds",
-    "rk4_step",
     "run_check",
     "run_generate",
     "run_solve",

@@ -44,9 +44,9 @@ RK4 march is that conjugate swap bitwise, up to the sign of a zero, so the
 frames do not change.  The argument needs a real sqrt(rho0): `integrate_grid`
 raises DomainError before the first step when a sample of it is not a real
 array (NaN and inf are real, and take their usual path).  `rk4_step`
-keeps the full (3, 2, 2, T, n) state, which the kernel also accepts; it
-takes the starting step to a base node off z = 0, whose row 0 seeds the
-march.
+takes the starting step to a base node off z = 0 on the row state (1, 0)
+of the identity.  The kernel also takes the full (3, 2, 2, T, n) state,
+whose row 0 it computes with the same operations.
 
 The potential is sampled once per march, not once per step: that data
 does not depend on t or on the state, so `integrate_grid` makes one
@@ -179,9 +179,9 @@ def _rhs(state, omega):
     """Derivative of (Psi, Psi_t, Psi_tt) along the step direction.
 
     (Psi @ omega)[i, j] = Psi[i, j] omega[j, j] + Psi[i, 1 - j] omega[1 - j, j],
-    and omega_t, omega_tt have no diagonal.  state is the full triple,
-    (3, 2, 2, T, n), or its row 0, (3, 2, T, n): the column axis is -3 in
-    both.
+    and omega_t, omega_tt have no diagonal.  state is the triple's row 0,
+    (3, 2, T, n), or the full triple, (3, 2, 2, T, n): the column axis is
+    -3 in both.
     """
     diag, off, off_t, off_tt = omega
     swapped = state[..., ::-1, :, :]
@@ -218,13 +218,13 @@ def _rk4(state, dz, phase, start, mid, end):
 def rk4_step(potential, state, z0, z1, phase):
     """One classical RK4 step of the frame triple from z0 to z1.
 
-    state has shape (3, 2, 2, T, n): (Psi, Psi_t, Psi_tt) entry by entry,
-    for T family members at n nodes; phase is exp(2 i t) of shape (T, 1)
+    state has shape (3, 2, T, n): row 0 of (Psi, Psi_t, Psi_tt), entry by
+    entry, for T family members at n nodes (the full triple, (3, 2, 2, T,
+    n), works as well; see `_rhs`); phase is exp(2 i t) of shape (T, 1)
     and z0, z1 have n points (or are scalars when n = 1).  The step
     samples the potential at its start, midpoint and end, once for all T
     members.  `integrate_grid` samples the whole grid once per march and
-    calls the same kernel on row 0 alone; this function serves its off-node
-    base step.
+    calls the same kernel; this function serves its off-node base step.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
@@ -413,15 +413,14 @@ def integrate_grid(
     if ends[0].dtype.kind != "f" or mids[0].dtype.kind != "f":
         raise DomainError("sqrt(rho0) is not real on the grid")
 
-    state = np.zeros((3, 2, 2, members.size, 1), dtype=complex)
-    state[0, 0, 0] = state[0, 1, 1] = 1.0
+    # Row 0 of the identity seeds the march (module docstring)
+    state = np.zeros((3, 2, members.size, 1), dtype=complex)
+    state[0, 0] = 1.0
     z_base = z_nodes[j0, i0]
     if z_base != 0.0:
         base = _substep_points(np.asarray(0.0j), np.asarray(z_base), substeps)
         for a, b in zip(base[:-1], base[1:]):
             state = rk4_step(potential, state, a, b, phase)
-    # Row 0 seeds the march; row 1 is its conjugate swap (module docstring)
-    state = state[:, 0]
 
     def store(at, state):
         for m, view in enumerate(views):

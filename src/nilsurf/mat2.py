@@ -40,10 +40,12 @@ def inv(m):
     """Inverse over the trailing 2x2 axes via the adjugate formula.
 
     Raises SingularFrameError if any determinant is not finite or has
-    magnitude below SINGULAR_TOL.
+    magnitude below SINGULAR_TOL.  Entries too large for the determinant
+    overflow it without a warning, and fail that gate.
     """
     m = np.asarray(m)
-    d = det(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = det(m)
     if not np.all(np.isfinite(d)):
         raise SingularFrameError("matrix determinant is not finite; cannot invert")
     if np.any(np.abs(d) < SINGULAR_TOL):

@@ -1,8 +1,11 @@
 """File formats: OBJ-style meshes, CSV surface/solution tables, JSON reports.
 
-All writers produce deterministic, platform-independent bytes: fixed "\n"
-newlines, explicit float formatting, sorted JSON keys, no timestamps.
-Identical inputs give bitwise-identical files, which the test suite pins.
+All writers format deterministically: fixed "\n" newlines, explicit float
+formatting, sorted JSON keys, no timestamps.  Identical inputs give
+bitwise-identical files on one BLAS build and thread count, which the
+test suite pins.  Across thread counts the values written for a solved
+source differ in their last digits, since the density solve's BLAS
+products round differently (README, criterion 8).
 
 Formats:
   * Mesh: plain OBJ-style text; one "v x1 x2 x3" line per grid node in

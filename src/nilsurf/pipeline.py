@@ -11,11 +11,12 @@ and files, mapping every failure mode onto a stable exit code:
     5  I/O failure
 
 Residual thresholds scale with the grid: threshold = max(floor, scale * C
-* h^2) per residual class, with per-class coefficients C calibrated on the
-flagship configurations (documented in the README) and h the larger grid
-spacing.  A fixed absolute threshold would spuriously fail coarse grids
-and trivially pass fine ones; the h^2 law matches the second-order
-convergence of every residual class.
+* h^2) per residual class, with the coefficients C of the class table
+residuals.RESIDUAL_CLASSES (calibrated on the flagship configurations)
+and h the larger grid spacing.  A fixed absolute threshold would
+spuriously fail coarse grids and trivially pass fine ones; the h^2 law
+matches the second-order convergence of every residual class.
+`classify_report` has one rule for every class.
 
 Each rule has one site.  `_verdict` is the one verify -> thresholds ->
 classify step, shared by run_generate (h from the config domain),
@@ -55,21 +56,8 @@ from .outputs import (
 )
 from .pde import newton_solve
 from .potentials import Potential, liouville_exact
-from .residuals import COORDINATE_KEYS, RESIDUAL_KEYS, verify_surface
+from .residuals import RESIDUAL_CLASSES, RESIDUAL_KEYS, verify_surface
 from .surface import generate_surface
-
-#: Per-class coefficients C in the threshold law max(floor, scale*C*h^2),
-#: calibrated with ~10x headroom over the flagship configurations.
-THRESHOLD_COEFFS = {
-    "conformality": 2.0,
-    "minimality_horizontal": 0.5,
-    "minimality_vertical": 1.0,
-    "covariant_minimality": 1.5,
-    "aux_height_consistency": 1.5,
-    "hopf_holomorphy": 0.6,
-    "gauss_map_tension": 0.25,
-    "fhat_laplace_identity": 0.5,
-}
 
 EXIT_PASS = 0
 EXIT_CONFIG = 2
@@ -101,47 +89,25 @@ def residual_thresholds(
     """Threshold per residual class: max(floor, scale * C * h^2)."""
     return {
         key: max(floor, scale * coeff * h * h)
-        for key, coeff in THRESHOLD_COEFFS.items()
+        for key, coeff in RESIDUAL_CLASSES.items()
     }
 
 
 def classify_report(report, thresholds):
     """Compare a ResidualReport's maxima against thresholds.
 
-    Residual classes that were not computable (NaN maxima, e.g. auxiliary
-    checks on external surfaces) are skipped, except where the surface had
-    the data (see `_nan_fails`): a NaN there means no finite value on the
-    interior, e.g. overflowed derivatives, and fails.  Returns (passed,
-    failures) where failures lists (key, value, threshold) triples.
+    A class fails when its maximum exceeds its threshold, or when its
+    maximum is NaN (no finite value, from overflowed derivatives, say)
+    and report.evaluated counts nodes where it had its inputs; with none
+    it is not computable and skipped.  Returns (passed, failures) where
+    failures lists (key, value, threshold) triples.
     """
     failures = []
     for key in RESIDUAL_KEYS:
-        value = report.maxima.get(key, float("nan"))
-        if value is None or math.isnan(value):
-            if _nan_fails(report, key):
-                failures.append((key, float("nan"), thresholds[key]))
-            continue
-        if value > thresholds[key]:
-            failures.append((key, value, thresholds[key]))
+        value, threshold = report.maxima[key], thresholds[key]
+        if value > threshold or (math.isnan(value) and report.evaluated[key] > 0):
+            failures.append((key, value, threshold))
     return (not failures), failures
-
-
-def _interior_nodes(report):
-    """Nodes inside the report's margin, where its maxima are taken."""
-    return (report.nx - 2 * report.margin) * (report.ny - 2 * report.margin)
-
-
-def _nan_fails(report, key):
-    """Whether a NaN maximum of class key fails rather than being skipped.
-
-    Every surface has the data for the COORDINATE_KEYS, and for
-    gauss_map_tension at every interior node the angle cutoff keeps; only
-    a cutoff that masks the whole interior (the exact vertical plane)
-    leaves the tension nothing to evaluate.
-    """
-    if key == "gauss_map_tension":
-        return report.tension_skipped < _interior_nodes(report)
-    return key in COORDINATE_KEYS
 
 
 def _failure_entries(failures):
@@ -339,12 +305,7 @@ def _check(csv_path, report_path, tolerances, log):
     for key in RESIDUAL_KEYS:
         value, threshold = report.maxima[key], thresholds[key]
         if math.isnan(value):
-            if key in COORDINATE_KEYS:
-                note = "no finite value on the interior"
-            elif key == "gauss_map_tension":
-                note = _tension_mask_note(report)
-            else:
-                note = "not computable from coordinate data"
+            note = _nan_note(report, key)
             log(f"  {key:<24} ({note})" + ("  OVER" if key in failed else ""))
         else:
             verdict = "ok" if value <= threshold else "OVER"
@@ -360,15 +321,20 @@ def _check(csv_path, report_path, tolerances, log):
     return _finish(report_dict, report_path, passed, log)
 
 
-def _tension_mask_note(report):
-    """Why gauss_map_tension has no value: the angle mask, or no finite value."""
-    interior = _interior_nodes(report)
+def _nan_note(report, key):
+    """Why class key has no value, from the nodes it was evaluated on."""
+    evaluated = report.evaluated[key]
+    if key != "gauss_map_tension":
+        if evaluated:
+            return "no finite value on the interior"
+        return "not computable from coordinate data"
     cutoff = f"the angle cutoff {report.angle_cutoff:g}"
-    if report.tension_skipped == interior:
+    if not evaluated:
         return f"every interior node masked by {cutoff}"
+    skipped = report.tension_skipped
     return (
-        f"no finite value on the interior; {report.tension_skipped} of "
-        f"{interior} interior nodes masked by {cutoff}"
+        f"no finite value on the interior; {skipped} of "
+        f"{evaluated + skipped} interior nodes masked by {cutoff}"
     )
 
 

@@ -42,6 +42,10 @@ comes from the nil3 module; the 2x2 algebra of fhat from mat2.
 Reported max-norms exclude a configurable boundary margin (default 2
 nodes) because second-difference quantities lose an order there; the
 ungated maxima are reported alongside for transparency.
+
+RESIDUAL_CLASSES is the one list of the classes, in reporting order, with
+their threshold coefficients; the report counts, per class, the gated
+nodes where it had its inputs (`ResidualReport.evaluated`).
 """
 
 import math
@@ -67,29 +71,22 @@ UNIFORM_SPACING_RTOL = 1e-6
 #: from each side and has a node only on 7 or more.
 MIN_STENCIL_NODES = 7
 
-#: Stable keys of the residual classes, in reporting order.
-RESIDUAL_KEYS = (
-    "conformality",
-    "minimality_horizontal",
-    "minimality_vertical",
-    "covariant_minimality",
-    "aux_height_consistency",
-    "hopf_holomorphy",
-    "gauss_map_tension",
-    "fhat_laplace_identity",
-)
+#: The residual classes in reporting order, each with its coefficient C in
+#: the pipeline's threshold law max(floor, scale * C * h^2), calibrated
+#: with ~10x headroom over the flagship configurations.
+RESIDUAL_CLASSES = {
+    "conformality": 2.0,
+    "minimality_horizontal": 0.5,
+    "minimality_vertical": 1.0,
+    "covariant_minimality": 1.5,
+    "aux_height_consistency": 1.5,
+    "hopf_holomorphy": 0.6,
+    "gauss_map_tension": 0.25,
+    "fhat_laplace_identity": 0.5,
+}
 
-#: Classes computed from the coordinates of every surface, so each must
-#: have a finite value on the interior.  gauss_map_tension is computed from
-#: them too, but the angle cutoff may mask every node (the exact vertical
-#: plane); the classifier fails its NaN only where the mask kept a node.
-COORDINATE_KEYS = (
-    "conformality",
-    "minimality_horizontal",
-    "minimality_vertical",
-    "covariant_minimality",
-    "hopf_holomorphy",
-)
+#: Stable keys of the residual classes, in reporting order.
+RESIDUAL_KEYS = tuple(RESIDUAL_CLASSES)
 
 
 def nonuniform_step(axis):
@@ -176,14 +173,15 @@ def _nanmax(magnitudes):
 
 
 def _maxima(magnitudes, trim, margin):
-    """(gated, ungated) maxima of a class's |·| planes of trim `trim`.
+    """(gated, ungated) maxima of a class's |·| planes of trim `trim`, and
+    the number of gated nodes.
 
     The gate drops `margin` nodes from every side of the grid; the planes
     already lack `trim` of them.
     """
     inset = max(margin - trim, 0)
     gated = [_inner(m, inset) for m in magnitudes]
-    return _nanmax(gated), _nanmax(magnitudes)
+    return _nanmax(gated), _nanmax(magnitudes), gated[0].size
 
 
 @dataclass
@@ -193,6 +191,10 @@ class ResidualReport:
     maxima holds the margin-gated interior max-norms keyed by
     RESIDUAL_KEYS (NaN when a class was not computable, e.g. no auxiliary
     data); maxima_ungated holds the same without the boundary margin.
+    evaluated counts, per class, the margin-gated nodes where the class
+    had its inputs: 0 without its data, and for gauss_map_tension the
+    interior nodes the angle cutoff keeps (tension_evaluated, serialized,
+    counts its finite values).
     Ratio statistics compare the measured metric density and quadratic
     differential against the generating potential when one is supplied.
     Fields (the raw residual grids) are retained only on request.
@@ -215,6 +217,7 @@ class ResidualReport:
     tension_skipped: int
     det_deviation: float = float("nan")
     shape_deviation: float = float("nan")
+    evaluated: dict = dataclass_field(default_factory=dict)
     rho_ratio_mean: float = None
     rho_ratio_spread: float = None
     q_ratio_mean: float = None
@@ -271,7 +274,8 @@ class ResidualReport:
 
 
 def _checked_grid(surface, margin):
-    """(x, y, F, height) of a surface whose grid the suite can difference.
+    """(x, y, F, height, aux_height, fhat) of a surface whose grid the
+    suite can difference; the last two are None when the surface lacks them.
 
     Raises DomainError for anything the stencils cannot use; see
     verify_surface.
@@ -287,10 +291,12 @@ def _checked_grid(surface, margin):
             f"F has shape {F.shape}, but the axes give a "
             f"{y.size} x {x.size} grid (ny, nx)"
         )
+    aux_height = getattr(surface, "aux_height", None)
+    fhat = getattr(surface, "fhat", None)
     companions = (
         ("height", height, F.shape),
-        ("aux_height", getattr(surface, "aux_height", None), F.shape),
-        ("fhat", getattr(surface, "fhat", None), F.shape + (2, 2)),
+        ("aux_height", aux_height, F.shape),
+        ("fhat", fhat, F.shape + (2, 2)),
     )
     for name, value, shape in companions:
         if value is not None and np.shape(value) != shape:
@@ -311,17 +317,22 @@ def _checked_grid(surface, margin):
                 f"the mean {bad[0]:.6g} by {bad[1]:.3g}); the stencils "
                 f"difference with one step"
             )
-    poisoned = ~(np.isfinite(F) & np.isfinite(height))
-    if poisoned.any():
-        iy, ix = np.argwhere(poisoned)[0]
-        raise DomainError(
-            f"surface coordinates are not finite at "
-            f"{int(np.count_nonzero(poisoned))} node(s), the first at "
-            f"(x, y) = ({x[ix]:.6g}, {y[iy]:.6g})"
-        )
-    return x, y, F, height
+    finite = {"surface coordinates are": np.isfinite(F) & np.isfinite(height)}
+    if aux_height is not None:
+        finite["aux_height is"] = np.isfinite(aux_height)
+    if fhat is not None:
+        finite["fhat is"] = np.isfinite(fhat).all(axis=(-2, -1))
+    for subject, ok in finite.items():
+        if not ok.all():
+            iy, ix = np.argwhere(~ok)[0]
+            raise DomainError(
+                f"{subject} not finite at {int(np.count_nonzero(~ok))} "
+                f"node(s), the first at (x, y) = ({x[ix]:.6g}, {y[iy]:.6g})"
+            )
+    return x, y, F, height, aux_height, fhat
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_surface(
     surface,
     potential=None,
@@ -348,9 +359,11 @@ def verify_surface(
     axis, and hopf_holomorphy's stencil reaches 3 nodes in from each
     side); when an axis breaks the uniform-spacing rule of
     `nonuniform_step` (the stencils difference with the first step
-    throughout); or when F or height holds a NaN or an infinity: the
-    NaN-aware maxima would drop the stencils around such a node.  (The
-    Gauss-map angle mask is made here, not read from the input.)
+    throughout); or when F, height, aux_height or fhat holds a NaN or an
+    infinity: the NaN-aware maxima would drop the stencils around such a
+    node.  (The Gauss-map angle mask is made here, not read from the
+    input.)  Finite data that overflow in the stencils raise no
+    floating-point warning; the class reads NaN or inf instead.
     Raises DegenerateNode when the interior metric density drops below
     DEGENERATE_TOL — the data fails to be an immersion there and none of
     the residuals are meaningful.
@@ -360,24 +373,26 @@ def verify_surface(
     metric_density, angle_function, quadratic_differential, gauss_map and
     normal grids, all of grid shape with NaN where a stencil does not fit.
     """
-    x, y, F, height = _checked_grid(surface, margin)
+    x, y, F, height, aux_height, fhat = _checked_grid(surface, margin)
     hx = float(x[1] - x[0])
     hy = float(y[1] - y[0])
     maxima = dict.fromkeys(RESIDUAL_KEYS, float("nan"))
     maxima_ungated = dict(maxima)
+    evaluated = dict.fromkeys(RESIDUAL_KEYS, 0)
     fields = {}
 
     def settle(key, planes, trim):
-        """Record a class's maxima from its planes, keeping them on request."""
+        """Record a class's maxima and gated nodes, keeping planes on request."""
         magnitudes = [np.abs(p) for p in planes]
-        maxima[key], maxima_ungated[key] = _maxima(magnitudes, trim, margin)
+        maxima[key], maxima_ungated[key], evaluated[key] = _maxima(
+            magnitudes, trim, margin
+        )
         if keep_fields:
             field = planes[0] if len(planes) == 1 else from_entries(planes)
             fields[key] = _nan_ring(field, trim, field.dtype)
 
     # The matrix field's stencils are the largest temporaries of the
     # suite; taking them before the tangent data exists lowers the peak.
-    fhat = getattr(surface, "fhat", None)
     if fhat is not None:
         fhat = [np.ascontiguousarray(e) for e in entries(fhat)]
         derivatives = [_dz_dzbar(e, hx, hy) for e in fhat]
@@ -418,7 +433,6 @@ def verify_surface(
     )
     del F_z, F_zbar
 
-    aux_height = getattr(surface, "aux_height", None)
     if aux_height is not None:
         settle("aux_height_consistency", [A - 1j * _dz(aux_height, hx, hy)], 1)
 
@@ -473,21 +487,22 @@ def verify_surface(
     # phi <= angle_cutoff: there |g| -> 1 and the hyperbolic factor blows
     # up, so the check is only meaningful on the upward-tilted region.
     g = stereographic_south(normal)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g_z, g_zbar = _dz_dzbar(g, hx, hy)
-        g_in = _inner(g)
-        tau = _dzzbar(g, hx, hy) + 2.0 * np.conj(g_in) * g_z * g_zbar / (
-            1.0 - np.abs(g_in) ** 2
-        )
-        del g_z, g_zbar, g_in
-        tau = np.where(_inner(phi) > angle_cutoff, tau, np.nan)
+    g_z, g_zbar = _dz_dzbar(g, hx, hy)
+    g_in = _inner(g)
+    tau = _dzzbar(g, hx, hy) + 2.0 * np.conj(g_in) * g_z * g_zbar / (
+        1.0 - np.abs(g_in) ** 2
+    )
+    del g_z, g_zbar, g_in
+    tau = np.where(_inner(phi) > angle_cutoff, tau, np.nan)
     settle("gauss_map_tension", [tau], 2)
 
     phi_window = _inner(phi, margin - 1)
     phi_finite = phi_window[np.isfinite(phi_window)]
-    # interior nodes whose tension was computable vs masked out by angle
-    evaluated = int(np.count_nonzero(np.isfinite(_inner(tau, max(margin - 2, 0)))))
+    # interior nodes the angle cutoff masks; the tension had its inputs at
+    # the rest, a NaN phi included
     skipped = phi_finite.size - int(np.count_nonzero(phi_window > angle_cutoff))
+    evaluated["gauss_map_tension"] = phi_window.size - skipped
+    finite_tension = np.isfinite(_inner(tau, max(margin - 2, 0)))
 
     rho_ratio_mean = rho_ratio_spread = None
     q_ratio_mean = q_ratio_spread = None
@@ -525,10 +540,11 @@ def verify_surface(
         rho_mean=statistic(rho_interior, np.mean),
         phi_min_observed=statistic(phi_finite, np.min),
         phi_max_observed=statistic(phi_finite, np.max),
-        tension_evaluated=evaluated,
+        tension_evaluated=int(np.count_nonzero(finite_tension)),
         tension_skipped=skipped,
         det_deviation=float(getattr(surface, "det_deviation", float("nan"))),
         shape_deviation=float(getattr(surface, "shape_deviation", float("nan"))),
+        evaluated=evaluated,
         rho_ratio_mean=rho_ratio_mean,
         rho_ratio_spread=rho_ratio_spread,
         q_ratio_mean=q_ratio_mean,

@@ -172,7 +172,6 @@ def generate_surface(
     x,
     y,
     t,
-    substeps=1,
     shape_tol=DEFAULT_TOLERANCES["shape"],
     check_flatness=True,
 ):
@@ -182,9 +181,7 @@ def generate_surface(
     returns a list of SurfaceGrid in the given order: one march for all
     members, then each member is assembled and its frame released.
     """
-    fields = integrate_grid(
-        potential, x, y, t, substeps=substeps, check_flatness=check_flatness
-    )
+    fields = integrate_grid(potential, x, y, t, check_flatness=check_flatness)
     if np.ndim(t) == 0:
         fields = [fields]
     surfaces = []

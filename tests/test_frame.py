@@ -359,8 +359,27 @@ class TestFamilyMarch:
             frame.integrate_grid(UNIT_POTENTIAL, ax, ax, [[0.1, 0.2]])
 
 
+def full_step(potential, state, z0, z1, phase):
+    """One RK4 step of the full (3, 2, 2, T, n) triple from z0 to z1.
+
+    The program's kernel on the potential sampled at the step's start,
+    midpoint and end; the march itself steps row 0 only.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    z1 = np.asarray(z1, dtype=complex)
+    dz = z1 - z0
+    return frame._rk4(
+        state,
+        dz,
+        phase,
+        frame._sample(potential, z0),
+        frame._sample(potential, z0 + dz / 2.0),
+        frame._sample(potential, z1),
+    )
+
+
 def reference_march(potential, x, y, t_values, path_order, substeps):
-    """integrate_grid's march, one public rk4_step call per (sub)step.
+    """integrate_grid's march, one full-state step per (sub)step.
 
     The base line is marched node by node outward from the node nearest
     z = 0 (after a starting step from z = 0 when that node is not 0), then
@@ -376,11 +395,11 @@ def reference_march(potential, x, y, t_values, path_order, substeps):
 
     def advance(state, z0, z1):
         if substeps == 1:
-            return frame.rk4_step(potential, state, z0, z1, phase)
+            return full_step(potential, state, z0, z1, phase)
         for k in range(substeps):
             a = z0 + (z1 - z0) * (k / substeps)
             b = z0 + (z1 - z0) * ((k + 1) / substeps)
-            state = frame.rk4_step(potential, state, a, b, phase)
+            state = full_step(potential, state, a, b, phase)
         return state
 
     state = np.zeros((3, 2, 2, len(t_values), 1), dtype=complex)
@@ -516,8 +535,8 @@ class TestSampledMarch:
                     assert np.array_equal(m[..., 1, 0], np.conj(m[..., 0, 1]))
 
     def test_march_hands_the_kernel_row_states(self, monkeypatch):
-        # (triple, column, t, node): only row 0 is marched; the off-node
-        # base step alone takes the full (3, 2, 2, T, 1) state
+        # (triple, column, t, node): only row 0 is marched, the off-node
+        # base step included
         shapes = []
         kernel = frame._rk4
         monkeypatch.setattr(
@@ -527,15 +546,14 @@ class TestSampledMarch:
         )
         centred = (np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 7))
         off_node = (np.linspace(-0.35, 0.45, 9), np.linspace(-0.31, 0.41, 7))
-        for (x, y), base in ((centred, []), (off_node, [(3, 2, 2, 3, 1)])):
+        for (x, y), base in ((centred, []), (off_node, [(3, 2, 3, 1)])):
             shapes.clear()
             frame.integrate_grid(UNIT_POTENTIAL, x, y, [0.1, 0.2, 0.3])
             assert shapes[: len(base)] == base
-            rows = shapes[len(base) :]
-            assert rows and all(len(s) == 4 and s[:3] == (3, 2, 3) for s in rows)
+            assert shapes and all(len(s) == 4 and s[:3] == (3, 2, 3) for s in shapes)
             # pairs of nodes along the base line, then pairs of whole rows
-            assert {s[3] for s in rows} <= {1, 2, 9, 18}
-            assert {2, 18} <= {s[3] for s in rows}
+            assert {s[3] for s in shapes} <= {1, 2, 9, 18}
+            assert {2, 18} <= {s[3] for s in shapes}
 
     @pytest.mark.parametrize("factor", [1.0 + 0.0j, np.exp(0.1j)])
     def test_complex_root_fails_before_marching(self, monkeypatch, factor):

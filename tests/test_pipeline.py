@@ -29,6 +29,15 @@ from nilsurf.outputs import write_surface_csv
 from nilsurf.potentials import Potential
 from nilsurf.surface import SurfaceGrid, generate_surface
 
+#: The classes every surface has the inputs for: its coordinates.
+COORDINATE_KEYS = (
+    "conformality",
+    "minimality_horizontal",
+    "minimality_vertical",
+    "covariant_minimality",
+    "hopf_holomorphy",
+)
+
 
 def make_config(tmp_path, **overrides):
     doc = {
@@ -72,7 +81,7 @@ class TestThresholds:
         th = pipeline.residual_thresholds(0.1)
         assert th["conformality"] == pytest.approx(2.0 * 0.01)
         assert th["gauss_map_tension"] == pytest.approx(0.25 * 0.01)
-        assert set(th) == set(pipeline.THRESHOLD_COEFFS)
+        assert set(th) == set(residuals.RESIDUAL_CLASSES)
 
     def test_floor_engages_on_fine_grids(self):
         th = pipeline.residual_thresholds(1e-6)
@@ -88,17 +97,20 @@ class TestThresholds:
 
 
 class TestClassifyReport:
-    def _report(self, tension_skipped=13 * 13, **maxima):
-        # coordinate classes default to a clean 0.0, the rest to NaN; by
-        # default the angle cutoff masks all 13 x 13 interior nodes
+    def _report(self, tension_evaluated=0, **maxima):
+        # coordinate classes default to a clean 0.0 on all 13 x 13 interior
+        # nodes, the rest to NaN on none: no auxiliary data, and by default
+        # the angle cutoff masks every interior node
         full = {
-            key: 0.0 if key in residuals.COORDINATE_KEYS else float("nan")
-            for key in pipeline.THRESHOLD_COEFFS
+            key: 0.0 if key in COORDINATE_KEYS else float("nan")
+            for key in RESIDUAL_KEYS
         }
         full.update(maxima)
-        return types.SimpleNamespace(
-            maxima=full, nx=17, ny=17, margin=2, tension_skipped=tension_skipped
-        )
+        evaluated = {
+            key: 13 * 13 if key in COORDINATE_KEYS else 0 for key in RESIDUAL_KEYS
+        }
+        evaluated["gauss_map_tension"] = tension_evaluated
+        return types.SimpleNamespace(maxima=full, evaluated=evaluated)
 
     def test_all_nan_fails_on_coordinate_classes(self):
         # every surface has the data for the coordinate classes, so a NaN
@@ -107,7 +119,7 @@ class TestClassifyReport:
         report = self._report(**{key: float("nan") for key in RESIDUAL_KEYS})
         passed, failures = pipeline.classify_report(report, thresholds)
         assert not passed
-        assert [key for key, _, _ in failures] == list(residuals.COORDINATE_KEYS)
+        assert [key for key, _, _ in failures] == list(COORDINATE_KEYS)
         assert all(math.isnan(value) for _, value, _ in failures)
 
     def test_nan_outside_coordinate_classes_is_skipped(self):
@@ -120,10 +132,21 @@ class TestClassifyReport:
         # the tension is the only NaN class; one interior node escaped the
         # angle mask, so the class had data and found no finite value
         thresholds = pipeline.residual_thresholds(0.1)
-        report = self._report(tension_skipped=13 * 13 - 1)
+        report = self._report(tension_evaluated=1)
         passed, failures = pipeline.classify_report(report, thresholds)
         assert not passed
         assert [key for key, _, _ in failures] == ["gauss_map_tension"]
+        assert math.isnan(failures[0][1])
+
+    def test_nan_auxiliary_class_fails_where_it_had_data(self):
+        # the surface carried aux_height and the class found no finite
+        # value on its nodes; without the data it is skipped
+        thresholds = pipeline.residual_thresholds(0.1)
+        report = self._report()
+        report.evaluated["aux_height_consistency"] = 13 * 13
+        passed, failures = pipeline.classify_report(report, thresholds)
+        assert not passed
+        assert [key for key, _, _ in failures] == ["aux_height_consistency"]
         assert math.isnan(failures[0][1])
 
     def test_single_failure_reported_with_threshold(self):
@@ -186,6 +209,70 @@ class TestRunGenerate:
         pipeline.run_generate(cfg, log=lambda *_: None)
         assert (tmp_path / "report.json").read_bytes() == first_report
         assert (tmp_path / "surface.obj").read_bytes() == first_mesh
+
+    def test_flagship_run_across_blas_thread_counts(self, tmp_path):
+        # the bytes are deterministic per BLAS build and thread count: the
+        # solve's matrix products round differently on 1 and 2 threads.
+        # What holds across them: the Newton and CG counts, the verdicts,
+        # the coordinates to 1e-12 and the residual maxima to 1e-6 relative
+        src = str(Path(nilsurf.__file__).resolve().parents[1])
+        code = (
+            "import sys, numpy as np\n"
+            "from nilsurf import cli, config, pipeline, surface\n"
+            "assert cli.main(['generate', sys.argv[1]], log=lambda *_: None) == 0\n"
+            "cfg = config.load_config(sys.argv[1])\n"
+            "potential = pipeline.build_potential(cfg)[0]\n"
+            "members = surface.generate_surface(\n"
+            "    potential, *cfg.domain.axes(), cfg.t_values)\n"
+            "np.save(sys.argv[2], np.stack([m.coords() for m in members]))\n"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            doc = {
+                "potential": {
+                    "q0_coefficients": [0.0, [0.25, 0.0]],
+                    "rho0": {"source": "solved", "bc": 0.0},
+                },
+                "domain": {
+                    "xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5,
+                    "nx": 49, "ny": 49,
+                },
+                "t_values": [0.0, math.pi / 4, math.pi / 2],
+                "outputs": {
+                    "mesh": str(out / "surface_t{t}.obj"),
+                    "report": str(out / "report.json"),
+                },
+            }
+            (out / "run.json").write_text(json.dumps(doc))
+            env = {**os.environ, "PYTHONPATH": src}
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[name] = threads
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(out / "run.json"), str(out / "c.npy")],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append(
+                (json.loads((out / "report.json").read_text()), np.load(out / "c.npy"))
+            )
+        (one, coords_one), (two, coords_two) = runs
+        for key in ("newton_iterations", "cg_iterations"):
+            assert one["solver"][key] == two["solver"][key], key
+        assert one["pass"] is two["pass"] is True
+        np.testing.assert_allclose(coords_one, coords_two, rtol=0.0, atol=1e-12)
+        for a, b in zip(one["surfaces"], two["surfaces"]):
+            assert (a["pass"], a["failures"]) == (b["pass"], b["failures"])
+            for key in RESIDUAL_KEYS:
+                va = a["verification"]["maxima"][key]
+                vb = b["verification"]["maxima"][key]
+                assert (va is None) == (vb is None), key
+                if va is not None:
+                    assert va == pytest.approx(vb, rel=1e-6, abs=0.0), key
 
     def test_family_shares_one_face_block(self, tmp_path, monkeypatch):
         # every member's mesh equals a standalone export_obj of its surface,
@@ -261,8 +348,7 @@ class TestRunGenerate:
             domain={"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0},
         )
         lines = []
-        with np.errstate(all="ignore"):
-            code, report = pipeline.run_generate(cfg, log=lines.append)
+        code, report = pipeline.run_generate(cfg, log=lines.append)
         assert (code, report) == (pipeline.EXIT_RESIDUAL, None)
         assert "not finite" in lines[-1]
         assert not (tmp_path / "surface.obj").exists()
@@ -416,8 +502,7 @@ class TestRunCheck:
         path = tmp_path / "overflow.csv"
         write_surface_csv(plane, path)
         report_path = tmp_path / "check.json"
-        with np.errstate(all="ignore"):
-            code = cli.main(["check", str(path), "--report", str(report_path)])
+        code = cli.main(["check", str(path), "--report", str(report_path)])
         assert code == pipeline.EXIT_RESIDUAL
         out = capsys.readouterr().out
         assert "PASS" not in out
@@ -429,7 +514,7 @@ class TestRunCheck:
         report = json.loads(report_path.read_text())
         assert report["pass"] is False
         assert [f["residual"] for f in report["failures"]] == list(
-            residuals.COORDINATE_KEYS
+            COORDINATE_KEYS
         ) + ["gauss_map_tension"]
         assert all(f["value"] is None for f in report["failures"])
 
@@ -580,16 +665,37 @@ class TestCheckSurfaceLike:
         with pytest.raises(SchemaError, match=f"tolerances.{option}"):
             pipeline.check_surface_like(dyadic_plane("horizontal"), **{option: value})
 
-    @pytest.mark.parametrize("field, value", [("F", np.nan), ("height", np.inf)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("F", np.nan), ("height", np.inf), ("aux_height", np.nan), ("fhat", np.inf)],
+    )
     def test_non_finite_coordinates_fail_closed(self, field, value):
-        # NaN-aware maxima would drop the poisoned stencils and pass
+        # NaN-aware maxima would drop the poisoned stencils and pass (an
+        # auxiliary class with no finite value at all was skipped)
         pot = Potential.constant(1.0, (0.25,))
         ax = np.linspace(-0.5, 0.5, 33)
         surf = generate_surface(pot, ax, ax, 0.0)
         assert pipeline.check_surface_like(surf, potential=pot)[0]
         getattr(surf, field)[16, 16] = value
-        with pytest.raises(DomainError, match=r"not finite at 1 node\(s\)"):
+        at_centre = r"not finite at 1 node\(s\), the first at \(x, y\) = \(0, 0\)"
+        with pytest.raises(DomainError, match=at_centre):
             pipeline.check_surface_like(surf, potential=pot)
+
+    def test_overflowing_auxiliary_height_fails(self):
+        # a finite aux_height of +-1.5e308 in a period-4 pattern along both
+        # axes overflows its derivative at every node: the class had its
+        # data and no finite value, which used to be skipped as a pass
+        pot = Potential.constant(1.0, (0.25,))
+        ax = np.linspace(-0.5, 0.5, 33)
+        surf = generate_surface(pot, ax, ax, 0.3)
+        assert pipeline.check_surface_like(surf)[0]
+        sign = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(33) % 4]
+        surf.aux_height = 1.5e308 * np.outer(sign, sign)
+        passed, failures, report = pipeline.check_surface_like(surf)
+        assert not passed
+        assert [key for key, _, _ in failures] == ["aux_height_consistency"]
+        assert math.isnan(report.maxima["aux_height_consistency"])
+        assert report.evaluated["aux_height_consistency"] == 29 * 29
 
 
     @pytest.mark.parametrize("defect", ["non_uniform", "swapped", "height", "one_node"])

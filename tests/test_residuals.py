@@ -26,6 +26,15 @@ from nilsurf.errors import DegenerateNode, DomainError
 from nilsurf.potentials import Potential
 from nilsurf.surface import SurfaceGrid, generate_surface
 
+#: The classes every surface has the inputs for: its coordinates.
+COORDINATE_KEYS = (
+    "conformality",
+    "minimality_horizontal",
+    "minimality_vertical",
+    "covariant_minimality",
+    "hopf_holomorphy",
+)
+
 
 def plane_surface(kind, n=17):
     # dyadic axes: spacing exactly 0.125, so central differences of the
@@ -462,6 +471,54 @@ def vertical_plane(nx, ny):
     return SurfaceGrid(x=x, y=y, t=0.0, F=xx + 0j, height=yy, aux_height=-xx)
 
 
+class TestEvaluatedCounts:
+    """report.evaluated: the margin-gated nodes where a class had its inputs."""
+
+    #: nodes a class's stencil loses on every side (its plane's trim)
+    TRIMS = {
+        "conformality": 1,
+        "minimality_horizontal": 1,
+        "minimality_vertical": 2,
+        "covariant_minimality": 2,
+        "aux_height_consistency": 1,
+        "hopf_holomorphy": 3,
+        "fhat_laplace_identity": 1,
+    }
+
+    @pytest.mark.parametrize("margin", [1, 2, 3])
+    def test_gated_plane_of_each_class(self, margin):
+        pot = Potential.constant(1.0, (0.25,))
+        ax = np.linspace(-0.4, 0.4, 17)
+        report = residuals.verify_surface(
+            generate_surface(pot, ax, ax, 0.0), margin=margin
+        )
+        for key, trim in self.TRIMS.items():
+            assert report.evaluated[key] == (17 - 2 * max(margin, trim)) ** 2, key
+        # the tension: the interior nodes the angle cutoff keeps
+        interior = (17 - 2 * margin) ** 2
+        assert report.evaluated["gauss_map_tension"] == (
+            interior - report.tension_skipped
+        )
+        assert report.evaluated["gauss_map_tension"] > 0
+
+    def test_missing_inputs_count_zero(self):
+        # coordinates alone: no auxiliary data; the vertical plane's angle
+        # cutoff masks every interior node
+        plane = plane_surface("vertical")
+        plane.aux_height = None
+        report = residuals.verify_surface(plane)
+        assert set(report.evaluated) == set(residuals.RESIDUAL_KEYS)
+        for key in COORDINATE_KEYS:
+            assert report.evaluated[key] == (17 - 2 * max(2, self.TRIMS[key])) ** 2
+        for key in (
+            "aux_height_consistency",
+            "gauss_map_tension",
+            "fhat_laplace_identity",
+        ):
+            assert report.evaluated[key] == 0, key
+            assert math.isnan(report.maxima[key]), key
+
+
 class TestGridGate:
     """verify_surface refuses grids its stencils cannot difference."""
 
@@ -471,7 +528,7 @@ class TestGridGate:
         report = residuals.verify_surface(vertical_plane(need, need + 2), margin=margin)
         # every coordinate class, hopf_holomorphy's 3-node reach included,
         # has a node inside the margin
-        for key in residuals.COORDINATE_KEYS:
+        for key in COORDINATE_KEYS:
             assert report.maxima[key] == 0.0, key
         for nx, ny in ((need - 1, need), (need, need - 1)):
             with pytest.raises(DomainError, match=f"need at least {need} nodes"):
@@ -535,7 +592,7 @@ class TestGridGate:
         surf.F = np.broadcast_to(surf.x + 0j, (9, 9)).copy()
         surf.aux_height = -surf.F.real
         report = residuals.verify_surface(surf)
-        for key in residuals.COORDINATE_KEYS + ("aux_height_consistency",):
+        for key in COORDINATE_KEYS + ("aux_height_consistency",):
             assert report.maxima[key] == 0.0, key
 
 
