@@ -73,10 +73,3 @@ for n in (9, 17, 33, 65):
 
 print("\ndeterminant deviation on the finest grid: "
       f"{field.det_deviation():.3e} (flat connections preserve det = 1)")
-
-# Path independence is the other structural check: marching rows-first
-# and columns-first must agree for a flat connection.
-row = integrate_grid(potential, axis, axis, t, path_order="row-major")
-col = integrate_grid(potential, axis, axis, t, path_order="column-major")
-print("row-major vs column-major march: "
-      f"{float(np.max(np.abs(row.psi - col.psi))):.3e}")

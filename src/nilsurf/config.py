@@ -21,12 +21,14 @@ A run configuration is a JSON document:
     }
 
 Only "potential" and "domain" are required; everything else defaults as
-shown.  Q0 coefficients may be written as [re, im] pairs or plain numbers.
-The solved source accepts "bc" as a constant (number) or the string
-"liouville" (boundary data sampled from the closed-form density).  When
-"solver_domain" is omitted it defaults to the surface domain scaled by 2
-about the origin with the node counts chosen so the solver spacing is
-exactly half the surface spacing.  That default serves two purposes: the
+shown.  The mesh pattern's "{t}" stands for each t written with six
+decimals (`mesh_path`); a t value whose mesh path repeats an earlier one
+is refused.  Q0 coefficients may be written as [re, im] pairs or plain
+numbers.  The solved source accepts "bc" as a constant (number) or the
+string "liouville" (boundary data sampled from the closed-form density).
+When "solver_domain" is omitted it defaults to the surface domain scaled
+by 2 about the origin with the node counts chosen so the solver spacing
+is exactly half the surface spacing.  That default serves two purposes: the
 solver grid must resolve the density at least twice as finely as the
 integration grid (so interpolation error stays below the integration
 error), and pushing the artificial Dirichlet boundary away from the
@@ -320,6 +322,11 @@ def _parse_q0(raw, path):
     return np.asarray(coeffs, dtype=complex)
 
 
+def mesh_path(pattern, t):
+    """The mesh file of the member at t: pattern with {t} written as %.6f."""
+    return pattern.replace("{t}", f"{t:.6f}")
+
+
 def parse_config(text):
     """Parse and validate a JSON run configuration.
 
@@ -412,6 +419,14 @@ def parse_config(text):
             "outputs.mesh",
             "pattern must contain {t} when more than one t value is requested",
         )
+    # {t} keeps six decimals, so two close values can name one file
+    paths = [mesh_path(options["mesh_pattern"], t) for t in t_values]
+    for k, path in enumerate(paths):
+        if path in paths[:k]:
+            raise SchemaError(
+                f"t_values[{k}]",
+                f"mesh path {path!r} repeats that of t_values[{paths.index(path)}]",
+            )
 
     config = RunConfig(
         q0_coefficients=q0,

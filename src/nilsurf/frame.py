@@ -50,10 +50,9 @@ whose row 0 it computes with the same operations.
 
 The potential is sampled once per march, not once per step: that data
 does not depend on t or on the state, so `integrate_grid` makes one
-`_sample` call on the grid nodes and, with substeps, the points between
-them, each once, and one on every midpoint, before it marches.  Each
-step then reads the samples of its source and destination nodes and its
-slices of the other arrays, and feeds them to the RK4 kernel `_rk4`,
+`_sample` call on the grid nodes and one on the step midpoints before it
+marches.  Each step then reads the samples of its source and destination
+nodes and of its midpoints, and feeds them to the RK4 kernel `_rk4`,
 which `rk4_step` also calls after sampling its own three points.  A grid
 the potential cannot be evaluated on (past a solved rectangle, say)
 therefore fails before the first step.
@@ -73,9 +72,12 @@ Admissibility of the potential is what makes the connection flat
 vanishes), hence the integration path-independent.  The package checks
 admissibility in one place, `_check_admissibility`: the potential's
 integrability residual must stay within ADMISSIBILITY_THRESHOLD at every
-grid node.  `integrate_grid` runs that gate before marching and exposes a
-`path_order` switch so row-major and column-major sweeps can be compared
-directly.
+grid node.  `integrate_grid` runs that gate before marching.  The march
+takes one path, row-major with one RK4 step per segment.  The tests'
+reference march (`tests/march_reference.py`: this kernel, stepped node by
+node on the full state) equals it bitwise on that path and also marches
+column-major and with substeps, which is how path independence and the
+RK4 order are checked.
 """
 
 from dataclasses import dataclass
@@ -239,13 +241,6 @@ def rk4_step(potential, state, z0, z1, phase):
     )
 
 
-def _substep_points(z0, z1, substeps):
-    """Ends of `substeps` equal steps from z0 to z1, on a new leading axis."""
-    if substeps == 1:
-        return np.stack([z0, z1])
-    return np.stack([z0 + (z1 - z0) * (k / substeps) for k in range(substeps + 1)])
-
-
 @dataclass
 class FrameField:
     """Frame triple integrated over a rectangular grid.
@@ -278,9 +273,8 @@ def _check_admissibility(potential, z_nodes):
     Returns the worst magnitude; raises NonFlatInput when it exceeds
     ADMISSIBILITY_THRESHOLD or is not finite.
     """
-    first, second = potential.integrability_residual(z_nodes)
-    # np.maximum, not max: a NaN must survive the comparison
-    worst = float(np.maximum(np.max(np.abs(first)), np.max(np.abs(second))))
+    # np.max propagates a NaN, which the finiteness test below refuses
+    worst = float(np.max(np.abs(potential.integrability_residual(z_nodes))))
     if not np.isfinite(worst):
         raise NonFlatInput(
             "integrability residual is not finite; potential data is not admissible"
@@ -317,15 +311,7 @@ def _outward(n, start):
     return steps
 
 
-def integrate_grid(
-    potential,
-    x,
-    y,
-    t,
-    path_order="row-major",
-    substeps=1,
-    check_flatness=True,
-):
+def integrate_grid(potential, x, y, t, check_flatness=True):
     """Integrate the frame triple over the grid x × y at parameter(s) t.
 
     t is a float, which returns one FrameField, or a 1-D sequence, which
@@ -337,17 +323,12 @@ def integrate_grid(
 
     The march starts from the exact base point z = 0 with the triple
     (identity, 0, 0); the grid must contain 0 (the nearest node is reached
-    by a single starting step when 0 is not itself a node).  With
-    path_order "row-major" the sweep fills the base row outward from that
-    node and then advances whole rows outward along y; "column-major" does
-    the transpose.  For flat connections the two sweeps agree to RK4
-    accuracy, which is the practical test of path independence.  Each
-    kernel call takes a pair of steps, one on each side of the base node
-    (or row), until the shorter side runs out; the pair shares nothing but
-    the call, so the frames are bitwise those of single steps.
-
-    substeps > 1 subdivides every segment into that many equal RK4 steps,
-    scaling the local error by substeps^-4.
+    by a single starting step when 0 is not itself a node).  It fills the
+    base row outward from that node and then advances whole rows outward
+    along y, one RK4 step per segment.  Each kernel call takes a pair of
+    steps, one on each side of the base node (or row), until the shorter
+    side runs out; the pair shares nothing but the call, so the frames are
+    bitwise those of single steps.
 
     Raises NonFlatInput when the admissibility gate trips (disable with
     check_flatness=False to study that failure mode) and DomainError when
@@ -360,8 +341,6 @@ def integrate_grid(
     t_values = np.asarray(t, dtype=float)
     if t_values.ndim > 1:
         raise ValueError("t must be a float or a 1-D sequence of floats")
-    if path_order not in ("row-major", "column-major"):
-        raise ValueError(f"unknown path order {path_order!r}")
     if x[0] > 0.0 or x[-1] < 0.0 or y[0] > 0.0 or y[-1] < 0.0:
         raise DomainError("integration grid must contain the base point z = 0")
     n_x, n_y = x.size, y.size
@@ -373,44 +352,35 @@ def integrate_grid(
     phase = np.exp(2j * members)[:, None]
     # One (triple, row, column, y, x) block per member; the FrameField
     # arrays are views of it.  The march reads and writes row 0 of each
-    # block, column-major through transposed views.
+    # block.
     blocks = [np.zeros((3, 2, 2, n_y, n_x), dtype=complex) for _ in members]
     views = [b[:, 0] for b in blocks]
     i0 = int(np.argmin(np.abs(x)))
     j0 = int(np.argmin(np.abs(y)))
-    z_path, row0, col0 = z_nodes, j0, i0
-    if path_order == "column-major":
-        views = [v.swapaxes(-1, -2) for v in views]
-        z_path, row0, col0 = z_nodes.T, i0, j0
 
-    # The base line, then whole rows, each in paired outward steps; a node
+    # The base row, then whole rows, each in paired outward steps; a node
     # is the destination of one step.  A step reads its sources through
-    # (row, column) index arrays and writes its destinations through
-    # (row, column) slices; either way its nodes, taken row by row, are
-    # one node axis, so a pair of rows is one state.
-    n_rows, n_cols = z_path.shape
+    # (y, x) index arrays and writes its destinations through (y, x)
+    # slices; either way its nodes, taken row by row, are one node axis,
+    # so a pair of rows is one state.
     steps = [
-        ((np.array([row0]), a), (slice(row0, row0 + 1), b), chained)
-        for a, b, chained in _outward(n_cols, col0)
+        ((np.array([j0]), a), (slice(j0, j0 + 1), b), chained)
+        for a, b, chained in _outward(n_x, i0)
     ] + [
-        ((a, np.arange(n_cols)), (b, slice(None)), chained)
-        for a, b, chained in _outward(n_rows, row0)
+        ((a, np.arange(n_x)), (b, slice(None)), chained)
+        for a, b, chained in _outward(n_y, j0)
     ]
 
-    # Sample every step of the march at once, indexed by (substep, row,
-    # column) of the destination node: the increments and the midpoints.
-    # A step starts and ends on nodes, so its ends are sampled once each:
-    # the nodes at index 0, the points between substeps at 1 to
-    # substeps - 1 (see `point`).
-    z_from = z_path.copy()
+    # Sample the march once, indexed by the (y, x) of each step's
+    # destination node: the nodes and the step midpoints.
+    z_from = z_nodes.copy()
     for src, dst, _ in steps:
-        z_from[dst] = z_path[np.ix_(*src)]
-    points = _substep_points(z_from, z_path, substeps)
-    dz = points[1:] - points[:-1]
-    ends = _sample(potential, np.concatenate([z_path[None], points[1:-1]]))
-    mids = _sample(potential, points[:-1] + dz / 2.0)
+        z_from[dst] = z_nodes[np.ix_(*src)]
+    dz = z_nodes - z_from
+    nodes = _sample(potential, z_nodes)
+    mids = _sample(potential, z_from + dz / 2.0)
     # the row march needs a real sqrt(rho0) (module docstring)
-    if ends[0].dtype.kind != "f" or mids[0].dtype.kind != "f":
+    if nodes[0].dtype.kind != "f" or mids[0].dtype.kind != "f":
         raise DomainError("sqrt(rho0) is not real on the grid")
 
     # Row 0 of the identity seeds the march (module docstring)
@@ -418,9 +388,7 @@ def integrate_grid(
     state[0, 0] = 1.0
     z_base = z_nodes[j0, i0]
     if z_base != 0.0:
-        base = _substep_points(np.asarray(0.0j), np.asarray(z_base), substeps)
-        for a, b in zip(base[:-1], base[1:]):
-            state = rk4_step(potential, state, a, b, phase)
+        state = rk4_step(potential, state, 0.0, z_base, phase)
 
     def store(at, state):
         for m, view in enumerate(views):
@@ -434,26 +402,20 @@ def integrate_grid(
     def pick(sample, at):
         return tuple(f[at].reshape(-1) for f in sample)
 
-    def point(k, src, dst):
-        """Index in `ends` of end k of the step src -> dst: its sources at
-        k = 0, its destinations at k = substeps, else a point between."""
-        return (0,) + np.ix_(*src) if k == 0 else (k % substeps,) + dst
-
     # Every state has a node axis.  A chained step continues from the
     # state of the previous one; any other step loads its sources.
-    store((slice(row0, row0 + 1), slice(col0, col0 + 1)), state)
+    store((slice(j0, j0 + 1), slice(i0, i0 + 1)), state)
     for src, dst, chained in steps:
         if not chained:
             state = load(src)
-        for k in range(substeps):
-            state = _rk4(
-                state,
-                dz[(k,) + dst].reshape(-1),
-                phase,
-                pick(ends, point(k, src, dst)),
-                pick(mids, (k,) + dst),
-                pick(ends, point(k + 1, src, dst)),
-            )
+        state = _rk4(
+            state,
+            dz[dst].reshape(-1),
+            phase,
+            pick(nodes, np.ix_(*src)),
+            pick(mids, dst),
+            pick(nodes, dst),
+        )
         store(dst, state)
     # row 1 = (conj(row 0[1]), conj(row 0[0])) in every block
     for block in blocks:

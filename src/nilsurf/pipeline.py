@@ -34,7 +34,13 @@ import math
 import numpy as np
 
 from . import frame
-from .config import CHECK_TOLERANCES, DEFAULT_TOLERANCES, OPTIONS, check_tolerances
+from .config import (
+    CHECK_TOLERANCES,
+    DEFAULT_TOLERANCES,
+    OPTIONS,
+    check_tolerances,
+    mesh_path,
+)
 from .errors import (
     DegenerateNode,
     DomainError,
@@ -210,10 +216,6 @@ def check_integrability(potential, x, y):
     return frame._check_admissibility(potential, z)
 
 
-def _mesh_path(pattern, t):
-    return pattern.replace("{t}", f"{t:.6f}")
-
-
 def run_generate(config, log=print):
     """Full pipeline for one config; returns (exit_code, report_dict).
 
@@ -248,7 +250,7 @@ def _generate(config, log):
         report, thresholds, passed, failures = _verdict(
             surf, h, potential, **tolerances
         )
-        mesh = export_obj(surf, _mesh_path(config.mesh_pattern, t), faces)
+        mesh = export_obj(surf, mesh_path(config.mesh_pattern, t), faces)
         # a class with no finite value ranks last
         worst_key = max(
             RESIDUAL_KEYS,

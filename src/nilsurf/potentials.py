@@ -229,11 +229,6 @@ class Potential:
         src = _SolvedSource(solution.x, solution.y, solution.u, residual)
         return cls(src, q0_coeffs)
 
-    @property
-    def analytic(self):
-        """True when rho0 has closed-form values and derivatives."""
-        return self.source.analytic
-
     def q0(self, z):
         """Value of the holomorphic polynomial Q0 at z."""
         z = np.asarray(z, dtype=complex)
@@ -248,28 +243,25 @@ class Potential:
         return self.source.dlog_dz(z)
 
     def integrability_residual(self, z):
-        """Residual pair of the admissibility conditions at z.
+        """Residual of the admissibility condition at z.
 
-        Returns (first, second) with
-          first  = (log rho0)_zz̄ - rho0/8 + 2|Q0|^2/rho0,
-          second = (Q0)_z̄,
-        both identically zero for admissible data.  Q0 is polynomial in z,
-        so the second component is exactly zero by construction.  For a
-        solved source the first component reports the stored discrete solve
-        residual at the nearest interior solver node, which is what the
-        Newton solve actually certifies.
+        Returns (log rho0)_zz̄ - rho0/8 + 2|Q0|^2/rho0, identically zero
+        for admissible data.  The other condition, (Q0)_z̄ = 0, holds by
+        construction, because Q0 is a polynomial in z.  For a solved source
+        the residual is the stored discrete solve residual at the nearest
+        interior solver node, which is what the Newton solve actually
+        certifies.
         """
         z = np.asarray(z, dtype=complex)
-        second = np.zeros(z.shape, dtype=complex)
         if self.source.analytic:
-            first = (
+            residual = (
                 self.source.log_zzbar(z)
                 - self.rho0(z) / 8.0
                 + 2.0 * np.abs(self.q0(z)) ** 2 / self.rho0(z)
             )
         else:
-            first = self.source.nearest_residual(z)
-        return np.asarray(first, dtype=complex), second
+            residual = self.source.nearest_residual(z)
+        return np.asarray(residual, dtype=complex)
 
     def describe(self):
         """JSON-ready summary used by reports."""

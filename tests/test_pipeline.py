@@ -619,6 +619,30 @@ class TestRunSolve:
         assert len(text) == 1 + 65 * 65  # default solver grid: 4n-3 nodes
         assert any("Newton" in line for line in lines)
 
+    def test_stagnating_line_search_exits_3(self, tmp_path, monkeypatch):
+        # every Newton direction reversed: no step length lowers the
+        # residual, so the line search halves down to its floor
+        solve = pde._cg_solve
+
+        def uphill(c, rhs, basis, context, **options):
+            x, iterations = solve(c, rhs, basis, context, **options)
+            return (-x if context.startswith("newton") else x), iterations
+
+        monkeypatch.setattr(pde, "_cg_solve", uphill)
+        cfg = make_config(
+            tmp_path,
+            potential={
+                "q0_coefficients": [0.0, [0.25, 0.0]],
+                "rho0": {"source": "solved", "bc": 0.0},
+            },
+        )
+        lines = []
+        code, result = pipeline.run_solve(cfg, log=lines.append)
+        assert code == pipeline.EXIT_INTEGRABILITY
+        assert result is None
+        assert len(lines) == 1 and "line search stagnated" in lines[0]
+        assert not (tmp_path / cfg.solution_path).exists()
+
 
 class TestBuildPotential:
     def test_solved_source_summary(self, tmp_path):
@@ -753,6 +777,23 @@ class TestCli:
         lines = []
         assert cli.main(["generate", str(path)], log=lines.append) == 2
         assert lines == [f"error: domain.nx: node count must be <= {config.MAX_NODES}"]
+
+    def test_generate_refuses_t_values_sharing_a_mesh_path(self, tmp_path):
+        # {t} keeps six decimals: the second member used to overwrite the
+        # first member's mesh, and the run exited 0
+        doc = json.loads(self._write_config(tmp_path).read_text())
+        doc["t_values"] = [0.1234561, 0.1234564, 1.0]
+        doc["outputs"]["mesh"] = str(tmp_path / "m_{t}.obj")
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps(doc))
+        lines = []
+        assert cli.main(["generate", str(path)], log=lines.append) == 2
+        mesh = tmp_path / "m_0.123456.obj"
+        assert lines == [
+            f"error: t_values[1]: mesh path {str(mesh)!r} repeats that of "
+            "t_values[0]"
+        ]
+        assert not mesh.exists()
 
     def test_generate_missing_config_exits_5(self, tmp_path):
         code = cli.main(

@@ -13,7 +13,7 @@ class TestConstantSource:
         z = np.array([0.0, 0.3 + 0.2j, -1.0j])
         np.testing.assert_array_equal(pot.rho0(z), 4.0)
         np.testing.assert_array_equal(pot.dlog_rho0_dz(z), 0.0)
-        assert pot.analytic
+        assert pot.source.analytic
 
     def test_default_q0_is_quarter(self):
         pot = Potential.constant(1.0)
@@ -22,14 +22,13 @@ class TestConstantSource:
     def test_unit_density_quarter_q0_is_admissible_exactly(self):
         # first residual = 0 - 1/8 + 2*(1/16)/1 = 0 without rounding
         pot = Potential.constant(1.0, (0.25,))
-        first, second = pot.integrability_residual(np.array([0.1 + 0.2j]))
-        np.testing.assert_array_equal(first, 0.0)
-        np.testing.assert_array_equal(second, 0.0)
+        residual = pot.integrability_residual(np.array([0.1 + 0.2j]))
+        assert residual.shape == (1,)
+        np.testing.assert_array_equal(residual, 0.0)
 
     def test_unit_density_zero_q0_is_inadmissible(self):
         pot = Potential.constant(1.0, (0.0,))
-        first, _ = pot.integrability_residual(0.0j)
-        np.testing.assert_array_equal(first, -0.125)
+        np.testing.assert_array_equal(pot.integrability_residual(0.0j), -0.125)
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(PotentialDataError):
@@ -57,10 +56,9 @@ class TestLiouvilleSource:
         z = 0.9 * rng.uniform(-0.7, 0.7, 50) * np.exp(
             2j * np.pi * rng.uniform(size=50)
         )
-        first, second = pot.integrability_residual(z)
+        residual = pot.integrability_residual(z)
         # rho0 grows toward the boundary, so scale the comparison by it
-        assert np.max(np.abs(first) / pot.rho0(z)) < 1e-13
-        np.testing.assert_array_equal(second, 0.0)
+        assert np.max(np.abs(residual) / pot.rho0(z)) < 1e-13
 
     def test_derivative_matches_finite_differences(self):
         pot = Potential.liouville()
@@ -107,9 +105,15 @@ class TestQ0Polynomial:
             Potential.constant(1.0, [[0.25, 0.0], [0.0, 0.0]])
 
     def test_antiholomorphic_residual_is_structurally_zero(self):
+        # (Q0)_z̄ = 0, the admissibility condition the gate does not
+        # evaluate: a polynomial in z is holomorphic, so central
+        # differences see only their own truncation and rounding
         pot = Potential.constant(2.0, (0.1, 0.2j, 0.0, 1.0))
-        _, second = pot.integrability_residual(np.linspace(-1, 1, 7) + 0.3j)
-        np.testing.assert_array_equal(second, 0.0)
+        z = np.linspace(-1, 1, 7) + 0.3j
+        h = 1e-5
+        q_x = (pot.q0(z + h) - pot.q0(z - h)) / (2 * h)
+        q_y = (pot.q0(z + 1j * h) - pot.q0(z - 1j * h)) / (2 * h)
+        assert np.max(np.abs((q_x + 1j * q_y) / 2.0)) < 1e-9
 
 
 class _FakeSolution:
@@ -132,7 +136,7 @@ class TestSolvedSource:
     def test_values_at_nodes_are_exact(self):
         sol = saddle_solution()
         pot = Potential.solved(sol, (0.25,))
-        assert not pot.analytic
+        assert not pot.source.analytic
         xx, yy = np.meshgrid(sol.x, sol.y)
         z = xx + 1j * yy
         np.testing.assert_allclose(
@@ -169,19 +173,17 @@ class TestSolvedSource:
         pot = Potential.solved(saddle_solution(n, residual), (0.25,))
         x = pot.source.x
         y = pot.source.y
-        first, second = pot.integrability_residual(x[7] + 1j * y[10])
-        np.testing.assert_array_equal(first, 5e-7)
-        np.testing.assert_array_equal(second, 0.0)
+        residual = pot.integrability_residual(x[7] + 1j * y[10])
+        np.testing.assert_array_equal(residual, 5e-7)
         # nearest-node lookup: a point just off the node reports the same
-        first, _ = pot.integrability_residual(
+        residual = pot.integrability_residual(
             (x[7] + 0.3 * (x[8] - x[7])) + 1j * y[10]
         )
-        np.testing.assert_array_equal(first, 5e-7)
+        np.testing.assert_array_equal(residual, 5e-7)
 
     def test_missing_residual_field_reads_as_zero(self):
         pot = Potential.solved(saddle_solution(), (0.25,))
-        first, _ = pot.integrability_residual(0.1 + 0.1j)
-        np.testing.assert_array_equal(first, 0.0)
+        np.testing.assert_array_equal(pot.integrability_residual(0.1 + 0.1j), 0.0)
 
     def test_shape_mismatch_rejected(self):
         x = np.linspace(-1, 1, 5)

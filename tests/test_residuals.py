@@ -519,6 +519,19 @@ class TestEvaluatedCounts:
             assert math.isnan(report.maxima[key]), key
 
 
+class TestNanAwareMax:
+    def test_inf_without_a_finite_value_reads_nan(self):
+        # overflowed stencils with no finite value among them give the
+        # class no value (NaN, which the classifier's NaN rule fails),
+        # not an infinite one
+        overflowed = [np.array([[np.inf, np.nan]]), np.array([[np.nan]])]
+        assert math.isnan(residuals._nanmax(overflowed))
+        assert math.isnan(residuals._nanmax([np.full((2, 2), np.nan)]))
+        # beside one finite value the inf is the maximum
+        assert residuals._nanmax(overflowed + [np.array([[3.0]])]) == math.inf
+        assert residuals._nanmax([np.array([[np.nan, 2.0]])]) == 2.0
+
+
 class TestGridGate:
     """verify_surface refuses grids its stencils cannot difference."""
 

@@ -157,13 +157,11 @@ class TestGeneratedSurface:
         t_values = [0.1, 0.9, 2.0]
         members = [
             surface.surface_from_frame(field)
-            for field in frame.integrate_grid(
-                UNIT_POTENTIAL, AXES, AXES, t_values, substeps=2
-            )
+            for field in frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, t_values)
         ]
         for t, member in zip(t_values, members):
             single = surface.surface_from_frame(
-                frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, t, substeps=2)
+                frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, t)
             )
             assert member.t == t
             for name in ("F", "height", "aux_height", "fhat"):
