@@ -51,11 +51,17 @@ whose row 0 it computes with the same operations.
 The potential is sampled once per march, not once per step: that data
 does not depend on t or on the state, so `integrate_grid` makes one
 `_sample` call on the grid nodes and one on the step midpoints before it
-marches.  Each step then reads the samples of its source and destination
-nodes and of its midpoints, and feeds them to the RK4 kernel `_rk4`,
-which `rk4_step` also calls after sampling its own three points.  A grid
-the potential cannot be evaluated on (past a solved rectangle, say)
-therefore fails before the first step.
+marches.  A grid the potential cannot be evaluated on (past a solved
+rectangle, say) therefore fails before the first step.  The increments
+omega, omega_t and omega_tt do not depend on the state either.  The march
+lists every step's destination nodes, with their sources, in march order,
+and cuts that list into batches of consecutive steps of at most
+MARCH_BATCH_ENTRIES t x node entries (a larger step is a batch of its
+own).  One `_omega` call per sample kind (start, midpoint, end) gives a
+batch's increments; each step takes its contiguous slice of them, and
+the RK4 kernel `_rk4` then runs only its four stages.  `rk4_step`
+evaluates the three increments of its own step for the kernel.  The
+frames do not change, bitwise: `_omega` is entry-wise too.
 
 The outward steps run in pairs.  Along the base line, the step to column
 col0 + k and the step to col0 - k are one `_rk4` call on both nodes; then
@@ -64,8 +70,8 @@ one side is longer, its remaining steps run alone.  At a few nodes a
 step's cost is NumPy's per-call overhead, so halving the calls (128
 instead of 256 at 129 x 129) is what saves time.  The frames do not
 change, bitwise: the kernel is entry-wise, so every node is computed from
-its own source state, increment and samples, the same ones as in a march
-that takes one direction at a time.
+its own source state and increments, the same ones as in a march that
+takes one direction at a time.
 
 Admissibility of the potential is what makes the connection flat
 (curvature dz̄-derivative of U minus dz-derivative of V minus [U, V]
@@ -95,6 +101,12 @@ ADMISSIBILITY_THRESHOLD = 1e-6
 #: omega_tt over omega_t, entry by entry, in the swapped off-diagonal
 #: order (1,0), (0,1) of `_omega`.
 _OMEGA_TT_FACTOR = np.array([2j, -2j])[:, None, None]
+
+#: t x node entries whose increments `integrate_grid` evaluates in one
+#: `_omega` call per sample kind, 1 MB of increments each.  At 129 x 129
+#: with 4 t values, 2048 to 8192 entries march equally fast, and 16384
+#: entries or one whole-grid batch march slower.
+MARCH_BATCH_ENTRIES = 8192
 
 
 @dataclass
@@ -194,18 +206,18 @@ def _rhs(state, omega):
     return k
 
 
-def _rk4(state, dz, phase, start, mid, end):
-    """The RK4 kernel: one step of the frame triple over the increment dz.
+def _rk4(state, start, mid, end):
+    """The RK4 kernel: one step of the frame triple.
 
-    start, mid and end are `_sample`'s data at the step's start point,
-    midpoint and end point; the two interior stages share the midpoint.
-    state is a full or a row state (see `_rhs`).
+    start, mid and end are `_omega`'s increments of the step, evaluated on
+    the potential data at its start point, midpoint and end point; the two
+    interior stages share the midpoint.  state is a full or a row state
+    (see `_rhs`).
     """
-    omega_mid = _omega(mid, dz, phase)
-    k1 = _rhs(state, _omega(start, dz, phase))
-    k2 = _rhs(state + 0.5 * k1, omega_mid)
-    k3 = _rhs(state + 0.5 * k2, omega_mid)
-    k4 = _rhs(state + k3, _omega(end, dz, phase))
+    k1 = _rhs(state, start)
+    k2 = _rhs(state + 0.5 * k1, mid)
+    k3 = _rhs(state + 0.5 * k2, mid)
+    k4 = _rhs(state + k3, end)
     # state + (k1 + 2 k2 + 2 k3 + k4) / 6, in place, in that order
     k2 *= 2.0
     k1 += k2
@@ -225,19 +237,19 @@ def rk4_step(potential, state, z0, z1, phase):
     n), works as well; see `_rhs`); phase is exp(2 i t) of shape (T, 1)
     and z0, z1 have n points (or are scalars when n = 1).  The step
     samples the potential at its start, midpoint and end, once for all T
-    members.  `integrate_grid` samples the whole grid once per march and
-    calls the same kernel; this function serves its off-node base step.
+    members, and evaluates its own three increments.  `integrate_grid`
+    evaluates the increments of many steps at once and calls the same
+    kernel; this function serves its off-node base step.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
     dz = z1 - z0
     return _rk4(
         state,
-        dz,
-        phase,
-        _sample(potential, z0),
-        _sample(potential, z0 + dz / 2.0),
-        _sample(potential, z1),
+        *(
+            _omega(_sample(potential, z), dz, phase)
+            for z in (z0, z0 + dz / 2.0, z1)
+        ),
     )
 
 
@@ -311,15 +323,35 @@ def _outward(n, start):
     return steps
 
 
+def _batches(entries):
+    """Runs of consecutive steps whose increments one `_omega` call takes.
+
+    entries[k] is step k's count of t x node entries.  A run grows while
+    its total stays within MARCH_BATCH_ENTRIES; a step over that alone is
+    a run of its own.  Returns (first, stop) pairs, each for steps first
+    to stop - 1.
+    """
+    runs, first, total = [], 0, 0
+    for k, size in enumerate(entries):
+        if total and total + size > MARCH_BATCH_ENTRIES:
+            runs.append((first, k))
+            first, total = k, 0
+        total += size
+    if total:
+        runs.append((first, len(entries)))
+    return runs
+
+
 def integrate_grid(potential, x, y, t, check_flatness=True):
     """Integrate the frame triple over the grid x × y at parameter(s) t.
 
-    t is a float, which returns one FrameField, or a 1-D sequence, which
-    returns a list with one FrameField per value in the given order; all
-    values are marched together, and each member's triple lives in its own
-    (3, 2, 2, ny, nx) block, of which psi, psi_t and psi_tt are views.  The
-    march fills row 0 of every block; row 1 is its conjugate swap (see the
-    module docstring).
+    t is a finite float, which returns one FrameField, or a non-empty 1-D
+    sequence of them, which returns a list with one FrameField per value
+    in the given order; any other t raises ValueError before the gate.
+    All values are marched together, and each member's triple lives in its
+    own (3, 2, 2, ny, nx) block, of which psi, psi_t and psi_tt are views.
+    The march fills row 0 of every block; row 1 is its conjugate swap (see
+    the module docstring).
 
     The march starts from the exact base point z = 0 with the triple
     (identity, 0, 0); the grid must contain 0 (the nearest node is reached
@@ -328,7 +360,10 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
     along y, one RK4 step per segment.  Each kernel call takes a pair of
     steps, one on each side of the base node (or row), until the shorter
     side runs out; the pair shares nothing but the call, so the frames are
-    bitwise those of single steps.
+    bitwise those of single steps.  The increments of consecutive steps
+    come from one `_omega` call per sample kind and batch of at most
+    MARCH_BATCH_ENTRIES t x node entries, and are bitwise those of single
+    steps too.
 
     Raises NonFlatInput when the admissibility gate trips (disable with
     check_flatness=False to study that failure mode) and DomainError when
@@ -339,8 +374,11 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     t_values = np.asarray(t, dtype=float)
-    if t_values.ndim > 1:
-        raise ValueError("t must be a float or a 1-D sequence of floats")
+    members = np.atleast_1d(t_values)
+    if t_values.ndim > 1 or members.size == 0 or not np.all(np.isfinite(members)):
+        raise ValueError(
+            "t must be a finite float or a non-empty 1-D sequence of finite floats"
+        )
     if x[0] > 0.0 or x[-1] < 0.0 or y[0] > 0.0 or y[-1] < 0.0:
         raise DomainError("integration grid must contain the base point z = 0")
     n_x, n_y = x.size, y.size
@@ -348,7 +386,6 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
     if check_flatness:
         _check_admissibility(potential, z_nodes)
 
-    members = np.atleast_1d(t_values)
     phase = np.exp(2j * members)[:, None]
     # One (triple, row, column, y, x) block per member; the FrameField
     # arrays are views of it.  The march reads and writes row 0 of each
@@ -371,17 +408,28 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
         for a, b, chained in _outward(n_y, j0)
     ]
 
-    # Sample the march once, indexed by the (y, x) of each step's
-    # destination node: the nodes and the step midpoints.
-    z_from = z_nodes.copy()
-    for src, dst, _ in steps:
-        z_from[dst] = z_nodes[np.ix_(*src)]
-    dz = z_nodes - z_from
+    # Every destination and its source as flat node indices, in march
+    # order: step k owns entries offsets[k]:offsets[k + 1].  (The empty
+    # lead part serves a one-node grid, which takes no step.)
+    flat = np.arange(n_y * n_x).reshape(n_y, n_x)
+    src_parts = [flat[np.ix_(*src)].ravel() for src, _, _ in steps]
+    dst_parts = [flat[dst].ravel() for _, dst, _ in steps]
+    src_nodes = np.concatenate([flat[:0, 0]] + src_parts)
+    dst_nodes = np.concatenate([flat[:0, 0]] + dst_parts)
+    offsets = np.cumsum([0] + [part.size for part in dst_parts])
+
+    # Sample the march once: the nodes, then the step midpoints in march
+    # order.  A step's start and end samples are those of its sources and
+    # destinations.
+    z_flat = z_nodes.reshape(-1)
+    z_src = z_flat[src_nodes]
+    dz = z_flat[dst_nodes] - z_src
     nodes = _sample(potential, z_nodes)
-    mids = _sample(potential, z_from + dz / 2.0)
+    mids = _sample(potential, z_src + dz / 2.0)
     # the row march needs a real sqrt(rho0) (module docstring)
     if nodes[0].dtype.kind != "f" or mids[0].dtype.kind != "f":
         raise DomainError("sqrt(rho0) is not real on the grid")
+    nodes = tuple(f.reshape(-1) for f in nodes)
 
     # Row 0 of the identity seeds the march (module docstring)
     state = np.zeros((3, 2, members.size, 1), dtype=complex)
@@ -399,24 +447,31 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
         loaded = np.stack([view[(...,) + np.ix_(*at)] for view in views], axis=2)
         return loaded.reshape(loaded.shape[:3] + (-1,))
 
-    def pick(sample, at):
-        return tuple(f[at].reshape(-1) for f in sample)
-
     # Every state has a node axis.  A chained step continues from the
-    # state of the previous one; any other step loads its sources.
+    # state of the previous one; any other step loads its sources.  The
+    # increments of a batch of steps come from one `_omega` call per
+    # sample kind, and each step takes its slice of them.
     store((slice(j0, j0 + 1), slice(i0, i0 + 1)), state)
-    for src, dst, chained in steps:
-        if not chained:
-            state = load(src)
-        state = _rk4(
-            state,
-            dz[dst].reshape(-1),
-            phase,
-            pick(nodes, np.ix_(*src)),
-            pick(mids, dst),
-            pick(nodes, dst),
+    for first, last in _batches(np.diff(offsets) * members.size):
+        lo, hi = offsets[first], offsets[last]
+        samples = (
+            tuple(f[src_nodes[lo:hi]] for f in nodes),
+            tuple(f[lo:hi] for f in mids),
+            tuple(f[dst_nodes[lo:hi]] for f in nodes),
         )
-        store(dst, state)
+        increments = [_omega(sample, dz[lo:hi], phase) for sample in samples]
+        for k in range(first, last):
+            src, dst, chained = steps[k]
+            if not chained:
+                state = load(src)
+            part = slice(offsets[k] - lo, offsets[k + 1] - lo)
+            state = _rk4(
+                state, *(tuple(w[..., part] for w in omega) for omega in increments)
+            )
+            store(dst, state)
+        # freed before the next batch's are made: one batch's increments
+        # at a time
+        del increments
     # row 1 = (conj(row 0[1]), conj(row 0[0])) in every block
     for block in blocks:
         np.conjugate(block[:, 0, ::-1], out=block[:, 1])

@@ -1,10 +1,11 @@
 """The frame march stepped node by node: the reference of the tests.
 
 `nilsurf.frame.integrate_grid` marches one path, row-major with one RK4
-step per segment, in paired steps on row 0 of the triple.  The reference
-here takes one step at a time on the full (3, 2, 2, T, n) triple, with the
-program's own kernel (`frame._rk4` on `frame._sample`), so on that path it
-gives the program's frames bit for bit.  It also marches column-major and
+step per segment, in paired steps on row 0 of the triple, with the
+increments of many steps evaluated at once.  The reference here takes one
+step at a time on the full (3, 2, 2, T, n) triple, with the program's own
+kernel (`frame._rk4` on that step's `frame._omega` of `frame._sample`), so
+on that path it gives the program's frames bit for bit.  It also marches column-major and
 with substeps, which the program does not: path independence and the RK4
 order are checked by comparing those marches with the program's.
 """
@@ -17,19 +18,19 @@ from nilsurf import frame
 def full_step(potential, state, z0, z1, phase):
     """One RK4 step of the full (3, 2, 2, T, n) triple from z0 to z1.
 
-    The program's kernel on the potential sampled at the step's start,
-    midpoint and end; the march itself steps row 0 only.
+    The program's kernel on the increments of this one step, from the
+    potential sampled at its start, midpoint and end; the march itself
+    steps row 0 only, on increments evaluated for many steps at once.
     """
     z0 = np.asarray(z0, dtype=complex)
     z1 = np.asarray(z1, dtype=complex)
     dz = z1 - z0
     return frame._rk4(
         state,
-        dz,
-        phase,
-        frame._sample(potential, z0),
-        frame._sample(potential, z0 + dz / 2.0),
-        frame._sample(potential, z1),
+        *(
+            frame._omega(frame._sample(potential, z), dz, phase)
+            for z in (z0, z0 + dz / 2.0, z1)
+        ),
     )
 
 

@@ -23,6 +23,15 @@ from nilsurf.surface import generate_surface
 
 UNIT_POTENTIAL = Potential.constant(1.0, (0.25,))
 
+#: (x, y) axes with the base node centred, on an edge, lopsided, and off
+#: any node (z = 0 between nodes)
+MARCH_GRIDS = (
+    (np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 7)),
+    (np.linspace(0.0, 0.4, 11), np.linspace(-0.36, 0.0, 10)),
+    (np.linspace(-0.1, 0.4, 11), np.linspace(-0.35, 0.05, 9)),
+    (np.linspace(-0.13, 0.37, 11), np.linspace(-0.31, 0.41, 7)),
+)
+
 
 def expm_oracle(potential, z, t):
     """Frame triple for a constant potential via augmented exponentials.
@@ -362,9 +371,19 @@ class TestFamilyMarch:
                 assert not np.shares_memory(x, y)
 
     def test_t_must_be_scalar_or_flat(self):
+        # a 2-D, empty or non-finite t is refused before the gate and
+        # before the potential is sampled
+        class Untouchable:
+            """A potential that fails any evaluation."""
+
+            def __getattr__(self, name):
+                raise AssertionError(f"potential.{name} was called")
+
         ax = np.linspace(-0.2, 0.2, 5)
-        with pytest.raises(ValueError):
-            frame.integrate_grid(UNIT_POTENTIAL, ax, ax, [[0.1, 0.2]])
+        for t in ([[0.1, 0.2]], [], np.nan, np.inf, [0.1, np.inf]):
+            for run in (frame.integrate_grid, generate_surface):
+                with pytest.raises(ValueError, match="t must be"):
+                    run(Untouchable(), ax, ax, t)
 
 
 class TestSampledMarch:
@@ -405,11 +424,7 @@ class TestSampledMarch:
         monkeypatch.setattr(
             frame, "_rk4", lambda *args: kernel_calls.append(1) or kernel(*args)
         )
-        centred = (np.linspace(-0.4, 0.4, 9), np.linspace(-0.3, 0.3, 7))
-        edge = (np.linspace(0.0, 0.4, 11), np.linspace(-0.36, 0.0, 10))
-        lopsided = (np.linspace(-0.1, 0.4, 11), np.linspace(-0.35, 0.05, 9))
-        off_node = (np.linspace(-0.13, 0.37, 11), np.linspace(-0.31, 0.41, 7))
-        for x, y in (centred, edge, lopsided, off_node):
+        for x, y in MARCH_GRIDS:
             i0, j0 = int(np.argmin(np.abs(x))), int(np.argmin(np.abs(y)))
             longer = max(i0, x.size - 1 - i0) + max(j0, y.size - 1 - j0)
             base = int(x[i0] != 0.0 or y[j0] != 0.0)
@@ -440,6 +455,70 @@ class TestSampledMarch:
         for field, triple in zip(fields, expected):
             for name, want in zip(("psi", "psi_t", "psi_tt"), triple):
                 assert np.array_equal(getattr(field, name), want), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_boundaries_keep_the_march_bitwise(self, family_potentials, data):
+        # batches of 1 entry (every step alone), of a few base-line steps
+        # and ending mid-row, so that boundaries fall between chained
+        # steps, between paired and one-sided steps and between the base
+        # row and the rows
+        x, y = data.draw(st.sampled_from(MARCH_GRIDS))
+        pot = family_potentials[data.draw(st.sampled_from(sorted(family_potentials)))]
+        t_values = [0.0, 0.7, 2.1][: data.draw(st.integers(1, 3))]
+        members = len(t_values)
+        batch = data.draw(
+            st.one_of(
+                st.just(1),
+                st.integers(2, 6).map(lambda n: n * members),
+                st.integers(0, 3).map(lambda k: (k * x.size + x.size // 2) * members),
+            )
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frame, "MARCH_BATCH_ENTRIES", batch)
+            fields = frame.integrate_grid(pot, x, y, t_values)
+        expected = reference_march(pot, x, y, t_values)
+        for field, triple in zip(fields, expected):
+            for name, want in zip(("psi", "psi_t", "psi_tt"), triple):
+                assert np.array_equal(getattr(field, name), want), name
+
+    @pytest.mark.parametrize("n", [9, 33])
+    @pytest.mark.parametrize("offset", [0.0, 0.03])
+    @pytest.mark.parametrize("members", [1, 3, 8])
+    @pytest.mark.parametrize("budget", [None, 10])
+    def test_increments_are_evaluated_per_batch(
+        self, monkeypatch, n, offset, members, budget
+    ):
+        # one _omega call per sample kind (start, midpoint, end) and batch,
+        # plus three for the off-node base step; a call over the batch
+        # size holds one step, and two neighbouring batches would not fit
+        # in one (None: the default batch size)
+        if budget is None:
+            budget = frame.MARCH_BATCH_ENTRIES
+        monkeypatch.setattr(frame, "MARCH_BATCH_ENTRIES", budget)
+        calls = []
+        omega = frame._omega
+
+        def counted(*args):
+            increments = omega(*args)
+            calls.append(increments[0][0].size)  # T x nodes
+            return increments
+
+        monkeypatch.setattr(frame, "_omega", counted)
+        ax = np.linspace(-0.4, 0.4, n) + offset
+        frame.integrate_grid(UNIT_POTENTIAL, ax, ax, np.linspace(0.1, 1.0, members))
+        if offset:
+            assert calls[:3] == [members] * 3
+            del calls[:3]
+        batches = calls[::3]
+        assert calls == [size for size in batches for _ in range(3)]
+        assert sum(batches) == members * (n * n - 1)
+        # one or a pair of nodes on the base line, or of rows
+        one_step = (members, 2 * members, n * members, 2 * n * members)
+        assert all(size <= budget or size in one_step for size in batches)
+        assert all(a + b > budget for a, b in zip(batches, batches[1:]))
+        if members * (n * n - 1) <= budget:
+            assert len(batches) == 1
 
     @pytest.mark.parametrize("kind", ["constant", "liouville", "solved"])
     @pytest.mark.parametrize("path_order", ["row-major", "column-major"])
