@@ -12,14 +12,19 @@ threshold failure, 5 I/O failure.
 
 The `check` flags are the config's CHECK_TOLERANCES under their
 tolerances.* names and follow the same rules (a NaN, an infinity, a
-non-positive floor or scale, or a margin below 1 exits 2).  Every failure,
-loading the configuration included, goes through pipeline.guarded.
+non-positive floor or scale, or a margin below 1 exits 2).  `generate`
+and `solve-gauss` exit 2 before writing anything when a file they would
+write (the report, a mesh, the solution or --out) is the configuration
+file itself.  Every failure, loading the configuration included, goes
+through pipeline.guarded.
 """
 
 import argparse
+import os
 import sys
 
-from .config import CHECK_TOLERANCES, DEFAULT_TOLERANCES, load_config
+from .config import CHECK_TOLERANCES, DEFAULT_TOLERANCES, load_config, mesh_path
+from .errors import SchemaError
 from .pipeline import EXIT_PASS, guarded, run_check, run_generate, run_solve
 
 CHECK_FLAG_HELP = {
@@ -73,12 +78,29 @@ def build_parser():
     return parser
 
 
+def _load(args):
+    """The command's configuration; SchemaError if it would write over it."""
+    config = load_config(args.config)
+    if args.command == "generate":
+        meshes = [mesh_path(config.mesh_pattern, t) for t in config.t_values]
+        outputs = [("outputs.report", config.report_path)]
+        outputs += [("outputs.mesh", path) for path in meshes]
+    elif args.out is not None:
+        outputs = [("--out", args.out)]
+    else:
+        outputs = [("outputs.solution", config.solution_path)]
+    for key, path in outputs:
+        if os.path.exists(path) and os.path.samefile(path, args.config):
+            raise SchemaError(key, f"{path!r} is the configuration file")
+    return config
+
+
 def main(argv=None, log=print):
     args = build_parser().parse_args(argv)
     if args.command == "check":
         tolerances = {key: getattr(args, key) for key in CHECK_TOLERANCES}
         return run_check(args.csv, report_path=args.report, log=log, **tolerances)[0]
-    code, config = guarded(lambda: (EXIT_PASS, load_config(args.config)), log)
+    code, config = guarded(lambda: (EXIT_PASS, _load(args)), log)
     if config is None:
         return code
     if args.command == "generate":

@@ -36,17 +36,20 @@ Only row 0 is marched.  With rho0 > 0 and real t, sqrt(rho0) is real, the
 diagonal w = u00 dz - conj(u00 dz) of omega = U dz + V dz̄ is imaginary and
 omega10 = conj(omega01) (v01 = conj(u10), v10 = -u01), so omega lies in
 su(1,1) and the frame stays in SU(1,1): Psi = [[a, b], [conj(b), conj(a)]],
-and so do Psi_t and Psi_tt because t is real.  The march state is one array
-of shape (3, 2, T, n) (triple, column, t, node); after the march each
-member fills row 1 as psi[1, 1] = conj(psi[0, 0]), psi[1, 0] =
-conj(psi[0, 1]), and likewise for psi_t and psi_tt.  Row 1 of the full
-RK4 march is that conjugate swap bitwise, up to the sign of a zero, so the
-frames do not change.  The argument needs a real sqrt(rho0): `integrate_grid`
-raises DomainError before the first step when a sample of it is not a real
-array (NaN and inf are real, and take their usual path).  `rk4_step`
-takes the starting step to a base node off z = 0 on the row state (1, 0)
-of the identity.  The kernel also takes the full (3, 2, 2, T, n) state,
-whose row 0 it computes with the same operations.
+and so do Psi_t and Psi_tt because t is real.  Row 0 is the whole frame,
+and all the program stores: one array of shape (3, 2, T, ny * nx)
+(triple, column, t, node, the nodes row by row).  A step loads and stores
+its nodes by flat index, as a state of shape (3, 2, T, n).  Each member's
+FrameField holds its (3, 2, ny, nx) view of the array; the assembly reads
+row 1 as the conjugate swap (conj(b), conj(a)) of row 0 = (a, b), and
+only the tests form full matrices (`FrameField.psi`).  Row 1 of the full
+RK4 march is that swap bitwise, up to the sign of a zero.  The argument
+needs a real sqrt(rho0): `integrate_grid` raises DomainError before the
+first step when a sample of it is not a real array (NaN and inf are real,
+and take their usual path).  `rk4_step` takes the starting step to a base
+node off z = 0 on the row state (1, 0) of the identity.  The kernel also
+takes the full (3, 2, 2, T, n) state, whose row 0 it computes with the
+same operations.
 
 The potential is sampled once per march, not once per step: that data
 does not depend on t or on the state, so `integrate_grid` makes one
@@ -260,21 +263,33 @@ class FrameField:
     Attributes:
       x, y    grid axes (1-D)
       t       family parameter the frames were integrated at
-      psi     frames, shape (len(y), len(x), 2, 2)
-      psi_t   first t-derivative of the frames (same shape)
-      psi_tt  second t-derivative (same shape)
+      row     row 0 of (Psi, Psi_t, Psi_tt), shape (3, 2, len(y), len(x)):
+              row[k] = (a, b) of [[a, b], [conj(b), conj(a)]] (module
+              docstring); a view of the family's one march array
+
+    psi, psi_t and psi_tt build the full (len(y), len(x), 2, 2) matrices
+    from the row on each access; the program reads the row.
     """
 
     x: np.ndarray
     y: np.ndarray
     t: float
-    psi: np.ndarray
-    psi_t: np.ndarray
-    psi_tt: np.ndarray
+    row: np.ndarray
+
+    psi = property(lambda self: _full(self.row[0]))
+    psi_t = property(lambda self: _full(self.row[1]))
+    psi_tt = property(lambda self: _full(self.row[2]))
 
     def det_deviation(self):
         """Max deviation of det(psi) from 1 (a flat-integration invariant)."""
-        return float(np.max(np.abs(mat2.det(self.psi) - 1.0)))
+        a, b = self.row[0]
+        return float(np.max(np.abs(a * np.conj(a) - b * np.conj(b) - 1.0)))
+
+
+def _full(row):
+    """The matrices [[a, b], [conj(b), conj(a)]] of a row (a, b)."""
+    a, b = row
+    return mat2.from_entries((a, b, np.conj(b), np.conj(a)))
 
 
 def _check_admissibility(potential, z_nodes):
@@ -300,26 +315,19 @@ def _check_admissibility(potential, z_nodes):
 
 
 def _outward(n, start):
-    """Paired steps marching away from start: (from, to, chained) per step.
+    """Paired steps marching away from start: (sources, destinations, chained).
 
     Step k takes start - k + 1 to start - k and start + k - 1 to start + k
     together: both while both lie in range(n), then the longer side alone.
-    from is an index array of the one or two sources, to the slice of the
-    destinations in the same (ascending) order.  chained marks a step
-    whose sources are the previous step's destinations.
+    sources and destinations are index arrays of the one or two nodes, in
+    the same (ascending) order.  chained marks a step whose sources are the
+    previous step's destinations.
     """
     steps = []
     for k in range(1, max(start, n - 1 - start) + 1):
-        sides = [s for s in (-1, 1) if 0 <= start + s * k < n]
-        chained = k > 1 and len(sides) == len(steps[-1][0])
-        first, last = start + sides[0] * k, start + sides[-1] * k
-        steps.append(
-            (
-                np.array([start + s * (k - 1) for s in sides]),
-                slice(first, last + 1, max(last - first, 1)),
-                chained,
-            )
-        )
+        sides = np.array([s for s in (-1, 1) if 0 <= start + s * k < n])
+        chained = k > 1 and sides.size == steps[-1][0].size
+        steps.append((start + sides * (k - 1), start + sides * k, chained))
     return steps
 
 
@@ -348,10 +356,10 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
     t is a finite float, which returns one FrameField, or a non-empty 1-D
     sequence of them, which returns a list with one FrameField per value
     in the given order; any other t raises ValueError before the gate.
-    All values are marched together, and each member's triple lives in its
-    own (3, 2, 2, ny, nx) block, of which psi, psi_t and psi_tt are views.
-    The march fills row 0 of every block; row 1 is its conjugate swap (see
-    the module docstring).
+    All values are marched together in one array of shape (3, 2, T,
+    len(y) * len(x)): row 0 of the triple (see the module docstring), with
+    the nodes in row-major order.  Each member's FrameField.row is its
+    (3, 2, len(y), len(x)) view of that array.
 
     The march starts from the exact base point z = 0 with the triple
     (identity, 0, 0); the grid must contain 0 (the nearest node is reached
@@ -387,36 +395,25 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
         _check_admissibility(potential, z_nodes)
 
     phase = np.exp(2j * members)[:, None]
-    # One (triple, row, column, y, x) block per member; the FrameField
-    # arrays are views of it.  The march reads and writes row 0 of each
-    # block.
-    blocks = [np.zeros((3, 2, 2, n_y, n_x), dtype=complex) for _ in members]
-    views = [b[:, 0] for b in blocks]
+    # (triple, column, member, node): row 0 of every member's triple
+    rows = np.zeros((3, 2, members.size, n_y * n_x), dtype=complex)
     i0 = int(np.argmin(np.abs(x)))
     j0 = int(np.argmin(np.abs(y)))
 
     # The base row, then whole rows, each in paired outward steps; a node
-    # is the destination of one step.  A step reads its sources through
-    # (y, x) index arrays and writes its destinations through (y, x)
-    # slices; either way its nodes, taken row by row, are one node axis,
-    # so a pair of rows is one state.
-    steps = [
-        ((np.array([j0]), a), (slice(j0, j0 + 1), b), chained)
-        for a, b, chained in _outward(n_x, i0)
-    ] + [
-        ((a, np.arange(n_x)), (b, slice(None)), chained)
-        for a, b, chained in _outward(n_y, j0)
+    # is the destination of one step.  A step's sources and destinations
+    # are flat node indices, row by row, so a pair of rows is one state.
+    flat = np.arange(n_y * n_x).reshape(n_y, n_x)
+    steps = [(flat[j0, a], flat[j0, b], c) for a, b, c in _outward(n_x, i0)] + [
+        (flat[a].ravel(), flat[b].ravel(), c) for a, b, c in _outward(n_y, j0)
     ]
 
-    # Every destination and its source as flat node indices, in march
-    # order: step k owns entries offsets[k]:offsets[k + 1].  (The empty
-    # lead part serves a one-node grid, which takes no step.)
-    flat = np.arange(n_y * n_x).reshape(n_y, n_x)
-    src_parts = [flat[np.ix_(*src)].ravel() for src, _, _ in steps]
-    dst_parts = [flat[dst].ravel() for _, dst, _ in steps]
-    src_nodes = np.concatenate([flat[:0, 0]] + src_parts)
-    dst_nodes = np.concatenate([flat[:0, 0]] + dst_parts)
-    offsets = np.cumsum([0] + [part.size for part in dst_parts])
+    # Every destination and its source in march order: step k owns
+    # entries offsets[k]:offsets[k + 1].  (The empty lead part serves a
+    # one-node grid, which takes no step.)
+    src_nodes = np.concatenate([flat[:0, 0]] + [src for src, _, _ in steps])
+    dst_nodes = np.concatenate([flat[:0, 0]] + [dst for _, dst, _ in steps])
+    offsets = np.cumsum([0] + [dst.size for _, dst, _ in steps])
 
     # Sample the march once: the nodes, then the step midpoints in march
     # order.  A step's start and end samples are those of its sources and
@@ -438,20 +435,11 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
     if z_base != 0.0:
         state = rk4_step(potential, state, 0.0, z_base, phase)
 
-    def store(at, state):
-        for m, view in enumerate(views):
-            target = view[(...,) + at]
-            target[...] = state[:, :, m].reshape(target.shape)
-
-    def load(at):
-        loaded = np.stack([view[(...,) + np.ix_(*at)] for view in views], axis=2)
-        return loaded.reshape(loaded.shape[:3] + (-1,))
-
     # Every state has a node axis.  A chained step continues from the
     # state of the previous one; any other step loads its sources.  The
     # increments of a batch of steps come from one `_omega` call per
     # sample kind, and each step takes its slice of them.
-    store((slice(j0, j0 + 1), slice(i0, i0 + 1)), state)
+    rows[..., flat[j0, i0]] = state[..., 0]
     for first, last in _batches(np.diff(offsets) * members.size):
         lo, hi = offsets[first], offsets[last]
         samples = (
@@ -463,21 +451,16 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
         for k in range(first, last):
             src, dst, chained = steps[k]
             if not chained:
-                state = load(src)
+                state = rows[..., src]
             part = slice(offsets[k] - lo, offsets[k + 1] - lo)
             state = _rk4(
                 state, *(tuple(w[..., part] for w in omega) for omega in increments)
             )
-            store(dst, state)
+            rows[..., dst] = state
         # freed before the next batch's are made: one batch's increments
         # at a time
         del increments
-    # row 1 = (conj(row 0[1]), conj(row 0[0])) in every block
-    for block in blocks:
-        np.conjugate(block[:, 0, ::-1], out=block[:, 1])
 
-    out = [
-        FrameField(x, y, float(tm), *np.moveaxis(block, (1, 2), (3, 4)))
-        for tm, block in zip(members, blocks)
-    ]
+    grid = rows.reshape(3, 2, members.size, n_y, n_x)
+    out = [FrameField(x, y, float(tm), grid[:, :, m]) for m, tm in enumerate(members)]
     return out if t_values.ndim else out[0]

@@ -1,23 +1,20 @@
-"""Batched 2x2 complex matrix helpers.
+"""Batched 2x2 complex matrix helpers, written entry by entry.
 
-`det` and the adjugate `inv` act on the trailing two axes of (..., 2, 2)
-arrays, so a whole grid of matrices is processed in one vectorized call;
-`det` is also the determinant of the frames' det(psi) = 1 invariant.
-One constant matrix is defined here:
+A field of 2x2 matrices is held as its four entry arrays (m00, m01, m10,
+m11), the one entry-wise toolkit of the package: `entries` splits a
+(..., 2, 2) field into such a 4-tuple and `from_entries` stacks one back.
+`det`, the adjugate `inv`, `mul`, `mul_diagonal`, `times_s` and
+`commutator_entries` act on 4-tuples, so a whole grid of matrices is
+processed in one vectorized call per entry.  Each entry of a product is
+then two whole-grid multiplications and one addition, where NumPy's `@`
+on (n, 2, 2) stacks runs one tiny matrix product per node.  The surface
+assembly uses the inverse and the products, the residual suite
+`commutator_entries`.  One constant matrix is defined here:
 
     DIAG_IMAG  = [[ i, 0], [0, -i]]   -- the diagonal imaginary generator S
                                          of the immersion formula
 
 (how a point is encoded in a 2x2 matrix is the surface module's business).
-
-Products are written entry by entry, the one entry-wise toolkit of the
-package: `entries` splits a field into its four entry arrays (m00, m01,
-m10, m11), `mul`, `mul_diagonal`, `times_s` and `commutator_entries` act
-on such 4-tuples, and `from_entries` stacks one back into a (..., 2, 2)
-field.  Each entry of a product is then two whole-grid multiplications
-and one addition, where NumPy's `@` on (n, 2, 2) stacks runs one tiny
-matrix product per node.  The surface assembly uses the products, the
-residual suite `commutator_entries`.
 """
 
 import numpy as np
@@ -31,19 +28,19 @@ SINGULAR_TOL = 1e-13
 
 
 def det(m):
-    """Determinant over the trailing 2x2 axes."""
-    m = np.asarray(m)
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    """Determinant m00 m11 - m01 m10 of an entry 4-tuple."""
+    m00, m01, m10, m11 = m
+    return m00 * m11 - m01 * m10
 
 
 def inv(m):
-    """Inverse over the trailing 2x2 axes via the adjugate formula.
+    """Inverse of an entry 4-tuple via the adjugate formula, as entries.
 
     Raises SingularFrameError if any determinant is not finite or has
     magnitude below SINGULAR_TOL.  Entries too large for the determinant
     overflow it without a warning, and fail that gate.
     """
-    m = np.asarray(m)
+    m00, m01, m10, m11 = m
     with np.errstate(over="ignore", invalid="ignore"):
         d = det(m)
     if not np.all(np.isfinite(d)):
@@ -52,12 +49,7 @@ def inv(m):
         raise SingularFrameError(
             f"matrix determinant below {SINGULAR_TOL:.1e}; cannot invert"
         )
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / d[..., None, None]
+    return m11 / d, -m01 / d, -m10 / d, m00 / d
 
 
 def entries(m):

@@ -29,14 +29,17 @@ fhat(0) = 2 S and f(0) = 0: every generated surface passes through the
 origin with no roundoff.
 
 Both stages work on the entries of each matrix field rather than on
-stacks of 2x2 matrices, through the entry-wise toolkit in mat2 (entries,
-mul, mul_diagonal, times_s, from_entries): fhat and the diagonal of
-d(fhat)/dt share one adjugate inverse of Psi, and a product with S only
-multiplies columns by i and -i.  The module has two entry points:
-`surface_from_frame` assembles one FrameField, and `generate_surface`
-marches and assembles.  The latter takes one t or a sequence of them; a
-sequence is marched once (see the frame module), and each member is
-assembled and its frame released before the next.
+stacks of 2x2 matrices, through the entry-wise toolkit in mat2 (inv, mul,
+mul_diagonal, times_s, from_entries): fhat and the diagonal of d(fhat)/dt
+share one adjugate inverse of Psi, and a product with S only multiplies
+columns by i and -i.  The frames arrive as their first row (a, b) (see
+the frame module); `surface_from_frame` reads each matrix as the entries
+(a, b, conj(b), conj(a)) and never forms it.  The module has two entry
+points: `surface_from_frame` assembles one FrameField, and
+`generate_surface` marches and assembles.  The latter takes one t or a
+sequence of them; a sequence is marched once, into one array that all
+members' frames view (see the frame module), and each member is then
+assembled.
 """
 
 from dataclasses import dataclass
@@ -52,8 +55,8 @@ from .frame import integrate_grid
 def _assemble(psi, psi_t, psi_tt):
     """fhat's entries and the diagonal of d(fhat)/dt.
 
-    With a = psi_t psi^-1 and g = psi S psi^-1, both from one inverse of
-    psi,
+    psi, psi_t and psi_tt are entry 4-tuples.  With a = psi_t psi^-1 and
+    g = psi S psi^-1, both from one inverse of psi,
 
         fhat     = -2 a + 2 g,
         dfhat/dt = -2 g a - 2 psi_tt psi^-1 + 2 a a + 2 psi_t S psi^-1.
@@ -62,14 +65,14 @@ def _assemble(psi, psi_t, psi_tt):
     so its off-diagonal entries are never formed.  Returns the entry
     4-tuple of fhat and the pair (d00, d11).
     """
-    pinv = mat2.entries(mat2.inv(psi))
-    a = mat2.mul(mat2.entries(psi_t), pinv)
-    g = mat2.mul(mat2.times_s(mat2.entries(psi)), pinv)
+    pinv = mat2.inv(psi)
+    a = mat2.mul(psi_t, pinv)
+    g = mat2.mul(mat2.times_s(psi), pinv)
     fhat = tuple(-2.0 * ai + 2.0 * gi for ai, gi in zip(a, g))
     ga = mat2.mul_diagonal(g, a)
-    tt = mat2.mul_diagonal(mat2.entries(psi_tt), pinv)
+    tt = mat2.mul_diagonal(psi_tt, pinv)
     aa = mat2.mul_diagonal(a, a)
-    ts = mat2.mul_diagonal(mat2.times_s(mat2.entries(psi_t)), pinv)
+    ts = mat2.mul_diagonal(mat2.times_s(psi_t), pinv)
     return fhat, tuple(
         -2.0 * ga[k] + -2.0 * tt[k] + 2.0 * aa[k] + 2.0 * ts[k] for k in (0, 1)
     )
@@ -133,8 +136,9 @@ def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
     diagonal terms.  A frame that is not finite fails first, as a
     SingularFrameError of its inverse.
     """
+    # each frame matrix is [[a, b], [conj(b), conj(a)]] (frame module)
     (h00, h01, h10, h11), (d00, d11) = _assemble(
-        frame_field.psi, frame_field.psi_t, frame_field.psi_tt
+        *((a, b, np.conj(b), np.conj(a)) for a, b in frame_field.row)
     )
     fhat_dev = _worst(
         np.maximum(
@@ -179,12 +183,9 @@ def generate_surface(
 
     t is a float, which returns one SurfaceGrid, or a 1-D sequence, which
     returns a list of SurfaceGrid in the given order: one march for all
-    members, then each member is assembled and its frame released.
+    members, then each member is assembled from its row of the march.
     """
     fields = integrate_grid(potential, x, y, t, check_flatness=check_flatness)
     if np.ndim(t) == 0:
-        fields = [fields]
-    surfaces = []
-    while fields:
-        surfaces.append(surface_from_frame(fields.pop(0), shape_tol=shape_tol))
-    return surfaces if np.ndim(t) else surfaces[0]
+        return surface_from_frame(fields, shape_tol=shape_tol)
+    return [surface_from_frame(field, shape_tol=shape_tol) for field in fields]

@@ -8,6 +8,8 @@ from block-triangular augmented exponentials.  The RK4 march must agree
 with this oracle to its own discretization accuracy on every node.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from march_reference import reference_march
-from nilsurf import frame
+from nilsurf import config, frame, pipeline
 from nilsurf.errors import DomainError, NonFlatInput
 from nilsurf.pde import newton_solve
 from nilsurf.potentials import Potential
@@ -366,9 +368,51 @@ class TestFamilyMarch:
     def test_members_own_their_arrays(self):
         ax = np.linspace(-0.2, 0.2, 5)
         a, b = frame.integrate_grid(UNIT_POTENTIAL, ax, ax, (0.1, 0.2))
+        # one march array, in which each member's row is a region of its own
+        assert not np.shares_memory(a.row, b.row)
         for x in (a.psi, a.psi_t, a.psi_tt):
             for y in (b.psi, b.psi_t, b.psi_tt):
                 assert not np.shares_memory(x, y)
+
+    def test_the_program_reads_only_the_row(self, tmp_path, monkeypatch):
+        # the family's frames are views of one march array, and neither
+        # the assembly nor the generate command forms a full matrix
+        ax = np.linspace(-0.2, 0.2, 5)
+        members = frame.integrate_grid(UNIT_POTENTIAL, ax, ax, (0.1, 0.2, 0.3))
+        march = members[0].row.base
+        assert march.size == 3 * 2 * 3 * 5 * 5
+        for m in members:
+            assert m.row.shape == (3, 2, 5, 5)
+            assert m.row.base is march and np.shares_memory(m.row, march)
+
+        def refuse(field):
+            raise AssertionError("a full frame matrix was read")
+
+        for name in ("psi", "psi_t", "psi_tt"):
+            monkeypatch.setattr(frame.FrameField, name, property(refuse))
+        with pytest.raises(AssertionError, match="full frame matrix"):
+            members[0].psi
+        generate_surface(UNIT_POTENTIAL, ax, ax, (0.1, 0.2))
+        run = config.parse_config(
+            json.dumps(
+                {
+                    "potential": {
+                        "q0_coefficients": [0.25],
+                        "rho0": {"source": "constant", "value": 1.0},
+                    },
+                    "domain": {
+                        "xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5,
+                        "nx": 17, "ny": 17,
+                    },
+                    "t_values": [0.0, 0.7],
+                    "outputs": {
+                        "mesh": str(tmp_path / "m_{t}.obj"),
+                        "report": str(tmp_path / "report.json"),
+                    },
+                }
+            )
+        )
+        assert pipeline.run_generate(run, log=lambda *_: None)[0] == 0
 
     def test_t_must_be_scalar_or_flat(self):
         # a 2-D, empty or non-finite t is refused before the gate and

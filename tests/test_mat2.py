@@ -28,11 +28,14 @@ def one_node_surface(w, ds):
     dfhat = np.array([[1j * ds, 0.0], [0.0, -1j * ds]])
     k = s - fhat / 2
     m = (-2 * s @ k + 2 * k @ k + 2 * k @ s - dfhat) / 2
+    # I, K and M are [[a, b], [conj(b), conj(a)]]: the field holds their
+    # first rows
     field = frame.FrameField(
         x=np.zeros(1), y=np.zeros(1), t=0.0,
-        psi=np.eye(2, dtype=complex)[None, None], psi_t=k[None, None],
-        psi_tt=m[None, None],
+        row=np.array([[1.0, 0.0], k[0], m[0]])[:, :, None, None],
     )
+    for built, want in zip((field.psi, field.psi_t, field.psi_tt), (np.eye(2), k, m)):
+        np.testing.assert_allclose(built[0, 0], want, rtol=0.0, atol=1e-15)
     return surface.surface_from_frame(field)
 
 
@@ -45,12 +48,10 @@ def test_point_matrix_example():
 def test_zero_matrix_is_origin():
     # the identity frame with vanishing t-derivatives has fhat = 2 S and
     # immersion matrix 0, decoded exactly as the origin
-    field = frame.FrameField(
-        x=np.zeros(1), y=np.zeros(1), t=0.0,
-        psi=np.eye(2, dtype=complex)[None, None],
-        psi_t=np.zeros((1, 1, 2, 2), dtype=complex),
-        psi_tt=np.zeros((1, 1, 2, 2), dtype=complex),
-    )
+    row = np.zeros((3, 2, 1, 1), dtype=complex)
+    row[0, 0] = 1.0
+    field = frame.FrameField(x=np.zeros(1), y=np.zeros(1), t=0.0, row=row)
+    np.testing.assert_array_equal(field.psi, np.eye(2)[None, None])
     surf = surface.surface_from_frame(field)
     np.testing.assert_array_equal(surf.coords(), [[[0.0, 0.0, 0.0]]])
     assert surf.shape_deviation == 0.0
@@ -60,8 +61,10 @@ def test_zero_matrix_is_origin():
 def test_det_and_inv_batched():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
-    np.testing.assert_allclose(mat2.det(m), np.linalg.det(m), rtol=1e-12)
-    inv = mat2.inv(m)
+    np.testing.assert_allclose(
+        mat2.det(mat2.entries(m)), np.linalg.det(m), rtol=1e-12
+    )
+    inv = mat2.from_entries(mat2.inv(mat2.entries(m)))
     np.testing.assert_allclose(
         inv @ m, np.broadcast_to(np.eye(2), (6, 2, 2)), atol=1e-12
     )
@@ -69,7 +72,7 @@ def test_det_and_inv_batched():
 
 def test_inv_singular_raises():
     with pytest.raises(SingularFrameError):
-        mat2.inv(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+        mat2.inv((1.0, 1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -79,7 +82,7 @@ def test_inv_refuses_a_determinant_that_is_not_finite(bad):
     with np.errstate(all="ignore"), pytest.raises(
         SingularFrameError, match="not finite"
     ):
-        mat2.inv(m)
+        mat2.inv(mat2.entries(m))
 
 
 def commutator(a, b):

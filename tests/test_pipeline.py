@@ -795,6 +795,31 @@ class TestCli:
         ]
         assert not mesh.exists()
 
+    @pytest.mark.parametrize("target", ["report", "mesh", "solution", "--out"])
+    def test_no_output_is_written_over_the_config(self, tmp_path, target):
+        # the config is named through another spelling of its path, so the
+        # paths are compared as files; the run used to exit 0 having
+        # written its output over the config
+        (tmp_path / "sub").mkdir()
+        command = "generate" if target in ("report", "mesh") else "solve-gauss"
+        doc = json.loads(self._write_config(tmp_path).read_text())
+        doc["potential"]["rho0"] = {"source": "solved", "bc": 0.0}
+        path = tmp_path / "run.json"
+        alias = str(tmp_path / "sub" / ".." / "run.json")
+        argv = [command, str(path)]
+        if target == "--out":
+            argv += ["--out", alias]
+        else:
+            doc["outputs"]["mesh" if target == "mesh" else target] = alias
+        path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        lines = []
+        assert cli.main(argv, log=lines.append) == 2
+        key = target if target == "--out" else f"outputs.{target}"
+        assert lines == [f"error: {key}: {alias!r} is the configuration file"]
+        assert json.loads(path.read_text()) == doc
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_generate_missing_config_exits_5(self, tmp_path):
         code = cli.main(
             ["generate", str(tmp_path / "nope.json")], log=lambda *_: None

@@ -14,7 +14,9 @@ AXES = np.linspace(-0.4, 0.4, 9)
 def fhat_of(psi, psi_t):
     """fhat = -2 psi_t psi^-1 + 2 psi S psi^-1, from the assembly's entries."""
     psi = np.asarray(psi, dtype=complex)
-    fhat, _ = surface._assemble(psi, psi_t, np.zeros_like(psi))
+    fhat, _ = surface._assemble(
+        *(mat2.entries(m) for m in (psi, psi_t, np.zeros_like(psi)))
+    )
     return mat2.from_entries(fhat)
 
 
@@ -48,7 +50,7 @@ class TestMatrixAlgebra:
 
         d = 1e-5
         psi, psi_t, psi_tt = triple(0.2)
-        got = surface._assemble(psi, psi_t, psi_tt)[1]
+        _, got = surface._assemble(*(mat2.entries(m) for m in (psi, psi_t, psi_tt)))
         hi = fhat_of(*triple(0.2 + d)[:2])
         lo = fhat_of(*triple(0.2 - d)[:2])
         fd = (hi - lo) / (2 * d)
@@ -75,7 +77,9 @@ class TestMatrixAlgebra:
         np.testing.assert_allclose(
             fhat_of(psi, psi_t), fhat, rtol=0.0, atol=1e-13
         )
-        fhat_entries, diagonal = surface._assemble(psi, psi_t, psi_tt)
+        fhat_entries, diagonal = surface._assemble(
+            *(mat2.entries(m) for m in (psi, psi_t, psi_tt))
+        )
         np.testing.assert_allclose(
             mat2.from_entries(fhat_entries), fhat, rtol=0.0, atol=1e-13
         )
@@ -87,7 +91,8 @@ class TestMatrixAlgebra:
         # a one-node frame triple built so that fhat = [[i s, w], [conj w,
         # -i s]] and diag d(fhat)/dt = (i ds, -i ds): with psi = I,
         # fhat = -2 K + 2 S for psi_t = K, and psi_tt = M solves the
-        # product rule for the wanted d(fhat)/dt
+        # product rule for the wanted d(fhat)/dt.  I, K and M are
+        # [[a, b], [conj(b), conj(a)]], so the field holds their first rows
         s, w, ds, dw = 3.0, 1.0 + 2.0j, 4.0, 9.0
         S = mat2.DIAG_IMAG
         fhat = np.array([[1j * s, w], [np.conj(w), -1j * s]])
@@ -96,9 +101,10 @@ class TestMatrixAlgebra:
         m = (-2 * S @ k + 2 * k @ k + 2 * k @ S - dfhat) / 2
         field = frame.FrameField(
             x=np.zeros(1), y=np.zeros(1), t=0.0,
-            psi=np.eye(2, dtype=complex)[None, None], psi_t=k[None, None],
-            psi_tt=m[None, None],
+            row=np.array([[1.0, 0.0], k[0], m[0]])[:, :, None, None],
         )
+        np.testing.assert_allclose(field.psi_t[0, 0], k, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(field.psi_tt[0, 0], m, rtol=0.0, atol=1e-15)
         surf = surface.surface_from_frame(field)
         np.testing.assert_allclose(surf.F, [[w]], atol=1e-15)
         np.testing.assert_allclose(surf.height, [[ds / 2]], atol=1e-14)
@@ -172,15 +178,19 @@ class TestGeneratedSurface:
 
 
 class TestShapeGate:
+    # A frame is its first row (frame.FrameField.row): row[k, 0, j, i] is
+    # the a entry of Psi, Psi_t or Psi_tt at node (j, i), and row 1 is read
+    # as its conjugate swap, so a bump moves a and conj(a) together.
+
     def test_corrupted_frame_is_rejected(self):
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
-        field.psi[2, 3] += np.array([[0.1, 0.0], [0.0, 0.0]])
+        field.row[0, 0, 2, 3] += 0.1
         with pytest.raises(ShapeViolation):
             surface.surface_from_frame(field)
 
     def test_corrupted_derivative_is_rejected(self):
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
-        field.psi_t[2, 3] += np.array([[0.05, 0.0], [0.0, 0.0]])
+        field.row[1, 0, 2, 3] += 0.05
         with pytest.raises(ShapeViolation):
             surface.surface_from_frame(field)
 
@@ -188,26 +198,44 @@ class TestShapeGate:
         # psi_tt enters only the diagonal of the immersion matrix: fhat
         # keeps its shape, the point-model check must catch it
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
-        field.psi_tt[2, 3, 0, 0] += 0.05
+        field.row[2, 0, 2, 3] += 0.05
         with pytest.raises(
             ShapeViolation, match="matrix deviates from the point-model shape"
         ):
             surface.surface_from_frame(field)
 
     def test_each_immersion_defect_is_measured(self):
-        # a real bump of psi_tt[0, 0] makes Im f00 nonzero, an imaginary
-        # one makes f00 != f11 with both real
-        for bump in (1e-3, 1e-3j):
-            field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
-            field.psi_tt[2, 3, 0, 0] += bump
-            loose = surface.surface_from_frame(field, shape_tol=1.0)
-            assert loose.shape_deviation >= 1e-3 / 2
-            with pytest.raises(ShapeViolation, match="point-model shape"):
-                surface.surface_from_frame(field, shape_tol=1e-6)
+        # every matrix is [[a, b], [conj(b), conj(a)]], so d11 = conj(d00)
+        # and f00 - f11 = 2i Im f00 = -i Re d00: both point-model checks
+        # read |Re d00|.  A bump delta of psi_tt's a entry moves d00 by
+        # -2 delta conj(a) / det(psi) at its node.  det(psi) = 1 and a is
+        # real there, so a real bump is a defect of 2 delta a, and an
+        # imaginary one keeps the shape and moves the height by -Im(delta) a
+        base = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
+        a = base.row[0, 0, 2, 3]
+        assert a.imag == 0.0
+        reference = surface.surface_from_frame(base)
+        assert reference.shape_deviation < 1e-8
+
+        field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
+        field.row[2, 0, 2, 3] += 1e-3
+        loose = surface.surface_from_frame(field, shape_tol=1.0)
+        assert loose.shape_deviation == pytest.approx(2e-3 * a.real, rel=1e-5)
+        with pytest.raises(ShapeViolation, match="point-model shape"):
+            surface.surface_from_frame(field, shape_tol=1e-6)
+
+        field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
+        field.row[2, 0, 2, 3] += 1e-3j
+        moved = surface.surface_from_frame(field, shape_tol=1e-6)
+        assert moved.shape_deviation == reference.shape_deviation
+        shift = moved.height - reference.height
+        assert shift[2, 3] == pytest.approx(-1e-3 * a.real, rel=1e-6)
+        shift[2, 3] = 0.0
+        np.testing.assert_array_equal(shift, 0.0)
 
     def test_nan_second_derivative_is_rejected(self):
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
-        field.psi_tt[2, 3, 0, 0] = np.nan
+        field.row[2, 0, 2, 3] = np.nan
         with np.errstate(all="ignore"), pytest.raises(
             ShapeViolation, match="matrix shape deviation is not finite"
         ):
@@ -216,7 +244,7 @@ class TestShapeGate:
     def test_nan_derivative_is_rejected(self):
         # a NaN deviation compares false against the tolerance
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
-        field.psi_t[2, 3, 0, 0] = np.nan
+        field.row[1, 0, 2, 3] = np.nan
         with np.errstate(all="ignore"), pytest.raises(
             ShapeViolation, match="auxiliary matrix field is not finite"
         ):
@@ -232,8 +260,12 @@ class TestShapeGate:
             surface.generate_surface(huge, ax, ax, 0.0)
 
     def test_loose_tolerance_admits_the_same_frame(self):
+        # the frame's own deviation (5.2e-9) passes the tight tolerance;
+        # the bump adds 4e-8, which fails it and passes the loose one
+        tight, loose = 2e-8, 1e-6
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
-        field.psi_t[2, 3] += np.array([[1e-8, 0.0], [0.0, 0.0]])
-        surface.surface_from_frame(field, shape_tol=1e-6)  # within tolerance
+        surface.surface_from_frame(field, shape_tol=tight)
+        field.row[1, 0, 2, 3] += 1e-8
+        surface.surface_from_frame(field, shape_tol=loose)
         with pytest.raises(ShapeViolation):
-            surface.surface_from_frame(field, shape_tol=1e-9)
+            surface.surface_from_frame(field, shape_tol=tight)
