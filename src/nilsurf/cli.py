@@ -12,11 +12,13 @@ threshold failure, 5 I/O failure.
 
 The `check` flags are the config's CHECK_TOLERANCES under their
 tolerances.* names and follow the same rules (a NaN, an infinity, a
-non-positive floor or scale, or a margin below 1 exits 2).  `generate`
-and `solve-gauss` exit 2 before writing anything when a file they would
-write (the report, a mesh, the solution or --out) is the configuration
-file itself.  Every failure, loading the configuration included, goes
-through pipeline.guarded.
+non-positive floor or scale, or a margin below 1 exits 2).  Every
+command exits 2 before writing anything when a file it would write is
+the file it reads: for `generate` and `solve-gauss` the report, a mesh,
+the solution or --out against the configuration file, for `check` the
+--report against the surface CSV.  `generate` exits 2 as well when its
+report path is one of its mesh paths.  Every failure, loading the
+configuration included, goes through pipeline.guarded.
 """
 
 import argparse
@@ -79,30 +81,48 @@ def build_parser():
 
 
 def _load(args):
-    """The command's configuration; SchemaError if it would write over it."""
-    config = load_config(args.config)
-    if args.command == "generate":
-        meshes = [mesh_path(config.mesh_pattern, t) for t in config.t_values]
-        outputs = [("outputs.report", config.report_path)]
-        outputs += [("outputs.mesh", path) for path in meshes]
-    elif args.out is not None:
-        outputs = [("--out", args.out)]
+    """The command's configuration (None for check), once its outputs are safe.
+
+    SchemaError if a file the command would write is the file it reads
+    (the configuration, or check's surface CSV), or if generate's report
+    is one of its meshes.  Nothing has been written at that point.
+    """
+    if args.command == "check":
+        config, source, noun = None, args.csv, "surface CSV"
+        outputs = [] if args.report is None else [("--report", args.report)]
     else:
-        outputs = [("outputs.solution", config.solution_path)]
+        config, source = load_config(args.config), args.config
+        noun = "configuration file"
+        if args.command == "generate":
+            meshes = [mesh_path(config.mesh_pattern, t) for t in config.t_values]
+            # neither file need exist yet: the paths are resolved, not stat'ed
+            report = os.path.realpath(config.report_path)
+            for k, path in enumerate(meshes):
+                if os.path.realpath(path) == report:
+                    raise SchemaError(
+                        "outputs.report",
+                        f"{config.report_path!r} is the mesh path of t_values[{k}]",
+                    )
+            outputs = [("outputs.report", config.report_path)]
+            outputs += [("outputs.mesh", path) for path in meshes]
+        elif args.out is not None:
+            outputs = [("--out", args.out)]
+        else:
+            outputs = [("outputs.solution", config.solution_path)]
     for key, path in outputs:
-        if os.path.exists(path) and os.path.samefile(path, args.config):
-            raise SchemaError(key, f"{path!r} is the configuration file")
+        if os.path.exists(path) and os.path.samefile(path, source):
+            raise SchemaError(key, f"{path!r} is the {noun}")
     return config
 
 
 def main(argv=None, log=print):
     args = build_parser().parse_args(argv)
+    code, config = guarded(lambda: (EXIT_PASS, _load(args)), log)
+    if code != EXIT_PASS:
+        return code
     if args.command == "check":
         tolerances = {key: getattr(args, key) for key in CHECK_TOLERANCES}
         return run_check(args.csv, report_path=args.report, log=log, **tolerances)[0]
-    code, config = guarded(lambda: (EXIT_PASS, _load(args)), log)
-    if config is None:
-        return code
     if args.command == "generate":
         return run_generate(config, log=log)[0]
     return run_solve(config, out_path=args.out, log=log)[0]

@@ -14,15 +14,26 @@ Formats:
     cell with consistent winding.  The face block depends only on the
     grid: `generate` formats it once (`obj_faces`) and shares the text
     among the meshes of one family; nothing keeps it past that call.
+    `mesh_summary` gives a mesh's vertex and face counts from its grid,
+    for `export_obj` and for the report alike.
   * Surface CSV (for `check`): header x,y,F_re,F_im,h then one row per
     node, row-major, full double precision.
   * Solution CSV (from `solve-gauss`): header x,y,u, same layout.
   * Report: JSON with sorted keys; schema documented in the README.
+
+The OBJ text is at its CPython floor (the `%.12g` formatting of the
+vertex rows is most of an export), so `generate` takes it off its
+critical path instead: `write_aside` runs a writer in a forked child
+process while the caller goes on (verifying the members), and reaps the
+child when the caller's block ends.  The bytes are those of writing in
+place.
 """
 
 import csv
 import json
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +45,20 @@ from .surface import SurfaceGrid
 
 @dataclass
 class MeshSummary:
-    """What export_obj wrote: path and element counts."""
+    """What export_obj writes: path and element counts."""
 
     path: str
     vertex_count: int
     face_count: int
+
+
+def mesh_summary(path, nx, ny):
+    """The MeshSummary of the OBJ mesh of an nx x ny grid at path."""
+    return MeshSummary(
+        path=str(path),
+        vertex_count=nx * ny,
+        face_count=2 * (nx - 1) * (ny - 1),
+    )
 
 
 def _write_grid_csv(path, header, x, y, values):
@@ -95,11 +115,58 @@ def export_obj(surface, path, faces=None):
         for row in coords:
             fh.write(vertex_row % tuple(row.ravel().tolist()))
         fh.write(faces)
-    return MeshSummary(
-        path=str(path),
-        vertex_count=nx * ny,
-        face_count=2 * (nx - 1) * (ny - 1),
-    )
+    return mesh_summary(path, nx, ny)
+
+
+@contextmanager
+def write_aside(write):
+    """Run write() in a forked child process while the with-block runs.
+
+    The child only formats and writes: it logs nothing, runs no BLAS
+    product (so an idle BLAS thread pool left behind by the fork cannot
+    hold it up) and always ends with os._exit.  Leaving the block reaps
+    the child, in a finally, so no child outlives it.  An OSError of the
+    child is raised here again from its (errno, strerror, filename), so
+    its message is the one writing in place would give; any other failure
+    of the child, or its death by a signal, raises RuntimeError.  An
+    exception of the block itself takes precedence.  Where os.fork does
+    not exist, write() runs here before the block.
+    """
+    if not hasattr(os, "fork"):
+        write()
+        yield
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                write()
+                status = 0
+            except OSError as exc:
+                failure = [exc.errno, exc.strerror, exc.filename]
+            except BaseException as exc:
+                failure = [None, f"{type(exc).__name__}: {exc}", None]
+            if status:
+                os.write(write_end, json.dumps(failure, default=str).encode())
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        yield
+    finally:
+        with os.fdopen(read_end, "rb") as fh:
+            sent = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise RuntimeError(f"the writer process was killed by signal {-code}")
+    if code > 0:
+        errno, text, filename = json.loads(sent) if sent else (None, None, None)
+        if errno is not None:
+            raise OSError(errno, text, filename)
+        raise RuntimeError(f"the writer process failed (exit status {code}): {text}")
 
 
 def write_surface_csv(surface, path):

@@ -27,6 +27,14 @@ NilsurfError or an OSError into a log line and an exit code for every
 command, the configuration load of the command line included.  `_finish`
 is the one tail of generate and check: it writes the report and prints
 PASS or FAIL.
+
+`generate` marches the family once, then writes the members' meshes in a
+forked child process (outputs.write_aside) while it verifies them here,
+one after the other, and logs each verdict.  The child is reaped before
+`_finish` writes the report, on every way out, so a report never exists
+before its meshes and no child outlives the call.  A mesh that cannot be
+written exits 5 with the OSError's line; a verify that raises exits 4
+and may leave every mesh of the family on disk.
 """
 
 import math
@@ -55,8 +63,10 @@ from .errors import (
 )
 from .outputs import (
     export_obj,
+    mesh_summary,
     obj_faces,
     read_surface_csv,
+    write_aside,
     write_json,
     write_solution_csv,
 )
@@ -241,40 +251,52 @@ def _generate(config, log):
         shape_tol=config.shape_tol,
         check_flatness=False,  # gated once above
     )
-    # every member's mesh shares the grid, hence the face block
-    faces = obj_faces(x.size, y.size)
+    meshes = [
+        mesh_summary(mesh_path(config.mesh_pattern, t), x.size, y.size)
+        for t in config.t_values
+    ]
+
+    def write_meshes():
+        # every member's mesh shares the grid, hence the face block
+        faces = obj_faces(x.size, y.size)
+        for surf, mesh in zip(surfaces, meshes):
+            export_obj(surf, mesh.path, faces)
+
     surfaces_out = []
-    for t in config.t_values:
-        # release each member once it is exported
-        surf = surfaces.pop(0)
-        report, thresholds, passed, failures = _verdict(
-            surf, h, potential, **tolerances
-        )
-        mesh = export_obj(surf, mesh_path(config.mesh_pattern, t), faces)
-        # a class with no finite value ranks last
-        worst_key = max(
-            RESIDUAL_KEYS,
-            key=lambda k: -math.inf
-            if math.isnan(report.maxima[k])
-            else report.maxima[k] / thresholds[k],
-        )
-        log(
-            f"[t={t:.6f}] {'pass' if passed else 'FAIL'}  worst "
-            f"{worst_key} = {report.maxima[worst_key]:.3e} "
-            f"(threshold {thresholds[worst_key]:.3e}); mesh -> {mesh.path}"
-        )
-        for key, value, threshold in failures:
-            log(f"    over threshold: {key} = {value:.3e} > {threshold:.3e}")
-        surfaces_out.append(
-            {
-                "t": float(t),
-                "mesh_path": mesh.path,
-                "mesh": {"vertices": mesh.vertex_count, "faces": mesh.face_count},
-                "pass": passed,
-                "failures": _failure_entries(failures),
-                "verification": report.to_dict(),
-            }
-        )
+    with write_aside(write_meshes):
+        for t, mesh in zip(config.t_values, meshes):
+            # release each member once it is verified
+            surf = surfaces.pop(0)
+            report, thresholds, passed, failures = _verdict(
+                surf, h, potential, **tolerances
+            )
+            # a class with no finite value ranks last
+            worst_key = max(
+                RESIDUAL_KEYS,
+                key=lambda k: -math.inf
+                if math.isnan(report.maxima[k])
+                else report.maxima[k] / thresholds[k],
+            )
+            log(
+                f"[t={t:.6f}] {'pass' if passed else 'FAIL'}  worst "
+                f"{worst_key} = {report.maxima[worst_key]:.3e} "
+                f"(threshold {thresholds[worst_key]:.3e}); mesh -> {mesh.path}"
+            )
+            for key, value, threshold in failures:
+                log(f"    over threshold: {key} = {value:.3e} > {threshold:.3e}")
+            surfaces_out.append(
+                {
+                    "t": float(t),
+                    "mesh_path": mesh.path,
+                    "mesh": {
+                        "vertices": mesh.vertex_count,
+                        "faces": mesh.face_count,
+                    },
+                    "pass": passed,
+                    "failures": _failure_entries(failures),
+                    "verification": report.to_dict(),
+                }
+            )
     report_dict = {
         "schema": "nilsurf-report/1",
         "config": config.to_dict(),

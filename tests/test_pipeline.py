@@ -1,8 +1,10 @@
 """End-to-end pipeline tests: thresholds, exit codes, CLI subcommands."""
 
+import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import types
@@ -62,6 +64,12 @@ def make_config(tmp_path, **overrides):
         else:
             doc[key] = value
     return parse_config(json.dumps(doc))
+
+
+def assert_no_child():
+    """The calling process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def dyadic_plane(kind, n=17):
@@ -187,6 +195,7 @@ class TestRunGenerate:
         cfg = make_config(tmp_path)
         lines = []
         code, report = pipeline.run_generate(cfg, log=lines.append)
+        assert_no_child()
         assert code == pipeline.EXIT_PASS
         assert report["schema"] == "nilsurf-report/1"
         assert report["pass"] is True
@@ -276,12 +285,22 @@ class TestRunGenerate:
 
     def test_family_shares_one_face_block(self, tmp_path, monkeypatch):
         # every member's mesh equals a standalone export_obj of its surface,
-        # and each generate call formats the face block of its own grid once
-        calls = []
+        # and each generate call formats the face block of its own grid once.
+        # The meshes are written in a child process, so the patched
+        # formatter records its calls in a file, not in this process
+        log_path = tmp_path / "obj_faces_calls.txt"
         formatter = pipeline.obj_faces
-        monkeypatch.setattr(
-            pipeline, "obj_faces", lambda *grid: calls.append(grid) or formatter(*grid)
-        )
+
+        def logged(nx, ny):
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(f"{nx} {ny}\n")
+            return formatter(nx, ny)
+
+        def calls():
+            lines = log_path.read_text().splitlines()
+            return [tuple(int(n) for n in line.split()) for line in lines]
+
+        monkeypatch.setattr(pipeline, "obj_faces", logged)
         for nx, ny, half_height in ((17, 13, 0.375), (13, 9, 1.0 / 3.0)):
             run = tmp_path / f"{nx}x{ny}"
             run.mkdir()
@@ -291,10 +310,10 @@ class TestRunGenerate:
                 t_values=[0.0, 0.4, 1.1],
                 outputs={"mesh": str(run / "surface_{t}.obj")},
             )
-            calls.clear()
+            log_path.unlink(missing_ok=True)
             code, report = pipeline.run_generate(cfg, log=lambda *_: None)
             assert code == pipeline.EXIT_PASS
-            assert calls == [(nx, ny)]
+            assert calls() == [(nx, ny)]
             x, y = cfg.domain.axes()
             potential = pipeline.build_potential(cfg)[0]
             members = generate_surface(potential, x, y, cfg.t_values)
@@ -349,6 +368,7 @@ class TestRunGenerate:
         )
         lines = []
         code, report = pipeline.run_generate(cfg, log=lines.append)
+        assert_no_child()
         assert (code, report) == (pipeline.EXIT_RESIDUAL, None)
         assert "not finite" in lines[-1]
         assert not (tmp_path / "surface.obj").exists()
@@ -390,6 +410,90 @@ class TestRunGenerate:
             paths[name] = out / f"s_{b:.6f}.obj"
             assert report["surfaces"][-1]["t"] == b
         assert paths["pair"].read_bytes() == paths["alone"].read_bytes()
+
+
+class TestMeshWriter:
+    """generate writes its meshes in a child process while it verifies.
+
+    Every way out of run_generate reaps that child, and a child that
+    fails never yields exit 0.
+    """
+
+    def family(self, tmp_path, mesh_dir=None):
+        mesh_dir = tmp_path if mesh_dir is None else mesh_dir
+        return make_config(
+            tmp_path,
+            t_values=[0.0, 0.5],
+            outputs={"mesh": str(mesh_dir / "s_{t}.obj")},
+        )
+
+    def test_missing_mesh_directory_exits_5(self, tmp_path):
+        lines = []
+        cfg = self.family(tmp_path, mesh_dir=tmp_path / "missing")
+        code, report = pipeline.run_generate(cfg, log=lines.append)
+        assert_no_child()
+        assert (code, report) == (pipeline.EXIT_IO, None)
+        first = str(tmp_path / "missing" / "s_0.000000.obj")
+        assert lines[-1] == (
+            f"I/O error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+            f"{first!r}"
+        )
+        assert not any("PASS" in line for line in lines)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_failing_verify_exits_4(self, tmp_path, monkeypatch):
+        # the writer is reaped before the error leaves run_generate; it may
+        # have written every mesh by then
+        def degenerate(*args, **kwargs):
+            raise DegenerateNode("degenerate density at a node")
+
+        monkeypatch.setattr(pipeline, "verify_surface", degenerate)
+        lines = []
+        code, report = pipeline.run_generate(self.family(tmp_path), log=lines.append)
+        assert_no_child()
+        assert (code, report) == (pipeline.EXIT_RESIDUAL, None)
+        assert lines == ["error: degenerate density at a node"]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_writer_failure_is_not_exit_0(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("not a mesh")
+
+        monkeypatch.setattr(pipeline, "export_obj", broken)
+        lines = []
+        with pytest.raises(RuntimeError, match="ValueError: not a mesh"):
+            pipeline.run_generate(self.family(tmp_path), log=lines.append)
+        assert_no_child()
+        assert not any("PASS" in line for line in lines)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_killed_writer_is_not_exit_0(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            pipeline, "export_obj", lambda *_: os.kill(os.getpid(), signal.SIGKILL)
+        )
+        with pytest.raises(RuntimeError, match="killed by signal"):
+            pipeline.run_generate(self.family(tmp_path), log=lambda *_: None)
+        assert_no_child()
+        assert not (tmp_path / "report.json").exists()
+
+    def test_inline_writer_writes_the_same_files(self, tmp_path, monkeypatch):
+        # where os.fork does not exist the writer runs in this process; the
+        # log and the files are the same, up to the run's directory
+        outs = []
+        for name in ("forked", "inline"):
+            if name == "inline":
+                monkeypatch.delattr(os, "fork")
+            run = tmp_path / name
+            run.mkdir()
+            lines = []
+            code, _ = pipeline.run_generate(self.family(run), log=lines.append)
+            assert code == pipeline.EXIT_PASS
+            text = "\n".join(lines) + "".join(
+                f"\n{p.name}\n{p.read_text()}" for p in sorted(run.iterdir())
+            )
+            outs.append(text.replace(str(run), "RUN"))
+        assert outs[0] == outs[1]
+        assert outs[0].count("s_0.500000.obj\nv ") == 1
 
 
 class TestRunCheck:
@@ -819,6 +923,38 @@ class TestCli:
         assert lines == [f"error: {key}: {alias!r} is the configuration file"]
         assert json.loads(path.read_text()) == doc
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_report_that_is_a_mesh_is_refused(self, tmp_path):
+        # the report used to overwrite the first mesh and still describe it
+        # as a mesh; neither file need exist, so the paths are resolved
+        (tmp_path / "sub").mkdir()
+        doc = json.loads(self._write_config(tmp_path).read_text())
+        doc["t_values"] = [0.0, 0.5]
+        doc["outputs"]["mesh"] = str(tmp_path / "m_{t}.obj")
+        alias = str(tmp_path / "sub" / ".." / "m_0.000000.obj")
+        doc["outputs"]["report"] = alias
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        lines = []
+        assert cli.main(["generate", str(path)], log=lines.append) == 2
+        assert lines == [
+            f"error: outputs.report: {alias!r} is the mesh path of t_values[0]"
+        ]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_check_report_over_its_csv_is_refused(self, tmp_path):
+        # the report used to replace the CSV it had just read, exit 0
+        (tmp_path / "sub").mkdir()
+        csv_path = tmp_path / "plane.csv"
+        write_surface_csv(dyadic_plane("vertical"), csv_path)
+        before = csv_path.read_bytes()
+        alias = str(tmp_path / "sub" / ".." / "plane.csv")
+        lines = []
+        code = cli.main(["check", str(csv_path), "--report", alias], log=lines.append)
+        assert code == 2
+        assert lines == [f"error: --report: {alias!r} is the surface CSV"]
+        assert csv_path.read_bytes() == before
 
     def test_generate_missing_config_exits_5(self, tmp_path):
         code = cli.main(
