@@ -14,11 +14,11 @@ The `check` flags are the config's CHECK_TOLERANCES under their
 tolerances.* names and follow the same rules (a NaN, an infinity, a
 non-positive floor or scale, or a margin below 1 exits 2).  Every
 command exits 2 before writing anything when a file it would write is
-the file it reads: for `generate` and `solve-gauss` the report, a mesh,
-the solution or --out against the configuration file, for `check` the
---report against the surface CSV.  `generate` exits 2 as well when its
-report path is one of its mesh paths.  Every failure, loading the
-configuration included, goes through pipeline.guarded.
+the file it reads.  `_load` compares the report, a mesh, the solution or
+--out with the configuration file; run_check compares its --report with
+the surface CSV, and parse_config refuses a report path that is one of
+the mesh paths.  Every failure, loading the configuration included, goes
+through pipeline.guarded.
 """
 
 import argparse
@@ -83,35 +83,26 @@ def build_parser():
 def _load(args):
     """The command's configuration (None for check), once its outputs are safe.
 
-    SchemaError if a file the command would write is the file it reads
-    (the configuration, or check's surface CSV), or if generate's report
-    is one of its meshes.  Nothing has been written at that point.
+    SchemaError if a file generate or solve-gauss would write is the
+    configuration file it reads.  Nothing has been written at that point;
+    parse_config and run_check refuse the other collisions themselves.
     """
     if args.command == "check":
-        config, source, noun = None, args.csv, "surface CSV"
-        outputs = [] if args.report is None else [("--report", args.report)]
+        return None
+    config = load_config(args.config)
+    if args.command == "generate":
+        outputs = [("outputs.report", config.report_path)]
+        outputs += [
+            ("outputs.mesh", mesh_path(config.mesh_pattern, t))
+            for t in config.t_values
+        ]
+    elif args.out is not None:
+        outputs = [("--out", args.out)]
     else:
-        config, source = load_config(args.config), args.config
-        noun = "configuration file"
-        if args.command == "generate":
-            meshes = [mesh_path(config.mesh_pattern, t) for t in config.t_values]
-            # neither file need exist yet: the paths are resolved, not stat'ed
-            report = os.path.realpath(config.report_path)
-            for k, path in enumerate(meshes):
-                if os.path.realpath(path) == report:
-                    raise SchemaError(
-                        "outputs.report",
-                        f"{config.report_path!r} is the mesh path of t_values[{k}]",
-                    )
-            outputs = [("outputs.report", config.report_path)]
-            outputs += [("outputs.mesh", path) for path in meshes]
-        elif args.out is not None:
-            outputs = [("--out", args.out)]
-        else:
-            outputs = [("outputs.solution", config.solution_path)]
+        outputs = [("outputs.solution", config.solution_path)]
     for key, path in outputs:
-        if os.path.exists(path) and os.path.samefile(path, source):
-            raise SchemaError(key, f"{path!r} is the {noun}")
+        if os.path.exists(path) and os.path.samefile(path, args.config):
+            raise SchemaError(key, f"{path!r} is the configuration file")
     return config
 
 

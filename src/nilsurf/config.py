@@ -23,8 +23,9 @@ A run configuration is a JSON document:
 Only "potential" and "domain" are required; everything else defaults as
 shown.  The mesh pattern's "{t}" stands for each t written with six
 decimals (`mesh_path`); a t value whose mesh path repeats an earlier one
-is refused.  Q0 coefficients may be written as [re, im] pairs or plain
-numbers.  The solved source accepts "bc" as a constant (number) or the
+is refused, and so is a report path that resolves to a mesh path.  Q0
+coefficients may be written as [re, im] pairs or plain numbers.  The
+solved source accepts "bc" as a constant (number) or the
 string "liouville" (boundary data sampled from the closed-form density).
 When "solver_domain" is omitted it defaults to the surface domain scaled
 by 2 about the origin with the node counts chosen so the solver spacing
@@ -55,6 +56,7 @@ the thresholds false and pass any surface.
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -439,6 +441,14 @@ def parse_config(text):
         **options,
     )
     _validate_geometry(config)
+    # neither file need exist yet: the paths are resolved, not stat'ed
+    report = os.path.realpath(config.report_path)
+    for k, path in enumerate(paths):
+        if os.path.realpath(path) == report:
+            raise SchemaError(
+                "outputs.report",
+                f"{config.report_path!r} is the mesh path of t_values[{k}]",
+            )
     return config
 
 

@@ -25,8 +25,10 @@ The OBJ text is at its CPython floor (the `%.12g` formatting of the
 vertex rows is most of an export), so `generate` takes it off its
 critical path instead: `write_aside` runs a writer in a forked child
 process while the caller goes on (verifying the members), and reaps the
-child when the caller's block ends.  The bytes are those of writing in
-place.
+child when the caller's block ends.  A child that did not exit 0 is
+followed by the write in place, which is also the only write where
+os.fork does not exist, so the bytes and the failures are those of
+writing in place.
 """
 
 import csv
@@ -124,49 +126,28 @@ def write_aside(write):
 
     The child only formats and writes: it logs nothing, runs no BLAS
     product (so an idle BLAS thread pool left behind by the fork cannot
-    hold it up) and always ends with os._exit.  Leaving the block reaps
-    the child, in a finally, so no child outlives it.  An OSError of the
-    child is raised here again from its (errno, strerror, filename), so
-    its message is the one writing in place would give; any other failure
-    of the child, or its death by a signal, raises RuntimeError.  An
-    exception of the block itself takes precedence.  Where os.fork does
-    not exist, write() runs here before the block.
+    hold it up) and always ends with os._exit; its exit status is all it
+    reports.  Leaving the block reaps the child, in a finally, so no child
+    outlives it.  When the child did not exit 0, or where os.fork does not
+    exist, write() runs here after the block: a failure raises what
+    writing in place raises, and a killed child still leaves its files.
+    An exception of the block itself takes precedence, and then write()
+    does not run again.
     """
-    if not hasattr(os, "fork"):
-        write()
-        yield
-        return
-    read_end, write_end = os.pipe()
-    pid = os.fork()
+    pid = os.fork() if hasattr(os, "fork") else None
     if pid == 0:  # the child
         status = 1
         try:
-            os.close(read_end)
-            try:
-                write()
-                status = 0
-            except OSError as exc:
-                failure = [exc.errno, exc.strerror, exc.filename]
-            except BaseException as exc:
-                failure = [None, f"{type(exc).__name__}: {exc}", None]
-            if status:
-                os.write(write_end, json.dumps(failure, default=str).encode())
+            write()
+            status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
     try:
         yield
     finally:
-        with os.fdopen(read_end, "rb") as fh:
-            sent = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code < 0:
-        raise RuntimeError(f"the writer process was killed by signal {-code}")
-    if code > 0:
-        errno, text, filename = json.loads(sent) if sent else (None, None, None)
-        if errno is not None:
-            raise OSError(errno, text, filename)
-        raise RuntimeError(f"the writer process failed (exit status {code}): {text}")
+        status = 1 if pid is None else os.waitpid(pid, 0)[1]
+    if status:
+        write()
 
 
 def write_surface_csv(surface, path):

@@ -28,16 +28,17 @@ command, the configuration load of the command line included.  `_finish`
 is the one tail of generate and check: it writes the report and prints
 PASS or FAIL.
 
-`generate` marches the family once, then writes the members' meshes in a
-forked child process (outputs.write_aside) while it verifies them here,
-one after the other, and logs each verdict.  The child is reaped before
-`_finish` writes the report, on every way out, so a report never exists
-before its meshes and no child outlives the call.  A mesh that cannot be
-written exits 5 with the OSError's line; a verify that raises exits 4
-and may leave every mesh of the family on disk.
+`generate` marches the family once, then writes the members' meshes with
+outputs.write_aside (in a forked child, or in place after it fails)
+while it verifies them here.  The writing ends before `_finish` writes
+the report, on every way out.  The verdicts are logged once the meshes
+are written, each with "; mesh -> PATH"; a failed run logs them without
+it: a mesh that cannot be written exits 5 with the OSError's line, and a
+verify that raises exits 4 and may leave every mesh on disk.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -263,40 +264,49 @@ def _generate(config, log):
             export_obj(surf, mesh.path, faces)
 
     surfaces_out = []
-    with write_aside(write_meshes):
-        for t, mesh in zip(config.t_values, meshes):
-            # release each member once it is verified
-            surf = surfaces.pop(0)
-            report, thresholds, passed, failures = _verdict(
-                surf, h, potential, **tolerances
-            )
-            # a class with no finite value ranks last
-            worst_key = max(
-                RESIDUAL_KEYS,
-                key=lambda k: -math.inf
-                if math.isnan(report.maxima[k])
-                else report.maxima[k] / thresholds[k],
-            )
-            log(
-                f"[t={t:.6f}] {'pass' if passed else 'FAIL'}  worst "
-                f"{worst_key} = {report.maxima[worst_key]:.3e} "
-                f"(threshold {thresholds[worst_key]:.3e}); mesh -> {mesh.path}"
-            )
-            for key, value, threshold in failures:
-                log(f"    over threshold: {key} = {value:.3e} > {threshold:.3e}")
-            surfaces_out.append(
-                {
-                    "t": float(t),
-                    "mesh_path": mesh.path,
-                    "mesh": {
-                        "vertices": mesh.vertex_count,
-                        "faces": mesh.face_count,
-                    },
-                    "pass": passed,
-                    "failures": _failure_entries(failures),
-                    "verification": report.to_dict(),
-                }
-            )
+    # the log lines, each with the note of the mesh it claims, held until
+    # write_aside has written the meshes; a failed run claims none
+    held, written = [], False
+    try:
+        with write_aside(write_meshes):
+            for surf, t, mesh in zip(surfaces, config.t_values, meshes):
+                report, thresholds, passed, failures = _verdict(
+                    surf, h, potential, **tolerances
+                )
+                # a class with no finite value ranks last
+                worst_key = max(
+                    RESIDUAL_KEYS,
+                    key=lambda k: -math.inf
+                    if math.isnan(report.maxima[k])
+                    else report.maxima[k] / thresholds[k],
+                )
+                line = (
+                    f"[t={t:.6f}] {'pass' if passed else 'FAIL'}  worst "
+                    f"{worst_key} = {report.maxima[worst_key]:.3e} "
+                    f"(threshold {thresholds[worst_key]:.3e})"
+                )
+                held.append((line, f"; mesh -> {mesh.path}"))
+                held += [
+                    (f"    over threshold: {key} = {value:.3e} > {threshold:.3e}", "")
+                    for key, value, threshold in failures
+                ]
+                surfaces_out.append(
+                    {
+                        "t": float(t),
+                        "mesh_path": mesh.path,
+                        "mesh": {
+                            "vertices": mesh.vertex_count,
+                            "faces": mesh.face_count,
+                        },
+                        "pass": passed,
+                        "failures": _failure_entries(failures),
+                        "verification": report.to_dict(),
+                    }
+                )
+        written = True
+    finally:
+        for line, mesh_note in held:
+            log(line + mesh_note if written else line)
     report_dict = {
         "schema": "nilsurf-report/1",
         "config": config.to_dict(),
@@ -314,12 +324,16 @@ def run_check(csv_path, report_path=None, log=print, **tolerances):
 
     tolerances are the CHECK_TOLERANCES keywords (margin, angle_cutoff,
     residual_floor, threshold_scale; defaults from DEFAULT_TOLERANCES).  A
-    value a config file may not hold exits 2 before the file is read.
+    value a config file may not hold, or a report_path that is the CSV
+    itself, exits 2 before the file is read.
     """
     return guarded(lambda: _check(csv_path, report_path, tolerances, log), log)
 
 
 def _check(csv_path, report_path, tolerances, log):
+    if report_path is not None and os.path.exists(report_path):
+        if os.path.samefile(report_path, csv_path):
+            raise SchemaError("--report", f"{str(report_path)!r} is the surface CSV")
     tolerances = check_tolerances(**tolerances)
     surface = read_surface_csv(csv_path)
     report, thresholds, passed, failures = _verdict(

@@ -460,8 +460,9 @@ class TestWriteAside:
         assert_no_child()
 
     def test_runs_inline_where_fork_does_not_exist(self, monkeypatch):
+        # the write in place follows the block, as after a failed child
         monkeypatch.delattr(os, "fork")
         order = []
         with outputs.write_aside(lambda: order.append(("write", os.getpid()))):
             order.append(("block", os.getpid()))
-        assert order == [("write", os.getpid()), ("block", os.getpid())]
+        assert order == [("block", os.getpid()), ("write", os.getpid())]
