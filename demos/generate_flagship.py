@@ -19,41 +19,51 @@ import os
 
 import numpy as np
 
+from nilsurf.config import parse_config
 from nilsurf.outputs import export_obj, write_json
-from nilsurf.pde import newton_solve
-from nilsurf.pipeline import check_surface_like
-from nilsurf.potentials import Potential
+from nilsurf.pipeline import build_potential, check_surface_like
 from nilsurf.surface import generate_surface
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
 
+# The run's configuration; step 5 writes it out for the CLI.
+n = 65
+config = {
+    "potential": {
+        "q0_coefficients": [0.0, [0.25, 0.0]],  # Q0 = 0 + 0.25 z
+        "rho0": {"source": "solved", "bc": 0.0},
+    },
+    "domain": {
+        "xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5,
+        "nx": n, "ny": n,
+    },
+    "t_values": [0.0],
+    "outputs": {
+        "mesh": os.path.join(OUT, "flagship_cli.obj"),
+        "report": os.path.join(OUT, "flagship_cli_report.json"),
+        "solution": os.path.join(OUT, "flagship_cli_solution.csv"),
+    },
+}
+cfg = parse_config(json.dumps(config))
+
 # ---------------------------------------------------------------------------
 # 1. Potential data.  Q0 = z/4 is holomorphic; the matching density rho0
-#    comes from a Newton/CG solve of the integrability PDE on a grid twice
-#    the surface domain (so one-sided boundary effects stay away from the
-#    surface window) at half the surface spacing.
+#    comes from the program's solve of the integrability PDE: a Newton/CG
+#    solve of the 5-point system and one deferred correction to fourth
+#    order, on the default solver grid, the surface domain padded by half
+#    its width on every side (so the Dirichlet edge stays away from the
+#    surface window) at the surface spacing.
 # ---------------------------------------------------------------------------
-n = 65
-surface_axis = np.arange(-(n // 2), n // 2 + 1) * (1.0 / (n - 1))
-m = 4 * n - 3
-solver_axis = np.arange(-(m // 2), m // 2 + 1) * (2.0 / (m - 1))
-z_solver = solver_axis[None, :] + 1j * solver_axis[:, None]
-
-result = newton_solve(
-    0.25 * z_solver,                 # Q0 sampled on the solver grid
-    np.zeros(z_solver.shape),        # log-density boundary values
-    solver_axis,
-    solver_axis,
-    tol=1e-10,
-    max_iter=50,
-)
-print(f"density solve: {result.newton_iterations} Newton steps, "
-      f"final residual {result.final_residual:.2e}")
-print("residual history:",
-      ", ".join(f"{v:.2e}" for v in result.residual_history))
-
-potential = Potential.solved(result, (0.0, 0.25))  # Q0 = 0 + 0.25 z
+potential, summary, result = build_potential(cfg)
+grid = summary["grid"]
+print(f"density solve on {grid['nx']}x{grid['ny']}: "
+      f"{summary['newton_iterations']} Newton steps, then "
+      f"{result.newton_iterations} for the correction; corrected residual "
+      f"{summary['final_residual']:.2e}")
+print("5-point residual history:",
+      ", ".join(f"{v:.2e}" for v in summary["residual_history"]))
+surface_axis, _ = cfg.domain.axes()
 
 # ---------------------------------------------------------------------------
 # 2+3. Integrate the frames and assemble the immersion at t = 0.  The
@@ -86,22 +96,6 @@ print(f"\nmesh -> {mesh.path} ({mesh.vertex_count} vertices, "
 print(f"report -> {os.path.join(OUT, 'flagship_report.json')}")
 
 # A config file that reproduces this run through the CLI:
-config = {
-    "potential": {
-        "q0_coefficients": [0.0, [0.25, 0.0]],
-        "rho0": {"source": "solved", "bc": 0.0},
-    },
-    "domain": {
-        "xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5,
-        "nx": n, "ny": n,
-    },
-    "t_values": [0.0],
-    "outputs": {
-        "mesh": os.path.join(OUT, "flagship_cli.obj"),
-        "report": os.path.join(OUT, "flagship_cli_report.json"),
-        "solution": os.path.join(OUT, "flagship_cli_solution.csv"),
-    },
-}
 with open(os.path.join(OUT, "flagship.json"), "w", encoding="utf-8") as fh:
     json.dump(config, fh, indent=2)
 print(f"config -> {os.path.join(OUT, 'flagship.json')} "

@@ -41,7 +41,7 @@ from .frame import (
     connection_at,
     integrate_grid,
 )
-from .pde import SolveResult, newton_solve, pde_residual
+from .pde import SolveResult, deferred_correction, newton_solve, pde_residual
 from .pipeline import (
     build_potential,
     classify_report,
@@ -49,6 +49,7 @@ from .pipeline import (
     run_check,
     run_generate,
     run_solve,
+    solve_density,
 )
 from .potentials import Potential, liouville_exact
 from .residuals import (
@@ -87,6 +88,7 @@ __all__ = [
     "build_potential",
     "classify_report",
     "connection_at",
+    "deferred_correction",
     "generate_surface",
     "integrate_grid",
     "liouville_exact",
@@ -99,6 +101,7 @@ __all__ = [
     "run_generate",
     "run_solve",
     "serialize",
+    "solve_density",
     "surface_from_frame",
     "verify_surface",
     "__version__",

@@ -27,16 +27,20 @@ is refused, and so is a report path that resolves to a mesh path.  Q0
 coefficients may be written as [re, im] pairs or plain numbers.  The
 solved source accepts "bc" as a constant (number) or the
 string "liouville" (boundary data sampled from the closed-form density).
-When "solver_domain" is omitted it defaults to the surface domain scaled
-by 2 about the origin with the node counts chosen so the solver spacing
-is exactly half the surface spacing.  That default serves two purposes: the
-solver grid must resolve the density at least twice as finely as the
-integration grid (so interpolation error stays below the integration
-error), and pushing the artificial Dirichlet boundary away from the
-surface window keeps the boundary's corner kinks — where the constant
-boundary data is incompatible with the nonzero right-hand side — out of
-the region whose derivatives feed the surface.  Every grid, that default
-included, has at most MAX_NODES nodes per axis.
+When "solver_domain" is omitted it defaults to the surface domain padded
+by floor((n - 1)/2) surface spacings on every side, at the surface
+spacing: 2n - 1 nodes per axis for odd n (GridSpec.padded).  That default
+serves two purposes.  Every surface node is a solver node, so the march
+samples the density at nodes and at midpoints along one axis, where the
+solved source's fourth-order interpolation reads 4 nodes; with the
+fourth-order solve (pde.deferred_correction) the surface spacing is fine
+enough.  And pushing the artificial Dirichlet boundary away from the
+surface window on every side keeps the boundary's corner kinks — where
+the constant boundary data is incompatible with the nonzero right-hand
+side — out of the region whose derivatives feed the surface, also for a
+window with an edge or a corner at z = 0.  An explicit solver domain must
+contain the surface rectangle at no more than its spacing.  Every grid,
+that default included, has at most MAX_NODES nodes per axis.
 
 Admissibility of the potential has no tolerance key: it is the one check
 in the frame module (integrability residual at most 1e-6 at every surface
@@ -88,8 +92,9 @@ _DEFAULTS = {
 CHECK_TOLERANCES = ("margin", "angle_cutoff", "residual_floor", "threshold_scale")
 MIN_NODES = 9
 #: Most nodes per axis of any grid: the surface domain, an explicit solver
-#: domain, and the default 4n - 3 solver grid (so a solved source with the
-#: default solver grid takes at most 513 surface nodes per axis).
+#: domain, and the default solver grid of n + 2 floor((n - 1)/2) nodes (so a
+#: solved source with the default solver grid takes at most 1025 surface
+#: nodes per axis).
 MAX_NODES = 2049
 
 
@@ -170,15 +175,26 @@ class GridSpec:
     def to_dict(self):
         return asdict(self)
 
-    def doubled(self):
-        """The rectangle doubled about the origin at half the spacing."""
+    def padded(self):
+        """The rectangle padded by floor((n - 1)/2) spacings on every side.
+
+        The spacing stays, so every node is a node of the padded grid (up
+        to rounding), which has 2n - 1 nodes per axis for odd n and 2n - 2
+        for even n.  A side moves out by at most half the width, so the
+        corner farthest from the origin is no farther out than that of
+        the rectangle doubled about the origin (which contains z = 0).
+        """
+        px, py = (self.nx - 1) // 2, (self.ny - 1) // 2
+        # each pad as width * count / intervals: exact for dyadic widths
+        dx = (self.xmax - self.xmin) * px / (self.nx - 1)
+        dy = (self.ymax - self.ymin) * py / (self.ny - 1)
         return GridSpec(
-            xmin=2.0 * self.xmin,
-            xmax=2.0 * self.xmax,
-            ymin=2.0 * self.ymin,
-            ymax=2.0 * self.ymax,
-            nx=4 * self.nx - 3,
-            ny=4 * self.ny - 3,
+            xmin=self.xmin - dx,
+            xmax=self.xmax + dx,
+            ymin=self.ymin - dy,
+            ymax=self.ymax + dy,
+            nx=self.nx + 2 * px,
+            ny=self.ny + 2 * py,
         )
 
     def farthest_corner(self):
@@ -233,10 +249,10 @@ class RunConfig:
         return out
 
     def resolved_solver_domain(self):
-        """The solver rectangle: explicit, or the documented x2 default."""
+        """The solver rectangle: explicit, or the documented padded default."""
         if self.solver_domain is not None:
             return self.solver_domain
-        return self.domain.doubled()
+        return self.domain.padded()
 
 
 #: The optional keys: (section, key) -> the RunConfig field that holds it.
@@ -336,7 +352,7 @@ def parse_config(text):
     problems and DomainError for geometric ones (the surface domain must
     contain the base point z = 0; a liouville-source domain must close
     inside the unit disk; a solved-source solver rectangle must contain the
-    surface rectangle at no more than half its spacing).
+    surface rectangle at no more than its spacing).
     """
     try:
         raw = json.loads(text)
@@ -394,9 +410,9 @@ def parse_config(text):
     domain = _parse_grid(_require(raw, "domain", "<document>", dict), "domain")
     if source == "solved" and solver_domain is None:
         _at_most_max_nodes(
-            domain.doubled(),
+            domain.padded(),
             "domain",
-            "the default solver grid's node count (4n - 3)",
+            "the default solver grid's node count (n + 2 floor((n - 1)/2))",
         )
 
     t_values = tuple(DEFAULT_T_VALUES)
@@ -477,9 +493,9 @@ def _validate_geometry(config):
             or solver.ymax < domain.ymax - eps
         ):
             raise DomainError("solver rectangle must contain the surface rectangle")
-        if hs > min(domain.hx, domain.hy) / 2.0 + eps:
+        if hs > min(domain.hx, domain.hy) + eps:
             raise DomainError(
-                "solver spacing must be at most half the surface spacing "
+                "solver spacing must be at most the surface spacing "
                 f"(got {hs:.6g} vs surface {min(domain.hx, domain.hy):.6g})"
             )
         if config.bc == "liouville":

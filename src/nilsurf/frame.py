@@ -296,7 +296,9 @@ def _check_admissibility(potential, z_nodes):
     """Refuse potential data that is not admissible at the nodes z_nodes.
 
     Evaluates `potential.integrability_residual` at every node: the closed
-    form for analytic sources, the stored Newton residual for solved ones.
+    form for analytic sources, the stored Newton residual for solved ones,
+    which for a potential of build_potential is that of the system after
+    the deferred correction (pde.deferred_correction).
     Returns the worst magnitude; raises NonFlatInput when it exceeds
     ADMISSIBILITY_THRESHOLD or is not finite.
     """

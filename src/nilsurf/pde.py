@@ -24,10 +24,11 @@ Numer. Anal. 10, 1973).  The transform is applied as dense sine-matrix
 products along each axis (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
 7, 1970), split by mirror symmetry into two half-size products per axis
 (_fast_poisson); newton_solve builds those matrices and the eigenvalues
-once (_sine_basis) and every linear solve of the solve shares them.  The
-initial guess is the discrete harmonic extension of the boundary values
-(one linear solve, where the preconditioner with shift 0 is the exact
-inverse), which puts the iterate in the Newton basin for all tested data.
+once (_sine_basis), and every linear solve of the solve and of its
+deferred correction shares them.  The initial guess is the discrete
+harmonic extension of the boundary values (one linear solve, where the
+preconditioner with shift 0 is the exact inverse), which puts the
+iterate in the Newton basin for all tested data.
 
 The steps are inexact Newton steps (Dembo, Eisenstat & Steihaug, SIAM J.
 Numer. Anal. 19, 1982): each CG solve stops at the relative tolerance of
@@ -40,6 +41,12 @@ ROUNDING_FLOOR_FACTOR times the residual's rounding floor at the iterate
 (_rounding_floor), whichever is larger.  The stencil divides differences
 of u by h^2, so on fine grids that floor passes the default tol, and a
 fixed tol would leave the line search stagnating above it.
+
+newton_solve is second-order accurate in h.  deferred_correction takes
+its result to fourth order: it evaluates the 5-point truncation error
+tau = (u_xxxx + u_yyyy) h^2/48 from the 5-point solution and solves the
+same system again with tau as a fixed source, from that solution and on
+the same sine basis (Fox 1947; Pereyra, Numer. Math. 10, 1967).
 
 The module needs NumPy only: no matrix of the operator is assembled, and
 the one stencil (_quarter_laplacian) serves the residual, the Newton
@@ -79,6 +86,8 @@ class SolveResult:
                        CG_RTOL, the harmonic fill's tolerance
       rounding_floor   rounding floor of the residual at the final iterate
                        (_rounding_floor)
+      q_abs_sq, basis  |Q0|^2 on the grid and the solve's _SineBasis, which
+                       deferred_correction reuses
     """
 
     x: np.ndarray
@@ -89,6 +98,8 @@ class SolveResult:
     newton_iterations: int = 0
     cg_iterations: list = field(default_factory=list)
     rounding_floor: float = 0.0
+    q_abs_sq: np.ndarray = field(default=None, repr=False)
+    basis: "_SineBasis" = field(default=None, repr=False)
 
     @property
     def final_residual(self):
@@ -309,6 +320,8 @@ def _forcing_term(rnorm, previous_rnorm, previous_eta, tol):
     then 0.9 (rnorm / previous_rnorm)^2, raised to 0.9 previous_eta^2 when
     that exceeds 0.1, capped at 0.5, and floored at 0.5 tol / rnorm (no
     accuracy beyond what the stopping test needs) and at CG_RTOL.
+    previous_rnorm inf with previous_eta 0, the start of an iteration in
+    Newton's local regime, gives the floor.
     """
     if previous_rnorm is None:
         eta = 0.5
@@ -356,9 +369,9 @@ def newton_solve(
                  that is larger
       max_iter   Newton iteration cap
 
-    Returns a SolveResult.  Raises MaxIterExceeded when the iteration cap
-    is hit or the line search stagnates, LinearSolveFailure when a
-    conjugate-gradient solve does not converge.
+    Returns the SolveResult of the 5-point system.  Raises MaxIterExceeded
+    when the iteration cap is hit or the line search stagnates,
+    LinearSolveFailure when a conjugate-gradient solve does not converge.
     """
     x, y, h = _check_axes(x, y)
     nx, ny = x.size, y.size
@@ -367,7 +380,6 @@ def newton_solve(
         raise DomainError(
             f"Q0 sample shape {q0_values.shape} does not match grid ({ny}, {nx})"
         )
-    q2 = np.abs(q0_values) ** 2
     if np.isscalar(bc) or np.ndim(bc) == 0:
         bc = np.full((ny, nx), float(bc))
     else:
@@ -379,11 +391,108 @@ def newton_solve(
 
     basis = _sine_basis((ny - 2, nx - 2), h)
     u, iterations = _harmonic_fill(bc, basis)
-    cg_counter = [iterations]
+    q2 = np.abs(q0_values) ** 2
+    return _newton(x, y, u, q2, basis, 0.0, tol, max_iter, [iterations])
+
+
+def _fourth_difference(a):
+    """Undivided fourth differences of a along axis 0 at rows 1 .. n - 2.
+
+    Rows 2 .. n - 3 take the central stencil (1, -4, 6, -4, 1); row 1
+    takes the one-sided (2, -9, 16, -14, 6, -1) on rows 0 .. 5, and row
+    n - 2 the same on the rows read backwards, so a mirrored a gives the
+    mirrored differences bit for bit.  Each is h^4 times the fourth
+    derivative to O(h^6).  Needs 6 rows.
+    """
+
+    def edge(b):
+        return (2.0 * b[0] - b[5]) + (16.0 * b[2] - 9.0 * b[1]) + (
+            6.0 * b[4] - 14.0 * b[3]
+        )
+
+    d = np.empty((a.shape[0] - 2,) + a.shape[1:])
+    d[1:-1] = (a[:-4] + a[4:]) - 4.0 * (a[1:-3] + a[3:-1]) + 6.0 * a[2:-2]
+    d[0] = edge(a)
+    d[-1] = edge(a[::-1])
+    return d
+
+
+def truncation_source(u, h):
+    """tau = (u_xxxx + u_yyyy) h^2/48 on the interior nodes of u.
+
+    The 5-point Laplacian/4 of a smooth u is Laplacian(u)/4 + tau + O(h^4)
+    (_quarter_laplacian), so tau evaluated from the 5-point solution is
+    the defect the deferred correction removes.  Fourth derivatives come
+    from _fourth_difference along each axis.
+    """
+    d_yy = _fourth_difference(u)[:, 1:-1]
+    d_xx = _fourth_difference(u.T).T[1:-1]
+    return (d_xx + d_yy) / (48.0 * h * h)
+
+
+def deferred_correction(
+    result, tol=DEFAULT_SOLVER["tol"], max_iter=DEFAULT_SOLVER["max_iter"]
+):
+    """Fourth-order solution from the 5-point SolveResult of newton_solve.
+
+    One deferred correction (Fox, Proc. R. Soc. A 190, 1947; Pereyra,
+    Numer. Math. 10, 1967): the 5-point system is solved again with the
+    truncation_source tau of result.u as a fixed source,
+
+        Laplacian_h(u)/4 - tau - exp(u)/8 + 2|Q0|^2 exp(-u) = 0,
+
+    whose solution is within O(h^4) of the continuous one.  The Jacobian
+    is that of the 5-point system, so the Newton iteration starts from
+    result.u and reuses result's sine basis and preconditioned CG; tol
+    and max_iter mean what they mean for newton_solve.  The iteration
+    starts in Newton's local regime, within O(h^2) of its solution, so
+    its first forcing term is _forcing_term's floor: one step with a
+    tight CG solve reaches tol where Eisenstat-Walker's first term of 0.5
+    takes four.
+
+    Returns the SolveResult of the corrected system: its residual_field
+    is that system's residual, which is what the admissibility gate of a
+    solved source reads.  Raises DomainError on a grid with fewer than 6
+    nodes per axis, and what newton_solve raises.
+    """
+    if min(result.u.shape) < 6:
+        raise DomainError("the deferred correction needs at least 6 nodes per axis")
+    tau = truncation_source(result.u, result.basis.h)
+    return _newton(
+        result.x,
+        result.y,
+        result.u,
+        result.q_abs_sq,
+        result.basis,
+        tau,
+        tol,
+        max_iter,
+        cg_counter=[],
+        local_start=True,
+    )
+
+
+def _newton(
+    x, y, u, q2, basis, source, tol, max_iter, cg_counter, local_start=False
+):
+    """Damped inexact Newton for pde_residual(u) - source from the iterate u.
+
+    q2 is |Q0|^2 on the grid, basis its interior's _SineBasis, source 0.0
+    or an interior array, and cg_counter the list the CG counts are
+    appended to.  local_start takes the first forcing term as if an
+    exact step had preceded (_forcing_term).  Returns the converged
+    SolveResult (module docstring).
+    """
+    h = basis.h
+
+    def residual(v):
+        r = pde_residual(v, q2, h)
+        r[1:-1, 1:-1] -= source
+        return r
 
     history = []
-    r = pde_residual(u, q2, h)
-    eta = None
+    r = residual(u)
+    previous, eta = (np.inf, 0.0) if local_start else (None, None)
     for iteration in range(max_iter + 1):
         rnorm = float(np.max(np.abs(r)))
         history.append(rnorm)
@@ -402,10 +511,14 @@ def newton_solve(
                 newton_iterations=iteration,
                 cg_iterations=cg_counter,
                 rounding_floor=_rounding_floor(u, h),
+                q_abs_sq=q2,
+                basis=basis,
             )
         if iteration == max_iter:
             break
-        eta = _forcing_term(rnorm, history[-2] if iteration else None, eta, tol)
+        if iteration:
+            previous = history[-2]
+        eta = _forcing_term(rnorm, previous, eta, tol)
         ui = u[1:-1, 1:-1]
         c = np.exp(ui) / 8.0 + 2.0 * q2[1:-1, 1:-1] * np.exp(-ui)
         delta, iterations = _cg_solve(
@@ -416,7 +529,7 @@ def newton_solve(
         while True:
             trial = u.copy()
             trial[1:-1, 1:-1] += step * delta
-            r = pde_residual(trial, q2, h)
+            r = residual(trial)
             if np.max(np.abs(r)) < rnorm:
                 break
             step *= 0.5

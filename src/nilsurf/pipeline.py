@@ -71,7 +71,7 @@ from .outputs import (
     write_json,
     write_solution_csv,
 )
-from .pde import newton_solve
+from .pde import deferred_correction, newton_solve
 from .potentials import Potential, liouville_exact
 from .residuals import RESIDUAL_CLASSES, RESIDUAL_KEYS, verify_surface
 from .surface import generate_surface
@@ -175,11 +175,41 @@ def _finish(report_dict, report_path, passed, log):
     return (EXIT_PASS if passed else EXIT_RESIDUAL), report_dict
 
 
+def solve_density(config):
+    """The 5-point density solve of a solved-source config; a SolveResult.
+
+    The one solve both commands share: solve-gauss writes this field, and
+    build_potential corrects it to fourth order.  Runs newton_solve on the
+    config's solver grid with its Q0, bc and solver settings.
+    """
+    xs, ys = config.resolved_solver_domain().axes()
+    z = xs[None, :] + 1j * ys[:, None]
+    q0_values = Potential.constant(1.0, config.q0_coefficients).q0(z)
+    if config.bc == "liouville":
+        bc = np.log(liouville_exact(z))
+    else:
+        bc = np.full(z.shape, float(config.bc))
+    return newton_solve(
+        q0_values,
+        bc,
+        xs,
+        ys,
+        tol=config.solver_tol,
+        max_iter=config.solver_max_iter,
+    )
+
+
 def build_potential(config):
     """Construct the Potential a config describes, solving if necessary.
 
     Returns (potential, solver_summary, solve_result); the last two are
-    None unless a solve ran (then: grid, iteration and residual data).
+    None unless a solve ran.  A solved source is the 5-point solve
+    (solve_density) corrected to fourth order (pde.deferred_correction),
+    and solve_result is the corrected system's.  In the summary, "grid"
+    is the solver grid of both passes; "newton_iterations",
+    "residual_history" and "cg_iterations" describe the 5-point solve,
+    and "final_residual" and "rounding_floor" the corrected system, whose
+    residual the admissibility gate reads.
     """
     if config.rho0_source == "constant":
         return (
@@ -189,30 +219,17 @@ def build_potential(config):
         )
     if config.rho0_source == "liouville":
         return Potential.liouville(), None, None
-    solver_grid = config.resolved_solver_domain()
-    xs, ys = solver_grid.axes()
-    z = xs[None, :] + 1j * ys[:, None]
-    stub = Potential.constant(1.0, config.q0_coefficients)
-    q0_values = stub.q0(z)
-    if config.bc == "liouville":
-        bc = np.log(liouville_exact(z))
-    else:
-        bc = np.full(z.shape, float(config.bc))
-    result = newton_solve(
-        q0_values,
-        bc,
-        xs,
-        ys,
-        tol=config.solver_tol,
-        max_iter=config.solver_max_iter,
+    first = solve_density(config)
+    result = deferred_correction(
+        first, tol=config.solver_tol, max_iter=config.solver_max_iter
     )
     potential = Potential.solved(result, config.q0_coefficients)
     summary = {
-        "grid": solver_grid.to_dict(),
-        "newton_iterations": result.newton_iterations,
+        "grid": config.resolved_solver_domain().to_dict(),
+        "newton_iterations": first.newton_iterations,
         "final_residual": result.final_residual,
-        "residual_history": [float(v) for v in result.residual_history],
-        "cg_iterations": [int(v) for v in result.cg_iterations],
+        "residual_history": [float(v) for v in first.residual_history],
+        "cg_iterations": [int(v) for v in first.cg_iterations],
         "rounding_floor": result.rounding_floor,
     }
     return potential, summary, result
@@ -390,7 +407,7 @@ def _solve(config, out_path, log):
         raise SchemaError(
             "potential.rho0.source", 'solve-gauss requires the "solved" source'
         )
-    _, _, result = build_potential(config)
+    result = solve_density(config)
     path = out_path if out_path is not None else config.solution_path
     write_solution_csv(result, path)
     history = ", ".join(f"{v:.3e}" for v in result.residual_history)

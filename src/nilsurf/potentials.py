@@ -12,8 +12,9 @@ integrable to frames.  Three rho0 sources are supported:
   * liouville -- rho0 = 16/(1-|z|^2)^2 on the unit disk, the closed-form
                  solution of the Q0 = 0 specialization;
   * solved    -- a numerical solve of the integrability equation on a
-                 rectangle (see the pde module), evaluated by bilinear
-                 interpolation in u = log rho0.
+                 rectangle (see the pde module), evaluated by 4-point
+                 Lagrange interpolation in u = log rho0 and in its
+                 fourth-order first derivatives.
 
 Derivative convention, used throughout the package:
 
@@ -111,14 +112,79 @@ class _LiouvilleSource:
         return {"source": "liouville"}
 
 
+#: An evaluation coordinate within this many spacings of a solver node is
+#: read at that node (_locate).
+NODE_SNAP = 1e-9
+
+
+def _first_derivative(a, h):
+    """Fourth-order first derivative of a along axis 0 at spacing h.
+
+    Central (8 (a[i+1] - a[i-1]) - (a[i+2] - a[i-2])) / 12h inside; the
+    two rows at each edge take the one-sided five-point formulas, the last
+    two as the negated formulas on the rows read backwards, so a mirrored
+    a gives the negated mirrored derivative bit for bit.  Needs 5 rows.
+    """
+
+    def edge(b):
+        return (
+            (16.0 * b[3] - 3.0 * b[4]) + (48.0 * b[1] - 36.0 * b[2]) - 25.0 * b[0],
+            (18.0 * b[2] - 6.0 * b[3]) + (b[4] - 3.0 * b[0]) - 10.0 * b[1],
+        )
+
+    d = np.empty_like(a)
+    d[2:-2] = 8.0 * (a[3:-1] - a[1:-3]) - (a[4:] - a[:-4])
+    d[0], d[1] = edge(a)
+    d[-1], d[-2] = (-v for v in edge(a[::-1]))
+    return d / (12.0 * h)
+
+
+def _lagrange_weights(s):
+    """Weights of 4-point Lagrange interpolation at nodes 0, 1, 2, 3 for s.
+
+    Exactly one-hot at an integer s.  At the midpoints s = 1.5, 0.5 and
+    2.5 every product is exact, so s and 3 - s get mirrored weights.
+    """
+    a, b, c, d = s, s - 1.0, s - 2.0, s - 3.0
+    return (-(b * c * d) / 6.0, a * c * d / 2.0, -(a * b * d) / 2.0, a * b * c / 6.0)
+
+
+def _combine(w, g):
+    """sum w_k g_k, paired outer and inner so the mirror gives the same bits."""
+    return (w[0] * g[0] + w[3] * g[3]) + (w[1] * g[1] + w[2] * g[2])
+
+
+def _locate(f, n):
+    """4-point stencil of the axis coordinates f (in spacings) on n nodes.
+
+    Returns (start, s): the stencil's first node and f - start, in [0, 3].
+    A coordinate within NODE_SNAP of a node is read at that node, with
+    s an integer; inside, s is 1 at a node and 1.5 at a midpoint, and the
+    stencil shifts inward at the edges.
+    """
+    node = np.rint(f)
+    f = np.where(np.abs(f - node) <= NODE_SNAP, node, f)
+    start = np.clip(np.floor(f).astype(int) - 1, 0, n - 4)
+    return start, f - start
+
+
 class _SolvedSource:
     """rho0 = exp(u) with u solved on a rectangle and interpolated.
 
     Stores the solver axes, the u field, its first-derivative field
-    (central differences inside, one-sided second-order at the edges), and
-    the solver's final residual field.  Evaluation is bilinear in each
-    stored field; working in u = log rho0 makes positivity structural, so
-    the corrupted-solve check reduces to finiteness of the stored data.
+    (_first_derivative: fourth-order central differences, one-sided at
+    the two edge nodes), and the solver's final residual field.
+    Evaluation is 4-point Lagrange interpolation of each stored field,
+    fourth-order like the corrected solve (pde.deferred_correction); the
+    derivative and interpolation stencils are mirror-symmetric bit for
+    bit.  Working in u = log rho0 makes positivity structural, so the
+    corrupted-solve check reduces to finiteness of the stored data.
+
+    The march samples the nodes of the surface grid and the midpoints of
+    its steps, each on a node along one axis at least when the surface
+    nodes are solver nodes (as on the default solver grid).  Such a point
+    gathers only the 4 nodes along its other axis; a point off the nodes
+    along both axes gathers 16.
     """
 
     name = "solved"
@@ -133,11 +199,14 @@ class _SolvedSource:
                 f"solved grid shape {self.u.shape} does not match axes "
                 f"({self.y.size}, {self.x.size})"
             )
+        if min(self.u.shape) < 5:
+            raise PotentialDataError("solved grid needs at least 5 nodes per axis")
         if not np.all(np.isfinite(self.u)):
             raise PotentialDataError("solved field contains non-finite values")
         hx = self.x[1] - self.x[0]
         hy = self.y[1] - self.y[0]
-        uy, ux = np.gradient(self.u, hy, hx, edge_order=2)
+        ux = _first_derivative(self.u.T, hx).T
+        uy = _first_derivative(self.u, hy)
         self._dlog = 0.5 * (ux - 1j * uy)
         if residual_field is None:
             residual_field = np.zeros_like(self.u)
@@ -154,21 +223,33 @@ class _SolvedSource:
             or np.any(yr > self.y[-1] + eps)
         ):
             raise DomainError("evaluation point outside the solved rectangle")
-        hx = self.x[1] - self.x[0]
-        hy = self.y[1] - self.y[0]
-        fx = (xr - self.x[0]) / hx
-        fy = (yr - self.y[0]) / hy
-        ix = np.clip(np.floor(fx).astype(int), 0, self.x.size - 2)
-        iy = np.clip(np.floor(fy).astype(int), 0, self.y.size - 2)
-        tx = fx - ix
-        ty = fy - iy
-        v00 = field[iy, ix]
-        v01 = field[iy, ix + 1]
-        v10 = field[iy + 1, ix]
-        v11 = field[iy + 1, ix + 1]
-        return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * (
-            (1 - tx) * v10 + tx * v11
+        ny, nx = field.shape
+        x0, sx = _locate((xr.ravel() - self.x[0]) / (self.x[1] - self.x[0]), nx)
+        y0, sy = _locate((yr.ravel() - self.y[0]) / (self.y[1] - self.y[0]), ny)
+        # a point on a node along x reads its 4 stencil nodes along y, and
+        # any other its 4 along x at its node along y; a point on neither
+        # is read again below from its 16 nodes
+        on_x, on_y = sx == np.floor(sx), sy == np.floor(sy)
+        first = np.where(
+            on_x, y0 * nx + x0 + sx.astype(int), (y0 + sy.astype(int)) * nx + x0
         )
+        stride = np.where(on_x, nx, 1)
+        flat = field.ravel()
+        value = _combine(
+            _lagrange_weights(np.where(on_x, sy, sx)),
+            [flat[first + k * stride] for k in range(4)],
+        )
+        off = ~(on_x | on_y)
+        if np.any(off):
+            # rows y0 .. y0 + 3, each interpolated along x
+            k = np.arange(4)
+            block = field[
+                (y0[off, None] + k)[:, :, None], (x0[off, None] + k)[:, None]
+            ]
+            wx = _lagrange_weights(sx[off])
+            along_x = [_combine(wx, block[:, row].T) for row in k]
+            value[off] = _combine(_lagrange_weights(sy[off]), along_x)
+        return value.reshape(z.shape)
 
     def rho0(self, z):
         return np.exp(self._interp(self.u, z)).real
@@ -250,7 +331,8 @@ class Potential:
         construction, because Q0 is a polynomial in z.  For a solved source
         the residual is the stored discrete solve residual at the nearest
         interior solver node, which is what the Newton solve actually
-        certifies.
+        certifies: for build_potential's source, that of the corrected
+        system (pde.deferred_correction).
         """
         z = np.asarray(z, dtype=complex)
         if self.source.analytic:

@@ -43,7 +43,12 @@ from nilsurf import nil3
 from nilsurf.config import parse_config
 from nilsurf.frame import connection_at, integrate_grid
 from nilsurf.pde import newton_solve
-from nilsurf.pipeline import classify_report, residual_thresholds, run_generate
+from nilsurf.pipeline import (
+    build_potential,
+    classify_report,
+    residual_thresholds,
+    run_generate,
+)
 from nilsurf.potentials import Potential, liouville_exact
 from nilsurf.residuals import RESIDUAL_KEYS, verify_surface
 from nilsurf.surface import SurfaceGrid, generate_surface
@@ -76,14 +81,22 @@ def constant_potential():
 
 @functools.lru_cache(maxsize=None)
 def solved_potential(n):
-    """Density solved for Q0 = z/4 on the doubled, half-spaced grid."""
-    m = 4 * n - 3
-    xs = dyadic_axis(m, 1.0)
-    z = xs[None, :] + 1j * xs[:, None]
-    result = newton_solve(
-        0.25 * z, np.zeros(z.shape), xs, xs, tol=1e-10, max_iter=50
-    )
-    return Potential.solved(result, (0.0, 0.25))
+    """The potential generate builds for Q0 = z/4, bc 0 on [-0.5, 0.5]^2.
+
+    The default solver grid (2n - 1 nodes on [-1, 1]^2, dyadic like the
+    surface axes) and the fourth-order solve of build_potential.
+    """
+    doc = {
+        "potential": {
+            "q0_coefficients": [0.0, [0.25, 0.0]],
+            "rho0": {"source": "solved", "bc": 0.0},
+        },
+        "domain": {
+            "xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5,
+            "nx": n, "ny": n,
+        },
+    }
+    return build_potential(parse_config(json.dumps(doc)))[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -59,17 +59,38 @@ class TestDefaults:
         assert cfg.domain.hx == pytest.approx(1.0 / 16.0)
         assert cfg.domain.contains_origin()
 
-    def test_default_solver_domain_is_doubled_and_half_spaced(self):
+    def test_default_solver_domain_is_padded_at_the_surface_spacing(self):
         cfg = parse(base_document())
         solver = cfg.resolved_solver_domain()
+        # 8 spacings of 1/16 on every side of [-0.5, 0.5]^2
         assert (solver.xmin, solver.xmax) == (-1.0, 1.0)
         assert (solver.ymin, solver.ymax) == (-1.0, 1.0)
-        assert solver.nx == 4 * 17 - 3
-        assert solver.hx == pytest.approx(cfg.domain.hx / 2.0, rel=1e-14, abs=0)
+        assert solver.nx == solver.ny == 2 * 17 - 1
+        assert solver.hx == pytest.approx(cfg.domain.hx, rel=1e-14, abs=0)
         # surface nodes land exactly on solver nodes
         sx, _ = solver.axes()
         dx, _ = cfg.domain.axes()
         assert np.all(np.isin(np.round(dx, 12), np.round(sx, 12)))
+
+    def test_default_solver_domain_pads_every_side(self):
+        # a window with an edge (or a corner) at z = 0 keeps the solver's
+        # Dirichlet edge floor((n - 1)/2) spacings away on that side too (a
+        # rectangle doubled about the origin would share that edge)
+        doc = base_document()
+        doc["domain"].update(xmin=0.0, xmax=0.6, ymin=-0.2, ymax=0.4, nx=16, ny=17)
+        domain = parse(doc).domain
+        solver = domain.padded()
+        assert (solver.nx, solver.ny) == (30, 33)
+        assert solver.hx == pytest.approx(domain.hx, rel=1e-14, abs=0)
+        assert solver.hy == pytest.approx(domain.hy, rel=1e-14, abs=0)
+        assert solver.xmin == pytest.approx(-7 * domain.hx, rel=1e-14)
+        assert solver.xmax == pytest.approx(0.6 + 7 * domain.hx, rel=1e-14)
+        assert solver.ymin == pytest.approx(-0.2 - 8 * domain.hy, rel=1e-14)
+        assert solver.ymax == pytest.approx(0.4 + 8 * domain.hy, rel=1e-14)
+        sx, sy = solver.axes()
+        dx, dy = domain.axes()
+        np.testing.assert_allclose(sx[7:-7], dx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sy[8:-8], dy, rtol=0, atol=1e-15)
 
 
 class TestRoundTrip:
@@ -214,13 +235,13 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             parse(doc)
         assert err.value.path == "potential.rho0.solver_domain.ny"
-        # the default solver grid has 4n - 3 nodes per axis
-        largest = (config.MAX_NODES + 3) // 4
+        # the default solver grid has 2n - 1 nodes per axis for odd n
+        largest = (config.MAX_NODES + 1) // 2
         doc["potential"]["rho0"] = {"source": "solved"}
         doc["domain"].update(nx=largest, ny=largest)
         assert parse(doc).resolved_solver_domain().ny == config.MAX_NODES
         doc["domain"]["ny"] = largest + 1
-        with pytest.raises(SchemaError, match="4n - 3") as err:
+        with pytest.raises(SchemaError, match=r"n \+ 2 floor\(\(n - 1\)/2\)") as err:
             parse(doc)
         assert err.value.path == "domain.ny"
 
@@ -345,20 +366,31 @@ class TestGeometryErrors:
         with pytest.raises(DomainError):
             parse(self._solved_doc(bad))
 
-    def test_solver_spacing_must_be_half_or_finer(self):
+    def test_solver_spacing_must_be_at_most_the_surface_spacing(self):
         coarse = {"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0,
-                  "nx": 33, "ny": 33}  # h = 1/16, surface h = 1/16
-        with pytest.raises(DomainError):
+                  "nx": 17, "ny": 17}  # h = 1/8, surface h = 1/16
+        with pytest.raises(DomainError, match="at most the surface spacing"):
             parse(self._solved_doc(coarse))
-        fine = {"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0,
-                "nx": 65, "ny": 65}  # h = 1/32 = half the surface spacing
-        assert parse(self._solved_doc(fine)).solver_domain is not None
+        same = {"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0,
+                "nx": 33, "ny": 33}  # h = 1/16 = the surface spacing
+        assert parse(self._solved_doc(same)).solver_domain is not None
 
     def test_solver_cells_must_be_square(self):
         skewed = {"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0,
                   "nx": 65, "ny": 129}
         with pytest.raises(DomainError):
             parse(self._solved_doc(skewed))
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_default_solver_corner_is_within_the_doubled_one(self, n):
+        # the doubled rectangle [-0.706, 0.706]^2 closes inside the unit
+        # disk (corner 0.9984); padding by ceil((n - 1)/2) spacings would
+        # put the corner of the even-n grid at 1.054
+        doc = self._solved_doc(bc="liouville")
+        doc["domain"].update(xmin=-0.353, xmax=0.353, ymin=-0.353, ymax=0.353,
+                             nx=n, ny=n)
+        solver = parse(doc).resolved_solver_domain()
+        assert solver.farthest_corner() <= 0.706 * np.sqrt(2.0) + 1e-15
 
     def test_liouville_boundary_needs_disk_fit(self):
         # default solver domain doubles [-0.5, 0.5]^2 to [-1, 1]^2, whose

@@ -259,8 +259,9 @@ class TestIntegration:
 
     def test_path_independence_for_flat_data(self, family_potentials):
         # the program marches rows first; the reference marches columns
-        # first (measured: 0, 1.9e-8 and 3.7e-6 for the solved source,
-        # whose bilinear interpolant is flat only to the solve's accuracy)
+        # first (measured: 0, 1.9e-8 and 9.1e-6 for the solved source,
+        # a 5-point solve, which is admissible only to O(h^2); with the
+        # deferred correction that generate applies it reads 2.5e-8)
         ax = np.linspace(-0.4, 0.4, 17)
         for pot in family_potentials.values():
             row = frame.integrate_grid(pot, ax, ax, 0.0)
@@ -268,11 +269,11 @@ class TestIntegration:
             assert np.max(np.abs(row.psi - col[0])) < 1e-5
 
     def test_substeps_shrink_error_at_fourth_order(self, family_potentials):
-        # against the reference march at 16 substeps.  Not on the solved
-        # source: its bilinear interpolant has kinks at the solver's cell
-        # edges, which cap the order (a ratio of 3.8 here).
+        # against the reference march at 16 substeps (a ratio of 25 on
+        # the solved source; a bilinear interpolant's kinks at the solver's
+        # cell edges would cap it near 4).
         ax = np.linspace(-0.4, 0.4, 5)  # deliberately coarse segments
-        for kind in ("constant", "liouville"):
+        for kind in ("constant", "liouville", "solved"):
             pot = family_potentials[kind]
             (ref,) = reference_march(pot, ax, ax, [0.0], substeps=16)
             one = frame.integrate_grid(pot, ax, ax, 0.0).psi - ref[0]

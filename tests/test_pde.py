@@ -283,11 +283,85 @@ class TestForcingTerm:
             (1e-8, 1e-4, 0.01, 1e-10, 5e-3),
             # 9e-15 is raised to CG_RTOL (the tol floor is 5e-14)
             (1e-7, 1.0, 0.01, 1e-20, pde.CG_RTOL),
+            # a start in Newton's local regime (the deferred correction's)
+            # takes the floor 0.5 * 1e-10 / 1e-3
+            (1e-3, np.inf, 0.0, 1e-10, 5e-8),
         ],
     )
     def test_table(self, rnorm, previous_rnorm, previous_eta, tol, expected):
         eta = pde._forcing_term(rnorm, previous_rnorm, previous_eta, tol)
         assert eta == pytest.approx(expected, rel=1e-14)
+
+
+class TestDeferredCorrection:
+    def test_liouville_order_is_fourth(self):
+        # the 5-point solve's error halves twice per halving of h; the
+        # corrected one's four times (1.4e-8 at 257^2, 5-point 1.3e-5)
+        errors = []
+        for n in (129, 257):
+            x, y = square_axes(n, half_width=0.6)
+            bc = np.log(liouville_exact(grid_z(x, y)))
+            first = pde.newton_solve(np.zeros((n, n)), bc, x, y)
+            result = pde.deferred_correction(first)
+            errors.append(np.max(np.abs(result.u - bc)))
+            # at 257^2 the rounding floor, 1.06e-10, takes the place of tol
+            assert result.final_residual <= max(1e-10, 2 * result.rounding_floor)
+        assert errors[1] <= 2e-8
+        assert 3.7 <= np.log2(errors[0] / errors[1]) <= 4.3
+
+    def test_one_step_on_the_solve_basis(self, monkeypatch):
+        # the flagship's solve: from the 5-point solution the corrected
+        # system is one Newton step with a tight CG solve away
+        built = []
+
+        def counting(shape, h):
+            built.append(shape)
+            return sine_basis(shape, h)
+
+        sine_basis = pde._sine_basis
+        monkeypatch.setattr(pde, "_sine_basis", counting)
+        x, y = square_axes(97, half_width=1.0)
+        first = pde.newton_solve(grid_z(x, y) / 4.0, 0.0, x, y)
+        u, counts = first.u.copy(), list(first.cg_iterations)
+        result = pde.deferred_correction(first)
+        assert built == [(95, 95)]
+        assert result.basis is first.basis
+        assert result.newton_iterations == 1
+        assert result.cg_iterations == [4]
+        assert result.final_residual <= 1e-10
+        tau = pde.truncation_source(first.u, x[1] - x[0])
+        start = result.residual_history[0]
+        assert start == pytest.approx(np.max(np.abs(tau)), rel=1e-6)
+        # the 5-point result is left as it was
+        np.testing.assert_array_equal(first.u, u)
+        assert first.cg_iterations == counts
+
+    def test_truncation_source_is_exact_on_quintics(self):
+        # every fourth difference, the one-sided ones next to the edges
+        # included, is exact through degree 5: tau = (24 + 0) h^2 / 48
+        x, y = square_axes(9)
+        h = x[1] - x[0]
+        xx, yy = np.meshgrid(x, y)
+        u = xx**4 + 0.5 * xx**5 - yy**5 + xx * yy**3
+        expected = (24.0 + 60.0 * xx - 120.0 * yy) * h * h / 48.0
+        np.testing.assert_allclose(
+            pde.truncation_source(u, h), expected[1:-1, 1:-1], rtol=0, atol=1e-12
+        )
+
+    def test_truncation_source_is_mirror_symmetric_bit_for_bit(self):
+        u = np.random.default_rng(12).standard_normal((11, 14))
+        tau = pde.truncation_source(u, 0.1)
+        np.testing.assert_array_equal(pde.truncation_source(u[::-1], 0.1), tau[::-1])
+        np.testing.assert_array_equal(
+            pde.truncation_source(u[:, ::-1], 0.1), tau[:, ::-1]
+        )
+        np.testing.assert_array_equal(pde.truncation_source(u.T, 0.1), tau.T)
+
+    def test_needs_six_nodes_per_axis(self):
+        x = np.linspace(-0.5, 0.5, 9)
+        first = pde.newton_solve(np.zeros((5, 9)), 0.0, x, x[2:7])
+        with pytest.raises(DomainError, match="6 nodes"):
+            pde.deferred_correction(first)
 
 
 class TestLinearSolve:
