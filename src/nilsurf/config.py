@@ -312,7 +312,37 @@ def _parse_grid(raw, path):
     if grid.nx < MIN_NODES or grid.ny < MIN_NODES:
         raise SchemaError(f"{path}.nx", f"node counts must be >= {MIN_NODES}")
     _at_most_max_nodes(grid, path)
+    _in_square_range(grid, path)
     return grid
+
+
+def square_in_range(length):
+    """Whether length^2 and 1/length^2 are both finite and nonzero.
+
+    The solve divides by the squared spacing (pde._check_axes).
+    """
+    square = length * length
+    return 0.0 < square < math.inf and 1.0 / square < math.inf
+
+
+def _in_square_range(grid, path):
+    """Refuse a grid whose width or spacing fails square_in_range.
+
+    np.linspace also overflows on a width past the float range.
+    """
+    for key, low, high, n in (
+        ("xmin", grid.xmin, grid.xmax, grid.nx),
+        ("ymin", grid.ymin, grid.ymax, grid.ny),
+    ):
+        width = high - low
+        for length in (width, width / (n - 1)):
+            if not square_in_range(length):
+                raise SchemaError(
+                    f"{path}.{key}",
+                    f"width {width:.3e} over {n - 1} intervals is out of range: "
+                    "the square of the width or spacing, or its reciprocal, "
+                    "is zero or not finite",
+                )
 
 
 def _at_most_max_nodes(grid, path, what="node count"):
@@ -409,11 +439,13 @@ def parse_config(text):
 
     domain = _parse_grid(_require(raw, "domain", "<document>", dict), "domain")
     if source == "solved" and solver_domain is None:
+        padded = domain.padded()
         _at_most_max_nodes(
-            domain.padded(),
+            padded,
             "domain",
             "the default solver grid's node count (n + 2 floor((n - 1)/2))",
         )
+        _in_square_range(padded, "domain")
 
     t_values = tuple(DEFAULT_T_VALUES)
     if "t_values" in raw:
@@ -421,6 +453,10 @@ def parse_config(text):
         if not isinstance(tv, list) or not tv:
             raise SchemaError("t_values", "expected a nonempty list of reals")
         t_values = tuple(_as_float(v, f"t_values[{k}]") for k, v in enumerate(tv))
+        for k, t in enumerate(t_values):
+            # the frames read t through exp(2 i t)
+            if not math.isfinite(2.0 * t):
+                raise SchemaError(f"t_values[{k}]", "2 t must be finite")
 
     for section in _DEFAULTS:
         if not isinstance(raw.get(section, {}), dict):

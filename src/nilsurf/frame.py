@@ -81,12 +81,15 @@ Admissibility of the potential is what makes the connection flat
 vanishes), hence the integration path-independent.  The package checks
 admissibility in one place, `_check_admissibility`: the potential's
 integrability residual must stay within ADMISSIBILITY_THRESHOLD at every
-grid node.  `integrate_grid` runs that gate before marching.  The march
+grid node.  `integrate_grid` runs that gate on every call, once, before
+its first step.  Neither the gate nor the march warns of an overflow: a
+residual that is not finite fails the gate, and frames that are not
+finite fail the assembly's singular-frame gate (mat2.inv).  The march
 takes one path, row-major with one RK4 step per segment.  The tests'
-reference march (`tests/march_reference.py`: this kernel, stepped node by
-node on the full state) equals it bitwise on that path and also marches
-column-major and with substeps, which is how path independence and the
-RK4 order are checked.
+reference march (`tests/march_reference.py`: this kernel, stepped node
+by node on the full state) equals it bitwise on that path and also
+marches column-major and with substeps, which is how path independence
+and the RK4 order are checked.
 """
 
 from dataclasses import dataclass
@@ -302,8 +305,10 @@ def _check_admissibility(potential, z_nodes):
     Returns the worst magnitude; raises NonFlatInput when it exceeds
     ADMISSIBILITY_THRESHOLD or is not finite.
     """
-    # np.max propagates a NaN, which the finiteness test below refuses
-    worst = float(np.max(np.abs(potential.integrability_residual(z_nodes))))
+    # an overflow is not finite, and np.max propagates a NaN: the
+    # finiteness test below refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(np.max(np.abs(potential.integrability_residual(z_nodes))))
     if not np.isfinite(worst):
         raise NonFlatInput(
             "integrability residual is not finite; potential data is not admissible"
@@ -352,7 +357,9 @@ def _batches(entries):
     return runs
 
 
-def integrate_grid(potential, x, y, t, check_flatness=True):
+# an overflow runs to the gates (module docstring)
+@np.errstate(over="ignore", invalid="ignore")
+def integrate_grid(potential, x, y, t):
     """Integrate the frame triple over the grid x × y at parameter(s) t.
 
     t is a finite float, which returns one FrameField, or a non-empty 1-D
@@ -375,9 +382,8 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
     MARCH_BATCH_ENTRIES t x node entries, and are bitwise those of single
     steps too.
 
-    Raises NonFlatInput when the admissibility gate trips (disable with
-    check_flatness=False to study that failure mode) and DomainError when
-    the grid does not contain the base point, the potential cannot be
+    Raises NonFlatInput when the admissibility gate trips and DomainError
+    when the grid does not contain the base point, the potential cannot be
     sampled on it or its sqrt(rho0) is not real there; all before the
     first step.
     """
@@ -393,8 +399,7 @@ def integrate_grid(potential, x, y, t, check_flatness=True):
         raise DomainError("integration grid must contain the base point z = 0")
     n_x, n_y = x.size, y.size
     z_nodes = x[None, :] + 1j * y[:, None]
-    if check_flatness:
-        _check_admissibility(potential, z_nodes)
+    _check_admissibility(potential, z_nodes)
 
     phase = np.exp(2j * members)[:, None]
     # (triple, column, member, node): row 0 of every member's triple

@@ -57,8 +57,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_SOLVER
-from .errors import DomainError, LinearSolveFailure, MaxIterExceeded
+from .config import DEFAULT_SOLVER, square_in_range
+from .errors import (
+    DomainError,
+    LinearSolveFailure,
+    MaxIterExceeded,
+    PotentialDataError,
+)
 
 CG_RTOL = 1e-12
 CG_MAXITER = 40000
@@ -107,19 +112,33 @@ class SolveResult:
 
 
 def _check_axes(x, y):
+    """(x, y, h) of finite, uniform axes with square cells of spacing h.
+
+    The stencils divide by h^2, so h^2 and 1/h^2 must be finite and
+    nonzero; DomainError otherwise.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3 or y.size < 3:
         raise DomainError("solver grid needs at least 3 nodes per axis")
-    hx = np.diff(x)
-    hy = np.diff(y)
-    h = hx[0]
-    if not (
-        np.allclose(hx, h, rtol=1e-12, atol=0)
-        and np.allclose(hy, h, rtol=1e-12, atol=0)
-    ):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("solver grid axes must be finite")
+    # a spacing past the float range is inf, and refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        hx = np.diff(x)
+        hy = np.diff(y)
+        h = float(hx[0])
+        uniform = np.allclose(hx, h, rtol=1e-12, atol=0) and np.allclose(
+            hy, h, rtol=1e-12, atol=0
+        )
+    if not uniform:
         raise DomainError("solver grid must be uniform with square cells")
-    return x, y, float(h)
+    if not square_in_range(h):
+        raise DomainError(
+            f"solver spacing {h:.3e} is out of range: h^2 or 1/h^2 is zero "
+            "or not finite"
+        )
+    return x, y, h
 
 
 def _quarter_laplacian(u, h):
@@ -274,6 +293,7 @@ def _fast_poisson(basis, shift):
     return solve
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cg_solve(c, rhs, basis, context, rtol=CG_RTOL):
     """Solve (-Laplacian/4 + c) x = rhs on the interior grid; (x, iterations).
 
@@ -284,7 +304,8 @@ def _cg_solve(c, rhs, basis, context, rtol=CG_RTOL):
     is the number of completed iterations.  A Newton step passes its
     forcing term as rtol; the harmonic fill keeps the default CG_RTOL,
     which is also the forcing term's floor.  Raises LinearSolveFailure
-    after CG_MAXITER iterations.
+    after CG_MAXITER iterations, or at the first residual whose norm is not
+    finite (an rhs that is not finite after 0 iterations).
     """
     h = basis.h
     padded = np.zeros((rhs.shape[0] + 2, rhs.shape[1] + 2))
@@ -295,7 +316,13 @@ def _cg_solve(c, rhs, basis, context, rtol=CG_RTOL):
     if stop == 0.0:
         return x, 0
     for iteration in range(CG_MAXITER):
-        if np.linalg.norm(r) < stop:
+        rnorm = np.linalg.norm(r)
+        if not np.isfinite(rnorm):
+            raise LinearSolveFailure(
+                f"conjugate gradients failed during {context} (residual norm "
+                f"not finite after {iteration} iterations)"
+            )
+        if rnorm < stop:
             return x, iteration
         z = precondition(r)
         rz = np.vdot(r, z)
@@ -369,9 +396,11 @@ def newton_solve(
                  that is larger
       max_iter   Newton iteration cap
 
-    Returns the SolveResult of the 5-point system.  Raises MaxIterExceeded
-    when the iteration cap is hit or the line search stagnates,
-    LinearSolveFailure when a conjugate-gradient solve does not converge.
+    Returns the SolveResult of the 5-point system.  Raises DomainError
+    for axes _check_axes refuses, PotentialDataError when |Q0|^2 is not
+    finite on the grid, MaxIterExceeded when the iteration cap is hit or
+    the line search stagnates, LinearSolveFailure when a
+    conjugate-gradient solve does not converge.
     """
     x, y, h = _check_axes(x, y)
     nx, ny = x.size, y.size
@@ -389,9 +418,12 @@ def newton_solve(
                 f"boundary data shape {bc.shape} does not match grid ({ny}, {nx})"
             )
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        q2 = np.abs(q0_values) ** 2
+    if not np.all(np.isfinite(q2)):
+        raise PotentialDataError("|Q0|^2 is not finite on the solver grid")
     basis = _sine_basis((ny - 2, nx - 2), h)
     u, iterations = _harmonic_fill(bc, basis)
-    q2 = np.abs(q0_values) ** 2
     return _newton(x, y, u, q2, basis, 0.0, tol, max_iter, [iterations])
 
 
@@ -472,6 +504,7 @@ def deferred_correction(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(
     x, y, u, q2, basis, source, tol, max_iter, cg_counter, local_start=False
 ):
@@ -481,7 +514,10 @@ def _newton(
     or an interior array, and cg_counter the list the CG counts are
     appended to.  local_start takes the first forcing term as if an
     exact step had preceded (_forcing_term).  Returns the converged
-    SolveResult (module docstring).
+    SolveResult (module docstring).  An exp(u) or exp(-u) that overflows
+    raises no warning: a trial residual that is not finite fails the line
+    search's decrease test, and a residual that is not finite fails the
+    linear solve (_cg_solve).
     """
     h = basis.h
 

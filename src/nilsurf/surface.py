@@ -36,10 +36,10 @@ columns by i and -i.  The frames arrive as their first row (a, b) (see
 the frame module); `surface_from_frame` reads each matrix as the entries
 (a, b, conj(b), conj(a)) and never forms it.  The module has two entry
 points: `surface_from_frame` assembles one FrameField, and
-`generate_surface` marches and assembles.  The latter takes one t or a
-sequence of them; a sequence is marched once, into one array that all
-members' frames view (see the frame module), and each member is then
-assembled.
+`generate_surface` marches, behind the march's admissibility gate, and
+assembles.  The latter takes one t or a sequence of them; a sequence is
+marched once, into one array that all members' frames view (see the
+frame module), and each member is then assembled.
 """
 
 from dataclasses import dataclass
@@ -171,21 +171,16 @@ def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
     )
 
 
-def generate_surface(
-    potential,
-    x,
-    y,
-    t,
-    shape_tol=DEFAULT_TOLERANCES["shape"],
-    check_flatness=True,
-):
+def generate_surface(potential, x, y, t, shape_tol=DEFAULT_TOLERANCES["shape"]):
     """Integrate frames and assemble the surface at parameter(s) t.
 
     t is a float, which returns one SurfaceGrid, or a 1-D sequence, which
     returns a list of SurfaceGrid in the given order: one march for all
     members, then each member is assembled from its row of the march.
+    Inadmissible data raises the march's NonFlatInput before its first
+    step.
     """
-    fields = integrate_grid(potential, x, y, t, check_flatness=check_flatness)
+    fields = integrate_grid(potential, x, y, t)
     if np.ndim(t) == 0:
         return surface_from_frame(fields, shape_tol=shape_tol)
     return [surface_from_frame(field, shape_tol=shape_tol) for field in fields]

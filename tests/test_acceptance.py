@@ -306,7 +306,7 @@ def test_criterion_5_structural_invariants():
 
     xs = dyadic_axis(33, 0.6)
     base = integrate_grid(pot, xs, xs, 0.7)
-    shifted = integrate_grid(pot, xs, xs, 0.7 + np.pi, check_flatness=False)
+    shifted = integrate_grid(pot, xs, xs, 0.7 + np.pi)
     periodicity = float(np.max(np.abs(base.psi - shifted.psi)))
     assert periodicity <= 1e-12, periodicity
 

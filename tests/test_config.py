@@ -245,6 +245,44 @@ class TestSchemaErrors:
             parse(doc)
         assert err.value.path == "domain.ny"
 
+    @pytest.mark.parametrize(
+        "box, path",
+        [
+            # the spacing's square underflows to 0
+            ({"xmin": -1e-190, "xmax": 1e-190}, "domain.xmin"),
+            # the width's square overflows
+            ({"ymin": -1e300, "ymax": 1e300}, "domain.ymin"),
+            # the width itself overflows
+            ({"xmin": -1.7e308, "xmax": 1.7e308}, "domain.xmin"),
+        ],
+    )
+    def test_widths_and_spacings_keep_their_squares_in_range(self, box, path):
+        doc = base_document()
+        doc["domain"].update(box)
+        with pytest.raises(SchemaError, match="out of range") as err:
+            parse(doc)
+        assert err.value.path == path
+        doc["domain"].update(xmin=-1e-100, xmax=1e-100, ymin=-1e150, ymax=1e150)
+        assert parse(doc).domain.xmax == 1e-100
+
+    def test_default_solver_grid_keeps_its_squares_in_range(self):
+        # a width of 1e154 squares to 1e308; the padded solver width of
+        # 2e154 does not square to a float
+        doc = base_document()
+        doc["domain"].update(xmin=-5e153, xmax=5e153)
+        assert parse(doc).domain.xmin == -5e153
+        doc["potential"]["rho0"] = {"source": "solved"}
+        with pytest.raises(SchemaError, match="out of range") as err:
+            parse(doc)
+        assert err.value.path == "domain.xmin"
+
+    def test_t_whose_double_overflows_is_refused(self):
+        # the frames read t through exp(2 i t)
+        with pytest.raises(SchemaError, match="2 t must be finite") as err:
+            parse(base_document(t_values=[0.0, -1e308]))
+        assert err.value.path == "t_values[1]"
+        assert parse(base_document(t_values=[8e307])).t_values == (8e307,)
+
     def test_missing_required_sections(self):
         with pytest.raises(SchemaError):
             parse({"domain": base_document()["domain"]})

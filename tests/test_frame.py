@@ -18,7 +18,7 @@ from scipy.linalg import expm
 
 from march_reference import reference_march
 from nilsurf import config, frame, pipeline
-from nilsurf.errors import DomainError, NonFlatInput
+from nilsurf.errors import DomainError, NonFlatInput, SingularFrameError
 from nilsurf.pde import newton_solve
 from nilsurf.potentials import Potential
 from nilsurf.surface import generate_surface
@@ -171,9 +171,6 @@ class TestFlatness:
         near = Potential.constant(1.0, (0.25 + 4e-6,))
         with pytest.raises(NonFlatInput):
             generate_surface(near, ax, ax, 0.0)
-        # the gate can be disabled for studying the failure mode
-        field = frame.integrate_grid(bad, ax, ax, 0.0, check_flatness=False)
-        assert np.all(np.isfinite(field.psi))
 
     def test_integrator_gate_rejects_unconverged_solve(self):
         class FakeSolution:
@@ -204,6 +201,21 @@ class TestFlatness:
             NonFlatInput, match="not finite"
         ):
             frame.integrate_grid(bad, ax, ax, 0.0)
+
+    def test_overflows_reach_the_gates_without_a_warning(self):
+        # the suite makes a RuntimeWarning an error.  2 |Q0|^2 overflows
+        # in the residual: the admissibility gate refuses it
+        ax = np.linspace(-0.5, 0.5, 9)
+        with pytest.raises(NonFlatInput, match="not finite"):
+            frame.integrate_grid(Potential.constant(4e200, (1e200,)), ax, ax, 0.0)
+        # admissible data on a window of width 2e20, and a t whose phase
+        # exp(2 i t) overflows: frames that are not finite, which the
+        # singular-frame gate of the assembly refuses
+        for scale, t in ((2e20, 0.0), (1.0, 1e308)):
+            field = frame.integrate_grid(UNIT_POTENTIAL, scale * ax, scale * ax, t)
+            assert not np.all(np.isfinite(field.row))
+            with pytest.raises(SingularFrameError, match="not finite"):
+                generate_surface(UNIT_POTENTIAL, scale * ax, scale * ax, t)
 
 
 class TestIntegration:

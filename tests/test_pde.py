@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from nilsurf import pde
-from nilsurf.errors import DomainError, LinearSolveFailure, MaxIterExceeded
+from nilsurf.errors import (
+    DomainError,
+    LinearSolveFailure,
+    MaxIterExceeded,
+    PotentialDataError,
+)
 from nilsurf.potentials import liouville_exact
 
 
@@ -259,6 +264,33 @@ class TestNewtonSolve:
         with pytest.raises(DomainError):
             pde.newton_solve(np.zeros((3, 3)), 0.0, nonuniform, nonuniform)
 
+    def test_axes_must_be_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            pde.newton_solve(np.zeros((3, 3)), 0.0, [0.0, 1.0, np.inf], [0, 1, 2])
+
+    @pytest.mark.parametrize("half_width", [1e-190, 1e300])
+    def test_spacing_whose_square_leaves_the_float_range(self, half_width):
+        # h^2 underflows to 0 or overflows: refused before any stencil
+        x, y = square_axes(17, half_width=half_width)
+        with pytest.raises(DomainError, match="h\\^2 or 1/h\\^2"):
+            pde.newton_solve(np.zeros((17, 17)), 0.0, x, y)
+
+    def test_q0_past_the_float_range_is_refused(self, monkeypatch):
+        # |Q0|^2 of 1e200 z overflows: refused without a warning (the
+        # suite makes one an error) and before the harmonic fill's CG
+        x, y = square_axes(33, half_width=1.0)
+        monkeypatch.setattr(pde, "_harmonic_fill", None)
+        with pytest.raises(PotentialDataError, match="not finite"):
+            pde.newton_solve(1e200 * grid_z(x, y), 0.0, x, y)
+
+    @pytest.mark.parametrize("bc", [-1000.0, 1000.0])
+    def test_residual_past_the_float_range_fails_the_linear_solve(self, bc):
+        # exp(-u) or exp(u) overflows on the harmonic fill: the first
+        # Newton step's CG refuses the residual, without a warning
+        x, y = square_axes(17)
+        with pytest.raises(LinearSolveFailure, match="step 1 .* 0 iterations"):
+            pde.newton_solve(np.full((17, 17), 0.25), bc, x, y)
+
     def test_shape_validation(self):
         x, y = square_axes(9)
         with pytest.raises(DomainError):
@@ -395,6 +427,21 @@ class TestLinearSolve:
         assert sol.shape == (rows, cols)
         assert 0 < iterations <= 12
         np.testing.assert_allclose(sol, expected, rtol=0, atol=1e-11)
+
+    def test_rhs_that_is_not_finite_fails_after_0_iterations(self):
+        basis = basis_of(np.zeros((5, 7)), 0.1)
+        for value in (np.nan, np.inf):
+            rhs = np.ones((5, 7))
+            rhs[2, 3] = value
+            with pytest.raises(LinearSolveFailure, match="after 0 iterations"):
+                pde._cg_solve(1.0, rhs, basis, "test")
+
+    def test_residual_that_is_not_finite_fails_at_once(self):
+        # a NaN coefficient spoils the first update's residual
+        c = np.ones((5, 7))
+        c[1, 1] = np.nan
+        with pytest.raises(LinearSolveFailure, match="after 1 iterations"):
+            pde._cg_solve(c, np.ones((5, 7)), basis_of(c, 0.1), "test")
 
     def test_rtol_is_the_relative_stopping_threshold(self):
         rows, cols, h = 15, 15, 0.1

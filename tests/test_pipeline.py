@@ -16,7 +16,7 @@ import pytest
 from obj_reader import read_obj
 
 import nilsurf
-from nilsurf import cli, config, outputs, pde, pipeline, residuals
+from nilsurf import cli, config, frame, outputs, pde, pipeline, residuals
 from nilsurf.residuals import RESIDUAL_KEYS
 from nilsurf.config import parse_config
 from nilsurf.errors import (
@@ -373,6 +373,23 @@ class TestRunGenerate:
         assert "not finite" in lines[-1]
         assert not (tmp_path / "surface.obj").exists()
 
+    def test_the_march_is_the_only_gate(self, tmp_path, monkeypatch):
+        # one gate call for the family, made by the march; the pipeline's
+        # own wrapper is not called
+        calls = []
+        gate = frame._check_admissibility
+        monkeypatch.setattr(
+            frame, "_check_admissibility", lambda *a: calls.append(1) or gate(*a)
+        )
+        monkeypatch.setattr(pipeline, "check_integrability", None)
+        cfg = make_config(
+            tmp_path,
+            t_values=[0.0, 0.5],
+            outputs={"mesh": str(tmp_path / "surface_{t}.obj")},
+        )
+        assert pipeline.run_generate(cfg, log=lambda *_: None)[0] == 0
+        assert calls == [1]
+
     def test_family_writes_one_mesh_per_t(self, tmp_path):
         cfg = make_config(
             tmp_path,
@@ -537,6 +554,33 @@ class TestRunCheck:
         # coordinate-only checks: auxiliary classes reported not computable
         assert any("not computable" in line for line in lines)
         assert any(line.strip() == "PASS" for line in lines)
+
+    @pytest.mark.parametrize("kind", ["vertical", "horizontal"])
+    def test_table_says_over_for_exactly_the_failures(
+        self, tmp_path, monkeypatch, kind
+    ):
+        # the table reads classify_report's verdict: one class marked as
+        # failed while under its threshold, another passed while over it
+        def classify(report, thresholds):
+            passed, failures = classify_report(report, thresholds)
+            failures = [f for f in failures if f[0] != "conformality"]
+            key = "minimality_vertical"
+            failures.append((key, report.maxima[key], thresholds[key]))
+            return False, failures
+
+        classify_report = pipeline.classify_report
+        monkeypatch.setattr(pipeline, "classify_report", classify)
+        path = tmp_path / f"{kind}.csv"
+        write_surface_csv(dyadic_plane(kind), path)
+        lines = []
+        code, report = pipeline.run_check(path, log=lines.append)
+        assert code == pipeline.EXIT_RESIDUAL
+        failed = {f["residual"] for f in report["failures"]}
+        assert "minimality_vertical" in failed and "conformality" not in failed
+        table = {line.split()[0]: line for line in lines if line.startswith("  ")}
+        assert set(table) == set(RESIDUAL_KEYS)
+        assert {k for k, line in table.items() if line.endswith("  OVER")} == failed
+        assert table["conformality"].endswith("  ok")
 
     def test_vertical_plane_log_names_the_angle_mask(self, tmp_path):
         # gauss_map_tension is computed from the coordinates; on the

@@ -14,15 +14,21 @@ on the horizontal plane.
 removed, a row dropped or duplicated, an axis value shifted, or a
 coordinate replaced by another finite number): exit 2 exactly when the
 edit breaks the documented CSV schema, else 0 or 4.
+(d) `generate` on 9 x 9 windows of admissible data at the ends of the
+float range (half-widths, |Q0| and t up to powers of ten near its
+limits): exit 0, 2, 3 or 4, with no warning of any kind.
 
-The inputs overflow on purpose, so every call runs under
-np.errstate(all="ignore").
+The inputs of (a)-(c) overflow on purpose, so those calls run under
+np.errstate(all="ignore"); (d) runs without it, with every warning an
+error.
 """
 
 import json
 import math
+import operator
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -293,3 +299,63 @@ def test_malformed_csv_content_is_refused(surface_csv_rows, data):
         assert code == 2
     else:
         assert code in (0, 4)
+
+
+#: Exit codes of `generate` on admissible data at the ends of the float
+#: range: a refused window or t, a refused solve or gate, a refused frame
+#: or surface, or a pass.
+EXTREME_EXIT_CODES = {0, 2, 3, 4}
+
+
+def _powers(low, high):
+    """10^k for k drawn in [low, high]."""
+    return st.integers(low, high).map(lambda k: 10.0**k)
+
+
+@st.composite
+def extreme_documents(draw):
+    """A 9 x 9 generate run of admissible data at the ends of the float range.
+
+    The constant pair rho0 = 4|c|, Q0 = c, or the solve of Q0 = c z with
+    bc 0, on the window [-a, a]^2 at one t: a = 10^k for k in [-200, 300],
+    |c| = 10^k for k in [-100, 200], and t = 0 or +-10^k for k in [0, 308].
+    """
+    half = draw(_powers(-200, 300))
+    size = draw(_powers(-100, 200))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    c = [size * math.cos(angle), size * math.sin(angle)]
+    t = draw(
+        st.just(0.0)
+        | st.builds(operator.mul, st.sampled_from([1.0, -1.0]), _powers(0, 308))
+    )
+    if draw(st.booleans()):
+        rho0 = {"source": "constant", "value": 4.0 * math.hypot(*c)}
+        q0 = [c]
+    else:
+        rho0, q0 = {"source": "solved", "bc": 0.0}, [0.0, c]
+    return {
+        "potential": {"q0_coefficients": q0, "rho0": rho0},
+        "domain": {
+            "xmin": -half, "xmax": half, "ymin": -half, "ymax": half, "nx": 9, "ny": 9,
+        },
+        "t_values": [t],
+        # one t and no {t}: the mesh's name stays short for any t
+        "outputs": {"mesh": "mesh.obj", "report": "report.json"},
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=extreme_documents())
+def test_extreme_data_exits_without_a_warning(doc):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with open("run.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["generate", "run.json"], log=lambda *_: None)
+        finally:
+            os.chdir(cwd)
+    assert code in EXTREME_EXIT_CODES
