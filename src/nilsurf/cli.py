@@ -13,20 +13,14 @@ threshold failure, 5 I/O failure.
 The `check` flags are the config's CHECK_TOLERANCES under their
 tolerances.* names and follow the same rules (a NaN, an infinity, a
 non-positive floor or scale, or a margin below 1 exits 2).  Every
-command exits 2 before writing anything when a file it would write is
-the file it reads.  `_load` compares the report, a mesh, the solution or
---out with the configuration file; run_check compares its --report with
-the surface CSV, and parse_config refuses a report path that is one of
-the mesh paths.  Every failure, loading the configuration included, goes
-through pipeline.guarded.
+failure, loading the configuration included, goes through
+pipeline.guarded.
 """
 
 import argparse
-import os
 import sys
 
-from .config import CHECK_TOLERANCES, DEFAULT_TOLERANCES, load_config, mesh_path
-from .errors import SchemaError
+from .config import CHECK_TOLERANCES, DEFAULT_TOLERANCES, load_config
 from .pipeline import EXIT_PASS, guarded, run_check, run_generate, run_solve
 
 CHECK_FLAG_HELP = {
@@ -80,40 +74,14 @@ def build_parser():
     return parser
 
 
-def _load(args):
-    """The command's configuration (None for check), once its outputs are safe.
-
-    SchemaError if a file generate or solve-gauss would write is the
-    configuration file it reads.  Nothing has been written at that point;
-    parse_config and run_check refuse the other collisions themselves.
-    """
-    if args.command == "check":
-        return None
-    config = load_config(args.config)
-    if args.command == "generate":
-        outputs = [("outputs.report", config.report_path)]
-        outputs += [
-            ("outputs.mesh", mesh_path(config.mesh_pattern, t))
-            for t in config.t_values
-        ]
-    elif args.out is not None:
-        outputs = [("--out", args.out)]
-    else:
-        outputs = [("outputs.solution", config.solution_path)]
-    for key, path in outputs:
-        if os.path.exists(path) and os.path.samefile(path, args.config):
-            raise SchemaError(key, f"{path!r} is the configuration file")
-    return config
-
-
 def main(argv=None, log=print):
     args = build_parser().parse_args(argv)
-    code, config = guarded(lambda: (EXIT_PASS, _load(args)), log)
-    if code != EXIT_PASS:
-        return code
     if args.command == "check":
         tolerances = {key: getattr(args, key) for key in CHECK_TOLERANCES}
         return run_check(args.csv, report_path=args.report, log=log, **tolerances)[0]
+    code, config = guarded(lambda: (EXIT_PASS, load_config(args.config)), log)
+    if code != EXIT_PASS:
+        return code
     if args.command == "generate":
         return run_generate(config, log=log)[0]
     return run_solve(config, out_path=args.out, log=log)[0]

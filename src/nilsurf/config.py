@@ -22,8 +22,8 @@ A run configuration is a JSON document:
 
 Only "potential" and "domain" are required; everything else defaults as
 shown.  The mesh pattern's "{t}" stands for each t written with six
-decimals (`mesh_path`); a t value whose mesh path repeats an earlier one
-is refused, and so is a report path that resolves to a mesh path.  Q0
+decimals (`mesh_path`).  The output paths are not compared here:
+pipeline.check_writes refuses a collision when a command runs.  Q0
 coefficients may be written as [re, im] pairs or plain numbers.  The
 solved source accepts "bc" as a constant (number) or the
 string "liouville" (boundary data sampled from the closed-form density).
@@ -60,7 +60,6 @@ the thresholds false and pass any surface.
 import json
 import math
 import numbers
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -225,6 +224,9 @@ class RunConfig:
     mesh_pattern: str = _option("outputs", "mesh", _nonempty_string)
     report_path: str = _option("outputs", "report", _nonempty_string)
     solution_path: str = _option("outputs", "solution", _nonempty_string)
+    #: The file load_config read (None from parse_config).  Not a config
+    #: key: no part of equality, to_dict or the report.
+    path: str = field(default=None, compare=False)
 
     def to_dict(self):
         """JSON-ready dictionary; parse(serialize(cfg)) == cfg."""
@@ -473,14 +475,6 @@ def parse_config(text):
             "outputs.mesh",
             "pattern must contain {t} when more than one t value is requested",
         )
-    # {t} keeps six decimals, so two close values can name one file
-    paths = [mesh_path(options["mesh_pattern"], t) for t in t_values]
-    for k, path in enumerate(paths):
-        if path in paths[:k]:
-            raise SchemaError(
-                f"t_values[{k}]",
-                f"mesh path {path!r} repeats that of t_values[{paths.index(path)}]",
-            )
 
     config = RunConfig(
         q0_coefficients=q0,
@@ -493,14 +487,6 @@ def parse_config(text):
         **options,
     )
     _validate_geometry(config)
-    # neither file need exist yet: the paths are resolved, not stat'ed
-    report = os.path.realpath(config.report_path)
-    for k, path in enumerate(paths):
-        if os.path.realpath(path) == report:
-            raise SchemaError(
-                "outputs.report",
-                f"{config.report_path!r} is the mesh path of t_values[{k}]",
-            )
     return config
 
 
@@ -548,6 +534,8 @@ def serialize(config):
 
 
 def load_config(path):
-    """Read and parse a configuration file."""
+    """Read and parse a configuration file; the RunConfig records its path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        config = parse_config(fh.read())
+    config.path = path
+    return config

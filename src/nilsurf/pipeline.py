@@ -27,7 +27,9 @@ or verify anything.  `guarded` is the one failure path: it turns a
 NilsurfError or an OSError into a log line and an exit code for every
 command, the configuration load of the command line included.  `_finish`
 is the one tail of generate and check: it writes the report and prints
-PASS or FAIL.
+PASS or FAIL.  `check_writes` is the one rule for the files a command
+writes, applied once by each command before it reads or computes
+anything: no write is a file it reads or another it writes.
 
 `generate` marches the family once, behind the march's admissibility
 gate (frame.integrate_grid), then writes the members' meshes with
@@ -177,6 +179,35 @@ def _finish(report_dict, report_path, passed, log):
     return (EXIT_PASS if passed else EXIT_RESIDUAL), report_dict
 
 
+def check_writes(reads, writes):
+    """SchemaError(key) for a write that is a read, an earlier write, or too long.
+
+    reads are (description, path) pairs and writes (key, path) pairs in
+    the order they are written; a None path is skipped.  Two paths are
+    one file when their realpaths agree (neither need exist) or samefile
+    says so (both exist: hard links).  A name may have PC_NAME_MAX bytes
+    where its directory exists and os.pathconf does.  Only generate has
+    earlier writes: its meshes, keyed t_values[k].
+    """
+    seen = [(what, p, os.path.realpath(p)) for what, p in reads if p is not None]
+    for key, path in writes:
+        if path is None:
+            continue
+        path, real = os.fspath(path), os.path.realpath(path)
+        exists = os.path.exists(path)
+        for what, other, other_real in seen:
+            if real == other_real or (
+                exists and os.path.exists(other) and os.path.samefile(path, other)
+            ):
+                raise SchemaError(key, f"{path!r} is {what}")
+        directory = os.path.dirname(path) or "."
+        if hasattr(os, "pathconf") and os.path.isdir(directory):
+            limit = os.pathconf(directory, "PC_NAME_MAX")
+            if len(os.fsencode(os.path.basename(path))) > limit > 0:
+                raise SchemaError(key, f"{path!r}: name longer than {limit} bytes")
+        seen.append((f"the mesh path of {key}", path, real))
+
+
 def solve_density(config):
     """The 5-point density solve of a solved-source config; a SolveResult.
 
@@ -259,6 +290,12 @@ def run_generate(config, log=print):
 
 
 def _generate(config, log):
+    paths = [mesh_path(config.mesh_pattern, t) for t in config.t_values]
+    check_writes(
+        [("the configuration file", config.path)],
+        [(f"t_values[{k}]", path) for k, path in enumerate(paths)]
+        + [("outputs.report", config.report_path)],
+    )
     potential, solver_summary, _ = build_potential(config)
     x, y = config.domain.axes()
     h = max(config.domain.hx, config.domain.hy)
@@ -268,10 +305,7 @@ def _generate(config, log):
     surfaces = generate_surface(
         potential, x, y, config.t_values, shape_tol=config.shape_tol
     )
-    meshes = [
-        mesh_summary(mesh_path(config.mesh_pattern, t), x.size, y.size)
-        for t in config.t_values
-    ]
+    meshes = [mesh_summary(path, x.size, y.size) for path in paths]
 
     def write_meshes():
         # every member's mesh shares the grid, hence the face block
@@ -340,16 +374,14 @@ def run_check(csv_path, report_path=None, log=print, **tolerances):
 
     tolerances are the CHECK_TOLERANCES keywords (margin, angle_cutoff,
     residual_floor, threshold_scale; defaults from DEFAULT_TOLERANCES).  A
-    value a config file may not hold, or a report_path that is the CSV
-    itself, exits 2 before the file is read.
+    value a config file may not hold, or a report_path that check_writes
+    refuses (the CSV itself, say), exits 2 before the file is read.
     """
     return guarded(lambda: _check(csv_path, report_path, tolerances, log), log)
 
 
 def _check(csv_path, report_path, tolerances, log):
-    if report_path is not None and os.path.exists(report_path):
-        if os.path.samefile(report_path, csv_path):
-            raise SchemaError("--report", f"{str(report_path)!r} is the surface CSV")
+    check_writes([("the surface CSV", csv_path)], [("--report", report_path)])
     tolerances = check_tolerances(**tolerances)
     surface = read_surface_csv(csv_path)
     report, thresholds, passed, failures = _verdict(
@@ -401,12 +433,15 @@ def run_solve(config, out_path=None, log=print):
 
 
 def _solve(config, out_path, log):
+    key, path = "--out", out_path
+    if out_path is None:
+        key, path = "outputs.solution", config.solution_path
+    check_writes([("the configuration file", config.path)], [(key, path)])
     if config.rho0_source != "solved":
         raise SchemaError(
             "potential.rho0.source", 'solve-gauss requires the "solved" source'
         )
     result = solve_density(config)
-    path = out_path if out_path is not None else config.solution_path
     write_solution_csv(result, path)
     history = ", ".join(f"{v:.3e}" for v in result.residual_history)
     log(

@@ -304,20 +304,6 @@ class TestSchemaErrors:
         doc = base_document(t_values=[0.5], outputs={"mesh": "surface.obj"})
         assert parse(doc).mesh_pattern == "surface.obj"
 
-    def test_report_path_that_is_a_mesh_path(self, tmp_path):
-        # the paths are resolved, not stat'ed: neither file exists yet
-        (tmp_path / "sub").mkdir()
-        alias = str(tmp_path / "sub" / ".." / "m_0.500000.obj")
-        doc = base_document(
-            t_values=[0.0, 0.5],
-            outputs={"mesh": str(tmp_path / "m_{t}.obj"), "report": alias},
-        )
-        with pytest.raises(SchemaError) as err:
-            parse(doc)
-        assert err.value.path == "outputs.report"
-        assert str(err.value).endswith(f"{alias!r} is the mesh path of t_values[1]")
-        assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
-
     def test_tolerance_positivity(self):
         for key in ("shape", "residual_floor", "threshold_scale"):
             with pytest.raises(SchemaError):

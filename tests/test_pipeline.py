@@ -841,6 +841,127 @@ class TestRunSolve:
         assert not (tmp_path / cfg.solution_path).exists()
 
 
+SOLVED = {
+    "q0_coefficients": [0.0, [0.25, 0.0]],
+    "rho0": {"source": "solved", "bc": 0.0},
+}
+
+
+def refuse_the_run(monkeypatch):
+    """Make a solve, a potential or a CSV read fail the test if it starts."""
+    for name in ("build_potential", "solve_density", "read_surface_csv"):
+        def started(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran before the writes were checked")
+
+        monkeypatch.setattr(pipeline, name, started)
+
+
+class TestCheckWrites:
+    """pipeline.check_writes, the one rule for the files a command writes."""
+
+    @pytest.mark.parametrize(
+        "target, key",
+        [
+            ("report", "outputs.report"),
+            ("solution", "outputs.solution"),
+            ("out_path", "--out"),
+        ],
+    )
+    def test_library_entry_points_refuse_the_config(
+        self, tmp_path, monkeypatch, target, key
+    ):
+        # run_generate and run_solve used to write over the config that
+        # load_config read, and exit 0; only the command line refused it
+        path = tmp_path / "run.json"
+        outputs = {} if target == "out_path" else {target: str(path)}
+        cfg = make_config(tmp_path, potential=SOLVED, outputs=outputs)
+        path.write_text(config.serialize(cfg))
+        before = path.read_bytes()
+        refuse_the_run(monkeypatch)
+        loaded = config.load_config(str(path))
+        assert loaded.path == str(path)
+        lines = []
+        if target == "report":
+            code, value = pipeline.run_generate(loaded, log=lines.append)
+        else:
+            out = path if target == "out_path" else None
+            code, value = pipeline.run_solve(loaded, out_path=out, log=lines.append)
+        assert (code, value) == (pipeline.EXIT_CONFIG, None)
+        assert lines == [f"error: {key}: {str(path)!r} is the configuration file"]
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_the_path_is_not_a_config_key(self, tmp_path):
+        path = tmp_path / "run.json"
+        cfg = make_config(tmp_path)
+        path.write_text(config.serialize(cfg))
+        loaded = config.load_config(path)
+        assert loaded.path == path and cfg.path is None
+        assert loaded.to_dict() == cfg.to_dict()
+        assert config.serialize(loaded) == path.read_text()
+
+    def test_report_path_that_is_a_mesh_path(self, tmp_path, monkeypatch):
+        # the paths are resolved, not stat'ed: neither file exists yet
+        (tmp_path / "sub").mkdir()
+        alias = str(tmp_path / "sub" / ".." / "m_0.500000.obj")
+        cfg = make_config(
+            tmp_path,
+            t_values=[0.0, 0.5],
+            outputs={"mesh": str(tmp_path / "m_{t}.obj"), "report": alias},
+        )
+        refuse_the_run(monkeypatch)
+        lines = []
+        code, report = pipeline.run_generate(cfg, log=lines.append)
+        assert (code, report) == (pipeline.EXIT_CONFIG, None)
+        assert lines == [
+            f"error: outputs.report: {alias!r} is the mesh path of t_values[1]"
+        ]
+        assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+
+    def test_report_hard_linked_to_a_mesh_is_refused(self, tmp_path):
+        # realpath does not see a hard link: the report used to replace
+        # the mesh it had just been written as, and the run exited 0
+        mesh = tmp_path / "m_0.000000.obj"
+        mesh.write_text("an earlier mesh\n")
+        report = tmp_path / "report.json"
+        os.link(mesh, report)
+        cfg = make_config(
+            tmp_path,
+            t_values=[0.0, 0.5],
+            outputs={"mesh": str(tmp_path / "m_{t}.obj"), "report": str(report)},
+        )
+        path = tmp_path / "run.json"
+        path.write_text(config.serialize(cfg))
+        lines = []
+        assert cli.main(["generate", str(path)], log=lines.append) == 2
+        assert lines == [
+            f"error: outputs.report: {str(report)!r} is the mesh path of t_values[0]"
+        ]
+        assert mesh.read_text() == "an earlier mesh\n"
+        assert sorted(tmp_path.iterdir()) == [mesh, report, path]
+
+    @pytest.mark.skipif(not hasattr(os, "pathconf"), reason="no os.pathconf")
+    def test_a_mesh_name_the_directory_cannot_hold_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        # {t} writes 1e300 with 301 digits: the run used to march and
+        # verify, then exit 5 with ENAMETOOLONG, leaving the first mesh
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        cfg = make_config(
+            tmp_path,
+            t_values=[0.0, 1e300],
+            outputs={"mesh": str(tmp_path / "m_{t}.obj")},
+        )
+        refuse_the_run(monkeypatch)
+        lines = []
+        code, report = pipeline.run_generate(cfg, log=lines.append)
+        assert (code, report) == (pipeline.EXIT_CONFIG, None)
+        (line,) = lines
+        assert line.startswith("error: t_values[1]: ")
+        assert line.endswith(f": name longer than {limit} bytes")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBuildPotential:
     def test_solved_source_summary(self, tmp_path):
         cfg = make_config(
@@ -1075,8 +1196,7 @@ class TestCli:
         assert cli.main(["generate", str(path)], log=lines.append) == 2
         mesh = tmp_path / "m_0.123456.obj"
         assert lines == [
-            f"error: t_values[1]: mesh path {str(mesh)!r} repeats that of "
-            "t_values[0]"
+            f"error: t_values[1]: {str(mesh)!r} is the mesh path of t_values[0]"
         ]
         assert not mesh.exists()
 
@@ -1100,7 +1220,7 @@ class TestCli:
         before = sorted(tmp_path.rglob("*"))
         lines = []
         assert cli.main(argv, log=lines.append) == 2
-        key = target if target == "--out" else f"outputs.{target}"
+        key = {"mesh": "t_values[0]", "--out": "--out"}.get(target, f"outputs.{target}")
         assert lines == [f"error: {key}: {alias!r} is the configuration file"]
         assert json.loads(path.read_text()) == doc
         assert sorted(tmp_path.rglob("*")) == before

@@ -17,6 +17,10 @@ edit breaks the documented CSV schema, else 0 or 4.
 (d) `generate` on 9 x 9 windows of admissible data at the ends of the
 float range (half-widths, |Q0| and t up to powers of ten near its
 limits): exit 0, 2, 3 or 4, with no warning of any kind.
+(e) A 17 x 17 constant-rho0 run in which one file a command writes is a
+file it reads or another it writes, named by the same string, through
+sub/.., a symbolic link or a hard link: exit 2 with that write's key,
+and the working directory's listing and bytes are unchanged.
 
 The inputs of (a)-(c) overflow on purpose, so those calls run under
 np.errstate(all="ignore"); (d) runs without it, with every warning an
@@ -29,6 +33,7 @@ import operator
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +364,119 @@ def test_extreme_data_exits_without_a_warning(doc):
         finally:
             os.chdir(cwd)
     assert code in EXTREME_EXIT_CODES
+
+
+#: (command, the file named first, the key of the write that names it
+#: again).  The first mesh is the member at t_values[0], the second at
+#: t_values[1]; the roles' own names are those of ROLE_NAMES.
+COLLISIONS = [
+    ("generate", "config", "outputs.report"),
+    ("generate", "config", "t_values[1]"),
+    ("generate", "mesh", "t_values[1]"),
+    ("generate", "mesh", "outputs.report"),
+    ("solve-gauss", "config", "outputs.solution"),
+    ("solve-gauss", "config", "--out"),
+    ("check", "csv", "--report"),
+]
+ROLE_NAMES = {"config": "run.json", "csv": "plane.csv", "mesh": "m_0.000000.obj"}
+ROLE_DESCRIPTIONS = {
+    "config": "the configuration file",
+    "csv": "the surface CSV",
+    "mesh": "the mesh path of t_values[0]",
+}
+
+
+@st.composite
+def collisions(draw):
+    """A colliding pair, its spelling, and how its paths are written."""
+    command, first, key = draw(st.sampled_from(COLLISIONS))
+    spellings = ["same", "symlink", "hardlink"]
+    if (first, key) != ("mesh", "t_values[1]"):
+        # one mesh pattern spells both meshes the same way
+        spellings.append("sub/..")
+    return {
+        "command": command,
+        "first": first,
+        "key": key,
+        "spelling": draw(st.sampled_from(spellings)),
+        "root": draw(st.sampled_from(["", "absolute"])),
+        "first_exists": draw(st.booleans()),
+    }
+
+
+def _lay_out(case):
+    """Write the run's files in the working directory; returns (argv, alias)."""
+    root = os.getcwd() + os.sep if case["root"] else ""
+    first, key, spelling = case["first"], case["key"], case["spelling"]
+    os.mkdir("sub")
+    write_surface_csv(_plane("vertical"), "plane.csv")
+    doc = base_document("constant", GRID_NODES)  # t_values [0.0, 0.5]
+    doc["outputs"] = {
+        "mesh": root + "m_{t}.obj",
+        "report": "report.json",
+        "solution": "solution.csv",
+    }
+    config_name = ROLE_NAMES["config"]
+    if (first, key) == ("config", "t_values[1]") and not spelling.endswith("link"):
+        config_name = "m_0.500000.obj"  # the second mesh's own name
+    Path(config_name).touch()  # a link to it sees the document written below
+    target = config_name if first == "config" else ROLE_NAMES[first]
+    if first == "mesh" and (case["first_exists"] or spelling.endswith("link")):
+        Path(target).write_text("an earlier mesh\n")
+    link = "m_0.500000.obj" if key == "t_values[1]" else "alias.out"
+    if spelling == "symlink":
+        os.symlink(target, link)
+    elif spelling == "hardlink":
+        os.link(target, link)
+    named = link if spelling.endswith("link") else target
+    if spelling == "sub/..":
+        named = "sub/../" + named
+    if key == "t_values[1]":
+        if first == "mesh" and spelling == "same":
+            doc["t_values"] = [0.0, 1e-7]  # {t} keeps six decimals
+        else:
+            doc["outputs"]["mesh"] = root + named.replace("0.500000", "{t}")
+        alias = config.mesh_path(doc["outputs"]["mesh"], doc["t_values"][1])
+    else:
+        alias = root + named
+    if key in ("outputs.report", "outputs.solution"):
+        doc["outputs"][key.split(".")[1]] = alias
+    with open(config_name, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    if case["command"] == "check":
+        return ["check", root + "plane.csv", "--report", alias], alias
+    argv = [case["command"], root + config_name]
+    return (argv + ["--out", alias] if key == "--out" else argv), alias
+
+
+def _listing():
+    """Every entry under the working directory: its link target and bytes."""
+    entries = {}
+    for folder, dirs, files in os.walk("."):
+        for name in dirs + files:
+            path = os.path.join(folder, name)
+            entries[path] = (
+                os.path.islink(path) and os.readlink(path),
+                os.path.isfile(path) and Path(path).read_bytes(),
+            )
+    return entries
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=collisions())
+def test_a_write_that_names_another_file_exits_2(case):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            argv, alias = _lay_out(case)
+            before = _listing()
+            lines = []
+            code = cli.main(argv, log=lines.append)
+            after = _listing()
+        finally:
+            os.chdir(cwd)
+    what = ROLE_DESCRIPTIONS[case["first"]]
+    assert code == 2
+    assert lines == [f"error: {case['key']}: {alias!r} is {what}"]
+    assert after == before
