@@ -33,9 +33,7 @@ for n in (17, 33, 65, 129):
     axis = np.arange(-(n // 2), n // 2 + 1) * (1.2 / (n - 1))
     z = axis[None, :] + 1j * axis[:, None]
     exact = np.log(liouville_exact(z))
-    result = newton_solve(
-        np.zeros(z.shape, complex), exact, axis, axis, tol=1e-10, max_iter=50
-    )
+    result = newton_solve(np.zeros(z.shape, complex), exact, axis, axis)
     errors[n] = float(np.max(np.abs(result.u - exact)))
     corrected[n] = float(
         np.max(np.abs(deferred_correction(result).u - exact))

@@ -1,5 +1,7 @@
 """Allow `python -m nilsurf ...` as an alias for the console script."""
 
-from .cli import entry
+import sys
 
-entry()
+from .cli import main
+
+sys.exit(main())

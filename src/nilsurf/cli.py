@@ -10,7 +10,7 @@ Subcommands:
 Exit codes: 0 pass, 2 config error, 3 integrability failure, 4 residual
 threshold failure, 5 I/O failure.
 
-The `check` flags are the config's CHECK_TOLERANCES under their
+The `check` flags are the config's DEFAULT_TOLERANCES under their
 tolerances.* names and follow the same rules (a NaN, an infinity, a
 non-positive floor or scale, or a margin below 1 exits 2).  Every
 failure, loading the configuration included, goes through
@@ -18,9 +18,8 @@ pipeline.guarded.
 """
 
 import argparse
-import sys
 
-from .config import CHECK_TOLERANCES, DEFAULT_TOLERANCES, load_config
+from .config import DEFAULT_TOLERANCES, load_config
 from .pipeline import EXIT_PASS, guarded, run_check, run_generate, run_solve
 
 CHECK_FLAG_HELP = {
@@ -55,8 +54,7 @@ def build_parser():
     p_check.add_argument(
         "--report", default=None, help="also write a JSON report to this path"
     )
-    for key in CHECK_TOLERANCES:
-        default = DEFAULT_TOLERANCES[key]
+    for key, default in DEFAULT_TOLERANCES.items():
         p_check.add_argument(
             "--" + key.replace("_", "-"),
             type=type(default),
@@ -77,7 +75,7 @@ def build_parser():
 def main(argv=None, log=print):
     args = build_parser().parse_args(argv)
     if args.command == "check":
-        tolerances = {key: getattr(args, key) for key in CHECK_TOLERANCES}
+        tolerances = {key: getattr(args, key) for key in DEFAULT_TOLERANCES}
         return run_check(args.csv, report_path=args.report, log=log, **tolerances)[0]
     code, config = guarded(lambda: (EXIT_PASS, load_config(args.config)), log)
     if code != EXIT_PASS:
@@ -85,11 +83,3 @@ def main(argv=None, log=print):
     if args.command == "generate":
         return run_generate(config, log=log)[0]
     return run_solve(config, out_path=args.out, log=log)[0]
-
-
-def entry():
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

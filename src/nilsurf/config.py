@@ -13,8 +13,7 @@ A run configuration is a JSON document:
       "domain": {"xmin": -1.0, "xmax": 1.0,
                  "ymin": -1.0, "ymax": 1.0, "nx": 65, "ny": 65},
       "t_values": [0.0, 0.7853981633974483, 1.5707963267948966],
-      "solver": {"tol": 1e-10, "max_iter": 50},
-      "tolerances": {"shape": 1e-6, "angle_cutoff": 0.05, "margin": 2,
+      "tolerances": {"angle_cutoff": 0.05, "margin": 2,
                      "residual_floor": 1e-10, "threshold_scale": 1.0},
       "outputs": {"mesh": "surface_t{t}.obj", "report": "report.json",
                   "solution": "solution.csv"}
@@ -42,19 +41,25 @@ window with an edge or a corner at z = 0.  An explicit solver domain must
 contain the surface rectangle at no more than its spacing.  Every grid,
 that default included, has at most MAX_NODES nodes per axis.
 
-Admissibility of the potential has no tolerance key: it is the one check
-in the frame module (integrability residual at most 1e-6 at every surface
-node), and a document that still sets "tolerances.flatness" is rejected
-as an unknown key.
+The document holds what a run takes as input: the potential, the grids,
+the t family, the residual check's tolerances and the output paths.  The
+numerical gates are module constants, not keys: the admissibility gate
+(frame.ADMISSIBILITY_THRESHOLD), the singular-frame gate
+(mat2.SINGULAR_TOL), the matrix-shape gate (surface.SHAPE_TOL), the
+degeneracy gate (residuals.DEGENERATE_TOL) and the Newton stopping rule
+(pde.NEWTON_TOL, pde.NEWTON_MAX_ITER).  A document that still sets a
+retired key ("solver", "tolerances.shape", "tolerances.flatness") is
+rejected as an unknown key.
 
-Every optional key of "solver", "tolerances" and "outputs" is stated once,
-as a RunConfig field made by `_option` (its section, key and validator;
-its default lives in DEFAULT_*).  OPTIONS collects those fields into the
-one table that parse_config and RunConfig.to_dict read.  check_tolerances
-applies the same validators to the tolerances the residual check takes
-as flags or keywords (CHECK_TOLERANCES), so a value a config file may not
-hold is refused there too: a NaN floor would make every comparison with
-the thresholds false and pass any surface.
+Every optional key of "tolerances" and "outputs" is stated once, as a
+RunConfig field made by `_option` (its section, key and validator; its
+default lives in DEFAULT_*).  OPTIONS collects those fields into the one
+table that parse_config and RunConfig.to_dict read.  The tolerances are
+the residual check's, which `check` also takes as flags and run_check
+and check_surface_like as keywords; check_tolerances applies the same
+validators there, so a value a config file may not hold is refused too:
+a NaN floor would make every comparison with the thresholds false and
+pass any surface.
 """
 
 import json
@@ -68,9 +73,7 @@ from .errors import DomainError, SchemaError
 from .potentials import MAX_Q0_DEGREE
 
 DEFAULT_T_VALUES = (0.0, math.pi / 4.0, math.pi / 2.0)
-DEFAULT_SOLVER = {"tol": 1e-10, "max_iter": 50}
 DEFAULT_TOLERANCES = {
-    "shape": 1e-6,
     "angle_cutoff": 0.05,
     "margin": 2,
     "residual_floor": 1e-10,
@@ -81,14 +84,7 @@ DEFAULT_OUTPUTS = {
     "report": "report.json",
     "solution": "solution.csv",
 }
-_DEFAULTS = {
-    "solver": DEFAULT_SOLVER,
-    "tolerances": DEFAULT_TOLERANCES,
-    "outputs": DEFAULT_OUTPUTS,
-}
-#: The tolerances the residual check reads, which the `check` flags and the
-#: keywords of run_check and check_surface_like set.
-CHECK_TOLERANCES = ("margin", "angle_cutoff", "residual_floor", "threshold_scale")
+_DEFAULTS = {"tolerances": DEFAULT_TOLERANCES, "outputs": DEFAULT_OUTPUTS}
 MIN_NODES = 9
 #: Most nodes per axis of any grid: the surface domain, an explicit solver
 #: domain, and the default solver grid of n + 2 floor((n - 1)/2) nodes (so a
@@ -205,18 +201,20 @@ class GridSpec:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration with all defaults resolved."""
+    """Validated run configuration with all defaults resolved.
 
-    q0_coefficients: np.ndarray
+    Every field compares with ==, so two configs compare as values: Q0's
+    coefficients are a tuple of complex, and a solved source's default
+    solver grid is stored by parse_config, as its serialized copy states it.
+    """
+
+    q0_coefficients: tuple  # of complex, ascending
     rho0_source: str
     domain: GridSpec
     rho0_value: float = 1.0
     solver_domain: GridSpec = None
     bc: object = 0.0
     t_values: tuple = DEFAULT_T_VALUES
-    solver_tol: float = _option("solver", "tol", _positive)
-    solver_max_iter: int = _option("solver", "max_iter", _at_least_one)
-    shape_tol: float = _option("tolerances", "shape", _positive)
     angle_cutoff: float = _option("tolerances", "angle_cutoff", _as_float)
     margin: int = _option("tolerances", "margin", _at_least_one)
     residual_floor: float = _option("tolerances", "residual_floor", _positive)
@@ -262,20 +260,20 @@ OPTIONS = {f.metadata["key"]: f for f in fields(RunConfig) if "key" in f.metadat
 
 
 def check_tolerances(**values):
-    """The CHECK_TOLERANCES, validated by their tolerances.* rules.
+    """The residual check's tolerances, validated by their tolerances.* rules.
 
     Keys left out take their DEFAULT_TOLERANCES value.  Raises TypeError
     on an unknown keyword and SchemaError on a value a config file may not
     hold: not finite, not positive (floor, scale) or below 1 (margin).
     """
-    unknown = sorted(set(values) - set(CHECK_TOLERANCES))
+    unknown = sorted(set(values) - set(DEFAULT_TOLERANCES))
     if unknown:
         raise TypeError(f"unexpected tolerance keyword(s): {', '.join(unknown)}")
     return {
         key: OPTIONS["tolerances", key].metadata["check"](
-            values.get(key, DEFAULT_TOLERANCES[key]), f"tolerances.{key}"
+            values.get(key, default), f"tolerances.{key}"
         )
-        for key in CHECK_TOLERANCES
+        for key, default in DEFAULT_TOLERANCES.items()
     }
 
 
@@ -369,7 +367,7 @@ def _parse_q0(raw, path):
         if len(pair) != 2:
             raise SchemaError(here, "expected a number or an [re, im] pair")
         coeffs.append(complex(*(_as_float(v, here) for v in pair)))
-    return np.asarray(coeffs, dtype=complex)
+    return tuple(coeffs)
 
 
 def mesh_path(pattern, t):
@@ -418,7 +416,7 @@ def parse_config(text):
         )
     elif source == "liouville":
         _check_keys(rho0_raw, {"source"}, "potential.rho0")
-        if np.any(q0 != 0):
+        if any(q0):
             raise SchemaError(
                 "potential.rho0.source",
                 "the liouville closed form solves the Q0 = 0 equation; "
@@ -441,13 +439,13 @@ def parse_config(text):
 
     domain = _parse_grid(_require(raw, "domain", "<document>", dict), "domain")
     if source == "solved" and solver_domain is None:
-        padded = domain.padded()
+        solver_domain = domain.padded()
         _at_most_max_nodes(
-            padded,
+            solver_domain,
             "domain",
             "the default solver grid's node count (n + 2 floor((n - 1)/2))",
         )
-        _in_square_range(padded, "domain")
+        _in_square_range(solver_domain, "domain")
 
     t_values = tuple(DEFAULT_T_VALUES)
     if "t_values" in raw:

@@ -36,11 +36,13 @@ an Eisenstat-Walker forcing term (_forcing_term), loose while the
 residual is large and tightening as it converges.  CG_RTOL is the forcing
 term's floor and the tolerance of the harmonic fill.
 
-The iteration stops when the residual max-norm reaches tol or
+The iteration stops when the residual max-norm reaches NEWTON_TOL or
 ROUNDING_FLOOR_FACTOR times the residual's rounding floor at the iterate
-(_rounding_floor), whichever is larger.  The stencil divides differences
-of u by h^2, so on fine grids that floor passes the default tol, and a
-fixed tol would leave the line search stagnating above it.
+(_rounding_floor), whichever is larger, and fails after NEWTON_MAX_ITER
+steps.  The stencil divides differences of u by h^2, so on fine grids
+that floor passes NEWTON_TOL, and a fixed tolerance would leave the line
+search stagnating above it.  The stopping rule is a module constant, as
+the other numerical gates of the package are, not a config key.
 
 newton_solve is second-order accurate in h.  deferred_correction takes
 its result to fourth order: it evaluates the 5-point truncation error
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_SOLVER, square_in_range
+from .config import square_in_range
 from .errors import (
     DomainError,
     LinearSolveFailure,
@@ -67,9 +69,14 @@ from .errors import (
 
 CG_RTOL = 1e-12
 CG_MAXITER = 40000
+#: The Newton iteration's stopping tolerance on the residual max-norm and
+#: its step cap.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
 MIN_LINESEARCH_STEP = 1e-12
-#: The Newton iteration stops at max(tol, ROUNDING_FLOOR_FACTOR * floor),
-#: with floor the rounding floor of the discrete residual (_rounding_floor).
+#: The Newton iteration stops at max(NEWTON_TOL, ROUNDING_FLOOR_FACTOR *
+#: floor), with floor the rounding floor of the discrete residual
+#: (_rounding_floor).
 ROUNDING_FLOOR_FACTOR = 2.0
 EPS = np.finfo(float).eps
 
@@ -293,6 +300,20 @@ def _fast_poisson(basis, shift):
     return solve
 
 
+@np.errstate(over="ignore")
+def _norm(a):
+    """Euclidean norm of a, scaled by m = max|a| where its square overflows.
+
+    np.linalg.norm squares the entries, so it is inf on a finite array
+    whose entries pass about 1e154; m * norm(a / m) is then finite.
+    """
+    norm = np.linalg.norm(a)
+    if norm == np.inf and np.all(np.isfinite(a)):
+        m = np.max(np.abs(a))
+        norm = m * np.linalg.norm(a / m)
+    return norm
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _cg_solve(c, rhs, basis, context, rtol=CG_RTOL):
     """Solve (-Laplacian/4 + c) x = rhs on the interior grid; (x, iterations).
@@ -304,19 +325,20 @@ def _cg_solve(c, rhs, basis, context, rtol=CG_RTOL):
     is the number of completed iterations.  A Newton step passes its
     forcing term as rtol; the harmonic fill keeps the default CG_RTOL,
     which is also the forcing term's floor.  Raises LinearSolveFailure
-    after CG_MAXITER iterations, or at the first residual whose norm is not
-    finite (an rhs that is not finite after 0 iterations).
+    after CG_MAXITER iterations, or at the first residual whose norm
+    (_norm, which does not overflow on a finite residual) is not finite:
+    an rhs that is not finite fails after 0 iterations.
     """
     h = basis.h
     padded = np.zeros((rhs.shape[0] + 2, rhs.shape[1] + 2))
     precondition = _fast_poisson(basis, float(np.mean(c)))
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    stop = rtol * np.linalg.norm(rhs)
+    stop = rtol * _norm(rhs)
     if stop == 0.0:
         return x, 0
     for iteration in range(CG_MAXITER):
-        rnorm = np.linalg.norm(r)
+        rnorm = _norm(r)
         if not np.isfinite(rnorm):
             raise LinearSolveFailure(
                 f"conjugate gradients failed during {context} (residual norm "
@@ -376,14 +398,7 @@ def _harmonic_fill(bc, basis):
     return u, iterations
 
 
-def newton_solve(
-    q0_values,
-    bc,
-    x,
-    y,
-    tol=DEFAULT_SOLVER["tol"],
-    max_iter=DEFAULT_SOLVER["max_iter"],
-):
+def newton_solve(q0_values, bc, x, y):
     """Solve the integrability equation for u = log rho0.
 
     Arguments:
@@ -391,13 +406,10 @@ def newton_solve(
       bc         Dirichlet data for u: scalar or full (ny, nx) array whose
                  edges are used (interior ignored)
       x, y       uniform axes with square cells
-      tol        convergence threshold on the residual max-norm, raised
-                 to ROUNDING_FLOOR_FACTOR times the rounding floor where
-                 that is larger
-      max_iter   Newton iteration cap
 
-    Returns the SolveResult of the 5-point system.  Raises DomainError
-    for axes _check_axes refuses, PotentialDataError when |Q0|^2 is not
+    Stops by the module's rule (NEWTON_TOL, NEWTON_MAX_ITER).  Returns the
+    SolveResult of the 5-point system.  Raises DomainError for axes
+    _check_axes refuses, PotentialDataError when |Q0|^2 is not
     finite on the grid, MaxIterExceeded when the iteration cap is hit or
     the line search stagnates, LinearSolveFailure when a
     conjugate-gradient solve does not converge.
@@ -424,7 +436,7 @@ def newton_solve(
         raise PotentialDataError("|Q0|^2 is not finite on the solver grid")
     basis = _sine_basis((ny - 2, nx - 2), h)
     u, iterations = _harmonic_fill(bc, basis)
-    return _newton(x, y, u, q2, basis, 0.0, tol, max_iter, [iterations])
+    return _newton(x, y, u, q2, basis, 0.0, [iterations])
 
 
 def _fourth_difference(a):
@@ -462,9 +474,7 @@ def truncation_source(u, h):
     return (d_xx + d_yy) / (48.0 * h * h)
 
 
-def deferred_correction(
-    result, tol=DEFAULT_SOLVER["tol"], max_iter=DEFAULT_SOLVER["max_iter"]
-):
+def deferred_correction(result):
     """Fourth-order solution from the 5-point SolveResult of newton_solve.
 
     One deferred correction (Fox, Proc. R. Soc. A 190, 1947; Pereyra,
@@ -475,12 +485,11 @@ def deferred_correction(
 
     whose solution is within O(h^4) of the continuous one.  The Jacobian
     is that of the 5-point system, so the Newton iteration starts from
-    result.u and reuses result's sine basis and preconditioned CG; tol
-    and max_iter mean what they mean for newton_solve.  The iteration
-    starts in Newton's local regime, within O(h^2) of its solution, so
-    its first forcing term is _forcing_term's floor: one step with a
-    tight CG solve reaches tol where Eisenstat-Walker's first term of 0.5
-    takes four.
+    result.u and reuses result's sine basis and preconditioned CG, and it
+    stops by newton_solve's rule.  The iteration starts in Newton's local
+    regime, within O(h^2) of its solution, so its first forcing term is
+    _forcing_term's floor: one step with a tight CG solve reaches
+    NEWTON_TOL where Eisenstat-Walker's first term of 0.5 takes four.
 
     Returns the SolveResult of the corrected system: its residual_field
     is that system's residual, which is what the admissibility gate of a
@@ -497,17 +506,13 @@ def deferred_correction(
         result.q_abs_sq,
         result.basis,
         tau,
-        tol,
-        max_iter,
         cg_counter=[],
         local_start=True,
     )
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton(
-    x, y, u, q2, basis, source, tol, max_iter, cg_counter, local_start=False
-):
+def _newton(x, y, u, q2, basis, source, cg_counter, local_start=False):
     """Damped inexact Newton for pde_residual(u) - source from the iterate u.
 
     q2 is |Q0|^2 on the grid, basis its interior's _SineBasis, source 0.0
@@ -519,7 +524,7 @@ def _newton(
     search's decrease test, and a residual that is not finite fails the
     linear solve (_cg_solve).
     """
-    h = basis.h
+    h, tol, max_iter = basis.h, NEWTON_TOL, NEWTON_MAX_ITER
 
     def residual(v):
         r = pde_residual(v, q2, h)

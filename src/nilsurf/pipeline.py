@@ -47,13 +47,7 @@ import os
 import numpy as np
 
 from . import frame
-from .config import (
-    CHECK_TOLERANCES,
-    DEFAULT_TOLERANCES,
-    OPTIONS,
-    check_tolerances,
-    mesh_path,
-)
+from .config import DEFAULT_TOLERANCES, check_tolerances, mesh_path
 from .errors import (
     DegenerateNode,
     DomainError,
@@ -213,7 +207,7 @@ def solve_density(config):
 
     The one solve both commands share: solve-gauss writes this field, and
     build_potential corrects it to fourth order.  Runs newton_solve on the
-    config's solver grid with its Q0, bc and solver settings.
+    config's solver grid with its Q0 and bc.
     """
     xs, ys = config.resolved_solver_domain().axes()
     z = xs[None, :] + 1j * ys[:, None]
@@ -224,14 +218,7 @@ def solve_density(config):
         bc = np.log(liouville_exact(z))
     else:
         bc = np.full(z.shape, float(config.bc))
-    return newton_solve(
-        q0_values,
-        bc,
-        xs,
-        ys,
-        tol=config.solver_tol,
-        max_iter=config.solver_max_iter,
-    )
+    return newton_solve(q0_values, bc, xs, ys)
 
 
 def build_potential(config):
@@ -255,9 +242,7 @@ def build_potential(config):
     if config.rho0_source == "liouville":
         return Potential.liouville(), None, None
     first = solve_density(config)
-    result = deferred_correction(
-        first, tol=config.solver_tol, max_iter=config.solver_max_iter
-    )
+    result = deferred_correction(first)
     potential = Potential.solved(result, config.q0_coefficients)
     summary = {
         "grid": config.resolved_solver_domain().to_dict(),
@@ -299,12 +284,9 @@ def _generate(config, log):
     potential, solver_summary, _ = build_potential(config)
     x, y = config.domain.axes()
     h = max(config.domain.hx, config.domain.hy)
-    tolerances = {
-        key: getattr(config, OPTIONS["tolerances", key].name) for key in CHECK_TOLERANCES
-    }
-    surfaces = generate_surface(
-        potential, x, y, config.t_values, shape_tol=config.shape_tol
-    )
+    # each tolerance's RunConfig field is named after its key
+    tolerances = {key: getattr(config, key) for key in DEFAULT_TOLERANCES}
+    surfaces = generate_surface(potential, x, y, config.t_values)
     meshes = [mesh_summary(path, x.size, y.size) for path in paths]
 
     def write_meshes():
@@ -372,7 +354,7 @@ def _generate(config, log):
 def run_check(csv_path, report_path=None, log=print, **tolerances):
     """Verify an externally supplied surface CSV; returns (exit_code, dict).
 
-    tolerances are the CHECK_TOLERANCES keywords (margin, angle_cutoff,
+    tolerances are the keywords of DEFAULT_TOLERANCES (margin, angle_cutoff,
     residual_floor, threshold_scale; defaults from DEFAULT_TOLERANCES).  A
     value a config file may not hold, or a report_path that check_writes
     refuses (the CSV itself, say), exits 2 before the file is read.

@@ -22,7 +22,8 @@ so x1 + i x2 = f[0, 1] = fhat[0, 1] and x3 = Re f[0, 0].  fhat itself
 stores a companion height Im fhat[0, 0] whose z-derivative reproduces the
 vertical frame coefficient of f_z — one of the cross-checks the residual
 suite exercises.  `surface_from_frame` is the one place that reads
-coordinates off these matrices, after checking both shapes once.
+coordinates off these matrices, after checking both shapes once against
+SHAPE_TOL, a module constant like the package's other numerical gates.
 
 At the base point z = 0 the triple is (identity, 0, 0) exactly, hence
 fhat(0) = 2 S and f(0) = 0: every generated surface passes through the
@@ -47,9 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mat2
-from .config import DEFAULT_TOLERANCES
 from .errors import ShapeViolation
 from .frame import integrate_grid
+
+#: Largest deviation of fhat and of f from their model shapes.
+SHAPE_TOL = 1e-6
 
 
 def _assemble(psi, psi_t, psi_tt):
@@ -124,13 +127,13 @@ def _worst(deviation, tol, not_finite, deviates):
     return worst
 
 
-def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
+def surface_from_frame(frame_field):
     """Assemble a SurfaceGrid from an integrated FrameField.
 
     The one reader of the immersion matrix f.  It checks fhat against its
     shape [[i s, w], [conj(w), -i s]] (s real), then f against the point
     model [[x3, F], [conj(F), x3]] (x3 real), raising ShapeViolation if
-    either deviates by more than shape_tol or by a deviation that is not
+    either deviates by more than SHAPE_TOL or by a deviation that is not
     finite; then reads F = f01, height = x3 and aux_height = s.  f shares
     its off-diagonal entries with fhat, so the f check needs only its
     diagonal terms.  A frame that is not finite fails first, as a
@@ -145,7 +148,7 @@ def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
             np.maximum(np.abs(h00.real), np.abs(h00 + h11)),
             np.abs(h10 - np.conj(h01)),
         ),
-        shape_tol,
+        SHAPE_TOL,
         "auxiliary matrix field is not finite",
         "auxiliary matrix field deviates from its model shape",
     )
@@ -154,7 +157,7 @@ def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
     f11 = -0.5 * (-1j * d11)
     f_dev = _worst(
         np.maximum(np.abs(f00 - f11), np.abs(f00.imag)),
-        shape_tol,
+        SHAPE_TOL,
         "matrix shape deviation is not finite",
         "matrix deviates from the point-model shape",
     )
@@ -171,7 +174,7 @@ def surface_from_frame(frame_field, shape_tol=DEFAULT_TOLERANCES["shape"]):
     )
 
 
-def generate_surface(potential, x, y, t, shape_tol=DEFAULT_TOLERANCES["shape"]):
+def generate_surface(potential, x, y, t):
     """Integrate frames and assemble the surface at parameter(s) t.
 
     t is a float, which returns one SurfaceGrid, or a 1-D sequence, which
@@ -182,5 +185,5 @@ def generate_surface(potential, x, y, t, shape_tol=DEFAULT_TOLERANCES["shape"]):
     """
     fields = integrate_grid(potential, x, y, t)
     if np.ndim(t) == 0:
-        return surface_from_frame(fields, shape_tol=shape_tol)
-    return [surface_from_frame(field, shape_tol=shape_tol) for field in fields]
+        return surface_from_frame(fields)
+    return [surface_from_frame(field) for field in fields]

@@ -38,11 +38,8 @@ class TestDefaults:
         cfg = parse(base_document())
         assert cfg.rho0_source == "constant"
         assert cfg.rho0_value == 1.0
-        np.testing.assert_array_equal(cfg.q0_coefficients, [0.25 + 0.0j])
+        assert cfg.q0_coefficients == (0.25 + 0.0j,)
         assert cfg.t_values == config.DEFAULT_T_VALUES
-        assert cfg.solver_tol == 1e-10
-        assert cfg.solver_max_iter == 50
-        assert cfg.shape_tol == 1e-6
         assert cfg.angle_cutoff == 0.05
         assert cfg.margin == 2
         assert cfg.residual_floor == 1e-10
@@ -97,13 +94,13 @@ class TestRoundTrip:
     def test_serialize_parse_identity(self):
         doc = base_document(
             t_values=[0.0, 0.6],
-            solver={"tol": 1e-9, "max_iter": 30},
             tolerances={"margin": 3, "residual_floor": 1e-9},
             outputs={"mesh": "m_{t}.obj", "report": "r.json"},
         )
         cfg = parse(doc)
         text = config.serialize(cfg)
         again = config.parse_config(text)
+        assert again == cfg
         assert again.to_dict() == cfg.to_dict()
         assert config.serialize(again) == text
         assert text.endswith("\n")
@@ -123,15 +120,31 @@ class TestRoundTrip:
         again = config.parse_config(config.serialize(cfg))
         assert again.to_dict() == cfg.to_dict()
         assert again.bc == "liouville"
-        np.testing.assert_array_equal(
-            again.q0_coefficients, [0.0, 0.25j]
-        )
+        assert again.q0_coefficients == (0.0, 0.25j)
 
     def test_load_config_reads_files(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(base_document()))
         cfg = config.load_config(str(path))
         assert cfg.rho0_source == "constant"
+
+    def test_solved_configs_compare_equal(self, tmp_path):
+        # Q0 = z/4 has two coefficients, whose comparison as an array had
+        # no truth value; the recorded path is not part of equality
+        doc = base_document()
+        doc["potential"] = {
+            "q0_coefficients": [0, 0.25],
+            "rho0": {"source": "solved", "bc": 0.0},
+        }
+        text = json.dumps(doc)
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        cfg = config.parse_config(text)
+        assert all(type(c) is complex for c in cfg.q0_coefficients)
+        assert config.load_config(str(path)) == cfg
+        assert config.parse_config(config.serialize(cfg)) == cfg
+        doc["potential"]["q0_coefficients"] = [0, 0.5]
+        assert parse(doc) != cfg
 
 
 class TestSchemaErrors:
@@ -148,6 +161,8 @@ class TestSchemaErrors:
                                       "oops": 1}), "potential.oops"),
             (base_document(tolerances={"margins": 2}), "tolerances.margins"),
             (base_document(tolerances={"flatness": 1e-5}), "tolerances.flatness"),
+            (base_document(tolerances={"shape": 1e-6}), "tolerances.shape"),
+            (base_document(solver={"tol": 1e-10, "max_iter": 50}), "solver"),
             (base_document(outputs={"meshes": "x.obj"}), "outputs.meshes"),
         ]
         for doc, path in cases:
@@ -195,10 +210,10 @@ class TestSchemaErrors:
         doc = base_document(t_values=[True])
         with pytest.raises(SchemaError):
             parse(doc)
-        doc = base_document(solver={"tol": True, "max_iter": 50})
+        doc = base_document(tolerances={"residual_floor": True})
         with pytest.raises(SchemaError):
             parse(doc)
-        doc = base_document(solver={"tol": 1e-10, "max_iter": 50.0})
+        doc = base_document(tolerances={"margin": 2.0})
         with pytest.raises(SchemaError):
             parse(doc)
 
@@ -305,7 +320,7 @@ class TestSchemaErrors:
         assert parse(doc).mesh_pattern == "surface.obj"
 
     def test_tolerance_positivity(self):
-        for key in ("shape", "residual_floor", "threshold_scale"):
+        for key in ("residual_floor", "threshold_scale"):
             with pytest.raises(SchemaError):
                 parse(base_document(tolerances={key: 0.0}))
         with pytest.raises(SchemaError):
@@ -315,17 +330,16 @@ class TestSchemaErrors:
 class TestOptionTable:
     def test_table_covers_every_default(self):
         for section, defaults in (
-            ("solver", config.DEFAULT_SOLVER),
             ("tolerances", config.DEFAULT_TOLERANCES),
             ("outputs", config.DEFAULT_OUTPUTS),
         ):
             assert {k for s, k in config.OPTIONS if s == section} == set(defaults)
-        assert set(config.CHECK_TOLERANCES) < set(config.DEFAULT_TOLERANCES)
+        # the tolerances' fields are named after their keys
+        for key in config.DEFAULT_TOLERANCES:
+            assert config.OPTIONS["tolerances", key].name == key
 
     def test_check_tolerances_fill_defaults(self):
-        assert config.check_tolerances() == {
-            key: config.DEFAULT_TOLERANCES[key] for key in config.CHECK_TOLERANCES
-        }
+        assert config.check_tolerances() == config.DEFAULT_TOLERANCES
         assert config.check_tolerances(margin=3)["margin"] == 3
         # NumPy scalars are numbers too, for library callers
         numpy_values = config.check_tolerances(

@@ -105,7 +105,7 @@ class TestNewtonSolve:
         # With Q0 = 0 the equation forces u strictly subharmonic, so by
         # the maximum principle u < 0 inside when the boundary is 0.
         x, y = square_axes(33)
-        result = pde.newton_solve(np.zeros((33, 33)), 0.0, x, y, tol=1e-10)
+        result = pde.newton_solve(np.zeros((33, 33)), 0.0, x, y)
         assert result.final_residual <= 1e-10
         assert np.all(result.u[1:-1, 1:-1] < 0.0)
         np.testing.assert_array_equal(result.u[0], 0.0)
@@ -115,15 +115,16 @@ class TestNewtonSolve:
         assert len(result.cg_iterations) == result.newton_iterations + 1
         assert result.x[1] - result.x[0] == pytest.approx(x[1] - x[0])
 
-    def test_liouville_regression_second_order(self):
+    def test_liouville_regression_second_order(self, monkeypatch):
         # Solve with Q0 = 0 and exact boundary data; the discrete solution
         # must approach the closed form at second order in the spacing.
+        monkeypatch.setattr(pde, "NEWTON_TOL", 1e-11)
         errors = []
         for n in (17, 33):
             x, y = square_axes(n)
             z = grid_z(x, y)
             bc = np.log(liouville_exact(z))
-            result = pde.newton_solve(np.zeros((n, n)), bc, x, y, tol=1e-11)
+            result = pde.newton_solve(np.zeros((n, n)), bc, x, y)
             errors.append(np.max(np.abs(result.u - bc)))
         assert errors[1] < 5e-4
         order = np.log2(errors[0] / errors[1])
@@ -237,6 +238,14 @@ class TestNewtonSolve:
         assert len(result.cg_iterations) >= 3
         assert built == [(31, 31)]
 
+    def test_norm_of_a_finite_residual_is_finite(self):
+        # the squares of entries past about 1e154 overflow; the norm does not
+        assert pde._norm(np.full((3, 4), 1e300)) == pytest.approx(
+            1e300 * np.sqrt(12.0), rel=1e-15
+        )
+        assert pde._norm(np.array([3.0, 4.0])) == 5.0
+        assert pde._norm(np.array([1e300, np.inf])) == np.inf
+
     def test_cg_iteration_cap_raises(self, monkeypatch):
         # one CG iteration solves the harmonic fill exactly, but the
         # convergence test only runs at the top of the next iteration
@@ -246,10 +255,11 @@ class TestNewtonSolve:
         with pytest.raises(LinearSolveFailure, match="harmonic extension"):
             pde.newton_solve(np.zeros((17, 17)), bc, x, y)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(pde, "NEWTON_MAX_ITER", 1)
         x, y = square_axes(17)
         with pytest.raises(MaxIterExceeded) as info:
-            pde.newton_solve(np.zeros((17, 17)), 0.0, x, y, max_iter=1)
+            pde.newton_solve(np.zeros((17, 17)), 0.0, x, y)
         assert info.value.iterations == 1
         assert info.value.residual > info.value.tol
 

@@ -210,6 +210,24 @@ class TestRunGenerate:
         assert on_disk["schema"] == "nilsurf-report/1"
         assert any("PASS" in line for line in lines)
 
+    @pytest.mark.parametrize("source", ["constant", "solved"])
+    def test_report_config_parses_to_the_run_config(self, tmp_path, source):
+        # the report holds every key of the config and no retired one
+        potential = {
+            "q0_coefficients": [0.0, 0.25],
+            "rho0": {"source": "solved", "bc": 0.0},
+        }
+        if source == "constant":
+            potential = {}  # make_config's rho0 = 1, Q0 = 1/4
+        cfg = make_config(tmp_path, potential=potential)
+        code, report = pipeline.run_generate(cfg, log=lambda *_: None)
+        assert code == pipeline.EXIT_PASS
+        assert parse_config(json.dumps(report["config"])) == cfg
+        on_disk = json.loads((tmp_path / "report.json").read_text())
+        assert parse_config(json.dumps(on_disk["config"])) == cfg
+        assert "solver" not in on_disk["config"]
+        assert "shape" not in on_disk["config"]["tolerances"]
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = make_config(tmp_path)
         pipeline.run_generate(cfg, log=lambda *_: None)
@@ -806,7 +824,7 @@ class TestRunSolve:
         code, result = pipeline.run_solve(cfg, out_path=out, log=lines.append)
         assert code == pipeline.EXIT_PASS
         assert result.newton_iterations >= 1
-        assert result.final_residual <= cfg.solver_tol
+        assert result.final_residual <= pde.NEWTON_TOL
         text = out.read_text().splitlines()
         assert text[0] == "x,y,u"
         assert len(text) == 1 + 33 * 33  # default solver grid: 2n - 1 nodes
@@ -991,7 +1009,7 @@ class TestBuildPotential:
         np.testing.assert_array_equal(result.residual_field, expected)
         # the solved density is usable as potential data over the domain
         worst = pipeline.check_integrability(potential, *cfg.domain.axes())
-        assert worst <= cfg.solver_tol * 10
+        assert worst <= pde.NEWTON_TOL * 10
 
     def test_solved_coordinates_converge_at_fourth_order(self, tmp_path):
         # Q0 = z/4, bc 0 on [-0.5, 0.5]^2 at t = 0.7: max |c_2h - c_h| over
@@ -1314,6 +1332,28 @@ class TestCli:
         assert "conjugate gradients failed during newton step 1" in lines[-1]
         assert not (tmp_path / "u.csv").exists()
 
+    def test_solve_gauss_residual_past_1e154_is_measured(self, tmp_path):
+        # bc 700: the residual's entries reach about 1e303, whose squares
+        # overflow, but the residual is finite; its scaled norm lets the
+        # Newton iteration run to its cap
+        path = self._write_config(
+            tmp_path,
+            potential={
+                "q0_coefficients": [[0.0, 0.0], [0.25, 0.0]],
+                "rho0": {"source": "solved", "bc": 700.0},
+            },
+        )
+        lines = []
+        code = cli.main(
+            ["solve-gauss", str(path), "--out", str(tmp_path / "u.csv")],
+            log=lines.append,
+        )
+        assert code == 3
+        assert lines[-1].startswith(
+            f"error: Newton solver stalled after {pde.NEWTON_MAX_ITER} iterations"
+        )
+        assert not (tmp_path / "u.csv").exists()
+
     def test_runtime_needs_no_scipy(self):
         # SciPy is a test dependency only: importing the package and
         # running a solve must not load it
@@ -1344,7 +1384,7 @@ class TestCli:
         ],
     )
     def test_process_exit_status(self, tmp_path, kind, flags, code):
-        # the status entry() hands to sys.exit, which main's callers here
+        # the status __main__ hands to sys.exit, which main's callers here
         # never see
         path = tmp_path / f"{kind}.csv"
         write_surface_csv(dyadic_plane(kind), path)

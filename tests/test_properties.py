@@ -95,7 +95,6 @@ def base_document(source, n):
             "xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5, "nx": n, "ny": n,
         },
         "t_values": [0.0, 0.5],
-        "solver": dict(config.DEFAULT_SOLVER),
         "tolerances": dict(config.DEFAULT_TOLERANCES),
         "outputs": dict(config.DEFAULT_OUTPUTS),
     }

@@ -204,7 +204,7 @@ class TestShapeGate:
         ):
             surface.surface_from_frame(field)
 
-    def test_each_immersion_defect_is_measured(self):
+    def test_each_immersion_defect_is_measured(self, monkeypatch):
         # every matrix is [[a, b], [conj(b), conj(a)]], so d11 = conj(d00)
         # and f00 - f11 = 2i Im f00 = -i Re d00: both point-model checks
         # read |Re d00|.  A bump delta of psi_tt's a entry moves d00 by
@@ -219,14 +219,16 @@ class TestShapeGate:
 
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
         field.row[2, 0, 2, 3] += 1e-3
-        loose = surface.surface_from_frame(field, shape_tol=1.0)
-        assert loose.shape_deviation == pytest.approx(2e-3 * a.real, rel=1e-5)
         with pytest.raises(ShapeViolation, match="point-model shape"):
-            surface.surface_from_frame(field, shape_tol=1e-6)
+            surface.surface_from_frame(field)
+        monkeypatch.setattr(surface, "SHAPE_TOL", 1.0)
+        loose = surface.surface_from_frame(field)
+        assert loose.shape_deviation == pytest.approx(2e-3 * a.real, rel=1e-5)
+        monkeypatch.undo()
 
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
         field.row[2, 0, 2, 3] += 1e-3j
-        moved = surface.surface_from_frame(field, shape_tol=1e-6)
+        moved = surface.surface_from_frame(field)
         assert moved.shape_deviation == reference.shape_deviation
         shift = moved.height - reference.height
         assert shift[2, 3] == pytest.approx(-1e-3 * a.real, rel=1e-6)
@@ -259,13 +261,16 @@ class TestShapeGate:
         with pytest.raises(SingularFrameError, match="not finite"):
             surface.generate_surface(huge, ax, ax, 0.0)
 
-    def test_loose_tolerance_admits_the_same_frame(self):
+    def test_loose_tolerance_admits_the_same_frame(self, monkeypatch):
         # the frame's own deviation (5.2e-9) passes the tight tolerance;
-        # the bump adds 4e-8, which fails it and passes the loose one
-        tight, loose = 2e-8, 1e-6
+        # the bump adds 4e-8, which fails it and passes SHAPE_TOL (1e-6)
+        assert surface.SHAPE_TOL == 1e-6
         field = frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
-        surface.surface_from_frame(field, shape_tol=tight)
         field.row[1, 0, 2, 3] += 1e-8
-        surface.surface_from_frame(field, shape_tol=loose)
+        surface.surface_from_frame(field)
+        monkeypatch.setattr(surface, "SHAPE_TOL", 2e-8)
         with pytest.raises(ShapeViolation):
-            surface.surface_from_frame(field, shape_tol=tight)
+            surface.surface_from_frame(field)
+        surface.surface_from_frame(
+            frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
+        )
