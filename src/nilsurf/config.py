@@ -212,7 +212,7 @@ class RunConfig:
     rho0_source: str
     domain: GridSpec
     rho0_value: float = 1.0
-    solver_domain: GridSpec = None
+    solver_domain: GridSpec = None  # a solved source's, stored by parse_config
     bc: object = 0.0
     t_values: tuple = DEFAULT_T_VALUES
     angle_cutoff: float = _option("tolerances", "angle_cutoff", _as_float)
@@ -238,7 +238,7 @@ class RunConfig:
             potential["rho0"]["value"] = self.rho0_value
         if self.rho0_source == "solved":
             potential["rho0"]["bc"] = self.bc
-            potential["rho0"]["solver_domain"] = self.resolved_solver_domain().to_dict()
+            potential["rho0"]["solver_domain"] = self.solver_domain.to_dict()
         out = {
             "potential": potential,
             "domain": self.domain.to_dict(),
@@ -247,12 +247,6 @@ class RunConfig:
         for (section, key), option in OPTIONS.items():
             out.setdefault(section, {})[key] = getattr(self, option.name)
         return out
-
-    def resolved_solver_domain(self):
-        """The solver rectangle: explicit, or the documented padded default."""
-        if self.solver_domain is not None:
-            return self.solver_domain
-        return self.domain.padded()
 
 
 #: The optional keys: (section, key) -> the RunConfig field that holds it.
@@ -501,7 +495,7 @@ def _validate_geometry(config):
                 f"farthest corner has |z| = {corner:.6f}"
             )
     if config.rho0_source == "solved":
-        solver = config.resolved_solver_domain()
+        solver = config.solver_domain
         hs = max(solver.hx, solver.hy)
         if abs(solver.hx - solver.hy) > 1e-12 * hs:
             raise DomainError("solver grid must have square cells")

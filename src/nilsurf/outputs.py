@@ -21,21 +21,14 @@ Formats:
   * Solution CSV (from `solve-gauss`): header x,y,u, same layout.
   * Report: JSON with sorted keys; schema documented in the README.
 
-The OBJ text is at its CPython floor (the `%.12g` formatting of the
-vertex rows is most of an export), so `generate` takes it off its
-critical path instead: `write_aside` runs a writer in a forked child
-process while the caller goes on (verifying the members), and reaps the
-child when the caller's block ends.  A child that did not exit 0 is
-followed by the write in place, which is also the only write where
-os.fork does not exist, so the bytes and the failures are those of
-writing in place.
+The OBJ text is at its CPython floor: the `%.12g` formatting of the
+vertex rows is most of an export.  `generate` writes the meshes in place,
+in the calling process, once it has verified every member.
 """
 
 import csv
 import json
-import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,36 +111,6 @@ def export_obj(surface, path, faces=None):
             fh.write(vertex_row % tuple(row.ravel().tolist()))
         fh.write(faces)
     return mesh_summary(path, nx, ny)
-
-
-@contextmanager
-def write_aside(write):
-    """Run write() in a forked child process while the with-block runs.
-
-    The child only formats and writes: it logs nothing, runs no BLAS
-    product (so an idle BLAS thread pool left behind by the fork cannot
-    hold it up) and always ends with os._exit; its exit status is all it
-    reports.  Leaving the block reaps the child, in a finally, so no child
-    outlives it.  When the child did not exit 0, or where os.fork does not
-    exist, write() runs here after the block: a failure raises what
-    writing in place raises, and a killed child still leaves its files.
-    An exception of the block itself takes precedence, and then write()
-    does not run again.
-    """
-    pid = os.fork() if hasattr(os, "fork") else None
-    if pid == 0:  # the child
-        status = 1
-        try:
-            write()
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        yield
-    finally:
-        status = 1 if pid is None else os.waitpid(pid, 0)[1]
-    if status:
-        write()
 
 
 def write_surface_csv(surface, path):

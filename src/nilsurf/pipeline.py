@@ -32,13 +32,12 @@ writes, applied once by each command before it reads or computes
 anything: no write is a file it reads or another it writes.
 
 `generate` marches the family once, behind the march's admissibility
-gate (frame.integrate_grid), then writes the members' meshes with
-outputs.write_aside (in a forked child, or in place after it fails)
-while it verifies them here.  The writing ends before `_finish` writes
-the report, on every way out.  The verdicts are logged once the meshes
-are written, each with "; mesh -> PATH"; a failed run logs them without
-it: a mesh that cannot be written exits 5 with the OSError's line, and a
-verify that raises exits 4 and may leave every mesh on disk.
+gate (frame.integrate_grid), verifies every member, then writes the
+members' meshes, before `_finish` writes the report.  The verdicts are
+logged once the meshes are written, each with "; mesh -> PATH"; a
+failed run logs them without it: a mesh that cannot be written exits 5
+with the OSError's line, and a verify that raises exits 4 and leaves no
+mesh on disk.
 """
 
 import math
@@ -65,7 +64,6 @@ from .outputs import (
     mesh_summary,
     obj_faces,
     read_surface_csv,
-    write_aside,
     write_json,
     write_solution_csv,
 )
@@ -209,7 +207,7 @@ def solve_density(config):
     build_potential corrects it to fourth order.  Runs newton_solve on the
     config's solver grid with its Q0 and bc.
     """
-    xs, ys = config.resolved_solver_domain().axes()
+    xs, ys = config.solver_domain.axes()
     z = xs[None, :] + 1j * ys[:, None]
     # a Q0 past the float range is inf, which newton_solve refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,7 +243,7 @@ def build_potential(config):
     result = deferred_correction(first)
     potential = Potential.solved(result, config.q0_coefficients)
     summary = {
-        "grid": config.resolved_solver_domain().to_dict(),
+        "grid": config.solver_domain.to_dict(),
         "newton_iterations": first.newton_iterations,
         "final_residual": result.final_residual,
         "residual_history": [float(v) for v in first.residual_history],
@@ -288,53 +286,49 @@ def _generate(config, log):
     tolerances = {key: getattr(config, key) for key in DEFAULT_TOLERANCES}
     surfaces = generate_surface(potential, x, y, config.t_values)
     meshes = [mesh_summary(path, x.size, y.size) for path in paths]
-
-    def write_meshes():
+    surfaces_out = []
+    # the log lines, each with the note of the mesh it claims, held until
+    # the meshes are written; a failed run claims none
+    held, written = [], False
+    try:
+        for surf, t, mesh in zip(surfaces, config.t_values, meshes):
+            report, thresholds, passed, failures = _verdict(
+                surf, h, potential, **tolerances
+            )
+            # a class with no finite value ranks last
+            worst_key = max(
+                RESIDUAL_KEYS,
+                key=lambda k: -math.inf
+                if math.isnan(report.maxima[k])
+                else report.maxima[k] / thresholds[k],
+            )
+            line = (
+                f"[t={t:.6f}] {'pass' if passed else 'FAIL'}  worst "
+                f"{worst_key} = {report.maxima[worst_key]:.3e} "
+                f"(threshold {thresholds[worst_key]:.3e})"
+            )
+            held.append((line, f"; mesh -> {mesh.path}"))
+            held += [
+                (f"    over threshold: {key} = {value:.3e} > {threshold:.3e}", "")
+                for key, value, threshold in failures
+            ]
+            surfaces_out.append(
+                {
+                    "t": float(t),
+                    "mesh_path": mesh.path,
+                    "mesh": {
+                        "vertices": mesh.vertex_count,
+                        "faces": mesh.face_count,
+                    },
+                    "pass": passed,
+                    "failures": _failure_entries(failures),
+                    "verification": report.to_dict(),
+                }
+            )
         # every member's mesh shares the grid, hence the face block
         faces = obj_faces(x.size, y.size)
         for surf, mesh in zip(surfaces, meshes):
             export_obj(surf, mesh.path, faces)
-
-    surfaces_out = []
-    # the log lines, each with the note of the mesh it claims, held until
-    # write_aside has written the meshes; a failed run claims none
-    held, written = [], False
-    try:
-        with write_aside(write_meshes):
-            for surf, t, mesh in zip(surfaces, config.t_values, meshes):
-                report, thresholds, passed, failures = _verdict(
-                    surf, h, potential, **tolerances
-                )
-                # a class with no finite value ranks last
-                worst_key = max(
-                    RESIDUAL_KEYS,
-                    key=lambda k: -math.inf
-                    if math.isnan(report.maxima[k])
-                    else report.maxima[k] / thresholds[k],
-                )
-                line = (
-                    f"[t={t:.6f}] {'pass' if passed else 'FAIL'}  worst "
-                    f"{worst_key} = {report.maxima[worst_key]:.3e} "
-                    f"(threshold {thresholds[worst_key]:.3e})"
-                )
-                held.append((line, f"; mesh -> {mesh.path}"))
-                held += [
-                    (f"    over threshold: {key} = {value:.3e} > {threshold:.3e}", "")
-                    for key, value, threshold in failures
-                ]
-                surfaces_out.append(
-                    {
-                        "t": float(t),
-                        "mesh_path": mesh.path,
-                        "mesh": {
-                            "vertices": mesh.vertex_count,
-                            "faces": mesh.face_count,
-                        },
-                        "pass": passed,
-                        "failures": _failure_entries(failures),
-                        "verification": report.to_dict(),
-                    }
-                )
         written = True
     finally:
         for line, mesh_note in held:

@@ -58,7 +58,7 @@ class TestDefaults:
 
     def test_default_solver_domain_is_padded_at_the_surface_spacing(self):
         cfg = parse(base_document())
-        solver = cfg.resolved_solver_domain()
+        solver = cfg.domain.padded()
         # 8 spacings of 1/16 on every side of [-0.5, 0.5]^2
         assert (solver.xmin, solver.xmax) == (-1.0, 1.0)
         assert (solver.ymin, solver.ymax) == (-1.0, 1.0)
@@ -254,7 +254,7 @@ class TestSchemaErrors:
         largest = (config.MAX_NODES + 1) // 2
         doc["potential"]["rho0"] = {"source": "solved"}
         doc["domain"].update(nx=largest, ny=largest)
-        assert parse(doc).resolved_solver_domain().ny == config.MAX_NODES
+        assert parse(doc).solver_domain.ny == config.MAX_NODES
         doc["domain"]["ny"] = largest + 1
         with pytest.raises(SchemaError, match=r"n \+ 2 floor\(\(n - 1\)/2\)") as err:
             parse(doc)
@@ -427,7 +427,7 @@ class TestGeometryErrors:
         doc = self._solved_doc(bc="liouville")
         doc["domain"].update(xmin=-0.353, xmax=0.353, ymin=-0.353, ymax=0.353,
                              nx=n, ny=n)
-        solver = parse(doc).resolved_solver_domain()
+        solver = parse(doc).solver_domain
         assert solver.farthest_corner() <= 0.706 * np.sqrt(2.0) + 1e-15
 
     def test_liouville_boundary_needs_disk_fit(self):

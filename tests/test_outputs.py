@@ -1,7 +1,6 @@
 """Tests for the mesh, CSV, and JSON writers and their readers."""
 
 import json
-import os
 import warnings
 from unittest import mock
 
@@ -428,41 +427,3 @@ class TestJson:
         outputs.write_json(doc, p1)
         outputs.write_json(dict(reversed(doc.items())), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-def assert_no_child():
-    """The calling process has no child process left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestWriteAside:
-    def test_child_oserror_is_raised_as_it_would_be_in_place(self, tmp_path):
-        path = tmp_path / "missing" / "mesh.obj"
-        surf = toy_surface(9)
-        with pytest.raises(OSError) as in_place:
-            outputs.export_obj(surf, path)
-        with pytest.raises(OSError) as aside:
-            with outputs.write_aside(lambda: outputs.export_obj(surf, path)):
-                pass
-        assert_no_child()
-        assert type(aside.value) is type(in_place.value) is FileNotFoundError
-        assert str(aside.value) == str(in_place.value)
-        assert aside.value.filename == str(path)
-
-    def test_block_exception_comes_first_and_the_child_is_reaped(self):
-        def broken():
-            raise ValueError("not a mesh")
-
-        with pytest.raises(KeyError):
-            with outputs.write_aside(broken):
-                raise KeyError("the block")
-        assert_no_child()
-
-    def test_runs_inline_where_fork_does_not_exist(self, monkeypatch):
-        # the write in place follows the block, as after a failed child
-        monkeypatch.delattr(os, "fork")
-        order = []
-        with outputs.write_aside(lambda: order.append(("write", os.getpid()))):
-            order.append(("block", os.getpid()))
-        assert order == [("block", os.getpid()), ("write", os.getpid())]

@@ -4,7 +4,6 @@ import errno
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import types
@@ -64,12 +63,6 @@ def make_config(tmp_path, **overrides):
         else:
             doc[key] = value
     return parse_config(json.dumps(doc))
-
-
-def assert_no_child():
-    """The calling process has no child process left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def dyadic_plane(kind, n=17):
@@ -195,7 +188,6 @@ class TestRunGenerate:
         cfg = make_config(tmp_path)
         lines = []
         code, report = pipeline.run_generate(cfg, log=lines.append)
-        assert_no_child()
         assert code == pipeline.EXIT_PASS
         assert report["schema"] == "nilsurf-report/1"
         assert report["pass"] is True
@@ -386,7 +378,6 @@ class TestRunGenerate:
         )
         lines = []
         code, report = pipeline.run_generate(cfg, log=lines.append)
-        assert_no_child()
         assert (code, report) == (pipeline.EXIT_RESIDUAL, None)
         assert "not finite" in lines[-1]
         assert not (tmp_path / "surface.obj").exists()
@@ -448,11 +439,7 @@ class TestRunGenerate:
 
 
 class TestMeshWriter:
-    """generate writes its meshes in a child process while it verifies.
-
-    Every way out of run_generate reaps that child, and a child that does
-    not exit 0 is followed by the write in place.
-    """
+    """generate verifies every member, then writes the meshes in place."""
 
     def family(self, tmp_path, mesh_dir=None):
         mesh_dir = tmp_path if mesh_dir is None else mesh_dir
@@ -462,11 +449,40 @@ class TestMeshWriter:
             outputs={"mesh": str(mesh_dir / "s_{t}.obj")},
         )
 
+    def test_every_verify_runs_before_the_first_export(self, tmp_path, monkeypatch):
+        # both steps run in this process, verifies first; a fork fails
+        def no_fork():
+            raise AssertionError("generate forked")
+
+        calls = []
+
+        def recorded(name, step):
+            def call(*args, **kwargs):
+                calls.append((name, os.getpid()))
+                return step(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for name in ("verify_surface", "export_obj"):
+            monkeypatch.setattr(
+                pipeline, name, recorded(name, getattr(pipeline, name))
+            )
+        code, _ = pipeline.run_generate(self.family(tmp_path), log=lambda *_: None)
+        assert code == pipeline.EXIT_PASS
+        me = os.getpid()
+        assert calls == [
+            ("verify_surface", me),
+            ("verify_surface", me),
+            ("export_obj", me),
+            ("export_obj", me),
+        ]
+        assert (tmp_path / "s_0.500000.obj").exists()
+
     def test_missing_mesh_directory_exits_5(self, tmp_path):
         lines = []
         cfg = self.family(tmp_path, mesh_dir=tmp_path / "missing")
         code, report = pipeline.run_generate(cfg, log=lines.append)
-        assert_no_child()
         assert (code, report) == (pipeline.EXIT_IO, None)
         first = str(tmp_path / "missing" / "s_0.000000.obj")
         assert lines[-1] == (
@@ -480,22 +496,21 @@ class TestMeshWriter:
         assert not any("mesh ->" in line for line in lines)
 
     def test_failing_verify_exits_4(self, tmp_path, monkeypatch):
-        # the writer is reaped before the error leaves run_generate; it may
-        # have written every mesh by then
+        # the meshes follow the verifies, so none is written
         def degenerate(*args, **kwargs):
             raise DegenerateNode("degenerate density at a node")
 
         monkeypatch.setattr(pipeline, "verify_surface", degenerate)
         lines = []
         code, report = pipeline.run_generate(self.family(tmp_path), log=lines.append)
-        assert_no_child()
         assert (code, report) == (pipeline.EXIT_RESIDUAL, None)
         assert lines == ["error: degenerate density at a node"]
         assert not (tmp_path / "report.json").exists()
+        assert not list(tmp_path.glob("*.obj"))
 
     def test_writer_failure_is_not_exit_0(self, tmp_path, monkeypatch):
-        # the failed child is followed by the write in place, which raises
-        # the writer's own exception
+        # an exception of the mesh writer other than an OSError is not an
+        # anticipated failure: it leaves run_generate as it was raised
         def broken(*args):
             raise ValueError("not a mesh")
 
@@ -503,58 +518,8 @@ class TestMeshWriter:
         lines = []
         with pytest.raises(ValueError, match="^not a mesh$"):
             pipeline.run_generate(self.family(tmp_path), log=lines.append)
-        assert_no_child()
         assert not any("PASS" in line for line in lines)
         assert not (tmp_path / "report.json").exists()
-
-    def test_killed_writer_is_followed_by_the_write_in_place(
-        self, tmp_path, monkeypatch
-    ):
-        # a child killed by a signal leaves the meshes to this process: the
-        # run passes with the log and files of a run without os.fork
-        parent = os.getpid()
-
-        def killed_in_the_child(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return outputs.export_obj(*args)
-
-        monkeypatch.setattr(pipeline, "export_obj", killed_in_the_child)
-        outs = []
-        for name in ("killed", "inline"):
-            if name == "inline":
-                monkeypatch.delattr(os, "fork")
-            run = tmp_path / name
-            run.mkdir()
-            lines = []
-            code, _ = pipeline.run_generate(self.family(run), log=lines.append)
-            assert_no_child()
-            assert code == pipeline.EXIT_PASS
-            text = "\n".join(lines) + "".join(
-                f"\n{p.name}\n{p.read_text()}" for p in sorted(run.iterdir())
-            )
-            outs.append(text.replace(str(run), "RUN"))
-        assert outs[0] == outs[1]
-        assert outs[0].count("s_0.500000.obj\nv ") == 1
-
-    def test_inline_writer_writes_the_same_files(self, tmp_path, monkeypatch):
-        # where os.fork does not exist the writer runs in this process; the
-        # log and the files are the same, up to the run's directory
-        outs = []
-        for name in ("forked", "inline"):
-            if name == "inline":
-                monkeypatch.delattr(os, "fork")
-            run = tmp_path / name
-            run.mkdir()
-            lines = []
-            code, _ = pipeline.run_generate(self.family(run), log=lines.append)
-            assert code == pipeline.EXIT_PASS
-            text = "\n".join(lines) + "".join(
-                f"\n{p.name}\n{p.read_text()}" for p in sorted(run.iterdir())
-            )
-            outs.append(text.replace(str(run), "RUN"))
-        assert outs[0] == outs[1]
-        assert outs[0].count("s_0.500000.obj\nv ") == 1
 
 
 class TestRunCheck:
@@ -829,7 +794,7 @@ class TestRunSolve:
         assert text[0] == "x,y,u"
         assert len(text) == 1 + 33 * 33  # default solver grid: 2n - 1 nodes
         assert any("Newton" in line for line in lines)
-        xs, ys = cfg.resolved_solver_domain().axes()
+        xs, ys = cfg.solver_domain.axes()
         z = xs[None, :] + 1j * ys[:, None]
         five_point = pde.newton_solve(z / 4.0, 0.0, xs, ys)
         np.testing.assert_array_equal(result.u, five_point.u)
