@@ -16,7 +16,7 @@ Typical library use:
     x = y = np.linspace(-1.0, 1.0, 65)
     surf = generate_surface(pot, x, y, t=0.0)
     report = verify_surface(surf, potential=pot)
-    print(report.maxima)
+    print(report.passed, report.failures, report.maxima)
 
 The `nilsurf` command line exposes the same pipeline plus file formats;
 see the README.
@@ -44,8 +44,6 @@ from .frame import (
 from .pde import SolveResult, deferred_correction, newton_solve, pde_residual
 from .pipeline import (
     build_potential,
-    classify_report,
-    residual_thresholds,
     run_check,
     run_generate,
     run_solve,
@@ -55,6 +53,8 @@ from .potentials import Potential, liouville_exact
 from .residuals import (
     RESIDUAL_KEYS,
     ResidualReport,
+    classify_report,
+    residual_thresholds,
     verify_surface,
 )
 from .surface import (

@@ -27,7 +27,7 @@ CHECK_FLAG_HELP = {
     "(default %(default)s)",
     "angle_cutoff": "skip Gauss-map tension where the angle function is below this",
     "residual_floor": "absolute floor of the residual thresholds, positive",
-    "threshold_scale": "positive multiplier on the h^2 residual thresholds",
+    "threshold_scale": "positive multiplier on the residual thresholds",
 }
 
 

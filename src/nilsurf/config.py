@@ -56,10 +56,10 @@ RunConfig field made by `_option` (its section, key and validator; its
 default lives in DEFAULT_*).  OPTIONS collects those fields into the one
 table that parse_config and RunConfig.to_dict read.  The tolerances are
 the residual check's, which `check` also takes as flags and run_check
-and check_surface_like as keywords; check_tolerances applies the same
-validators there, so a value a config file may not hold is refused too:
-a NaN floor would make every comparison with the thresholds false and
-pass any surface.
+and residuals.verify_surface as keywords; check_tolerances applies the
+same validators there, so a value a config file may not hold is refused
+too: a NaN floor would make every comparison with the thresholds false
+and pass any surface.
 """
 
 import json

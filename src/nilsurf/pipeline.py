@@ -10,26 +10,20 @@ and files, mapping every failure mode onto a stable exit code:
        degeneracy checks)
     5  I/O failure
 
-Residual thresholds scale with the grid: threshold = max(floor, scale * C
-* h^2) per residual class, with the coefficients C of the class table
-residuals.RESIDUAL_CLASSES (calibrated on the flagship configurations)
-and h the larger grid spacing.  A fixed absolute threshold would
-spuriously fail coarse grids and trivially pass fine ones; the h^2 law
-matches the second-order convergence of every residual class.
-`classify_report` has one rule for every class and is the one verdict:
-`check`'s table says OVER for exactly its failures.
-
-Each rule has one site.  `_verdict` is the one verify -> thresholds ->
-classify step, shared by run_generate (h from the config domain),
-run_check and check_surface_like (h from the surface axes); the last two
-validate their tolerances with config.check_tolerances before they read
-or verify anything.  `guarded` is the one failure path: it turns a
-NilsurfError or an OSError into a log line and an exit code for every
-command, the configuration load of the command line included.  `_finish`
-is the one tail of generate and check: it writes the report and prints
-PASS or FAIL.  `check_writes` is the one rule for the files a command
-writes, applied once by each command before it reads or computes
-anything: no write is a file it reads or another it writes.
+Each rule has one site.  The verdict on a surface is
+residuals.verify_surface's: it validates the check's tolerances,
+measures, and sets the report's thresholds, pass and failures; the
+threshold law and the classifier live beside the class table.  Both
+commands call it through this module's global and read the verdict off
+the report, and `check` validates its tolerances once more before it
+reads the CSV, so a bad flag exits 2 first.  `guarded` is the one
+failure path: it turns a NilsurfError or an OSError into a log line and
+an exit code for every command, the configuration load of the command
+line included.  `_finish` is the one tail of generate and check: it
+writes the report and prints PASS or FAIL.  `check_writes` is the one
+rule for the files a command writes, applied once by each command before
+it reads or computes anything: no write is a file it reads or another it
+writes.
 
 `generate` marches the family once, behind the march's admissibility
 gate (frame.integrate_grid), verifies every member, then writes the
@@ -69,7 +63,7 @@ from .outputs import (
 )
 from .pde import deferred_correction, newton_solve
 from .potentials import Potential, liouville_exact
-from .residuals import RESIDUAL_CLASSES, RESIDUAL_KEYS, verify_surface
+from .residuals import RESIDUAL_KEYS, verify_surface
 from .surface import generate_surface
 
 EXIT_PASS = 0
@@ -94,59 +88,12 @@ def exit_code_for(exc):
     raise exc
 
 
-def residual_thresholds(
-    h,
-    floor=DEFAULT_TOLERANCES["residual_floor"],
-    scale=DEFAULT_TOLERANCES["threshold_scale"],
-):
-    """Threshold per residual class: max(floor, scale * C * h^2)."""
-    return {
-        key: max(floor, scale * coeff * h * h)
-        for key, coeff in RESIDUAL_CLASSES.items()
-    }
-
-
-def classify_report(report, thresholds):
-    """Compare a ResidualReport's maxima against thresholds.
-
-    A class fails when its maximum exceeds its threshold, or when its
-    maximum is NaN (no finite value, from overflowed derivatives, say)
-    and report.evaluated counts nodes where it had its inputs; with none
-    it is not computable and skipped.  Returns (passed, failures) where
-    failures lists (key, value, threshold) triples.
-    """
-    failures = []
-    for key in RESIDUAL_KEYS:
-        value, threshold = report.maxima[key], thresholds[key]
-        if value > threshold or (math.isnan(value) and report.evaluated[key] > 0):
-            failures.append((key, value, threshold))
-    return (not failures), failures
-
-
 def _failure_entries(failures):
-    """JSON entries of classify_report's failures; a NaN value is null."""
+    """JSON entries of a report's failures; a NaN value is null."""
     return [
         {"residual": k, "value": None if math.isnan(v) else v, "threshold": thr}
         for k, v, thr in failures
     ]
-
-
-def _verdict(
-    surface, h, potential, margin, angle_cutoff, residual_floor, threshold_scale
-):
-    """The one verify -> thresholds -> classify step of the pipeline.
-
-    h None takes the larger spacing of the surface's own axes, once
-    verify_surface has checked them.  Returns (report, thresholds, passed,
-    failures).
-    """
-    report = verify_surface(
-        surface, potential=potential, angle_cutoff=angle_cutoff, margin=margin
-    )
-    if h is None:
-        h = max(abs(step) for step in report.spacing)
-    thresholds = residual_thresholds(h, floor=residual_floor, scale=threshold_scale)
-    return (report, thresholds) + classify_report(report, thresholds)
 
 
 def guarded(step, log):
@@ -281,7 +228,6 @@ def _generate(config, log):
     )
     potential, solver_summary, _ = build_potential(config)
     x, y = config.domain.axes()
-    h = max(config.domain.hx, config.domain.hy)
     # each tolerance's RunConfig field is named after its key
     tolerances = {key: getattr(config, key) for key in DEFAULT_TOLERANCES}
     surfaces = generate_surface(potential, x, y, config.t_values)
@@ -292,9 +238,8 @@ def _generate(config, log):
     held, written = [], False
     try:
         for surf, t, mesh in zip(surfaces, config.t_values, meshes):
-            report, thresholds, passed, failures = _verdict(
-                surf, h, potential, **tolerances
-            )
+            report = verify_surface(surf, potential, **tolerances)
+            thresholds = report.thresholds
             # a class with no finite value ranks last
             worst_key = max(
                 RESIDUAL_KEYS,
@@ -303,14 +248,14 @@ def _generate(config, log):
                 else report.maxima[k] / thresholds[k],
             )
             line = (
-                f"[t={t:.6f}] {'pass' if passed else 'FAIL'}  worst "
+                f"[t={t:.6f}] {'pass' if report.passed else 'FAIL'}  worst "
                 f"{worst_key} = {report.maxima[worst_key]:.3e} "
                 f"(threshold {thresholds[worst_key]:.3e})"
             )
             held.append((line, f"; mesh -> {mesh.path}"))
             held += [
                 (f"    over threshold: {key} = {value:.3e} > {threshold:.3e}", "")
-                for key, value, threshold in failures
+                for key, value, threshold in report.failures
             ]
             surfaces_out.append(
                 {
@@ -320,8 +265,8 @@ def _generate(config, log):
                         "vertices": mesh.vertex_count,
                         "faces": mesh.face_count,
                     },
-                    "pass": passed,
-                    "failures": _failure_entries(failures),
+                    "pass": report.passed,
+                    "failures": _failure_entries(report.failures),
                     "verification": report.to_dict(),
                 }
             )
@@ -337,6 +282,7 @@ def _generate(config, log):
         "schema": "nilsurf-report/1",
         "config": config.to_dict(),
         "potential": potential.describe(),
+        # every member shares the grid, hence the thresholds
         "thresholds": thresholds,
         "solver": solver_summary,
         "surfaces": surfaces_out,
@@ -360,10 +306,9 @@ def _check(csv_path, report_path, tolerances, log):
     check_writes([("the surface CSV", csv_path)], [("--report", report_path)])
     tolerances = check_tolerances(**tolerances)
     surface = read_surface_csv(csv_path)
-    report, thresholds, passed, failures = _verdict(
-        surface, None, None, **tolerances
-    )
-    failed = {key for key, _, _ in failures}
+    report = verify_surface(surface, **tolerances)
+    thresholds = report.thresholds
+    failed = {key for key, _, _ in report.failures}
     for key in RESIDUAL_KEYS:
         value = report.maxima[key]
         if math.isnan(value):
@@ -375,11 +320,11 @@ def _check(csv_path, report_path, tolerances, log):
         "schema": "nilsurf-check/1",
         "input": str(csv_path),
         "thresholds": thresholds,
-        "pass": passed,
-        "failures": _failure_entries(failures),
+        "pass": report.passed,
+        "failures": _failure_entries(report.failures),
         "verification": report.to_dict(),
     }
-    return _finish(report_dict, report_path, passed, log)
+    return _finish(report_dict, report_path, report.passed, log)
 
 
 def _nan_note(report, key):
@@ -427,18 +372,3 @@ def _solve(config, out_path, log):
     )
     log(f"solution -> {path}")
     return EXIT_PASS, result
-
-
-def check_surface_like(surface, potential=None, **tolerances):
-    """Convenience: verify+classify any surface grid without files.
-
-    Takes run_check's tolerance keywords, validated the same way
-    (SchemaError on a bad value, TypeError on an unknown keyword), plus
-    the potential for the classes that need frame data; returns (passed,
-    failures, report).  A grid the stencils cannot use raises
-    verify_surface's DomainError.
-    """
-    report, _, passed, failures = _verdict(
-        surface, None, potential, **check_tolerances(**tolerances)
-    )
-    return passed, failures, report

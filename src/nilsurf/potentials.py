@@ -190,7 +190,7 @@ class _SolvedSource:
     name = "solved"
     analytic = False
 
-    def __init__(self, x, y, u, residual_field=None):
+    def __init__(self, x, y, u, residual_field):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.u = np.asarray(u, dtype=float)
@@ -198,6 +198,10 @@ class _SolvedSource:
             raise PotentialDataError(
                 f"solved grid shape {self.u.shape} does not match axes "
                 f"({self.y.size}, {self.x.size})"
+            )
+        if np.shape(residual_field) != self.u.shape:
+            raise PotentialDataError(
+                f"solved data needs a residual_field of shape {self.u.shape}"
             )
         if min(self.u.shape) < 5:
             raise PotentialDataError("solved grid needs at least 5 nodes per axis")
@@ -208,8 +212,6 @@ class _SolvedSource:
         ux = _first_derivative(self.u.T, hx).T
         uy = _first_derivative(self.u, hy)
         self._dlog = 0.5 * (ux - 1j * uy)
-        if residual_field is None:
-            residual_field = np.zeros_like(self.u)
         self.residual_field = np.asarray(residual_field, dtype=float)
 
     def _interp(self, field, z):
@@ -305,7 +307,10 @@ class Potential:
 
     @classmethod
     def solved(cls, solution, q0_coeffs):
-        """Build from a pde.SolveResult (or anything with x, y, u fields)."""
+        """Build from a pde.SolveResult, or anything with x, y, u and the
+        residual_field the admissibility gate reads (PotentialDataError
+        without one of u's shape).
+        """
         residual = getattr(solution, "residual_field", None)
         src = _SolvedSource(solution.x, solution.y, solution.u, residual)
         return cls(src, q0_coeffs)

@@ -45,7 +45,10 @@ ungated maxima are reported alongside for transparency.
 
 RESIDUAL_CLASSES is the one list of the classes, in reporting order, with
 their threshold coefficients; the report counts, per class, the gated
-nodes where it had its inputs (`ResidualReport.evaluated`).
+nodes where it had its inputs (`ResidualReport.evaluated`).  Beside it
+live the one threshold law, max(floor, scale * C * h^2), which matches
+the second-order convergence of every class, and the one classifier rule.
+verify_surface applies both: it is the one call that judges a surface.
 """
 
 import math
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, check_tolerances
 from .errors import DegenerateNode, DomainError
 from .mat2 import commutator_entries, entries, from_entries
 from .nil3 import covariant_derivative, stereographic_south, vertical_form
@@ -72,8 +75,8 @@ UNIFORM_SPACING_RTOL = 1e-6
 MIN_STENCIL_NODES = 7
 
 #: The residual classes in reporting order, each with its coefficient C in
-#: the pipeline's threshold law max(floor, scale * C * h^2), calibrated
-#: with ~10x headroom over the flagship configurations.
+#: the threshold law max(floor, scale * C * h^2) of `residual_thresholds`,
+#: calibrated with ~10x headroom over the flagship configurations.
 RESIDUAL_CLASSES = {
     "conformality": 2.0,
     "minimality_horizontal": 0.5,
@@ -89,6 +92,40 @@ RESIDUAL_CLASSES = {
 RESIDUAL_KEYS = tuple(RESIDUAL_CLASSES)
 
 
+def residual_thresholds(
+    h,
+    floor=DEFAULT_TOLERANCES["residual_floor"],
+    scale=DEFAULT_TOLERANCES["threshold_scale"],
+):
+    """Threshold per residual class: max(floor, scale * C * h^2)."""
+    return {
+        key: max(floor, scale * coeff * h * h)
+        for key, coeff in RESIDUAL_CLASSES.items()
+    }
+
+
+def classify_report(report, thresholds):
+    """Compare a ResidualReport's maxima against thresholds.
+
+    A class fails when its maximum exceeds its threshold, or when its
+    maximum is NaN (no finite value, from overflowed derivatives, say)
+    and report.evaluated counts nodes where it had its inputs; with none
+    it is not computable and skipped.  Returns (passed, failures) where
+    failures lists (key, value, threshold) triples.
+    """
+    failures = []
+    for key in RESIDUAL_KEYS:
+        value, threshold = report.maxima[key], thresholds[key]
+        if value > threshold or (math.isnan(value) and report.evaluated[key] > 0):
+            failures.append((key, value, threshold))
+    return (not failures), failures
+
+
+def _mean_step(axis):
+    """(a[-1] - a[0]) / (n - 1), the step of a uniform axis."""
+    return float((axis[-1] - axis[0]) / (axis.size - 1))
+
+
 def nonuniform_step(axis):
     """(mean step, worst step deviation) when axis breaks the uniform rule.
 
@@ -98,7 +135,7 @@ def nonuniform_step(axis):
     """
     axis = np.asarray(axis, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_step = float((axis[-1] - axis[0]) / (axis.size - 1))
+        mean_step = _mean_step(axis)
         worst = float(np.max(np.abs(np.diff(axis) - mean_step)))
     if (
         math.isfinite(mean_step)
@@ -197,7 +234,9 @@ class ResidualReport:
     counts its finite values).
     Ratio statistics compare the measured metric density and quadratic
     differential against the generating potential when one is supplied.
-    Fields (the raw residual grids) are retained only on request.
+    Fields (the raw residual grids) are retained only on request.  The
+    verdict (thresholds, passed, failures) is not serialized; a report
+    built without one reads as failed.
     """
 
     t: float
@@ -223,6 +262,9 @@ class ResidualReport:
     q_ratio_mean: float = None
     q_ratio_spread: float = None
     fields: dict = dataclass_field(default_factory=dict)
+    thresholds: dict = dataclass_field(default_factory=dict)
+    passed: bool = False
+    failures: list = dataclass_field(default_factory=list)
 
     def to_dict(self):
         """JSON-ready dictionary (no arrays, fixed key set)."""
@@ -284,8 +326,6 @@ def _checked_grid(surface, margin):
     y = np.asarray(surface.y, dtype=float)
     F = np.asarray(surface.F, dtype=complex)
     height = np.asarray(surface.height, dtype=float)
-    if margin < 1:
-        raise DomainError(f"margin must be >= 1, got {margin}")
     if x.ndim != 1 or y.ndim != 1 or F.shape != (y.size, x.size):
         raise DomainError(
             f"F has shape {F.shape}, but the axes give a "
@@ -338,9 +378,11 @@ def verify_surface(
     potential=None,
     angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
     margin=DEFAULT_TOLERANCES["margin"],
+    residual_floor=DEFAULT_TOLERANCES["residual_floor"],
+    threshold_scale=DEFAULT_TOLERANCES["threshold_scale"],
     keep_fields=False,
 ):
-    """Run the full residual suite on a surface grid.
+    """Run the full residual suite on a surface grid and judge it.
 
     surface must provide x, y, t, F, height and may provide aux_height,
     fhat, det_deviation, shape_deviation (SurfaceGrid does; externally
@@ -351,19 +393,26 @@ def verify_surface(
     is compared against rho0 and the measured quadratic differential
     against |Q0| (ratio statistics in the report).
 
-    Raises DomainError when margin < 1 (a zero or negative margin trims
-    nothing, or everything, from the interior slices); when F's shape is
-    not (y.size, x.size) or height, aux_height or fhat does not match it;
-    when an axis has fewer than max(2 * margin + 3, MIN_STENCIL_NODES)
-    nodes (the margin-trimmed interior must keep at least 3 nodes per
-    axis, and hopf_holomorphy's stencil reaches 3 nodes in from each
-    side); when an axis breaks the uniform-spacing rule of
-    `nonuniform_step` (the stencils difference with the first step
-    throughout); or when F, height, aux_height or fhat holds a NaN or an
-    infinity: the NaN-aware maxima would drop the stencils around such a
-    node.  (The Gauss-map angle mask is made here, not read from the
-    input.)  Finite data that overflow in the stencils raise no
-    floating-point warning; the class reads NaN or inf instead.
+    The report carries the verdict: report.thresholds by
+    residual_thresholds at h the larger mean axis step (a[-1] - a[0]) /
+    (n - 1), which on a generated grid is its GridSpec spacing bit for
+    bit, and report.passed and report.failures by classify_report.
+
+    Raises SchemaError, before the surface is read, for a tolerance that
+    breaks its tolerances.* rule (config.check_tolerances): a NaN cutoff
+    would mask every tension node, a NaN floor pass every class.  Raises
+    DomainError when F's shape is not (y.size, x.size) or height,
+    aux_height or fhat does not match it; when an axis has fewer than
+    max(2 * margin + 3, MIN_STENCIL_NODES) nodes (the margin-trimmed
+    interior must keep at least 3 nodes per axis, and hopf_holomorphy's
+    stencil reaches 3 nodes in from each side); when an axis breaks the
+    uniform-spacing rule of `nonuniform_step` (the stencils difference
+    with the first step throughout); or when F, height, aux_height or
+    fhat holds a NaN or an infinity: the NaN-aware maxima would drop the
+    stencils around such a node.  (The Gauss-map angle mask is made
+    here, not read from the input.)  Finite data that overflow in the
+    stencils raise no floating-point warning; the class reads NaN or inf
+    instead.
     Raises DegenerateNode when the interior metric density drops below
     DEGENERATE_TOL — the data fails to be an immersion there and none of
     the residuals are meaningful.
@@ -373,6 +422,13 @@ def verify_surface(
     metric_density, angle_function, quadratic_differential, gauss_map and
     normal grids, all of grid shape with NaN where a stencil does not fit.
     """
+    tolerances = check_tolerances(
+        angle_cutoff=angle_cutoff,
+        margin=margin,
+        residual_floor=residual_floor,
+        threshold_scale=threshold_scale,
+    )
+    angle_cutoff, margin = tolerances["angle_cutoff"], tolerances["margin"]
     x, y, F, height, aux_height, fhat = _checked_grid(surface, margin)
     hx = float(x[1] - x[0])
     hy = float(y[1] - y[0])
@@ -560,4 +616,9 @@ def verify_surface(
             gauss_map=_nan_ring(g, 1, g.dtype),
             normal=_nan_ring(np.stack(normal, axis=-1), 1, phi.dtype),
         )
+    h = max(abs(_mean_step(x)), abs(_mean_step(y)))
+    report.thresholds = residual_thresholds(
+        h, floor=tolerances["residual_floor"], scale=tolerances["threshold_scale"]
+    )
+    report.passed, report.failures = classify_report(report, report.thresholds)
     return report

@@ -43,14 +43,14 @@ from nilsurf import nil3
 from nilsurf.config import parse_config
 from nilsurf.frame import connection_at, integrate_grid
 from nilsurf.pde import newton_solve
-from nilsurf.pipeline import (
-    build_potential,
+from nilsurf.pipeline import build_potential, run_generate
+from nilsurf.potentials import Potential, liouville_exact
+from nilsurf.residuals import (
+    RESIDUAL_KEYS,
     classify_report,
     residual_thresholds,
-    run_generate,
+    verify_surface,
 )
-from nilsurf.potentials import Potential, liouville_exact
-from nilsurf.residuals import RESIDUAL_KEYS, verify_surface
 from nilsurf.surface import SurfaceGrid, generate_surface
 
 #: residual values below this are roundoff-dominated; convergence orders

@@ -16,7 +16,12 @@ from obj_reader import read_obj
 
 import nilsurf
 from nilsurf import cli, config, frame, outputs, pde, pipeline, residuals
-from nilsurf.residuals import RESIDUAL_KEYS
+from nilsurf.residuals import (
+    RESIDUAL_KEYS,
+    classify_report,
+    residual_thresholds,
+    verify_surface,
+)
 from nilsurf.config import parse_config
 from nilsurf.errors import (
     DegenerateNode,
@@ -79,20 +84,20 @@ def dyadic_plane(kind, n=17):
 
 class TestThresholds:
     def test_quadratic_law(self):
-        th = pipeline.residual_thresholds(0.1)
+        th = residual_thresholds(0.1)
         assert th["conformality"] == pytest.approx(2.0 * 0.01)
         assert th["gauss_map_tension"] == pytest.approx(0.25 * 0.01)
         assert set(th) == set(residuals.RESIDUAL_CLASSES)
 
     def test_floor_engages_on_fine_grids(self):
-        th = pipeline.residual_thresholds(1e-6)
+        th = residual_thresholds(1e-6)
         assert all(v == 1e-10 for v in th.values())
-        th = pipeline.residual_thresholds(1e-6, floor=1e-14)
+        th = residual_thresholds(1e-6, floor=1e-14)
         assert th["conformality"] == pytest.approx(2e-12)
 
     def test_scale_multiplies(self):
-        base = pipeline.residual_thresholds(0.1)
-        scaled = pipeline.residual_thresholds(0.1, scale=3.0)
+        base = residual_thresholds(0.1)
+        scaled = residual_thresholds(0.1, scale=3.0)
         for key in base:
             assert scaled[key] == pytest.approx(3.0 * base[key])
 
@@ -116,25 +121,25 @@ class TestClassifyReport:
     def test_all_nan_fails_on_coordinate_classes(self):
         # every surface has the data for the coordinate classes, so a NaN
         # there means no finite interior value, not "not computable"
-        thresholds = pipeline.residual_thresholds(0.1)
+        thresholds = residual_thresholds(0.1)
         report = self._report(**{key: float("nan") for key in RESIDUAL_KEYS})
-        passed, failures = pipeline.classify_report(report, thresholds)
+        passed, failures = classify_report(report, thresholds)
         assert not passed
         assert [key for key, _, _ in failures] == list(COORDINATE_KEYS)
         assert all(math.isnan(value) for _, value, _ in failures)
 
     def test_nan_outside_coordinate_classes_is_skipped(self):
         # auxiliary data missing, Gauss map masked by the angle cutoff
-        thresholds = pipeline.residual_thresholds(0.1)
-        passed, failures = pipeline.classify_report(self._report(), thresholds)
+        thresholds = residual_thresholds(0.1)
+        passed, failures = classify_report(self._report(), thresholds)
         assert passed and failures == []
 
     def test_nan_tension_fails_where_the_mask_kept_nodes(self):
         # the tension is the only NaN class; one interior node escaped the
         # angle mask, so the class had data and found no finite value
-        thresholds = pipeline.residual_thresholds(0.1)
+        thresholds = residual_thresholds(0.1)
         report = self._report(tension_evaluated=1)
-        passed, failures = pipeline.classify_report(report, thresholds)
+        passed, failures = classify_report(report, thresholds)
         assert not passed
         assert [key for key, _, _ in failures] == ["gauss_map_tension"]
         assert math.isnan(failures[0][1])
@@ -142,25 +147,25 @@ class TestClassifyReport:
     def test_nan_auxiliary_class_fails_where_it_had_data(self):
         # the surface carried aux_height and the class found no finite
         # value on its nodes; without the data it is skipped
-        thresholds = pipeline.residual_thresholds(0.1)
+        thresholds = residual_thresholds(0.1)
         report = self._report()
         report.evaluated["aux_height_consistency"] = 13 * 13
-        passed, failures = pipeline.classify_report(report, thresholds)
+        passed, failures = classify_report(report, thresholds)
         assert not passed
         assert [key for key, _, _ in failures] == ["aux_height_consistency"]
         assert math.isnan(failures[0][1])
 
     def test_single_failure_reported_with_threshold(self):
-        thresholds = pipeline.residual_thresholds(0.1)
+        thresholds = residual_thresholds(0.1)
         report = self._report(conformality=1.0, hopf_holomorphy=1e-12)
-        passed, failures = pipeline.classify_report(report, thresholds)
+        passed, failures = classify_report(report, thresholds)
         assert not passed
         assert failures == [("conformality", 1.0, thresholds["conformality"])]
 
     def test_value_at_threshold_passes(self):
-        thresholds = pipeline.residual_thresholds(0.1)
+        thresholds = residual_thresholds(0.1)
         report = self._report(conformality=thresholds["conformality"])
-        passed, failures = pipeline.classify_report(report, thresholds)
+        passed, failures = classify_report(report, thresholds)
         assert passed
 
 
@@ -551,8 +556,7 @@ class TestRunCheck:
             failures.append((key, report.maxima[key], thresholds[key]))
             return False, failures
 
-        classify_report = pipeline.classify_report
-        monkeypatch.setattr(pipeline, "classify_report", classify)
+        monkeypatch.setattr(residuals, "classify_report", classify)
         path = tmp_path / f"{kind}.csv"
         write_surface_csv(dyadic_plane(kind), path)
         lines = []
@@ -564,6 +568,28 @@ class TestRunCheck:
         assert set(table) == set(RESIDUAL_KEYS)
         assert {k for k, line in table.items() if line.endswith("  OVER")} == failed
         assert table["conformality"].endswith("  ok")
+
+    @pytest.mark.parametrize(
+        "n, half_width", [(49, 0.5), (33, 0.3), (33, 0.5)]
+    )
+    def test_check_judges_a_generated_surface_by_its_thresholds(
+        self, tmp_path, n, half_width
+    ):
+        # both commands take h from the surface's axes: 1/48 and 0.6/32
+        # used to differ from check's x[1] - x[0] in the last bits, while
+        # 1/32 is the dyadic control
+        box = {"xmin": -half_width, "xmax": half_width}
+        box.update(ymin=-half_width, ymax=half_width, nx=n, ny=n)
+        cfg = make_config(tmp_path, domain=box)
+        code, generated = pipeline.run_generate(cfg, log=lambda *_: None)
+        assert code == pipeline.EXIT_PASS
+        x, y = cfg.domain.axes()
+        path = tmp_path / "surface.csv"
+        potential = pipeline.build_potential(cfg)[0]
+        surface = generate_surface(potential, x, y, cfg.t_values[0])
+        write_surface_csv(surface, path)
+        checked = pipeline.run_check(path, log=lambda *_: None)[1]
+        assert checked["thresholds"] == generated["thresholds"]
 
     def test_vertical_plane_log_names_the_angle_mask(self, tmp_path):
         # gauss_map_tension is computed from the coordinates; on the
@@ -583,16 +609,15 @@ class TestRunCheck:
         path = tmp_path / "surface.csv"
         surface = generate_surface(Potential.constant(1.0, (0.25,)), ax, ax, 0.3)
         write_surface_csv(surface, path)
-        verify = pipeline.verify_surface
 
-        def tension_lost(*args, **kwargs):
-            report = verify(*args, **kwargs)
+        def tension_lost(report, thresholds):
+            # the maxima as the classifier reads them
             assert report.tension_skipped < 13 * 13
             report.maxima["gauss_map_tension"] = float("nan")
-            return report
+            return classify_report(report, thresholds)
 
         assert pipeline.run_check(path, log=lambda *_: None)[0] == pipeline.EXIT_PASS
-        monkeypatch.setattr(pipeline, "verify_surface", tension_lost)
+        monkeypatch.setattr(residuals, "classify_report", tension_lost)
         lines = []
         code, report = pipeline.run_check(path, log=lines.append)
         assert code == pipeline.EXIT_RESIDUAL
@@ -1039,16 +1064,17 @@ class TestBuildPotential:
 
 
 class TestCheckSurfaceLike:
+    """verify_surface's own verdict on any surface grid, without files."""
+
     def test_convenience_wrapper(self):
-        passed, failures, report = pipeline.check_surface_like(
-            dyadic_plane("vertical")
-        )
-        assert passed and failures == []
+        report = verify_surface(dyadic_plane("vertical"))
+        assert report.passed and report.failures == []
         assert report.maxima["conformality"] == 0.0
+        assert report.thresholds == residual_thresholds(0.125)
 
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError):
-            pipeline.check_surface_like(dyadic_plane("vertical"), bogus=1)
+            verify_surface(dyadic_plane("vertical"), bogus=1)
 
     def test_covariant_minimality_can_fail_alone(self):
         # on this coarse Liouville surface the class's ratio to C h^2 is
@@ -1057,11 +1083,9 @@ class TestCheckSurfaceLike:
         potential = Potential.liouville()
         x, y = np.linspace(-0.6, 0.6, 9), np.linspace(-0.3, 0.42, 9)
         surf = generate_surface(potential, x, y, [0.0])[0]
-        passed, failures, _ = pipeline.check_surface_like(
-            surf, potential, margin=2, threshold_scale=23.93
-        )
-        assert not passed
-        assert [key for key, _, _ in failures] == ["covariant_minimality"]
+        report = verify_surface(surf, potential, margin=2, threshold_scale=23.93)
+        assert not report.passed
+        assert [key for key, _, _ in report.failures] == ["covariant_minimality"]
 
     @pytest.mark.parametrize(
         "option, value",
@@ -1070,13 +1094,15 @@ class TestCheckSurfaceLike:
             ("residual_floor", float("inf")),
             ("threshold_scale", 0.0),
             ("angle_cutoff", float("nan")),
+            ("angle_cutoff", float("inf")),
             ("margin", 0),
             ("margin", 2.0),
         ],
     )
     def test_options_follow_the_config_rules(self, option, value):
+        # a NaN cutoff used to mask every tension node and skip the class
         with pytest.raises(SchemaError, match=f"tolerances.{option}"):
-            pipeline.check_surface_like(dyadic_plane("horizontal"), **{option: value})
+            verify_surface(dyadic_plane("horizontal"), **{option: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1088,11 +1114,11 @@ class TestCheckSurfaceLike:
         pot = Potential.constant(1.0, (0.25,))
         ax = np.linspace(-0.5, 0.5, 33)
         surf = generate_surface(pot, ax, ax, 0.0)
-        assert pipeline.check_surface_like(surf, potential=pot)[0]
+        assert verify_surface(surf, potential=pot).passed
         getattr(surf, field)[16, 16] = value
         at_centre = r"not finite at 1 node\(s\), the first at \(x, y\) = \(0, 0\)"
         with pytest.raises(DomainError, match=at_centre):
-            pipeline.check_surface_like(surf, potential=pot)
+            verify_surface(surf, potential=pot)
 
     def test_overflowing_auxiliary_height_fails(self):
         # a finite aux_height of +-1.5e308 in a period-4 pattern along both
@@ -1101,15 +1127,14 @@ class TestCheckSurfaceLike:
         pot = Potential.constant(1.0, (0.25,))
         ax = np.linspace(-0.5, 0.5, 33)
         surf = generate_surface(pot, ax, ax, 0.3)
-        assert pipeline.check_surface_like(surf)[0]
+        assert verify_surface(surf).passed
         sign = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(33) % 4]
         surf.aux_height = 1.5e308 * np.outer(sign, sign)
-        passed, failures, report = pipeline.check_surface_like(surf)
-        assert not passed
-        assert [key for key, _, _ in failures] == ["aux_height_consistency"]
+        report = verify_surface(surf)
+        assert not report.passed
+        assert [key for key, _, _ in report.failures] == ["aux_height_consistency"]
         assert math.isnan(report.maxima["aux_height_consistency"])
         assert report.evaluated["aux_height_consistency"] == 29 * 29
-
 
     @pytest.mark.parametrize("defect", ["non_uniform", "swapped", "height", "one_node"])
     def test_grids_the_stencils_cannot_use_are_refused(self, defect):
@@ -1128,7 +1153,7 @@ class TestCheckSurfaceLike:
         else:
             plane.x = plane.x[:1]
         with pytest.raises(DomainError) as err:
-            pipeline.check_surface_like(plane)
+            verify_surface(plane)
         assert pipeline.exit_code_for(err.value) == pipeline.EXIT_CONFIG
 
 

@@ -1,5 +1,7 @@
 """Tests for potential data: rho0 sources and the Q0 polynomial."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -117,18 +119,20 @@ class TestQ0Polynomial:
 
 
 class _FakeSolution:
-    def __init__(self, x, y, u, residual_field=None):
+    def __init__(self, x, y, u, residual_field):
         self.x = x
         self.y = y
         self.u = u
-        if residual_field is not None:
-            self.residual_field = residual_field
+        self.residual_field = residual_field
 
 
 def saddle_solution(n=21, residual=None):
+    """u = x^2 - y^2 on [-1, 1]^2, stated as solved to a residual of 0."""
     x = np.linspace(-1.0, 1.0, n)
     y = np.linspace(-1.0, 1.0, n)
     xx, yy = np.meshgrid(x, y)
+    if residual is None:
+        residual = np.zeros((n, n))
     return _FakeSolution(x, y, xx**2 - yy**2, residual)
 
 
@@ -145,7 +149,8 @@ def smooth_dlog(z):
 
 def smooth_solution(n):
     x = np.linspace(-1.0, 1.0, n)
-    return _FakeSolution(x, x.copy(), smooth_u(x[None, :] + 1j * x[:, None]))
+    u = smooth_u(x[None, :] + 1j * x[:, None])
+    return _FakeSolution(x, x.copy(), u, np.zeros_like(u))
 
 
 class TestSolvedSource:
@@ -206,13 +211,16 @@ class TestSolvedSource:
             mids[None, :] + 1j * axis[:, None],
             axis[None, :] + 1j * mids[:, None],
         ]
-        base = Potential.solved(_FakeSolution(axis, axis, u), (0.25,))
+        zero = np.zeros_like(u)
+        base = Potential.solved(_FakeSolution(axis, axis, u, zero), (0.25,))
         for flip, image in (
             (lambda f: f[:, ::-1], lambda z: -np.conj(z)),
             (lambda f: f[::-1], np.conj),
             (lambda f: f[::-1, ::-1], np.negative),
         ):
-            mirrored = Potential.solved(_FakeSolution(axis, axis, flip(u)), (0.25,))
+            mirrored = Potential.solved(
+                _FakeSolution(axis, axis, flip(u), zero), (0.25,)
+            )
             for z in points:
                 np.testing.assert_array_equal(
                     mirrored.rho0(image(z)), base.rho0(z)
@@ -244,15 +252,27 @@ class TestSolvedSource:
         )
         np.testing.assert_array_equal(residual, 5e-7)
 
-    def test_missing_residual_field_reads_as_zero(self):
-        pot = Potential.solved(saddle_solution(), (0.25,))
-        np.testing.assert_array_equal(pot.integrability_residual(0.1 + 0.1j), 0.0)
+    def test_missing_residual_field_is_refused(self):
+        # u = x^2 - y^2 with Q0 = 1/4 has a true integrability residual of
+        # 0.29; given a residual of 0 it used to pass the admissibility gate
+        # and march the frames of a non-flat connection
+        x = y = np.linspace(-1.0, 1.0, 21)
+        xx, yy = np.meshgrid(x, y)
+        solution = types.SimpleNamespace(x=x, y=y, u=xx**2 - yy**2)
+        with pytest.raises(PotentialDataError, match="residual_field"):
+            Potential.solved(solution, (0.25,))
+        # one of another shape used to end in an IndexError at the gate
+        solution.residual_field = np.zeros((3, 3))
+        with pytest.raises(PotentialDataError, match="residual_field"):
+            Potential.solved(solution, (0.25,))
 
     def test_shape_mismatch_rejected(self):
         x = np.linspace(-1, 1, 5)
         y = np.linspace(-1, 1, 7)
         with pytest.raises(PotentialDataError):
-            Potential.solved(_FakeSolution(x, y, np.zeros((5, 7))), (0.25,))
+            Potential.solved(
+                _FakeSolution(x, y, np.zeros((5, 7)), np.zeros((5, 7))), (0.25,)
+            )
 
     def test_non_finite_field_rejected(self):
         sol = saddle_solution()

@@ -739,3 +739,13 @@ def test_generated_surfaces_match_the_oracle_bit_for_bit(potential, n, margin):
 def test_plane_fixtures_match_the_oracle_bit_for_bit(kind):
     assert_matches_oracle(plane_surface(kind), margin=1)
 
+
+
+def test_a_report_without_a_verdict_reads_as_failed():
+    # the oracle builds its report without thresholds or a classification:
+    # it must not read as a pass the suite never gave
+    plane = plane_surface("vertical")
+    judged = residuals.verify_surface(plane)
+    assert judged.passed and judged.failures == [] and judged.thresholds
+    unjudged = oracle.verify_surface(plane)
+    assert not unjudged.passed and unjudged.thresholds == {}
