@@ -89,9 +89,10 @@ def exit_code_for(exc):
 
 
 def _failure_entries(failures):
-    """JSON entries of a report's failures; a NaN value is null."""
+    """JSON entries of a report's failures; a non-finite value is null,
+    as in the report's maxima, since JSON has no NaN or infinity."""
     return [
-        {"residual": k, "value": None if math.isnan(v) else v, "threshold": thr}
+        {"residual": k, "value": v if math.isfinite(v) else None, "threshold": thr}
         for k, v, thr in failures
     ]
 

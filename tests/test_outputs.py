@@ -92,28 +92,137 @@ class TestObj:
         outputs.export_obj(surf, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("n", [9, 129])
-    def test_bytes_match_the_line_by_line_writer(self, tmp_path, n):
+    @pytest.mark.parametrize(
+        "nx, ny, row_scale",
+        [
+            pytest.param(9, 9, None, id="9"),
+            pytest.param(129, 129, None, id="129"),
+            pytest.param(23, 14, None, id="23x14"),
+            # a row of values below 1e-4, and one at or above 1e12: the
+            # exponential notation, "e-06" and "e+12"
+            pytest.param(11, 7, 1e-6, id="11x7-row-below-1e-4"),
+            pytest.param(11, 7, 1e12, id="11x7-row-from-1e12"),
+        ],
+    )
+    def test_bytes_match_the_line_by_line_writer(self, tmp_path, nx, ny, row_scale):
         # reference: one formatted line per vertex and per triangle
-        surf = toy_surface(n, seed=n)
+        big = toy_surface(max(nx, ny), seed=nx)
+        surf = SurfaceGrid(
+            x=big.x[:nx], y=big.y[:ny], t=0.0, F=big.F[:ny, :nx],
+            height=big.height[:ny, :nx],
+        )
         surf.F[0, 1] = complex(-0.0, 1e-17)
         surf.height[0, 1] = -0.0
         surf.F[1, 0] = complex(-123456789012345.0, 0.5)
+        if row_scale is not None:
+            # row 3: every coordinate keeps its sign, at magnitude
+            # row_scale * (1 + |coordinate|)
+            def scaled(v):
+                return np.copysign(row_scale * (1.0 + np.abs(v)), v)
+
+            surf.F[3] = scaled(surf.F[3].real) + 1j * scaled(surf.F[3].imag)
+            surf.height[3] = scaled(surf.height[3])
         coords = surf.coords()
         lines = [
             "v " + " ".join(f"{float(c) + 0.0:.12g}" for c in coords[j, i])
-            for j in range(n)
-            for i in range(n)
+            for j in range(ny)
+            for i in range(nx)
         ]
-        for j in range(n - 1):
-            for i in range(n - 1):
-                v00 = j * n + i + 1
-                lines.append(f"f {v00} {v00 + 1} {v00 + n + 1}")
-                lines.append(f"f {v00} {v00 + n + 1} {v00 + n}")
+        for j in range(ny - 1):
+            for i in range(nx - 1):
+                v00 = j * nx + i + 1
+                lines.append(f"f {v00} {v00 + 1} {v00 + nx + 1}")
+                lines.append(f"f {v00} {v00 + nx + 1} {v00 + nx}")
         path = tmp_path / "mesh.obj"
         outputs.export_obj(surf, path)
         assert "v 0 1e-17 0" in lines[1]
+        if row_scale == 1e-6:
+            assert all(line.count("e-06") == 3 for line in lines[3 * nx : 4 * nx])
+        if row_scale == 1e12:
+            assert all(line.count("e+12") == 3 for line in lines[3 * nx : 4 * nx])
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def percent_g_lines(rows):
+    """Reference vertex lines: Python's own "%.12g", one line per row."""
+    return b"".join(b"v %.12g %.12g %.12g\n" % tuple(row) for row in rows)
+
+
+def kernel_lines(rows):
+    """The vertex lines the OBJ writer's kernel makes of the same rows."""
+    block = np.asarray(rows, dtype=float).reshape(-1, 3)
+    return b"".join(outputs._vertex_lines(block))
+
+
+def ulp_steps(value, steps=3):
+    """value and its neighbours up to `steps` doubles away on each side."""
+    out = [value]
+    for direction in (np.inf, -np.inf):
+        x = value
+        for _ in range(steps):
+            x = float(np.nextafter(x, direction))
+            out.append(x)
+    return out
+
+
+#: Any double: Hypothesis's floats (signed zeros, subnormals, infinities
+#: and NaN among them), every bit pattern, values of mesh size, and the
+#: doubles nearest to 12-digit half-way points, which "%.12g" rounds by
+#: their last bits.
+any_double = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64))
+    ),
+    st.floats(-1e3, 1e3),
+    st.builds(
+        lambda digits, k: float(f"{digits}.5e{k}"),
+        st.integers(-(10**12) + 1, 10**12 - 1),
+        st.integers(-40, 30),
+    ),
+)
+
+
+class TestVertexKernel:
+    """The vertex block's "%.12g" kernel against Python's formatting."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(any_double, any_double, any_double), min_size=1))
+    def test_equals_percent_g_for_any_double(self, rows):
+        assert kernel_lines(rows) == percent_g_lines(rows)
+
+    def test_equals_percent_g_at_decade_and_rounding_boundaries(self):
+        values = [1e-17, -1.2e14, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+        values += [1.7976931348623157e308, 1e-99, 1e99, 9.99999999999e-100]
+        for k in range(-30, 31):
+            for text in (f"1e{k}", f"9.999999999995e{k}", f"123456789012.5e{k}"):
+                values += ulp_steps(float(text))
+        values += [-v for v in values] + [0.0, -0.0, np.inf, -np.inf, np.nan]
+        rows = np.resize(np.array(values), (len(values) + 2) // 3 * 3)
+        # each value in every column of a line
+        for shift in range(3):
+            shifted = np.roll(rows, shift).reshape(-1, 3)
+            assert kernel_lines(shifted) == percent_g_lines(shifted.tolist())
+
+    def test_a_decade_estimate_one_off_is_corrected(self, monkeypatch):
+        # the kernel takes its decade estimate from np.log; half a decade
+        # added or taken off puts the estimate one decade off for about
+        # half of all values, and the text must not change
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-20, 20, (300, 3))
+        expected = percent_g_lines(rows.tolist())
+        log = np.log
+        for shift in (0.5, -0.5):
+            monkeypatch.setattr(np, "log", lambda a: log(a) + shift * log(10.0))
+            assert kernel_lines(rows) == expected
+
+    def test_lines_span_blocks(self):
+        # more rows than one pass of the kernel takes, with values
+        # Python formats (0, a half-way mantissa) at the passes' edges
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((2 * outputs._CHUNK + 5, 3))
+        rows[outputs._CHUNK - 1 : outputs._CHUNK + 1] = [0.0, 123456789012.5, -0.0]
+        assert kernel_lines(rows) == percent_g_lines(rows.tolist())
 
 
 class TestSurfaceCsv:

@@ -300,20 +300,13 @@ class TestRunGenerate:
 
     def test_family_shares_one_face_block(self, tmp_path, monkeypatch):
         # every member's mesh equals a standalone export_obj of its surface,
-        # and each generate call formats the face block of its own grid once.
-        # The meshes are written in a child process, so the patched
-        # formatter records its calls in a file, not in this process
-        log_path = tmp_path / "obj_faces_calls.txt"
+        # and each generate call formats the face block of its own grid once
+        calls = []
         formatter = pipeline.obj_faces
 
         def logged(nx, ny):
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(f"{nx} {ny}\n")
+            calls.append((nx, ny))
             return formatter(nx, ny)
-
-        def calls():
-            lines = log_path.read_text().splitlines()
-            return [tuple(int(n) for n in line.split()) for line in lines]
 
         monkeypatch.setattr(pipeline, "obj_faces", logged)
         for nx, ny, half_height in ((17, 13, 0.375), (13, 9, 1.0 / 3.0)):
@@ -325,10 +318,10 @@ class TestRunGenerate:
                 t_values=[0.0, 0.4, 1.1],
                 outputs={"mesh": str(run / "surface_{t}.obj")},
             )
-            log_path.unlink(missing_ok=True)
+            calls.clear()
             code, report = pipeline.run_generate(cfg, log=lambda *_: None)
             assert code == pipeline.EXIT_PASS
-            assert calls() == [(nx, ny)]
+            assert calls == [(nx, ny)]
             x, y = cfg.domain.axes()
             potential = pipeline.build_potential(cfg)[0]
             members = generate_surface(potential, x, y, cfg.t_values)
@@ -699,6 +692,33 @@ class TestRunCheck:
             COORDINATE_KEYS
         ) + ["gauss_map_tension"]
         assert all(f["value"] is None for f in report["failures"])
+
+    def test_reports_are_strict_json(self, tmp_path):
+        # JSON has no NaN or infinity.  A 1e300 vertical plane with one
+        # height at -1e308 reads an infinite minimality_vertical, which
+        # the failure entry writes as null, as the maxima do
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        cfg = make_config(tmp_path, tolerances={"threshold_scale": 1e-6})
+        code, _ = pipeline.run_generate(cfg, log=lambda *_: None)
+        assert code == pipeline.EXIT_RESIDUAL
+        generated = json.loads(Path(cfg.report_path).read_text(), parse_constant=refuse)
+        assert generated["surfaces"][0]["failures"]
+
+        plane = dyadic_plane("vertical")
+        plane.F = 1e300 * plane.F
+        plane.height = 1e300 * plane.height
+        plane.height[8, 8] = -1e308
+        path = tmp_path / "infinite.csv"
+        write_surface_csv(plane, path)
+        report_path = tmp_path / "check.json"
+        argv = ["check", str(path), "--report", str(report_path)]
+        assert cli.main(argv, log=lambda *_: None) == pipeline.EXIT_RESIDUAL
+        checked = json.loads(report_path.read_text(), parse_constant=refuse)
+        assert checked["verification"]["maxima"]["minimality_vertical"] is None
+        entries = {f["residual"]: f for f in checked["failures"]}
+        assert entries["minimality_vertical"]["value"] is None
 
     def test_malformed_csv_exits_2(self, tmp_path):
         header = "x,y,F_re,F_im,h\n"
