@@ -17,7 +17,9 @@ Formats:
     `mesh_summary` gives a mesh's vertex and face counts from its grid,
     for `export_obj` and for the report alike.
   * Surface CSV (for `check`): header x,y,F_re,F_im,h then one row per
-    node, row-major, full double precision.
+    node, row-major, full double precision.  The reader checks what only
+    a reader can (header, cells, a complete grid without duplicates);
+    the grid's axes are judged by verify_surface's gate.
   * Solution CSV (from `solve-gauss`): header x,y,u, same layout.
   * Report: JSON with sorted keys; schema documented in the README.
 
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .residuals import nonuniform_step
 from .surface import SurfaceGrid
 
 
@@ -370,10 +371,11 @@ def _parse_rows(path):
 def read_surface_csv(path):
     """Read an external surface table (header x,y,F_re,F_im,h) into a grid.
 
-    The rows must cover a complete rectangular grid (any order) of at
-    least 3 x 3 nodes with uniformly spaced axes; raises SchemaError for a
-    bad header, non-numeric or non-finite data, too few distinct x or y
-    values, non-uniform spacing, or incomplete grids.
+    The rows must cover a complete rectangular grid, in any order, each
+    node once; raises SchemaError for a bad header, a non-numeric or
+    non-finite cell (naming its line), an incomplete grid or duplicate
+    rows.  Whether the axes can be differenced (node counts, uniform
+    spacing, the range of the steps) is for verify_surface's grid gate.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
@@ -389,20 +391,6 @@ def read_surface_csv(path):
     data = _parse_rows(path)
     x, ix = np.unique(data[:, 0], return_inverse=True)
     y, iy = np.unique(data[:, 1], return_inverse=True)
-    if x.size < 3 or y.size < 3:
-        raise SchemaError(
-            str(path),
-            f"need at least 3 distinct x and y values; got {x.size} x and "
-            f"{y.size} y",
-        )
-    for name, axis in (("x", x), ("y", y)):
-        bad = nonuniform_step(axis)
-        if bad is not None:
-            raise SchemaError(
-                str(path),
-                f"{name} axis is not uniformly spaced (a step deviates from "
-                f"the mean {bad[0]:.6g} by {bad[1]:.3g})",
-            )
     if x.size * y.size != data.shape[0]:
         raise SchemaError(
             str(path),

@@ -88,15 +88,6 @@ def exit_code_for(exc):
     raise exc
 
 
-def _failure_entries(failures):
-    """JSON entries of a report's failures; a non-finite value is null,
-    as in the report's maxima, since JSON has no NaN or infinity."""
-    return [
-        {"residual": k, "value": v if math.isfinite(v) else None, "threshold": thr}
-        for k, v, thr in failures
-    ]
-
-
 def guarded(step, log):
     """The one failure path: run step() -> (exit_code, value).
 
@@ -267,7 +258,7 @@ def _generate(config, log):
                         "faces": mesh.face_count,
                     },
                     "pass": report.passed,
-                    "failures": _failure_entries(report.failures),
+                    "failures": report.failure_entries(),
                     "verification": report.to_dict(),
                 }
             )
@@ -284,7 +275,7 @@ def _generate(config, log):
         "config": config.to_dict(),
         "potential": potential.describe(),
         # every member shares the grid, hence the thresholds
-        "thresholds": thresholds,
+        "thresholds": report.threshold_entries(),
         "solver": solver_summary,
         "surfaces": surfaces_out,
         "pass": all(entry["pass"] for entry in surfaces_out),
@@ -320,9 +311,9 @@ def _check(csv_path, report_path, tolerances, log):
     report_dict = {
         "schema": "nilsurf-check/1",
         "input": str(csv_path),
-        "thresholds": thresholds,
+        "thresholds": report.threshold_entries(),
         "pass": report.passed,
-        "failures": _failure_entries(report.failures),
+        "failures": report.failure_entries(),
         "verification": report.to_dict(),
     }
     return _finish(report_dict, report_path, report.passed, log)

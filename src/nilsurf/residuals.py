@@ -48,7 +48,10 @@ their threshold coefficients; the report counts, per class, the gated
 nodes where it had its inputs (`ResidualReport.evaluated`).  Beside it
 live the one threshold law, max(floor, scale * C * h^2), which matches
 the second-order convergence of every class, and the one classifier rule.
-verify_surface applies both: it is the one call that judges a surface.
+verify_surface applies both: it is the one call that judges a surface,
+and its grid gate (`_checked_grid`) the one judge of whether a surface's
+axes, generated or read, can be differenced.  A report writes NaN and
+infinities as null (`_json_number`).
 """
 
 import math
@@ -56,7 +59,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, check_tolerances
+from .config import DEFAULT_TOLERANCES, check_tolerances, square_in_range
 from .errors import DegenerateNode, DomainError
 from .mat2 import commutator_entries, entries, from_entries
 from .nil3 import covariant_derivative, stereographic_south, vertical_form
@@ -121,29 +124,13 @@ def classify_report(report, thresholds):
     return (not failures), failures
 
 
-def _mean_step(axis):
-    """(a[-1] - a[0]) / (n - 1), the step of a uniform axis."""
-    return float((axis[-1] - axis[0]) / (axis.size - 1))
-
-
-def nonuniform_step(axis):
-    """(mean step, worst step deviation) when axis breaks the uniform rule.
-
-    The rule: the mean step is finite and nonzero, and every step lies
-    within UNIFORM_SPACING_RTOL of it (in magnitude).  Returns None for an
-    axis that keeps it; a NaN or an infinity anywhere breaks it.
-    """
-    axis = np.asarray(axis, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_step = _mean_step(axis)
-        worst = float(np.max(np.abs(np.diff(axis) - mean_step)))
-    if (
-        math.isfinite(mean_step)
-        and mean_step != 0.0
-        and worst <= UNIFORM_SPACING_RTOL * abs(mean_step)
-    ):
+def _json_number(value):
+    """value as a JSON number: None (null) for None, a NaN or an infinity,
+    which JSON cannot write."""
+    if value is None:
         return None
-    return mean_step, worst
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def _xy_differences(f, hx, hy):
@@ -235,7 +222,7 @@ class ResidualReport:
     Ratio statistics compare the measured metric density and quadratic
     differential against the generating potential when one is supplied.
     Fields (the raw residual grids) are retained only on request.  The
-    verdict (thresholds, passed, failures) is not serialized; a report
+    verdict (thresholds, passed, failures) is not in to_dict; a report
     built without one reads as failed.
     """
 
@@ -268,59 +255,65 @@ class ResidualReport:
 
     def to_dict(self):
         """JSON-ready dictionary (no arrays, fixed key set)."""
-
-        def _clean(v):
-            if v is None:
-                return None
-            v = float(v)
-            return v if np.isfinite(v) else None
-
         return {
             "t": float(self.t),
             "grid": {
                 "nx": int(self.nx),
                 "ny": int(self.ny),
-                "hx": _clean(self.spacing[0]),
-                "hy": _clean(self.spacing[1]),
+                "hx": _json_number(self.spacing[0]),
+                "hy": _json_number(self.spacing[1]),
             },
             "margin": int(self.margin),
             "angle_cutoff": float(self.angle_cutoff),
-            "maxima": {k: _clean(v) for k, v in self.maxima.items()},
+            "maxima": {k: _json_number(v) for k, v in self.maxima.items()},
             "maxima_ungated": {
-                k: _clean(v) for k, v in self.maxima_ungated.items()
+                k: _json_number(v) for k, v in self.maxima_ungated.items()
             },
             "metric_density": {
-                "min": _clean(self.rho_min),
-                "max": _clean(self.rho_max),
-                "mean": _clean(self.rho_mean),
-                "ratio_to_potential_mean": _clean(self.rho_ratio_mean),
-                "ratio_to_potential_spread": _clean(self.rho_ratio_spread),
+                "min": _json_number(self.rho_min),
+                "max": _json_number(self.rho_max),
+                "mean": _json_number(self.rho_mean),
+                "ratio_to_potential_mean": _json_number(self.rho_ratio_mean),
+                "ratio_to_potential_spread": _json_number(self.rho_ratio_spread),
             },
             "quadratic_differential": {
-                "ratio_to_potential_mean": _clean(self.q_ratio_mean),
-                "ratio_to_potential_spread": _clean(self.q_ratio_spread),
+                "ratio_to_potential_mean": _json_number(self.q_ratio_mean),
+                "ratio_to_potential_spread": _json_number(self.q_ratio_spread),
             },
             "angle_function": {
-                "min": _clean(self.phi_min_observed),
-                "max": _clean(self.phi_max_observed),
+                "min": _json_number(self.phi_min_observed),
+                "max": _json_number(self.phi_max_observed),
             },
             "tension_nodes": {
                 "evaluated": int(self.tension_evaluated),
                 "skipped": int(self.tension_skipped),
             },
             "frame_invariants": {
-                "det_deviation": _clean(self.det_deviation),
-                "shape_deviation": _clean(self.shape_deviation),
+                "det_deviation": _json_number(self.det_deviation),
+                "shape_deviation": _json_number(self.shape_deviation),
             },
         }
 
+    def threshold_entries(self):
+        """The thresholds as JSON numbers, keyed by class."""
+        return {k: _json_number(v) for k, v in self.thresholds.items()}
+
+    def failure_entries(self):
+        """The failures as JSON entries {residual, value, threshold}."""
+        return [
+            {"residual": k, "value": _json_number(v), "threshold": _json_number(thr)}
+            for k, v, thr in self.failures
+        ]
+
 
 def _checked_grid(surface, margin):
-    """(x, y, F, height, aux_height, fhat) of a surface whose grid the
-    suite can difference; the last two are None when the surface lacks them.
+    """(x, y, F, height, aux_height, fhat, (hx, hy, h)) of a surface whose
+    grid the suite can difference; the stencils' steps hx = x[1] - x[0]
+    and hy = y[1] - y[0], and h the larger mean step |a[-1] - a[0]| /
+    (n - 1).  aux_height and fhat are None when the surface lacks them.
 
     Raises DomainError for anything the stencils cannot use; see
-    verify_surface.
+    verify_surface, whose errstate silences the axes' overflows.
     """
     x = np.asarray(surface.x, dtype=float)
     y = np.asarray(surface.y, dtype=float)
@@ -349,14 +342,25 @@ def _checked_grid(surface, margin):
             f"grid {y.size} x {x.size} is too small for margin {margin}: "
             f"need at least {need} nodes per axis"
         )
+    steps = {}
     for name, axis in (("x", x), ("y", y)):
-        bad = nonuniform_step(axis)
-        if bad is not None:
+        mean_step = float((axis[-1] - axis[0]) / (axis.size - 1))
+        worst = float(np.max(np.abs(np.diff(axis) - mean_step)))
+        mean = abs(mean_step)
+        if not (0.0 < mean < math.inf and worst <= UNIFORM_SPACING_RTOL * mean):
             raise DomainError(
                 f"{name} axis is not uniformly spaced (a step deviates from "
-                f"the mean {bad[0]:.6g} by {bad[1]:.3g}); the stencils "
+                f"the mean {mean_step:.6g} by {worst:.3g}); the stencils "
                 f"difference with one step"
             )
+        steps[name] = float(axis[1] - axis[0]), mean
+        for length in steps[name]:
+            if not square_in_range(length):
+                raise DomainError(
+                    f"{name} axis step {length!r} is out of range: its "
+                    "square, or the square's reciprocal, is zero or not "
+                    "finite, and the stencils divide by the square"
+                )
     finite = {"surface coordinates are": np.isfinite(F) & np.isfinite(height)}
     if aux_height is not None:
         finite["aux_height is"] = np.isfinite(aux_height)
@@ -369,7 +373,8 @@ def _checked_grid(surface, margin):
                 f"{subject} not finite at {int(np.count_nonzero(~ok))} "
                 f"node(s), the first at (x, y) = ({x[ix]:.6g}, {y[iy]:.6g})"
             )
-    return x, y, F, height, aux_height, fhat
+    (hx, x_mean), (hy, y_mean) = steps.values()
+    return x, y, F, height, aux_height, fhat, (hx, hy, max(x_mean, y_mean))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -405,9 +410,13 @@ def verify_surface(
     aux_height or fhat does not match it; when an axis has fewer than
     max(2 * margin + 3, MIN_STENCIL_NODES) nodes (the margin-trimmed
     interior must keep at least 3 nodes per axis, and hopf_holomorphy's
-    stencil reaches 3 nodes in from each side); when an axis breaks the
-    uniform-spacing rule of `nonuniform_step` (the stencils difference
-    with the first step throughout); or when F, height, aux_height or
+    stencil reaches 3 nodes in from each side); when an axis is not
+    uniform (a finite, nonzero mean step that every step keeps within
+    UNIFORM_SPACING_RTOL: the stencils difference with the first step
+    throughout); when an axis's first or mean step fails
+    config.square_in_range, as a `generate` window's spacing would (the
+    stencils divide by the one squared, thresholds square the other);
+    or when F, height, aux_height or
     fhat holds a NaN or an infinity: the NaN-aware maxima would drop the
     stencils around such a node.  (The Gauss-map angle mask is made
     here, not read from the input.)  Finite data that overflow in the
@@ -429,9 +438,7 @@ def verify_surface(
         threshold_scale=threshold_scale,
     )
     angle_cutoff, margin = tolerances["angle_cutoff"], tolerances["margin"]
-    x, y, F, height, aux_height, fhat = _checked_grid(surface, margin)
-    hx = float(x[1] - x[0])
-    hy = float(y[1] - y[0])
+    x, y, F, height, aux_height, fhat, (hx, hy, h) = _checked_grid(surface, margin)
     maxima = dict.fromkeys(RESIDUAL_KEYS, float("nan"))
     maxima_ungated = dict(maxima)
     evaluated = dict.fromkeys(RESIDUAL_KEYS, 0)
@@ -616,7 +623,6 @@ def verify_surface(
             gauss_map=_nan_ring(g, 1, g.dtype),
             normal=_nan_ring(np.stack(normal, axis=-1), 1, phi.dtype),
         )
-    h = max(abs(_mean_step(x)), abs(_mean_step(y)))
     report.thresholds = residual_thresholds(
         h, floor=tolerances["residual_floor"], scale=tolerances["threshold_scale"]
     )

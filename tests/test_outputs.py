@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from obj_reader import read_obj
 
-from nilsurf import outputs
+from nilsurf import outputs, pipeline, residuals
 from nilsurf.errors import SchemaError
 from nilsurf.surface import SurfaceGrid
 
@@ -315,7 +315,8 @@ class TestSurfaceCsv:
 
     def test_non_uniform_axis_is_rejected(self, tmp_path):
         # the exact vertical plane F = x, h = y on a 17 x 17 dyadic grid,
-        # with one node of one axis moved by 0.03
+        # with one node of one axis moved by 0.03: the reader reads it,
+        # and check's grid gate refuses it
         path = tmp_path / "moved.csv"
         for name in ("x", "y"):
             ax = np.arange(-8, 9) * 0.125
@@ -327,20 +328,28 @@ class TestSurfaceCsv:
                 x=x, y=y, t=0.0, F=x2d.astype(complex), height=y2d.copy()
             )
             outputs.write_surface_csv(plane, path)
-            with pytest.raises(SchemaError) as err:
-                outputs.read_surface_csv(path)
-            assert f"{name} axis is not uniformly spaced" in str(err.value)
+            lines = []
+            code, report = pipeline.run_check(path, log=lines.append)
+            assert code == pipeline.EXIT_CONFIG
+            assert report is None
+            errors = [line for line in lines if line.startswith("error: ")]
+            assert len(errors) == 1
+            assert f"{name} axis is not uniformly spaced" in errors[0]
 
     def test_long_uniform_axis_survives_the_text_round_trip(self, tmp_path):
+        # the vertical plane on 1025 x 7 nodes: 7 rows reach the grid
+        # gate at the default margin, which must accept the read-back
+        # 1025-node axis
         x = np.linspace(-0.6, 0.6, 1025)
-        y = np.linspace(-0.6, 0.6, 3)
-        surf = SurfaceGrid(
-            x=x, y=y, t=0.0, F=np.zeros((3, 1025), complex), height=np.zeros((3, 1025))
-        )
+        y = np.linspace(-0.6, 0.6, 7)
+        x2d, y2d = np.meshgrid(x, y)
+        surf = SurfaceGrid(x=x, y=y, t=0.0, F=x2d + 0j, height=y2d)
         path = tmp_path / "long.csv"
         outputs.write_surface_csv(surf, path)
         back = outputs.read_surface_csv(path)
         np.testing.assert_array_equal(back.x, x)
+        report = residuals.verify_surface(back)
+        assert (report.nx, report.ny) == (1025, 7)
 
     def test_incomplete_grid(self, tmp_path):
         surf = toy_surface(9)

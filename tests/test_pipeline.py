@@ -696,7 +696,8 @@ class TestRunCheck:
     def test_reports_are_strict_json(self, tmp_path):
         # JSON has no NaN or infinity.  A 1e300 vertical plane with one
         # height at -1e308 reads an infinite minimality_vertical, which
-        # the failure entry writes as null, as the maxima do
+        # the failure entry writes as null, as the maxima do; an infinite
+        # threshold is null too
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
 
@@ -719,6 +720,18 @@ class TestRunCheck:
         assert checked["verification"]["maxima"]["minimality_vertical"] is None
         entries = {f["residual"]: f for f in checked["failures"]}
         assert entries["minimality_vertical"]["value"] is None
+
+        # a vertical plane of step 1e154: h^2 = 1e308 lies in the float
+        # range, but the conformality threshold 2 h^2 does not
+        plane = dyadic_plane("vertical")
+        plane.x, plane.y = 8e154 * plane.x, 8e154 * plane.y
+        plane.F, plane.height = 8e154 * plane.F, 8e154 * plane.height
+        write_surface_csv(plane, path)
+        argv = ["check", str(path), "--report", str(report_path)]
+        assert cli.main(argv, log=lambda *_: None) == pipeline.EXIT_PASS
+        wide = json.loads(report_path.read_text(), parse_constant=refuse)
+        assert wide["thresholds"]["conformality"] is None
+        assert wide["thresholds"]["hopf_holomorphy"] > 1e307
 
     def test_malformed_csv_exits_2(self, tmp_path):
         header = "x,y,F_re,F_im,h\n"

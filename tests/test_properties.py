@@ -16,7 +16,10 @@ coordinate replaced by another finite number): exit 2 exactly when the
 edit breaks the documented CSV schema, else 0 or 4.
 (d) `generate` on 9 x 9 windows of admissible data at the ends of the
 float range (half-widths, |Q0| and t up to powers of ten near its
-limits): exit 0, 2, 3 or 4, with no warning of any kind.
+limits): exit 0, 2, 3 or 4, with no warning of any kind.  `check` on
+the exact 17 x 17 vertical plane with steps from 1e-200 to 1e201 and at
+the edges of config.square_in_range: exit 2 exactly when the step fails
+that rule, else 0 or 4, and never an exception.
 (e) A 17 x 17 constant-rho0 run in which one file a command writes is a
 file it reads or another it writes, named by the same string, through
 sub/.., a symbolic link or a hard link: exit 2 with that write's key,
@@ -40,7 +43,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilsurf import cli, config
+from nilsurf import cli, config, pipeline
 from nilsurf.outputs import write_surface_csv
 from nilsurf.potentials import Potential
 from nilsurf.residuals import MIN_STENCIL_NODES
@@ -363,6 +366,43 @@ def test_extreme_data_exits_without_a_warning(doc):
         finally:
             os.chdir(cwd)
     assert code in EXTREME_EXIT_CODES
+
+
+#: The least and the greatest step that config.square_in_range admits,
+#: each with its neighbours on both sides.
+SQUARE_EDGE_STEPS = [
+    math.nextafter(edge, toward)
+    for edge in (7.458340731200208e-155, 1.3407807929942596e154)
+    for toward in (0.0, edge, math.inf)
+]
+
+
+def _assert_step_rule(step):
+    """check on the exact vertical plane F = x, h = y of axis k * step,
+    k = 0..16, whose first step and mean step 16 * step / 16 are both
+    step: exit 2 exactly when step fails config.square_in_range."""
+    ax = step * np.arange(GRID_NODES)
+    x2d, y2d = np.meshgrid(ax, ax)
+    plane = SurfaceGrid(x=ax, y=ax, t=0.0, F=x2d.astype(complex), height=y2d)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "plane.csv")
+        write_surface_csv(plane, path)
+        code, _ = pipeline.run_check(path, log=lambda *_: None)
+    if config.square_in_range(step):
+        assert code in (0, 4)
+    else:
+        assert code == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-200, 200), m=st.floats(1.0, 10.0, exclude_max=True))
+def test_check_refuses_a_step_whose_square_leaves_the_float_range(k, m):
+    _assert_step_rule(10.0**k * m)
+
+
+@pytest.mark.parametrize("step", SQUARE_EDGE_STEPS)
+def test_check_at_the_edges_of_the_square_rule(step):
+    _assert_step_rule(step)
 
 
 #: (command, the file named first, the key of the write that names it

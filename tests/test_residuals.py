@@ -582,6 +582,22 @@ class TestGridGate:
         with pytest.raises(DomainError, match="x axis is not uniformly"):
             residuals.verify_surface(surf)
 
+    @pytest.mark.parametrize("which", ["first", "mean"])
+    def test_a_step_past_the_square_rule(self, which):
+        # the greatest step config.square_in_range admits, with the
+        # stencils' first step one ulp past it, or the thresholds' mean
+        # step 1e-9 of it past it
+        edge = 1.3407807929942596e154
+        axis = edge * np.arange(9.0)
+        if which == "first":
+            axis[1] = math.nextafter(edge, math.inf)
+        else:
+            axis[2:] *= 1.0 + 1e-9
+        surf = vertical_plane(9, 9)
+        surf.x = axis
+        with pytest.raises(DomainError, match="x axis step .* is out of range"):
+            residuals.verify_surface(surf)
+
     def test_swapped_axes(self):
         surf = vertical_plane(9, 11)
         surf.x, surf.y = surf.y, surf.x
