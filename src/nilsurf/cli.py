@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 pass, 2 config error, 3 integrability failure, 4 residual
 threshold failure, 5 I/O failure.
 
-The `check` flags are the config's DEFAULT_TOLERANCES under their
-tolerances.* names and follow the same rules (a NaN, an infinity, a
-non-positive floor or scale, or a margin below 1 exits 2).  Every
+The `check` flags --margin and --threshold-scale are the config's
+DEFAULT_TOLERANCES under their tolerances.* names and follow the same
+rules (a NaN, an infinity, a non-positive scale or a margin below 1
+exits 2).  Every
 failure, loading the configuration included, goes through
 pipeline.guarded.
 """
@@ -25,8 +26,6 @@ from .pipeline import EXIT_PASS, guarded, run_check, run_generate, run_solve
 CHECK_FLAG_HELP = {
     "margin": "boundary nodes excluded from max-norms, at least 1 "
     "(default %(default)s)",
-    "angle_cutoff": "skip Gauss-map tension where the angle function is below this",
-    "residual_floor": "absolute floor of the residual thresholds, positive",
     "threshold_scale": "positive multiplier on the residual thresholds",
 }
 

@@ -13,8 +13,7 @@ A run configuration is a JSON document:
       "domain": {"xmin": -1.0, "xmax": 1.0,
                  "ymin": -1.0, "ymax": 1.0, "nx": 65, "ny": 65},
       "t_values": [0.0, 0.7853981633974483, 1.5707963267948966],
-      "tolerances": {"angle_cutoff": 0.05, "margin": 2,
-                     "residual_floor": 1e-10, "threshold_scale": 1.0},
+      "tolerances": {"margin": 2, "threshold_scale": 1.0},
       "outputs": {"mesh": "surface_t{t}.obj", "report": "report.json",
                   "solution": "solution.csv"}
     }
@@ -42,24 +41,24 @@ contain the surface rectangle at no more than its spacing.  Every grid,
 that default included, has at most MAX_NODES nodes per axis.
 
 The document holds what a run takes as input: the potential, the grids,
-the t family, the residual check's tolerances and the output paths.  The
-numerical gates are module constants, not keys: the admissibility gate
-(frame.ADMISSIBILITY_THRESHOLD), the singular-frame gate
+the t family, the residual check's two tolerances and the output paths.
+The numerical gates are module constants, not keys: the admissibility
+gate (frame.ADMISSIBILITY_THRESHOLD), the singular-frame gate
 (mat2.SINGULAR_TOL), the matrix-shape gate (surface.SHAPE_TOL), the
-degeneracy gate (residuals.DEGENERATE_TOL) and the Newton stopping rule
-(pde.NEWTON_TOL, pde.NEWTON_MAX_ITER).  A document that still sets a
-retired key ("solver", "tolerances.shape", "tolerances.flatness") is
-rejected as an unknown key.
+residual check's gates (residuals.DEGENERATE_TOL, ANGLE_CUTOFF and
+RESIDUAL_FLOOR) and the Newton stopping rule (pde.NEWTON_TOL,
+pde.NEWTON_MAX_ITER).  A document that still sets a retired key
+("solver", or "shape", "flatness", "angle_cutoff" or "residual_floor"
+under "tolerances") is rejected as an unknown key.
 
 Every optional key of "tolerances" and "outputs" is stated once, as a
 RunConfig field made by `_option` (its section, key and validator; its
 default lives in DEFAULT_*).  OPTIONS collects those fields into the one
 table that parse_config and RunConfig.to_dict read.  The tolerances are
-the residual check's, which `check` also takes as flags and run_check
-and residuals.verify_surface as keywords; check_tolerances applies the
-same validators there, so a value a config file may not hold is refused
-too: a NaN floor would make every comparison with the thresholds false
-and pass any surface.
+the residual check's margin and threshold scale, which `check` also takes
+as flags and run_check and residuals.verify_surface as keywords;
+check_tolerances applies the same validators there, so a value a config
+file may not hold is refused too.
 """
 
 import json
@@ -73,12 +72,7 @@ from .errors import DomainError, SchemaError
 from .potentials import MAX_Q0_DEGREE
 
 DEFAULT_T_VALUES = (0.0, math.pi / 4.0, math.pi / 2.0)
-DEFAULT_TOLERANCES = {
-    "angle_cutoff": 0.05,
-    "margin": 2,
-    "residual_floor": 1e-10,
-    "threshold_scale": 1.0,
-}
+DEFAULT_TOLERANCES = {"margin": 2, "threshold_scale": 1.0}
 DEFAULT_OUTPUTS = {
     "mesh": "surface_t{t}.obj",
     "report": "report.json",
@@ -215,9 +209,7 @@ class RunConfig:
     solver_domain: GridSpec = None  # a solved source's, stored by parse_config
     bc: object = 0.0
     t_values: tuple = DEFAULT_T_VALUES
-    angle_cutoff: float = _option("tolerances", "angle_cutoff", _as_float)
     margin: int = _option("tolerances", "margin", _at_least_one)
-    residual_floor: float = _option("tolerances", "residual_floor", _positive)
     threshold_scale: float = _option("tolerances", "threshold_scale", _positive)
     mesh_pattern: str = _option("outputs", "mesh", _nonempty_string)
     report_path: str = _option("outputs", "report", _nonempty_string)
@@ -258,7 +250,7 @@ def check_tolerances(**values):
 
     Keys left out take their DEFAULT_TOLERANCES value.  Raises TypeError
     on an unknown keyword and SchemaError on a value a config file may not
-    hold: not finite, not positive (floor, scale) or below 1 (margin).
+    hold: not finite, not positive (scale) or below 1 (margin).
     """
     unknown = sorted(set(values) - set(DEFAULT_TOLERANCES))
     if unknown:

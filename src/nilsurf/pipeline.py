@@ -154,7 +154,7 @@ def solve_density(config):
     if config.bc == "liouville":
         bc = np.log(liouville_exact(z))
     else:
-        bc = np.full(z.shape, float(config.bc))
+        bc = float(config.bc)
     return newton_solve(q0_values, bc, xs, ys)
 
 
@@ -286,10 +286,10 @@ def _generate(config, log):
 def run_check(csv_path, report_path=None, log=print, **tolerances):
     """Verify an externally supplied surface CSV; returns (exit_code, dict).
 
-    tolerances are the keywords of DEFAULT_TOLERANCES (margin, angle_cutoff,
-    residual_floor, threshold_scale; defaults from DEFAULT_TOLERANCES).  A
-    value a config file may not hold, or a report_path that check_writes
-    refuses (the CSV itself, say), exits 2 before the file is read.
+    tolerances are the keywords of DEFAULT_TOLERANCES (margin and
+    threshold_scale; defaults from DEFAULT_TOLERANCES).  A value a config
+    file may not hold, or a report_path that check_writes refuses (the CSV
+    itself, say), exits 2 before the file is read.
     """
     return guarded(lambda: _check(csv_path, report_path, tolerances, log), log)
 

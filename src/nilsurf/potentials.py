@@ -171,9 +171,10 @@ def _locate(f, n):
 class _SolvedSource:
     """rho0 = exp(u) with u solved on a rectangle and interpolated.
 
-    Stores the solver axes, the u field, its first-derivative field
-    (_first_derivative: fourth-order central differences, one-sided at
-    the two edge nodes), and the solver's final residual field.
+    Stores the solver axes and their steps hx, hy, the u field, its
+    first-derivative field (_first_derivative: fourth-order central
+    differences, one-sided at the two edge nodes), and the solver's final
+    residual field.
     Evaluation is 4-point Lagrange interpolation of each stored field,
     fourth-order like the corrected solve (pde.deferred_correction); the
     derivative and interpolation stencils are mirror-symmetric bit for
@@ -207,10 +208,10 @@ class _SolvedSource:
             raise PotentialDataError("solved grid needs at least 5 nodes per axis")
         if not np.all(np.isfinite(self.u)):
             raise PotentialDataError("solved field contains non-finite values")
-        hx = self.x[1] - self.x[0]
-        hy = self.y[1] - self.y[0]
-        ux = _first_derivative(self.u.T, hx).T
-        uy = _first_derivative(self.u, hy)
+        self.hx = self.x[1] - self.x[0]
+        self.hy = self.y[1] - self.y[0]
+        ux = _first_derivative(self.u.T, self.hx).T
+        uy = _first_derivative(self.u, self.hy)
         self._dlog = 0.5 * (ux - 1j * uy)
         self.residual_field = np.asarray(residual_field, dtype=float)
 
@@ -226,8 +227,8 @@ class _SolvedSource:
         ):
             raise DomainError("evaluation point outside the solved rectangle")
         ny, nx = field.shape
-        x0, sx = _locate((xr.ravel() - self.x[0]) / (self.x[1] - self.x[0]), nx)
-        y0, sy = _locate((yr.ravel() - self.y[0]) / (self.y[1] - self.y[0]), ny)
+        x0, sx = _locate((xr.ravel() - self.x[0]) / self.hx, nx)
+        y0, sy = _locate((yr.ravel() - self.y[0]) / self.hy, ny)
         # a point on a node along x reads its 4 stencil nodes along y, and
         # any other its 4 along x at its node along y; a point on neither
         # is read again below from its 16 nodes
@@ -262,13 +263,11 @@ class _SolvedSource:
     def nearest_residual(self, z):
         """Stored discrete solve residual at the nearest interior node."""
         z = np.asarray(z, dtype=complex)
-        hx = self.x[1] - self.x[0]
-        hy = self.y[1] - self.y[0]
         ix = np.clip(
-            np.rint((z.real - self.x[0]) / hx).astype(int), 1, self.x.size - 2
+            np.rint((z.real - self.x[0]) / self.hx).astype(int), 1, self.x.size - 2
         )
         iy = np.clip(
-            np.rint((z.imag - self.y[0]) / hy).astype(int), 1, self.y.size - 2
+            np.rint((z.imag - self.y[0]) / self.hy).astype(int), 1, self.y.size - 2
         )
         return self.residual_field[iy, ix]
 

@@ -21,7 +21,7 @@ The suite checks, by central finite differences,
                          equation into the hyperbolic disk,
                          g_zz̄ + 2 conj(g) g_z g_z̄ / (1 - |g|^2) = 0,
                          evaluated where the normal's vertical angle
-                         function phi = <N, E3> stays above a cutoff
+                         function phi = <N, E3> stays above ANGLE_CUTOFF
                          (the projection degenerates as phi -> 0);
   * auxiliary consistency: when the companion height from the generating
                          auxiliary map is available, A = i (aux height)_z;
@@ -46,8 +46,9 @@ ungated maxima are reported alongside for transparency.
 RESIDUAL_CLASSES is the one list of the classes, in reporting order, with
 their threshold coefficients; the report counts, per class, the gated
 nodes where it had its inputs (`ResidualReport.evaluated`).  Beside it
-live the one threshold law, max(floor, scale * C * h^2), which matches
-the second-order convergence of every class, and the one classifier rule.
+live the one threshold law, max(RESIDUAL_FLOOR, scale * C * h^2), which
+matches the second-order convergence of every class, and the one
+classifier rule.
 verify_surface applies both: it is the one call that judges a surface,
 and its grid gate (`_checked_grid`) the one judge of whether a surface's
 axes, generated or read, can be differenced.  A report writes NaN and
@@ -67,6 +68,14 @@ from .nil3 import covariant_derivative, stereographic_south, vertical_form
 #: Interior metric density below which verify_surface raises DegenerateNode.
 DEGENERATE_TOL = 1e-8
 
+#: Angle function phi = <N, E3> at or below which gauss_map_tension is not
+#: evaluated: the stereographic chart of the Gauss map degenerates as
+#: phi -> 0 (|g| -> 1).
+ANGLE_CUTOFF = 0.05
+
+#: Roundoff floor of the threshold law max(RESIDUAL_FLOOR, scale * C * h^2).
+RESIDUAL_FLOOR = 1e-10
+
 #: The stencils difference with one step per axis.  CSV round trips of a
 #: uniform axis deviate by ~1e-13 relative; a misplaced node is off by
 #: order 1.
@@ -78,8 +87,8 @@ UNIFORM_SPACING_RTOL = 1e-6
 MIN_STENCIL_NODES = 7
 
 #: The residual classes in reporting order, each with its coefficient C in
-#: the threshold law max(floor, scale * C * h^2) of `residual_thresholds`,
-#: calibrated with ~10x headroom over the flagship configurations.
+#: the threshold law of `residual_thresholds`, calibrated with ~10x
+#: headroom over the flagship configurations.
 RESIDUAL_CLASSES = {
     "conformality": 2.0,
     "minimality_horizontal": 0.5,
@@ -95,14 +104,10 @@ RESIDUAL_CLASSES = {
 RESIDUAL_KEYS = tuple(RESIDUAL_CLASSES)
 
 
-def residual_thresholds(
-    h,
-    floor=DEFAULT_TOLERANCES["residual_floor"],
-    scale=DEFAULT_TOLERANCES["threshold_scale"],
-):
-    """Threshold per residual class: max(floor, scale * C * h^2)."""
+def residual_thresholds(h, scale=DEFAULT_TOLERANCES["threshold_scale"]):
+    """Threshold per residual class: max(RESIDUAL_FLOOR, scale * C * h^2)."""
     return {
-        key: max(floor, scale * coeff * h * h)
+        key: max(RESIDUAL_FLOOR, scale * coeff * h * h)
         for key, coeff in RESIDUAL_CLASSES.items()
     }
 
@@ -381,9 +386,7 @@ def _checked_grid(surface, margin):
 def verify_surface(
     surface,
     potential=None,
-    angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
     margin=DEFAULT_TOLERANCES["margin"],
-    residual_floor=DEFAULT_TOLERANCES["residual_floor"],
     threshold_scale=DEFAULT_TOLERANCES["threshold_scale"],
     keep_fields=False,
 ):
@@ -404,8 +407,7 @@ def verify_surface(
     bit, and report.passed and report.failures by classify_report.
 
     Raises SchemaError, before the surface is read, for a tolerance that
-    breaks its tolerances.* rule (config.check_tolerances): a NaN cutoff
-    would mask every tension node, a NaN floor pass every class.  Raises
+    breaks its tolerances.* rule (config.check_tolerances).  Raises
     DomainError when F's shape is not (y.size, x.size) or height,
     aux_height or fhat does not match it; when an axis has fewer than
     max(2 * margin + 3, MIN_STENCIL_NODES) nodes (the margin-trimmed
@@ -431,13 +433,8 @@ def verify_surface(
     metric_density, angle_function, quadratic_differential, gauss_map and
     normal grids, all of grid shape with NaN where a stencil does not fit.
     """
-    tolerances = check_tolerances(
-        angle_cutoff=angle_cutoff,
-        margin=margin,
-        residual_floor=residual_floor,
-        threshold_scale=threshold_scale,
-    )
-    angle_cutoff, margin = tolerances["angle_cutoff"], tolerances["margin"]
+    tolerances = check_tolerances(margin=margin, threshold_scale=threshold_scale)
+    margin = tolerances["margin"]
     x, y, F, height, aux_height, fhat, (hx, hy, h) = _checked_grid(surface, margin)
     maxima = dict.fromkeys(RESIDUAL_KEYS, float("nan"))
     maxima_ungated = dict(maxima)
@@ -547,7 +544,7 @@ def verify_surface(
 
     # Harmonic-map residual of g = (N1 + i N2)/(1 + N3), the south-pole
     # stereographic projection of the normal, masked to NaN where
-    # phi <= angle_cutoff: there |g| -> 1 and the hyperbolic factor blows
+    # phi <= ANGLE_CUTOFF: there |g| -> 1 and the hyperbolic factor blows
     # up, so the check is only meaningful on the upward-tilted region.
     g = stereographic_south(normal)
     g_z, g_zbar = _dz_dzbar(g, hx, hy)
@@ -556,14 +553,14 @@ def verify_surface(
         1.0 - np.abs(g_in) ** 2
     )
     del g_z, g_zbar, g_in
-    tau = np.where(_inner(phi) > angle_cutoff, tau, np.nan)
+    tau = np.where(_inner(phi) > ANGLE_CUTOFF, tau, np.nan)
     settle("gauss_map_tension", [tau], 2)
 
     phi_window = _inner(phi, margin - 1)
     phi_finite = phi_window[np.isfinite(phi_window)]
     # interior nodes the angle cutoff masks; the tension had its inputs at
     # the rest, a NaN phi included
-    skipped = phi_finite.size - int(np.count_nonzero(phi_window > angle_cutoff))
+    skipped = phi_finite.size - int(np.count_nonzero(phi_window > ANGLE_CUTOFF))
     evaluated["gauss_map_tension"] = phi_window.size - skipped
     finite_tension = np.isfinite(_inner(tau, max(margin - 2, 0)))
 
@@ -595,7 +592,7 @@ def verify_surface(
         ny=y.size,
         spacing=(hx, hy),
         margin=margin,
-        angle_cutoff=angle_cutoff,
+        angle_cutoff=ANGLE_CUTOFF,
         maxima=maxima,
         maxima_ungated=maxima_ungated,
         rho_min=statistic(rho_interior, np.min),
@@ -623,8 +620,6 @@ def verify_surface(
             gauss_map=_nan_ring(g, 1, g.dtype),
             normal=_nan_ring(np.stack(normal, axis=-1), 1, phi.dtype),
         )
-    report.thresholds = residual_thresholds(
-        h, floor=tolerances["residual_floor"], scale=tolerances["threshold_scale"]
-    )
+    report.thresholds = residual_thresholds(h, tolerances["threshold_scale"])
     report.passed, report.failures = classify_report(report, report.thresholds)
     return report

@@ -96,6 +96,9 @@ class SurfaceGrid:
       shape_deviation  worst deviation of the immersion matrices from the
                        point-model shape (fhat deviation measured against
                        its own shape class, which has imaginary diagonal)
+
+    Both deviations are NaN on a surface that was not generated (one read
+    from a CSV, say): nothing measured them.
     """
 
     x: np.ndarray
@@ -105,8 +108,8 @@ class SurfaceGrid:
     height: np.ndarray
     aux_height: np.ndarray = None
     fhat: np.ndarray = None
-    det_deviation: float = 0.0
-    shape_deviation: float = 0.0
+    det_deviation: float = float("nan")
+    shape_deviation: float = float("nan")
 
     def coords(self):
         """Point coordinates as a real array of shape (ny, nx, 3)."""

@@ -24,6 +24,7 @@ from nilsurf.errors import DegenerateNode, DomainError
 from nilsurf.mat2 import commutator_entries, entries, from_entries
 from nilsurf.nil3 import covariant_derivative, vertical_form
 from nilsurf.residuals import (
+    ANGLE_CUTOFF,
     DEGENERATE_TOL,
     ResidualReport,
     _dz,
@@ -175,9 +176,7 @@ def quadratic_differential(tangent, normal, hx, hy):
     return q, grid_dzbar(q, hx, hy)
 
 
-def gauss_map_tension(
-    normal, phi, hx, hy, angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"]
-):
+def gauss_map_tension(normal, phi, hx, hy, angle_cutoff=ANGLE_CUTOFF):
     """Harmonic-map residual of the stereographically projected normal.
 
     Projects N from the south pole, g = (N1 + i N2)/(1 + N3), and evaluates
@@ -231,7 +230,7 @@ def _interior_max(values, margin):
 def verify_surface(
     surface,
     potential=None,
-    angle_cutoff=DEFAULT_TOLERANCES["angle_cutoff"],
+    angle_cutoff=ANGLE_CUTOFF,
     margin=DEFAULT_TOLERANCES["margin"],
     keep_fields=False,
 ):

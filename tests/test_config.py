@@ -9,6 +9,10 @@ import pytest
 from nilsurf import config
 from nilsurf.errors import DomainError, SchemaError
 
+#: Tolerance keys that became module constants (residuals.ANGLE_CUTOFF,
+#: residuals.RESIDUAL_FLOOR).
+RETIRED_TOLERANCES = ("angle_cutoff", "residual_floor")
+
 
 def base_document(**overrides):
     doc = {
@@ -40,9 +44,7 @@ class TestDefaults:
         assert cfg.rho0_value == 1.0
         assert cfg.q0_coefficients == (0.25 + 0.0j,)
         assert cfg.t_values == config.DEFAULT_T_VALUES
-        assert cfg.angle_cutoff == 0.05
         assert cfg.margin == 2
-        assert cfg.residual_floor == 1e-10
         assert cfg.threshold_scale == 1.0
         assert cfg.mesh_pattern == "surface_t{t}.obj"
         assert cfg.report_path == "report.json"
@@ -94,7 +96,7 @@ class TestRoundTrip:
     def test_serialize_parse_identity(self):
         doc = base_document(
             t_values=[0.0, 0.6],
-            tolerances={"margin": 3, "residual_floor": 1e-9},
+            tolerances={"margin": 3, "threshold_scale": 0.5},
             outputs={"mesh": "m_{t}.obj", "report": "r.json"},
         )
         cfg = parse(doc)
@@ -162,6 +164,10 @@ class TestSchemaErrors:
             (base_document(tolerances={"margins": 2}), "tolerances.margins"),
             (base_document(tolerances={"flatness": 1e-5}), "tolerances.flatness"),
             (base_document(tolerances={"shape": 1e-6}), "tolerances.shape"),
+            (base_document(tolerances={"angle_cutoff": 0.05}),
+             "tolerances.angle_cutoff"),
+            (base_document(tolerances={"residual_floor": 1e-10}),
+             "tolerances.residual_floor"),
             (base_document(solver={"tol": 1e-10, "max_iter": 50}), "solver"),
             (base_document(outputs={"meshes": "x.obj"}), "outputs.meshes"),
         ]
@@ -210,7 +216,7 @@ class TestSchemaErrors:
         doc = base_document(t_values=[True])
         with pytest.raises(SchemaError):
             parse(doc)
-        doc = base_document(tolerances={"residual_floor": True})
+        doc = base_document(tolerances={"threshold_scale": True})
         with pytest.raises(SchemaError):
             parse(doc)
         doc = base_document(tolerances={"margin": 2.0})
@@ -320,9 +326,8 @@ class TestSchemaErrors:
         assert parse(doc).mesh_pattern == "surface.obj"
 
     def test_tolerance_positivity(self):
-        for key in ("residual_floor", "threshold_scale"):
-            with pytest.raises(SchemaError):
-                parse(base_document(tolerances={key: 0.0}))
+        with pytest.raises(SchemaError):
+            parse(base_document(tolerances={"threshold_scale": 0.0}))
         with pytest.raises(SchemaError):
             parse(base_document(tolerances={"margin": 0}))
 
@@ -343,16 +348,26 @@ class TestOptionTable:
         assert config.check_tolerances(margin=3)["margin"] == 3
         # NumPy scalars are numbers too, for library callers
         numpy_values = config.check_tolerances(
-            margin=np.int64(3), residual_floor=np.float32(0.5)
+            margin=np.int64(3), threshold_scale=np.float32(0.5)
         )
-        assert (numpy_values["margin"], numpy_values["residual_floor"]) == (3, 0.5)
-        with pytest.raises(TypeError):
-            config.check_tolerances(shape=1e-6)
+        assert (numpy_values["margin"], numpy_values["threshold_scale"]) == (3, 0.5)
+        for retired in ("shape", "angle_cutoff", "residual_floor"):
+            with pytest.raises(TypeError, match=retired):
+                config.check_tolerances(**{retired: 1e-6})
 
     @pytest.mark.parametrize("key", ["margin", "angle_cutoff", "residual_floor",
                                      "threshold_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1, 0, "1", True])
     def test_check_tolerances_agree_with_the_config(self, key, value):
+        if key in RETIRED_TOLERANCES:
+            # module constants of residuals: whatever the value, a
+            # document that sets one and a keyword that names one are refused
+            with pytest.raises(SchemaError, match="unknown key") as err:
+                parse(base_document(tolerances={key: value}))
+            assert err.value.path == f"tolerances.{key}"
+            with pytest.raises(TypeError, match=key):
+                config.check_tolerances(**{key: value})
+            return
         try:
             parse(base_document(tolerances={key: value}))
         except SchemaError as exc:
@@ -364,7 +379,7 @@ class TestOptionTable:
 
     def test_huge_integers_are_not_finite(self):
         with pytest.raises(SchemaError, match="finite"):
-            parse(base_document(tolerances={"residual_floor": 10**400}))
+            parse(base_document(tolerances={"threshold_scale": 10**400}))
         doc = base_document()
         doc["potential"]["q0_coefficients"] = [[10**400, 0.0]]
         with pytest.raises(SchemaError, match="finite"):

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -34,6 +35,10 @@ from nilsurf.errors import (
 from nilsurf.outputs import write_surface_csv
 from nilsurf.potentials import Potential
 from nilsurf.surface import SurfaceGrid, generate_surface
+
+#: The tolerances that became module constants of residuals (ANGLE_CUTOFF,
+#: RESIDUAL_FLOOR): no config key, check flag or keyword names them.
+RETIRED_TOLERANCES = ("angle_cutoff", "residual_floor")
 
 #: The classes every surface has the inputs for: its coordinates.
 COORDINATE_KEYS = (
@@ -90,10 +95,13 @@ class TestThresholds:
         assert set(th) == set(residuals.RESIDUAL_CLASSES)
 
     def test_floor_engages_on_fine_grids(self):
+        assert residuals.RESIDUAL_FLOOR == 1e-10
         th = residual_thresholds(1e-6)
-        assert all(v == 1e-10 for v in th.values())
-        th = residual_thresholds(1e-6, floor=1e-14)
-        assert th["conformality"] == pytest.approx(2e-12)
+        assert all(v == residuals.RESIDUAL_FLOOR for v in th.values())
+        # the law is a max: a scale that lifts C h^2 over the floor takes over
+        th = residual_thresholds(1e-6, scale=1e3)
+        assert th["conformality"] == pytest.approx(2e-9)
+        assert th["gauss_map_tension"] == pytest.approx(2.5e-10)
 
     def test_scale_multiplies(self):
         base = residual_thresholds(0.1)
@@ -223,7 +231,7 @@ class TestRunGenerate:
         on_disk = json.loads((tmp_path / "report.json").read_text())
         assert parse_config(json.dumps(on_disk["config"])) == cfg
         assert "solver" not in on_disk["config"]
-        assert "shape" not in on_disk["config"]["tolerances"]
+        assert set(on_disk["config"]["tolerances"]) == {"margin", "threshold_scale"}
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = make_config(tmp_path)
@@ -362,6 +370,50 @@ class TestRunGenerate:
         assert report["surfaces"][0]["failures"]
         assert (tmp_path / "report.json").exists()
         assert any("FAIL" in line for line in lines)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_each_member_logs_its_worst_class(self, tmp_path, scale):
+        # "[t=T] pass|FAIL  worst KEY = V (threshold T)", KEY the class of
+        # the largest value/threshold ratio, then one line per failure
+        cfg = make_config(
+            tmp_path,
+            t_values=[0.0, 0.5],
+            tolerances={"threshold_scale": scale},
+            outputs={"mesh": str(tmp_path / "s_{t}.obj")},
+        )
+        lines = []
+        code, report = pipeline.run_generate(cfg, log=lines.append)
+        assert code == (pipeline.EXIT_PASS if scale == 1.0 else pipeline.EXIT_RESIDUAL)
+        headline = re.compile(
+            r"\[t=(?P<t>\S+)\] (?P<verdict>pass|FAIL)  worst (?P<key>\w+) = "
+            r"(?P<value>\S+) \(threshold (?P<threshold>\S+)\); mesh -> (?P<mesh>.+)"
+        )
+        thresholds = report["thresholds"]
+        at = 0
+        for entry in report["surfaces"]:
+            match = headline.fullmatch(lines[at])
+            assert match, lines[at]
+            maxima = entry["verification"]["maxima"]
+            ratios = {
+                k: v / thresholds[k] for k, v in maxima.items() if v is not None
+            }
+            worst = max(ratios, key=ratios.get)
+            assert match["t"] == f"{entry['t']:.6f}"
+            assert match["verdict"] == ("pass" if entry["pass"] else "FAIL")
+            assert match["key"] == worst
+            assert match["value"] == f"{maxima[worst]:.3e}"
+            assert match["threshold"] == f"{thresholds[worst]:.3e}"
+            assert match["mesh"] == entry["mesh_path"]
+            over = [
+                f"    over threshold: {f['residual']} = {f['value']:.3e} "
+                f"> {f['threshold']:.3e}"
+                for f in entry["failures"]
+            ]
+            assert bool(over) == (scale != 1.0)
+            assert lines[at + 1 : at + 1 + len(over)] == over
+            at += 1 + len(over)
+        verdict = "PASS" if scale == 1.0 else "FAIL: residual thresholds exceeded"
+        assert lines[at:] == [f"report -> {cfg.report_path}", verdict]
 
     def test_overflowing_frames_exit_4(self, tmp_path):
         # admissible data whose frames overflow to NaN: the NaN coordinates
@@ -535,6 +587,21 @@ class TestRunCheck:
         # coordinate-only checks: auxiliary classes reported not computable
         assert any("not computable" in line for line in lines)
         assert any(line.strip() == "PASS" for line in lines)
+
+    def test_a_read_surface_claims_no_frame_invariants(self, tmp_path):
+        # nothing measured the frames of a CSV surface: the report writes
+        # null, not the 0.0 of a perfect frame
+        path = tmp_path / "vertical.csv"
+        write_surface_csv(dyadic_plane("vertical"), path)
+        report_path = tmp_path / "check.json"
+        code, report = pipeline.run_check(
+            path, report_path=report_path, log=lambda *_: None
+        )
+        assert code == pipeline.EXIT_PASS
+        unmeasured = {"det_deviation": None, "shape_deviation": None}
+        assert report["verification"]["frame_invariants"] == unmeasured
+        on_disk = json.loads(report_path.read_text())
+        assert on_disk["verification"]["frame_invariants"] == unmeasured
 
     @pytest.mark.parametrize("kind", ["vertical", "horizontal"])
     def test_table_says_over_for_exactly_the_failures(
@@ -786,20 +853,32 @@ class TestRunCheck:
     )
     def test_flags_follow_the_config_rules(self, tmp_path, flag, value, capsys):
         # max(nan, C h^2) is NaN and value > NaN is false: a NaN floor used
-        # to pass the horizontal plane with exit 0
+        # to pass the horizontal plane with exit 0.  The floor and the
+        # angle cutoff are module constants: argparse refuses their
+        # flags, whatever the value, with the same exit 2
         path = tmp_path / "horizontal.csv"
         write_surface_csv(dyadic_plane("horizontal"), path)
         report_path = tmp_path / "check.json"
         argv = ["check", str(path), "--report", str(report_path), f"{flag}={value}"]
-        assert cli.main(argv) == pipeline.EXIT_CONFIG
+        if flag[2:].replace("-", "_") in RETIRED_TOLERANCES:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv)
+            assert exit_.value.code == pipeline.EXIT_CONFIG
+            assert "unrecognized arguments" in capsys.readouterr().err
+        else:
+            assert cli.main(argv) == pipeline.EXIT_CONFIG
         assert "PASS" not in capsys.readouterr().out
         assert not report_path.exists()
 
     def test_bad_flag_exits_2_before_reading(self, tmp_path):
         code, report = pipeline.run_check(
-            tmp_path / "nope.csv", residual_floor=float("nan"), log=lambda *_: None
+            tmp_path / "nope.csv", threshold_scale=float("nan"), log=lambda *_: None
         )
         assert (code, report) == (pipeline.EXIT_CONFIG, None)
+        # a retired tolerance is no keyword of the library's check
+        for key in RETIRED_TOLERANCES:
+            with pytest.raises(TypeError, match=key):
+                pipeline.run_check(tmp_path / "nope.csv", **{key: 0.05})
 
     def test_missing_file_exits_5(self, tmp_path):
         code, report = pipeline.run_check(
@@ -1133,7 +1212,12 @@ class TestCheckSurfaceLike:
         ],
     )
     def test_options_follow_the_config_rules(self, option, value):
-        # a NaN cutoff used to mask every tension node and skip the class
+        # a NaN cutoff used to mask every tension node and skip the class;
+        # the cutoff and the floor are module constants, not keywords
+        if option in RETIRED_TOLERANCES:
+            with pytest.raises(TypeError, match=option):
+                verify_surface(dyadic_plane("horizontal"), **{option: value})
+            return
         with pytest.raises(SchemaError, match=f"tolerances.{option}"):
             verify_surface(dyadic_plane("horizontal"), **{option: value})
 
@@ -1403,7 +1487,9 @@ class TestCli:
         [
             ("vertical", [], 0),
             ("horizontal", [], 4),
-            ("vertical", ["--residual-floor", "nan"], 2),
+            ("vertical", ["--threshold-scale", "nan"], 2),
+            ("vertical", ["--angle-cutoff", "0.05"], 2),
+            ("vertical", ["--residual-floor", "1e-10"], 2),
         ],
     )
     def test_process_exit_status(self, tmp_path, kind, flags, code):

@@ -180,24 +180,30 @@ def plane_csvs(tmp_path_factory):
     return paths
 
 
-def _breaks_rules(value, positive):
-    return not math.isfinite(value) or (positive and value <= 0)
-
-
-#: Valid floors up to 1e-2 and scales up to 1 keep the horizontal plane's
-#: thresholds below its residuals (conformality 0.070 against at most
-#: 2 h^2 = 0.031), so that surface must fail.
-floors = st.one_of(
-    st.floats(min_value=1e-300, max_value=1e-2),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
-)
+#: Valid scales up to 1 keep the horizontal plane's thresholds below its
+#: residuals (conformality 0.070 against at most 2 h^2 = 0.031), so that
+#: surface must fail.
 scales = st.one_of(
     st.floats(min_value=1e-300, max_value=1.0),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -3.0]),
 )
-cutoffs = st.one_of(
-    st.floats(min_value=-1.0, max_value=1.0),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
+#: The retired flags of the Gauss-map cutoff and the residual floor, with
+#: values each once took, valid or not.
+retired_flags = st.one_of(
+    st.tuples(
+        st.just("--angle-cutoff"),
+        st.one_of(
+            st.floats(min_value=-1.0, max_value=1.0),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        ),
+    ),
+    st.tuples(
+        st.just("--residual-floor"),
+        st.one_of(
+            st.floats(min_value=1e-300, max_value=1e-2),
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+        ),
+    ),
 )
 
 
@@ -205,38 +211,38 @@ cutoffs = st.one_of(
 @given(
     kind=st.sampled_from(["vertical", "horizontal"]),
     margin=st.integers(-2, 9),
-    cutoff=cutoffs,
-    floor=floors,
     scale=scales,
+    retired=st.one_of(st.none(), retired_flags),
 )
-def test_check_flags_follow_the_config_rules(
-    plane_csvs, kind, margin, cutoff, floor, scale
-):
-    code = _run(
-        [
-            "check",
-            plane_csvs[kind],
-            f"--margin={margin}",
-            f"--angle-cutoff={cutoff!r}",
-            f"--residual-floor={floor!r}",
-            f"--threshold-scale={scale!r}",
-        ]
-    )
+def test_check_flags_follow_the_config_rules(plane_csvs, kind, margin, scale, retired):
+    argv = [
+        "check",
+        plane_csvs[kind],
+        f"--margin={margin}",
+        f"--threshold-scale={scale!r}",
+    ]
+    if retired is not None:
+        # residuals.ANGLE_CUTOFF and RESIDUAL_FLOOR are module constants:
+        # argparse refuses either flag, whatever its value
+        flag, value = retired
+        with pytest.raises(SystemExit) as exit_:
+            _run(argv + [f"{flag}={value!r}"])
+        assert exit_.value.code == 2
+        return
+    code = _run(argv)
     refused = (
         margin < 1
         # no interior left to check, or no node for the widest stencil
         or max(2 * margin + 3, MIN_STENCIL_NODES) > GRID_NODES
-        or _breaks_rules(cutoff, positive=False)
-        or _breaks_rules(floor, positive=True)
-        or _breaks_rules(scale, positive=True)
+        # the scale must be finite and positive
+        or not 0.0 < scale < math.inf
     )
     if refused:
         assert code == 2
     else:
-        # the vertical plane's angle function is 0 at every node: a
-        # negative cutoff masks none, and on its Gauss map, which lies on
-        # the unit circle, the tension has no finite value, so it fails
-        assert code == (0 if kind == "vertical" and cutoff >= 0.0 else 4)
+        # the vertical plane's angle function is 0 at every node, below
+        # ANGLE_CUTOFF: the tension is masked everywhere, and it passes
+        assert code == (0 if kind == "vertical" else 4)
 
 
 #: Cell texts the CSV schema refuses: not a number, or not finite.
