@@ -27,9 +27,13 @@ The vertex block is written by a NumPy kernel (`_vertex_lines`) whose
 bytes equal Python's `%.12g`.  CPython converts one value at a time,
 correctly rounded for any input (Gay 1990); the kernel converts blocks of
 values whose 12-digit rounding it can certify from one float product and
-hands the rest to Python's own `%.12g`.  The face block and the CSV and
-JSON writers keep Python's formatting.  `generate` writes the meshes in
-place, in the calling process, once it has verified every member.
+hands the rest to Python's own `%.12g`.  The CSV values are written by a
+second kernel (`_csv_lines`) whose bytes equal Python's `repr`: it
+certifies the shortest round-tripping digits in exact float arithmetic
+and hands the rest to Python's own `repr`, which also writes each x and
+each y once.  The face block and the JSON writer keep Python's
+formatting.  `generate` writes the meshes in place, in the calling
+process, once it has verified every member.
 """
 
 import csv
@@ -60,27 +64,6 @@ def mesh_summary(path, nx, ny):
         vertex_count=nx * ny,
         face_count=2 * (nx - 1) * (ny - 1),
     )
-
-
-def _write_grid_csv(path, header, x, y, values):
-    """Write one CSV row "x,y,values..." per grid node, row-major.
-
-    values has shape (len(y), len(x)) or (len(y), len(x), k).  Every number
-    is written in its shortest exactly round-tripping form (repr), negative
-    zero normalized.  Each x is formatted once per table and each y once
-    per grid row; a row's line template then takes only its values.  The
-    file is written one grid row at a time.
-    """
-    x_text = [repr(v) for v in (np.asarray(x, dtype=float) + 0.0).tolist()]
-    y_values = (np.asarray(y, dtype=float) + 0.0).tolist()
-    values = np.asarray(values, dtype=float) + 0.0
-    values = values.reshape(len(y_values), len(x_text), -1)
-    fields = ",%r" * values.shape[-1] + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        for y_value, row in zip(y_values, values):
-            tail = f",{y_value!r}{fields}"
-            fh.write((tail.join(x_text) + tail) % tuple(row.ravel().tolist()))
 
 
 def obj_faces(nx, ny):
@@ -139,7 +122,7 @@ _PYTHON = 17 * 26  # the first mask row of a value Python formats
 
 
 def _group_tables():
-    """The tables of the 4-digit groups g = 0..9999 of a 12-digit mantissa.
+    """The tables of the 4-digit groups g = 0..9999 of a decimal mantissa.
 
     digits: the "%04d" bytes of g as a little-endian 32-bit word.  last:
     the place (1 to 4) of the last nonzero digit of g, -99 for g = 0.
@@ -271,6 +254,262 @@ def _vertex_lines(coords):
     for start in range(0, len(coords), _CHUNK):
         block = coords[start : start + _CHUNK]
         yield _vertex_chunk(block, fields[: len(block)], digits, last)
+
+
+# The CSV writers' repr kernel.  repr(v) is the shortest decimal text
+# that reads back as v, and of those the nearest to v (Steele & White
+# 1990, Gay 1990); a finite v with 1e-4 <= |v| < 1e16 is written in fixed
+# notation.  At its decade X, 10^k with k = 16 - X <= 20 is an exact
+# double, so Dekker's product (1971) gives y = |v| * 10^k, 1e16 <= y <
+# 1e17, exactly as yh + yl: yh an integer and |yl| <= 8.  The 17-digit
+# integer C stands for C * 10^-k, which reads back as v when |C - y| < H,
+# with H = ulp(v) * 10^k / 2 exact and 0.555 < H < 11.2.  Since H < 50, at
+# most one multiple of 100 lies that close: the nearest 15-digit
+# candidate decides whether 15 digits or fewer suffice, and dropping its
+# trailing zeros gives the shortest text.  Otherwise the nearest 16-digit
+# candidate may suffice, and the nearest 17-digit one always does.  Each
+# distance is m + yl, with m an exact integer, rounded once; rounding
+# keeps its order with H and with half a step, so a distance computed
+# below either lies below it exactly.  A distance equal to H or to half a
+# step (a tie, or a candidate that may not be the nearest) goes to
+# Python's own repr, and so does a power of two (the gap below it is half
+# the gap above), a candidate that carries into the next decade, and any
+# value that is zero, not finite or out of range.  The decade comes from
+# log and is corrected from yh, as in the vertex kernel.
+#
+# Each value is laid out in a 48-byte field that holds every character
+# its text could need, in order, and a mask per layout keeps the ones it
+# does need:
+#
+#   bytes 0-6    ",-0.000"    separator, sign, and the "0." and zeros of
+#                             a value below 1
+#   bytes 7-23   d0 .. d16    the digits of C
+#   byte  24     "."          the point of a value from 1 up
+#   bytes 28-43  d1 .. d16    the digits after that point
+#   byte  47     "\n"         line end, kept after a node's last value
+#
+# A node's field is its "x,y" text, padded to a multiple of 4 bytes, then
+# one value field per column.  A value that Python formats is copied over
+# bytes 1-24 of its field.  Like the vertex kernel, this one keeps to
+# float arithmetic, casts, takes and masks, and to the NumPy loops that a
+# solve already runs: np.spacing, a bool added to a float or a uint8
+# comparison would each page in code that nothing else in `solve-gauss`
+# uses, which shows as resident memory.  So ulp(v) comes from a sum.
+_REPR_FIELD = np.frombuffer(
+    b",-0.000" + b"0" * 17 + b".   " + b"0" * 16 + b"   \n", np.uint8
+)
+_REPR_WIDTH = _REPR_FIELD.size
+_CSV_CHUNK = 1024  # values per pass: the pass's arrays stay near 0.5 MB
+_REPR_PYTHON = 20 * 34  # the first mask row of a value Python formats
+
+
+@functools.cache
+def _repr_tables():
+    """The repr kernel's tables, built on its first use.
+
+    pow10, hi, lo: 10^k for k = 0..22, all exact, and its halves of at
+    most 26 significant bits each (Veltkamp's split), for Dekker's
+    product.  keep: the byte mask of each layout, row 34 * (X + 4) +
+    2 * (nd - 1) + negative for the decade X = -4..15 and nd = 1..17
+    significant digits; then row _REPR_PYTHON + L for a Python text of
+    length L.  No row keeps the line end: the caller keeps it after a
+    node's last value.
+    """
+    pow10 = np.array([float(10**k) for k in range(23)])
+    split = pow10 * 134217729.0  # 2^27 + 1
+    hi = split - (split - pow10)
+
+    x = np.arange(-4.0, 16.0).reshape(-1, 1, 1, 1)
+    nd = np.arange(1.0, 18.0).reshape(1, -1, 1, 1)
+    below_one = x < 0  # "0." and -x - 1 zeros, then the digits
+    k = np.arange(17.0)
+    keep = np.zeros((20, 17, 2, _REPR_WIDTH), bool)
+    keep[..., 0] = True
+    keep[:, :, 1, 1] = True  # the sign of a negative value
+    keep[..., 2:4] = below_one
+    keep[..., 4:7] = below_one & (k[:3] < -x - 1)
+    keep[..., 7:24] = np.where(below_one, k < nd, k <= x)
+    keep[..., 24:25] = ~below_one
+    # digits 1..16 after the point, at least one of them: "1.0", "1200.0"
+    last = np.maximum(nd - 1, x + 1)
+    keep[..., 28:44] = ~below_one & (k[1:] > x) & (k[1:] <= last)
+    byte = np.arange(float(_REPR_WIDTH))
+    python = byte <= np.arange(25.0).reshape(-1, 1)
+    keep_rows = np.concatenate([keep.reshape(-1, _REPR_WIDTH), python])
+    return pow10, hi, pow10 - hi, keep_rows
+
+
+def _scaled(a, x, pow10, hi, lo):
+    """10^(16 - x), and a * 10^(16 - x) as the exact sum yh + yl.
+
+    Dekker's product: a's halves from Veltkamp's split, 10^k's from the
+    table, so each partial product is exact.
+    """
+    k = (16.0 - x).astype(np.intp)
+    p = pow10.take(k)
+    yh = a * p
+    split = a * 134217729.0  # 2^27 + 1
+    ah = split - (split - a)
+    al = a - ah
+    ph = hi.take(k)
+    pl = lo.take(k)
+    return p, yh, ((ah * ph - yh) + ah * pl + al * ph) + al * pl
+
+
+def _repr_fields(block, field, words, keep, digits, last):
+    """Lay out repr(v) for each value v of an (n, k) block.
+
+    block holds no negative zero.  field is an (n, k, _REPR_WIDTH) uint8
+    view holding _REPR_FIELD, and words the (n, k, _REPR_WIDTH // 4)
+    little-endian 32-bit view of the same bytes; keep, a bool array of
+    field's shape, gets each field's byte mask.  digits and last are the
+    `_group_tables`.  Returns the (n, k) mask of the values that Python
+    formatted, whose fields the caller resets to _REPR_FIELD.
+    """
+    pow10, hi, lo, keep_rows = _repr_tables()
+    a = np.abs(block)
+    ok = (a >= 1e-4) & (a < 1e16)
+    a[~ok] = 1.0
+    x = np.floor(np.log(a) * 0.4342944819032518)  # log10(e)
+    p, yh, yl = _scaled(a, x, pow10, hi, lo)
+    up, down = yh >= 1e17, yh < 1e16
+    redo = up | down
+    if redo.any():
+        x[up] += 1.0
+        x[down] -= 1.0
+        p[redo], yh[redo], yl[redo] = _scaled(a[redo], x[redo], pow10, hi, lo)
+    ok &= ((yh > 1e16) | ((yh == 1e16) & (yl >= 0.0))) & (yh < 1e17)
+    # a + a * 2^-53 lies more than half an ulp above a, and rounds up to
+    # its neighbour, unless a is a power of two: then it is a tie, and a
+    # stays
+    ulp = (a + a * 1.1102230246251565e-16) - a
+    ok &= ulp != 0.0
+    half_gap = ulp * p * 0.5
+    # yh = big * 1e8 + b exactly, with big an integer of 9 digits; the
+    # quotient may round up to the next integer, which leaves b < 0
+    big = np.floor(yh / 1e8)
+    b = yh - big * 1e8
+    # the nearest candidates with 17, 16 and 15 digits lie c from yh, and
+    # |e| = |yl - c| from y; the shortest within half_gap is the text
+    c = np.rint(yl)
+    e = np.abs(yl - c)
+    ok &= e < 0.5
+    for step in (10.0, 100.0):
+        rest = b - step * np.floor(b / step)
+        c_step = step * np.rint((rest + yl) / step) - rest
+        e = np.abs(yl - c_step)
+        ok &= (e < 0.5 * step) & (e != half_gap)
+        np.copyto(c, c_step, where=e < half_gap)
+    # the candidate C = yh + c = big * 1e8 + b, with 0 <= b < 1e8
+    b += c
+    carry = np.floor(b / 1e8)
+    big += carry
+    b -= carry * 1e8
+    ok &= big < 1e9  # no carry into the next decade
+    python = ~ok
+    big[python] = 1e8
+    b[python] = 0.0
+    x[python] = 0.0
+    # the digits: d0, then d1..d16 as four 4-digit groups, exactly
+    lead = np.floor(big / 1e8)
+    big -= lead * 1e8
+    g1 = np.floor(big / 1e4)
+    g3 = np.floor(b / 1e4)
+    groups = [g.astype(np.intp) for g in (g1, big - g1 * 1e4, g3, b - g3 * 1e4)]
+    field[..., 7] = lead + 48.0  # "0"
+    for word, group in enumerate(groups, start=2):
+        words[..., word] = digits.take(group)
+    words[..., 7:11] = words[..., 2:6]
+    # nd - 1: the place of the last nonzero digit after d0
+    key = 0.0
+    for place, group in zip((0.0, 4.0, 8.0, 12.0), groups):
+        key = np.maximum(key, last.take(group) + place)
+    key = 2.0 * key + 34.0 * (x + 4.0)
+    key[block < 0.0] += 1.0
+    key = key.astype(np.intp)
+    if python.any():
+        texts = [b"%r" % value for value in block[python].tolist()]
+        padded = b"".join(text.ljust(24) for text in texts)
+        field[python, 1:25] = np.frombuffer(padded, np.uint8).reshape(-1, 24)
+        key[python] = [_REPR_PYTHON + len(text) for text in texts]
+    keep[...] = keep_rows.take(key, axis=0)
+    return python
+
+
+def _text_table(texts, width):
+    """ASCII texts as the rows of a uint8 array, and the mask of each text.
+
+    The rows are padded with spaces to width, and the mask keeps the
+    bytes of the text alone.
+    """
+    padded = b"".join(text.encode().ljust(width) for text in texts)
+    lengths = np.array([float(len(text)) for text in texts]).reshape(-1, 1)
+    keep = np.arange(float(width)) < lengths
+    return np.frombuffer(padded, np.uint8).reshape(len(texts), width), keep
+
+
+def _csv_lines(x_text, y_text, values):
+    """Yield the rows of a grid CSV as byte chunks.
+
+    values is a (len(y_text) * len(x_text), k) float array in row-major
+    node order, with no negative zero.  Together the chunks are
+    ",".join([x_text[i], y_text[j]] + [repr(v) for v in row]) + "\\n" for
+    the row of each node (j, i), byte for byte.  Each pass lays out
+    _CSV_CHUNK values of consecutive nodes, which need not start or end a
+    grid row.
+    """
+    nx, k = len(x_text), values.shape[1]
+    x_width = max(map(len, x_text))
+    # "," and the y text, then padding to a 4-byte boundary
+    head = -(-(x_width + 1 + max(map(len, y_text))) // 4) * 4
+    x_table, x_keep = _text_table(x_text, x_width)
+    y_table, y_keep = _text_table(["," + text for text in y_text], head - x_width)
+    nodes = min(len(values), max(1, _CSV_CHUNK // k))
+    fields = np.empty((nodes, head + k * _REPR_WIDTH), np.uint8)
+    fields[:, head:] = np.tile(_REPR_FIELD, k)
+    keep = np.empty(fields.shape, bool)
+    digits, last = _group_tables()
+    for start in range(0, len(values), nodes):
+        block = values[start : start + nodes]
+        n = len(block)
+        node = np.arange(start, start + n, dtype=float)
+        row = np.floor(node / nx)
+        col = (node - row * nx).astype(np.intp)
+        row = row.astype(np.intp)
+        field, mask = fields[:n], keep[:n]
+        value_fields = field[:, head:].reshape(n, k, _REPR_WIDTH)
+        field[:, :x_width] = x_table.take(col, axis=0)
+        field[:, x_width:head] = y_table.take(row, axis=0)
+        mask[:, :x_width] = x_keep.take(col, axis=0)
+        mask[:, x_width:head] = y_keep.take(row, axis=0)
+        python = _repr_fields(
+            block,
+            value_fields,
+            field.view("<u4")[:, head // 4 :].reshape(n, k, _REPR_WIDTH // 4),
+            mask[:, head:].reshape(n, k, _REPR_WIDTH),
+            digits,
+            last,
+        )
+        mask[:, -1] = True
+        yield field[mask]
+        value_fields[python] = _REPR_FIELD
+
+
+def _write_grid_csv(path, header, x, y, values):
+    """Write one CSV row "x,y,values..." per grid node, row-major.
+
+    values has shape (len(y), len(x)) or (len(y), len(x), k).  Every number
+    is written as repr writes it, its shortest exactly round-tripping
+    form, negative zero normalized.  Each x and each y is formatted once
+    by Python's repr, and the values by the repr kernel (`_csv_lines`).
+    """
+    x_text = [repr(v) for v in (np.asarray(x, dtype=float) + 0.0).tolist()]
+    y_text = [repr(v) for v in (np.asarray(y, dtype=float) + 0.0).tolist()]
+    values = np.asarray(values, dtype=float) + 0.0
+    values = values.reshape(len(y_text) * len(x_text), -1)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.writelines(_csv_lines(x_text, y_text, values))
 
 
 def export_obj(surface, path, faces=None):

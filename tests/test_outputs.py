@@ -1,7 +1,11 @@
 """Tests for the mesh, CSV, and JSON writers and their readers."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -223,6 +227,84 @@ class TestVertexKernel:
         rows = rng.standard_normal((2 * outputs._CHUNK + 5, 3))
         rows[outputs._CHUNK - 1 : outputs._CHUNK + 1] = [0.0, 123456789012.5, -0.0]
         assert kernel_lines(rows) == percent_g_lines(rows.tolist())
+
+
+def repr_lines(values):
+    """Reference CSV lines "x,y,v": Python's own repr of v + 0.0."""
+    return b"".join(b"x,y,%r\n" % (float(v) + 0.0) for v in values)
+
+
+def repr_kernel_lines(values):
+    """The lines the CSV writers' kernel makes of the same values."""
+    block = np.array([float(v) + 0.0 for v in values]).reshape(-1, 1)
+    return b"".join(outputs._csv_lines(["x"] * len(block), ["y"], block))
+
+
+class TestReprKernel:
+    """The CSV writers' repr kernel against Python's formatting."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(any_double, min_size=1))
+    def test_equals_repr_for_any_double(self, values):
+        assert repr_kernel_lines(values) == repr_lines(values)
+
+    def test_equals_repr_at_decade_carry_and_tie_boundaries(self):
+        # the ends of the fixed-notation range
+        values = [1e-4, 1e16]
+        # powers of two, whose gap below is half the gap above
+        values += [2.0**k for k in range(-14, 54)]
+        # integers from 2^53, where the double spacing is 2
+        values += [2.0**53, 2.0**53 + 2.0, 5e15 + 4.0, 1e16 - 2.0]
+        # 17-, 16- and 15-digit roundings that carry into a new decade
+        values += [9.9999999999999995e-05, 0.99999999999999989]
+        values += [9999999999999998.0, 999999999999999.9, 99999999999999.98]
+        values += [float(f"{'9' * n}e{k}") for n in (15, 16, 17) for k in (-20, -17, -1)]
+        for k in range(-4, 17):
+            values += ulp_steps(10.0**k)
+        # exact ties between two 17-, 16- or 15-digit candidates: at
+        # decade 16 - k, a multiple of 2^-(k + 1) puts y half-way
+        for k in range(1, 5):
+            base = 10.0 ** (16 - k)
+            values += [base + 2.0 ** -(k + 1), base + 5.0 * 2.0**-k, base + 50.0 * 2.0**-k]
+        values += [1e15 + 0.25, 1e15 + 0.75, 1e15 + 0.5, 1e15 + 5.0]
+        steps = []
+        for value in values:
+            steps += ulp_steps(value)
+        steps += [-v for v in steps]
+        steps += [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+        steps += [np.inf, -np.inf, np.nan]
+        assert repr_kernel_lines(steps) == repr_lines(steps)
+
+    def test_a_decade_estimate_one_off_is_corrected(self, monkeypatch):
+        # as in the vertex kernel: half a decade added to or taken off
+        # np.log puts the estimate one decade off for about half of all
+        # values, and the text must not change
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal(600) * 10.0 ** rng.integers(-6, 18, 600)
+        expected = repr_lines(values)
+        log = np.log
+        for shift in (0.5, -0.5):
+            monkeypatch.setattr(np, "log", lambda a: log(a) + shift * log(10.0))
+            assert repr_kernel_lines(values) == expected
+
+    def test_tables_are_built_on_first_use(self):
+        # importing the program builds neither kernel's tables
+        src = str(Path(outputs.__file__).resolve().parents[1])
+        code = (
+            "import nilsurf.cli\n"
+            "from nilsurf import outputs\n"
+            "print(outputs._repr_tables.cache_info().currsize,"
+            " outputs._kernel_tables.cache_info().currsize)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
 
 
 class TestSurfaceCsv:
@@ -526,6 +608,43 @@ class TestSolutionCsv:
         outputs.write_solution_csv(Result(), path)
         assert b",-0.0\n" not in expected
         assert b",-120000000000000.0\n" in expected
+        assert path.read_bytes() == expected
+
+        # both writers on a 37 x 60 grid, more nodes than one pass of the
+        # kernel takes, so that passes end inside grid rows; values that
+        # Python formats sit on either side of each pass's end
+        rng = np.random.default_rng(17)
+        x = np.linspace(-0.6, 0.6, 37)
+        y = np.linspace(-1.0, 1.3, 60)
+        python_formats = [0.0, 1e-5, 1e16, -0.0]
+
+        def with_python_values(shape):
+            field = rng.standard_normal(shape)
+            k = field.size // (x.size * y.size)
+            per_pass = outputs._CSV_CHUNK // k
+            for end in range(per_pass, x.size * y.size, per_pass):
+                assert end % x.size != 0  # inside a grid row
+                field.reshape(-1)[end * k - 2 : end * k + 2] = python_formats
+            return field
+
+        Result.x, Result.y = x, y
+        Result.u = with_python_values((60, 37))
+        outputs.write_solution_csv(Result(), path)
+        expected = element_wise_csv("x,y,u", x, y, [Result.u])
+        assert b",1e-05\n" in expected and b",1e+16\n" in expected
+        assert path.read_bytes() == expected
+
+        coords = with_python_values((60, 37, 3))
+        surf = SurfaceGrid(
+            x=x, y=y, t=0.0, F=coords[..., 0] + 1j * coords[..., 1],
+            height=coords[..., 2],
+        )
+        outputs.write_surface_csv(surf, path)
+        coords = surf.coords()
+        expected = element_wise_csv(
+            "x,y,F_re,F_im,h", x, y, [coords[..., k] for k in range(3)]
+        )
+        assert b",0.0,1e-05\n" in expected and b",1e+16,0.0," in expected
         assert path.read_bytes() == expected
 
 
