@@ -26,7 +26,6 @@ holomorphy and cheap evaluation at arbitrary integration sample points.
 """
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, PotentialDataError
 
@@ -315,9 +314,12 @@ class Potential:
         return cls(src, q0_coeffs)
 
     def q0(self, z):
-        """Value of the holomorphic polynomial Q0 at z."""
+        """Value of the holomorphic polynomial Q0 at z, by polyval's Horner loop."""
         z = np.asarray(z, dtype=complex)
-        return np.asarray(npoly.polyval(z, self.q0_coeffs), dtype=complex)
+        value = self.q0_coeffs[-1] + z * 0
+        for coeff in self.q0_coeffs[-2::-1]:
+            value = coeff + value * z
+        return np.asarray(value, dtype=complex)
 
     def rho0(self, z):
         """Value of rho0 at z (positive real)."""

@@ -43,6 +43,12 @@ Reported max-norms exclude a configurable boundary margin (default 2
 nodes) because second-difference quantities lose an order there; the
 ungated maxima are reported alongside for transparency.
 
+The stencils difference a complex plane on its float view in real
+arithmetic, with the complex formulas' values up to the sign of a zero
+(NumPy divides by a real c as by c + 0j, multiplying by 1/c); where a
+part overflows, the view keeps the partner complex arithmetic makes NaN.
+True complex products stay complex: NumPy fuses them differently by CPU.
+
 RESIDUAL_CLASSES is the one list of the classes, in reporting order, with
 their threshold coefficients; the report counts, per class, the gated
 nodes where it had its inputs (`ResidualReport.evaluated`).  Beside it
@@ -138,42 +144,77 @@ def _json_number(value):
     return value if math.isfinite(value) else None
 
 
-def _xy_differences(f, hx, hy):
-    """(f_x/2, i f_y/2) by central differences on the interior.
-
-    A real f is differenced in real arithmetic; i f_y/2 is complex.
-    """
+def _pairs(f):
+    """(f as float64, False) if real, else (complex f's float view, True)."""
     f = np.asarray(f)
-    fx = (f[1:-1, 2:] - f[1:-1, :-2]) / (4.0 * hx)
-    ify = 1j * ((f[2:, 1:-1] - f[:-2, 1:-1]) / (4.0 * hy))
-    return fx, ify
+    if not np.iscomplexobj(f):
+        return np.asarray(f, dtype=float), False
+    f = np.ascontiguousarray(f, dtype=complex)
+    return f.view(float).reshape(f.shape + (2,)), True
+
+
+def _scaled(a, c, pairs):
+    """a / c in place; for a complex plane's float view a times 1/c."""
+    return np.multiply(a, 1.0 / c, out=a) if pairs else np.divide(a, c, out=a)
+
+
+def _xy_differences(f, hx, hy):
+    """The halved x and y differences one node in, as the part pairs re and
+    im of d/dz = (re[0] + re[1], im[0] - im[1]) and d/dz̄ = (re[0] - re[1],
+    im[0] + im[1]): re = (fx_re, fy_im) and im = (fx_im, fy_re) on a
+    complex plane's float view; on a real plane re = (fx, -(0 fy)) and im
+    = (0, fy), the parts NumPy gives fx + 0j and 1j fy = (0 fy, fy)."""
+    v, pairs = _pairs(f)
+    fx = _scaled(v[1:-1, 2:] - v[1:-1, :-2], 4.0 * hx, pairs)
+    fy = _scaled(v[2:, 1:-1] - v[:-2, 1:-1], 4.0 * hy, pairs)
+    if pairs:
+        return (fx[..., 0], fy[..., 1]), (fx[..., 1], fy[..., 0])
+    return (fx, -0.0 * fy), (0.0, fy)
+
+
+def _combined(re, im, bar):
+    """d/dz, or d/dz̄ with bar, from the part pairs of _xy_differences."""
+    re_op, im_op = (np.subtract, np.add) if bar else (np.add, np.subtract)
+    out = np.empty(np.shape(im[1]), dtype=complex)
+    re_op(*re, out=out.real)
+    im_op(*im, out=out.imag)
+    return out
 
 
 def _dz(f, hx, hy):
     """d/dz = (d/dx - i d/dy)/2 on the nodes one in from every side."""
-    fx, ify = _xy_differences(f, hx, hy)
-    return fx - ify
+    return _combined(*_xy_differences(f, hx, hy), bar=False)
 
 
 def _dzbar(f, hx, hy):
     """d/dz̄ = (d/dx + i d/dy)/2 on the nodes one in from every side."""
-    fx, ify = _xy_differences(f, hx, hy)
-    return fx + ify
+    return _combined(*_xy_differences(f, hx, hy), bar=True)
 
 
 def _dz_dzbar(f, hx, hy):
     """(d/dz, d/dz̄) of one plane from a single pair of x/y differences."""
-    fx, ify = _xy_differences(f, hx, hy)
-    return fx - ify, fx + ify
+    re, im = _xy_differences(f, hx, hy)
+    return _combined(re, im, bar=False), _combined(re, im, bar=True)
 
 
 def _dzzbar(f, hx, hy):
     """d2/dz dz̄ = Laplacian/4 by the 5-point stencil, one node in."""
-    f = np.asarray(f)
-    lap = (f[1:-1, 2:] + f[1:-1, :-2] - 2.0 * f[1:-1, 1:-1]) / hx**2 + (
-        f[2:, 1:-1] + f[:-2, 1:-1] - 2.0 * f[1:-1, 1:-1]
-    ) / hy**2
-    return lap / 4.0
+    v, pairs = _pairs(f)
+    twice = 2.0 * v[1:-1, 1:-1]
+    lap = v[1:-1, 2:] + v[1:-1, :-2]
+    lap -= twice
+    along = np.subtract(v[2:, 1:-1] + v[:-2, 1:-1], twice, out=twice)
+    lap = _scaled(lap, hx**2, pairs)
+    lap += _scaled(along, hy**2, pairs)
+    lap = _scaled(lap, 4.0, pairs)
+    return lap.view(complex)[..., 0] if pairs else lap
+
+
+def _less_quarter_i(d, c):
+    """d - 0.25j * c = (d_re + c_im/4, d_im - c_re/4), written into complex d."""
+    d.real += 0.25 * c.imag
+    d.imag -= 0.25 * c.real
+    return d
 
 
 def _nan_ring(interior, width=1, dtype=complex):
@@ -370,9 +411,11 @@ def _checked_grid(surface, margin):
     if aux_height is not None:
         finite["aux_height is"] = np.isfinite(aux_height)
     if fhat is not None:
-        finite["fhat is"] = np.isfinite(fhat).all(axis=(-2, -1))
+        finite["fhat is"] = np.isfinite(fhat)
     for subject, ok in finite.items():
         if not ok.all():
+            # per node only now: finite where every entry there is
+            ok = ok.reshape(F.shape + (-1,)).all(axis=-1)
             iy, ix = np.argwhere(~ok)[0]
             raise DomainError(
                 f"{subject} not finite at {int(np.count_nonzero(~ok))} "
@@ -460,7 +503,7 @@ def verify_surface(
         del derivatives
         settle(
             "fhat_laplace_identity",
-            [_dzzbar(e, hx, hy) - 0.25j * c for e, c in zip(fhat, bracket)],
+            [_less_quarter_i(_dzzbar(e, hx, hy), c) for e, c in zip(fhat, bracket)],
             1,
         )
         del fhat, bracket

@@ -9,9 +9,12 @@ interior-only component planes; `verify_surface` below is the oracle its
 reports are compared with bit for bit.  The per-class helpers also give
 the tests the quantities that `verify_surface` does not expose (the
 tangent data, the acceleration term of Q), and the `grid_*` wrappers the
-program's stencils on full grids.  The oracle runs the program's own
-stencils, Nil3 kernel (on component planes) and entry-wise commutator, so
-the two suites share every formula and differ only in layout.
+stencils below on full grids.  The stencils keep the suite's complex
+formulas, divisions by a real step and products by 1j included, in
+complex arithmetic; `nilsurf.residuals` runs them on float views in real
+arithmetic, and the tests hold the two to the same values.  The oracle
+shares the program's Nil3 kernel (on component planes) and entry-wise
+commutator, whose complex products the program does not rewrite.
 """
 
 from dataclasses import dataclass
@@ -23,16 +26,46 @@ from nilsurf.config import DEFAULT_TOLERANCES
 from nilsurf.errors import DegenerateNode, DomainError
 from nilsurf.mat2 import commutator_entries, entries, from_entries
 from nilsurf.nil3 import covariant_derivative, vertical_form
-from nilsurf.residuals import (
-    ANGLE_CUTOFF,
-    DEGENERATE_TOL,
-    ResidualReport,
-    _dz,
-    _dz_dzbar,
-    _dzbar,
-    _dzzbar,
-    _nan_ring,
-)
+from nilsurf.residuals import ANGLE_CUTOFF, DEGENERATE_TOL, ResidualReport, _nan_ring
+
+
+def xy_differences(f, hx, hy):
+    """(f_x/2, i f_y/2) by central differences on the interior.
+
+    A real f is differenced in real arithmetic; i f_y/2 is complex.  f may
+    carry trailing axes beyond its (ny, nx) grid.
+    """
+    f = np.asarray(f)
+    fx = (f[1:-1, 2:] - f[1:-1, :-2]) / (4.0 * hx)
+    ify = 1j * ((f[2:, 1:-1] - f[:-2, 1:-1]) / (4.0 * hy))
+    return fx, ify
+
+
+def dz(f, hx, hy):
+    """d/dz = (d/dx - i d/dy)/2 on the nodes one in from every side."""
+    fx, ify = xy_differences(f, hx, hy)
+    return fx - ify
+
+
+def dzbar(f, hx, hy):
+    """d/dz̄ = (d/dx + i d/dy)/2 on the nodes one in from every side."""
+    fx, ify = xy_differences(f, hx, hy)
+    return fx + ify
+
+
+def dz_dzbar(f, hx, hy):
+    """(d/dz, d/dz̄) of one plane from a single pair of x/y differences."""
+    fx, ify = xy_differences(f, hx, hy)
+    return fx - ify, fx + ify
+
+
+def dzzbar(f, hx, hy):
+    """d2/dz dz̄ = Laplacian/4 by the 5-point stencil, one node in."""
+    f = np.asarray(f)
+    lap = (f[1:-1, 2:] + f[1:-1, :-2] - 2.0 * f[1:-1, 1:-1]) / hx**2 + (
+        f[2:, 1:-1] + f[:-2, 1:-1] - 2.0 * f[1:-1, 1:-1]
+    ) / hy**2
+    return lap / 4.0
 
 
 def grid_dz(f, hx, hy):
@@ -41,22 +74,22 @@ def grid_dz(f, hx, hy):
     f has shape (ny, nx, ...); the outermost ring of nodes gets NaN since
     the stencil does not fit there.
     """
-    return _nan_ring(_dz(f, hx, hy))
+    return _nan_ring(dz(f, hx, hy))
 
 
 def grid_dzbar(f, hx, hy):
     """d/dz̄ = (d/dx + i d/dy)/2 by central differences (NaN ring)."""
-    return _nan_ring(_dzbar(f, hx, hy))
+    return _nan_ring(dzbar(f, hx, hy))
 
 
 def grid_dz_dzbar(f, hx, hy):
     """(d/dz, d/dz̄) of one field from a single pair of x/y differences."""
-    return tuple(_nan_ring(d) for d in _dz_dzbar(f, hx, hy))
+    return tuple(_nan_ring(d) for d in dz_dzbar(f, hx, hy))
 
 
 def grid_dzzbar(f, hx, hy):
     """d2/dz dz̄ = Laplacian/4 by the 5-point stencil (NaN ring)."""
-    return _nan_ring(_dzzbar(f, hx, hy))
+    return _nan_ring(dzzbar(f, hx, hy))
 
 
 def stacked_covariant_derivative(a, w, dw):

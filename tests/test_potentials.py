@@ -1,10 +1,18 @@
 """Tests for potential data: rho0 sources and the Q0 polynomial."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
+from nilsurf import potentials
 from nilsurf.errors import DomainError, PotentialDataError
 from nilsurf.potentials import MAX_Q0_DEGREE, Potential
 
@@ -116,6 +124,50 @@ class TestQ0Polynomial:
         q_x = (pot.q0(z + h) - pot.q0(z - h)) / (2 * h)
         q_y = (pot.q0(z + 1j * h) - pot.q0(z - 1j * h)) / (2 * h)
         assert np.max(np.abs((q_x + 1j * q_y) / 2.0)) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.complex_numbers(max_magnitude=1e3), max_size=9),
+        points=st.lists(st.complex_numbers(max_magnitude=1e2), min_size=1, max_size=6),
+        shape=st.sampled_from(["scalar", "flat", "grid"]),
+    )
+    def test_horner_gives_the_bits_of_polyval(self, coeffs, points, shape):
+        # q0 runs polyval's own Horner loop without importing
+        # numpy.polynomial; the bits, signed zeros included, must agree.
+        # A scalar z is taken as a 0-d array, as q0 takes it: NumPy's
+        # scalar arithmetic may round a complex product differently
+        pot = Potential.constant(1.0, coeffs)
+        z = np.array(points, dtype=complex)
+        z = {"scalar": z[0], "flat": z, "grid": np.stack([z, -z])}[shape]
+        with np.errstate(all="ignore"):
+            got = pot.q0(z)
+            want = npoly.polyval(np.asarray(z), pot.q0_coeffs)
+            want = np.asarray(want, dtype=complex)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(
+            np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64)
+        )
+
+    def test_the_import_adds_no_numpy_polynomial(self):
+        # NumPy 1.x imports numpy.polynomial with numpy itself, 2.x only
+        # on use; importing the program must not add it either way
+        src = str(Path(potentials.__file__).resolve().parents[1])
+        code = (
+            "import sys, numpy\n"
+            "before = 'numpy.polynomial' in sys.modules\n"
+            "import nilsurf.cli\n"
+            "print(before, 'numpy.polynomial' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        assert after == before
 
 
 class _FakeSolution:

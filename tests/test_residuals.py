@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import residual_oracle as oracle
 from nilsurf import residuals
@@ -135,6 +136,82 @@ class TestComplexDerivatives:
         np.testing.assert_allclose(interior(d[..., 1]), 3.0, atol=1e-13)
 
 
+def signed(magnitudes):
+    return st.builds(lambda m, sign: sign * m, magnitudes, st.sampled_from([-1.0, 1.0]))
+
+
+#: Steps whose mantissas need more than 24 bits: dividing by one and
+#: multiplying by its reciprocal round apart.
+STEPS = signed(st.floats(0.01, 100.0).filter(lambda h: math.frexp(h)[0] * 2**24 % 1))
+
+#: Signed zeros, ordinary values and magnitudes near 1e300.
+PLANE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0), signed(st.floats(1e299, 1e301))
+)
+
+
+@st.composite
+def stencil_planes(draw):
+    """A real or complex (ny, nx) plane, maybe with a trailing axis of 2.
+
+    A real plane may also hold magnitudes near the float maximum, whose
+    differences overflow.
+    """
+    shape = (draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+    shape += draw(st.sampled_from([(), (2,)]))
+    if not draw(st.booleans()):
+        values = st.one_of(PLANE_VALUES, signed(st.floats(1e307, 1.7e308)))
+        return draw(hnp.arrays(float, shape, elements=values))
+    plane = draw(hnp.arrays(float, shape, elements=PLANE_VALUES)).astype(complex)
+    plane.imag = draw(hnp.arrays(float, shape, elements=PLANE_VALUES))
+    return plane
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane=stencil_planes(), hx=STEPS, hy=STEPS)
+@np.errstate(over="ignore", invalid="ignore")
+def test_stencils_match_the_complex_formulas(plane, hx, hy):
+    # The program differences a complex plane on its float view, and the
+    # oracle keeps the complex arithmetic: equal values, ±0 counted equal,
+    # NaN at the same nodes.  A real plane keeps the bits of NumPy's
+    # complex values, signed zeros and the NaN of 0 * inf included.
+    def check(new, old, name):
+        assert new.shape == old.shape and new.dtype == old.dtype, name
+        if np.iscomplexobj(plane):
+            np.testing.assert_array_equal(new, old, err_msg=name)
+        else:
+            assert_same_bits(new.view(float), old.view(float), name)
+
+    for name in ("dz", "dzbar", "dzzbar"):
+        new = getattr(residuals, "_" + name)(plane, hx, hy)
+        check(new, getattr(oracle, name)(plane, hx, hy), name)
+    for new, old in zip(
+        residuals._dz_dzbar(plane, hx, hy), oracle.dz_dzbar(plane, hx, hy)
+    ):
+        check(new, old, "dz_dzbar")
+    if np.iscomplexobj(plane):
+        # the fhat block's fold of d - 0.25j * c, for a complex c
+        c = 1j * plane[1:-1, 1:-1] + plane[:-2, 2:]
+        old = oracle.dzzbar(plane, hx, hy) - 0.25j * c
+        new = residuals._less_quarter_i(residuals._dzzbar(plane, hx, hy), c)
+        check(new, old, "less_quarter_i")
+
+
+def test_an_overflowed_part_keeps_its_partner():
+    # (1.5e308 - -1.5e308) overflows; dividing (inf - 1j) by a real step as
+    # by 2 + 0j makes the imaginary part NaN (-1 - inf * 0), and the float
+    # view keeps it
+    plane = np.zeros((5, 5), dtype=complex)
+    plane[2, 3], plane[2, 1] = complex(1.5e308, 1.0), complex(-1.5e308, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = oracle.dz_dzbar(plane, 0.5, 0.5)
+        new = residuals._dz_dzbar(plane, 0.5, 0.5)
+    for d in old:
+        assert np.isinf(d[1, 1].real) and np.isnan(d[1, 1].imag)
+    for d in new:
+        assert d[1, 1] == complex(np.inf, -0.5)
+
+
 class TestVerticalPlane:
     """All gated residuals vanish identically for f = (x, 0, y)."""
 
@@ -148,6 +225,19 @@ class TestVerticalPlane:
             interior(t.a),
             np.broadcast_to(np.array([0.5, 0.0, -0.5j]), (15, 15, 3)),
         )
+
+    def test_an_overflowed_height_reads_inf(self):
+        # One height of 1.5e308: the tension field's parts that complex
+        # arithmetic turned into NaN are kept, so covariant_minimality
+        # reads inf where the complex stencils left no finite value but 0.0
+        surf = plane_surface("vertical")
+        surf.height[8, 8] = 1.5e308
+        report = residuals.verify_surface(surf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = oracle.verify_surface(surf)
+        assert old.maxima["covariant_minimality"] == 0.0
+        assert report.maxima["covariant_minimality"] == np.inf
+        assert "covariant_minimality" in [key for key, *_ in report.failures]
 
     def test_every_residual_class(self):
         fields = kept_fields(plane_surface("vertical"))
@@ -613,6 +703,44 @@ class TestGridGate:
         setattr(surf, name, np.zeros(shape))
         with pytest.raises(DomainError, match=f"{name} has shape"):
             residuals.verify_surface(surf)
+
+    @pytest.mark.parametrize(
+        "name, index, value, message",
+        [
+            (
+                "height",
+                (3, 5),
+                np.inf,
+                "surface coordinates are not finite at 1 node(s), the first "
+                "at (x, y) = (0.125, -0.125)",
+            ),
+            (
+                "aux_height",
+                (6, 2),
+                np.nan,
+                "aux_height is not finite at 1 node(s), the first at "
+                "(x, y) = (-0.25, 0.25)",
+            ),
+            (
+                # two entries at one node count once, then a second node
+                "fhat",
+                ([3, 3, 6], [5, 5, 2], [0, 1, 1], [1, 0, 1]),
+                [np.nan, np.inf, complex(0.0, -np.inf)],
+                "fhat is not finite at 2 node(s), the first at "
+                "(x, y) = (0.125, -0.125)",
+            ),
+        ],
+    )
+    def test_the_first_non_finite_node_is_named(self, name, index, value, message):
+        # a whole-array check finds the entry; the per-node count and the
+        # first node come from the reduction it falls back to
+        surf = vertical_plane(9, 9)
+        surf.fhat = np.zeros((9, 9, 2, 2), dtype=complex)
+        residuals.verify_surface(surf)
+        getattr(surf, name)[index] = value
+        with pytest.raises(DomainError) as refused:
+            residuals.verify_surface(surf)
+        assert str(refused.value) == message
 
     def test_decreasing_uniform_axis_is_accepted(self):
         # a uniform axis may run either way; the stencils take its signed step
