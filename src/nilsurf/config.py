@@ -69,7 +69,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError, SchemaError
+from .pde import SPACING_RTOL
 from .potentials import MAX_Q0_DEGREE
+from .stencils import square_in_range
 
 DEFAULT_T_VALUES = (0.0, math.pi / 4.0, math.pi / 2.0)
 DEFAULT_TOLERANCES = {"margin": 2, "threshold_scale": 1.0}
@@ -302,15 +304,6 @@ def _parse_grid(raw, path):
     return grid
 
 
-def square_in_range(length):
-    """Whether length^2 and 1/length^2 are both finite and nonzero.
-
-    The solve divides by the squared spacing (pde._check_axes).
-    """
-    square = length * length
-    return 0.0 < square < math.inf and 1.0 / square < math.inf
-
-
 def _in_square_range(grid, path):
     """Refuse a grid whose width or spacing fails square_in_range.
 
@@ -489,9 +482,10 @@ def _validate_geometry(config):
     if config.rho0_source == "solved":
         solver = config.solver_domain
         hs = max(solver.hx, solver.hy)
-        if abs(solver.hx - solver.hy) > 1e-12 * hs:
+        if abs(solver.hx - solver.hy) > SPACING_RTOL * hs:
             raise DomainError("solver grid must have square cells")
-        eps = 1e-9
+        h = min(domain.hx, domain.hy)
+        eps = 1e-9 * h  # rounding slack, at the window's scale
         if (
             solver.xmin > domain.xmin + eps
             or solver.xmax < domain.xmax - eps
@@ -499,10 +493,10 @@ def _validate_geometry(config):
             or solver.ymax < domain.ymax - eps
         ):
             raise DomainError("solver rectangle must contain the surface rectangle")
-        if hs > min(domain.hx, domain.hy) + eps:
+        if hs > h + eps:
             raise DomainError(
                 "solver spacing must be at most the surface spacing "
-                f"(got {hs:.6g} vs surface {min(domain.hx, domain.hy):.6g})"
+                f"(got {hs:.6g} vs surface {h:.6g})"
             )
         if config.bc == "liouville":
             if solver.farthest_corner() >= 1.0:

@@ -38,11 +38,12 @@ term's floor and the tolerance of the harmonic fill.
 
 The iteration stops when the residual max-norm reaches NEWTON_TOL or
 ROUNDING_FLOOR_FACTOR times the residual's rounding floor at the iterate
-(_rounding_floor), whichever is larger, and fails after NEWTON_MAX_ITER
-steps.  The stencil divides differences of u by h^2, so on fine grids
-that floor passes NEWTON_TOL, and a fixed tolerance would leave the line
-search stagnating above it.  The stopping rule is a module constant, as
-the other numerical gates of the package are, not a config key.
+(stencils.rounding_floor), whichever is larger, and fails after
+NEWTON_MAX_ITER steps.  The stencil divides differences of u by h^2, so
+on fine grids that floor passes NEWTON_TOL, and a fixed tolerance would
+leave the line search stagnating above it.  The stopping rule is a
+module constant, as the other numerical gates of the package are, not a
+config key.
 
 newton_solve is second-order accurate in h.  deferred_correction takes
 its result to fourth order: it evaluates the 5-point truncation error
@@ -51,7 +52,7 @@ same system again with tau as a fixed source, from that solution and on
 the same sine basis (Fox 1947; Pereyra, Numer. Math. 10, 1967).
 
 The module needs NumPy only: no matrix of the operator is assembled, and
-the one stencil (_quarter_laplacian) serves the residual, the Newton
+one stencil (stencils.quarter_laplacian) serves the residual, the Newton
 operator and the boundary coupling of the harmonic fill.
 """
 
@@ -59,13 +60,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import square_in_range
 from .errors import (
     DomainError,
     LinearSolveFailure,
     MaxIterExceeded,
     PotentialDataError,
 )
+from .stencils import axis_steps, fourth_difference, quarter_laplacian, rounding_floor
 
 CG_RTOL = 1e-12
 CG_MAXITER = 40000
@@ -76,9 +77,12 @@ NEWTON_MAX_ITER = 50
 MIN_LINESEARCH_STEP = 1e-12
 #: The Newton iteration stops at max(NEWTON_TOL, ROUNDING_FLOOR_FACTOR *
 #: floor), with floor the rounding floor of the discrete residual
-#: (_rounding_floor).
+#: (stencils.rounding_floor).
 ROUNDING_FLOOR_FACTOR = 2.0
 EPS = np.finfo(float).eps
+#: Every step of a solver axis keeps this relative distance to its mean
+#: (stencils.axis_steps), and the two mean steps to each other.
+SPACING_RTOL = 1e-12
 
 
 @dataclass
@@ -97,7 +101,7 @@ class SolveResult:
                        solve stops at its forcing term, whose floor is
                        CG_RTOL, the harmonic fill's tolerance
       rounding_floor   rounding floor of the residual at the final iterate
-                       (_rounding_floor)
+                       (stencils.rounding_floor)
       q_abs_sq, basis  |Q0|^2 on the grid and the solve's _SineBasis, which
                        deferred_correction reuses
     """
@@ -118,53 +122,6 @@ class SolveResult:
         return float(np.max(np.abs(self.residual_field)))
 
 
-def _check_axes(x, y):
-    """(x, y, h) of finite, uniform axes with square cells of spacing h.
-
-    The stencils divide by h^2, so h^2 and 1/h^2 must be finite and
-    nonzero; DomainError otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 3 or y.size < 3:
-        raise DomainError("solver grid needs at least 3 nodes per axis")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("solver grid axes must be finite")
-    # a spacing past the float range is inf, and refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        hx = np.diff(x)
-        hy = np.diff(y)
-        h = float(hx[0])
-        uniform = np.allclose(hx, h, rtol=1e-12, atol=0) and np.allclose(
-            hy, h, rtol=1e-12, atol=0
-        )
-    if not uniform:
-        raise DomainError("solver grid must be uniform with square cells")
-    if not square_in_range(h):
-        raise DomainError(
-            f"solver spacing {h:.3e} is out of range: h^2 or 1/h^2 is zero "
-            "or not finite"
-        )
-    return x, y, h
-
-
-def _quarter_laplacian(u, h):
-    """Laplacian(u)/4 on the interior nodes of u, 5-point stencil at spacing h.
-
-    The one discrete operator of the module: the residual applies it to the
-    iterate, the Newton step to the zero-padded search direction, and the
-    harmonic fill to the boundary data with a zeroed interior.
-    """
-    lap = (
-        u[1:-1, 2:]
-        + u[1:-1, :-2]
-        + u[2:, 1:-1]
-        + u[:-2, 1:-1]
-        - 4.0 * u[1:-1, 1:-1]
-    ) / h**2
-    return lap / 4.0
-
-
 def pde_residual(u, q0_abs_sq, h):
     """Discrete residual field of the integrability equation.
 
@@ -176,26 +133,11 @@ def pde_residual(u, q0_abs_sq, h):
     r = np.zeros_like(u)
     ui = u[1:-1, 1:-1]
     r[1:-1, 1:-1] = (
-        _quarter_laplacian(u, h)
+        quarter_laplacian(u, h)
         - np.exp(ui) / 8.0
         + 2.0 * q0_abs_sq[1:-1, 1:-1] * np.exp(-ui)
     )
     return r
-
-
-def _rounding_floor(u, h):
-    """Rounding floor of the max-norm residual at the iterate u.
-
-    The stencil divides differences of u by h^2, so one unit of roundoff
-    in its five terms is eps (|u_E| + |u_W| + |u_N| + |u_S| + 4|u|) / 4h^2;
-    the largest value over the interior nodes is the floor.  On a fine
-    grid it exceeds a fixed tol: about 4e-10 at 513^2 on Liouville data.
-    """
-    a = np.abs(u)
-    terms = (
-        a[1:-1, 2:] + a[1:-1, :-2] + a[2:, 1:-1] + a[:-2, 1:-1] + 4.0 * a[1:-1, 1:-1]
-    )
-    return float(EPS * np.max(terms) / (4.0 * h * h))
 
 
 @dataclass
@@ -350,7 +292,7 @@ def _cg_solve(c, rhs, basis, context, rtol=CG_RTOL):
         rz = np.vdot(r, z)
         p = z if iteration == 0 else z + (rz / rz_prev) * p
         padded[1:-1, 1:-1] = p
-        q = c * p - _quarter_laplacian(padded, h)
+        q = c * p - quarter_laplacian(padded, h)
         alpha = rz / np.vdot(p, q)
         x += alpha * p
         r -= alpha * q
@@ -393,7 +335,7 @@ def _harmonic_fill(bc, basis):
     u = bc.copy()
     u[1:-1, 1:-1] = 0.0
     u[1:-1, 1:-1], iterations = _cg_solve(
-        0.0, _quarter_laplacian(u, basis.h), basis, "harmonic extension"
+        0.0, quarter_laplacian(u, basis.h), basis, "harmonic extension"
     )
     return u, iterations
 
@@ -405,16 +347,23 @@ def newton_solve(q0_values, bc, x, y):
       q0_values  complex Q0 samples on the full grid, shape (ny, nx)
       bc         Dirichlet data for u: scalar or full (ny, nx) array whose
                  edges are used (interior ignored)
-      x, y       uniform axes with square cells
+      x, y       axes of 3 or more nodes that stencils.axis_steps takes
+                 at SPACING_RTOL, with square cells to it; h is x's first step
 
     Stops by the module's rule (NEWTON_TOL, NEWTON_MAX_ITER).  Returns the
-    SolveResult of the 5-point system.  Raises DomainError for axes
-    _check_axes refuses, PotentialDataError when |Q0|^2 is not
-    finite on the grid, MaxIterExceeded when the iteration cap is hit or
-    the line search stagnates, LinearSolveFailure when a
-    conjugate-gradient solve does not converge.
+    SolveResult of the 5-point system.  Raises DomainError for other axes,
+    PotentialDataError when |Q0|^2 is not finite on the grid,
+    MaxIterExceeded when the iteration cap is hit or the line search
+    stagnates, LinearSolveFailure when a conjugate-gradient solve does not
+    converge.
     """
-    x, y, h = _check_axes(x, y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < 3 or y.size < 3:
+        raise DomainError("solver grid needs at least 3 nodes per axis")
+    h, x_mean = axis_steps(x, SPACING_RTOL, "solver x")
+    y_mean = axis_steps(y, SPACING_RTOL, "solver y")[1]
+    if abs(x_mean - y_mean) > SPACING_RTOL * abs(x_mean):
+        raise DomainError("solver grid must have square cells")
     nx, ny = x.size, y.size
     q0_values = np.asarray(q0_values)
     if q0_values.shape != (ny, nx):
@@ -439,38 +388,16 @@ def newton_solve(q0_values, bc, x, y):
     return _newton(x, y, u, q2, basis, 0.0, [iterations])
 
 
-def _fourth_difference(a):
-    """Undivided fourth differences of a along axis 0 at rows 1 .. n - 2.
-
-    Rows 2 .. n - 3 take the central stencil (1, -4, 6, -4, 1); row 1
-    takes the one-sided (2, -9, 16, -14, 6, -1) on rows 0 .. 5, and row
-    n - 2 the same on the rows read backwards, so a mirrored a gives the
-    mirrored differences bit for bit.  Each is h^4 times the fourth
-    derivative to O(h^6).  Needs 6 rows.
-    """
-
-    def edge(b):
-        return (2.0 * b[0] - b[5]) + (16.0 * b[2] - 9.0 * b[1]) + (
-            6.0 * b[4] - 14.0 * b[3]
-        )
-
-    d = np.empty((a.shape[0] - 2,) + a.shape[1:])
-    d[1:-1] = (a[:-4] + a[4:]) - 4.0 * (a[1:-3] + a[3:-1]) + 6.0 * a[2:-2]
-    d[0] = edge(a)
-    d[-1] = edge(a[::-1])
-    return d
-
-
 def truncation_source(u, h):
     """tau = (u_xxxx + u_yyyy) h^2/48 on the interior nodes of u.
 
     The 5-point Laplacian/4 of a smooth u is Laplacian(u)/4 + tau + O(h^4)
-    (_quarter_laplacian), so tau evaluated from the 5-point solution is
-    the defect the deferred correction removes.  Fourth derivatives come
-    from _fourth_difference along each axis.
+    (stencils.quarter_laplacian), so tau evaluated from the 5-point
+    solution is the defect the deferred correction removes.  Fourth
+    derivatives come from stencils.fourth_difference along each axis.
     """
-    d_yy = _fourth_difference(u)[:, 1:-1]
-    d_xx = _fourth_difference(u.T).T[1:-1]
+    d_yy = fourth_difference(u)[:, 1:-1]
+    d_xx = fourth_difference(u.T).T[1:-1]
     return (d_xx + d_yy) / (48.0 * h * h)
 
 
@@ -541,7 +468,7 @@ def _newton(x, y, u, q2, basis, source, cg_counter, local_start=False):
         reach = ROUNDING_FLOOR_FACTOR * 2.0 * EPS * np.max(np.abs(u)) / (h * h)
         stop = tol
         if tol < rnorm <= reach:
-            stop = max(tol, ROUNDING_FLOOR_FACTOR * _rounding_floor(u, h))
+            stop = max(tol, ROUNDING_FLOOR_FACTOR * rounding_floor(u, h))
         if rnorm <= stop:
             return SolveResult(
                 x=x,
@@ -551,7 +478,7 @@ def _newton(x, y, u, q2, basis, source, cg_counter, local_start=False):
                 residual_history=history,
                 newton_iterations=iteration,
                 cg_iterations=cg_counter,
-                rounding_floor=_rounding_floor(u, h),
+                rounding_floor=rounding_floor(u, h),
                 q_abs_sq=q2,
                 basis=basis,
             )
@@ -580,7 +507,7 @@ def _newton(x, y, u, q2, basis, source, cg_counter, local_start=False):
                     residual=rnorm,
                     tol=stop,
                     message="line search stagnated; residual no longer "
-                    f"decreasing (rounding floor {_rounding_floor(u, h):.3e})",
+                    f"decreasing (rounding floor {rounding_floor(u, h):.3e})",
                 )
         u = trial
 

@@ -63,7 +63,7 @@ from .outputs import (
 )
 from .pde import deferred_correction, newton_solve
 from .potentials import Potential, liouville_exact
-from .residuals import RESIDUAL_KEYS, verify_surface
+from .residuals import ANGLE_CUTOFF, RESIDUAL_KEYS, verify_surface
 from .surface import generate_surface
 
 EXIT_PASS = 0
@@ -326,7 +326,7 @@ def _nan_note(report, key):
         if evaluated:
             return "no finite value on the interior"
         return "not computable from coordinate data"
-    cutoff = f"the angle cutoff {report.angle_cutoff:g}"
+    cutoff = f"the angle cutoff {ANGLE_CUTOFF:g}"
     if not evaluated:
         return f"every interior node masked by {cutoff}"
     skipped = report.tension_skipped

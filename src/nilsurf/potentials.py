@@ -14,7 +14,7 @@ integrable to frames.  Three rho0 sources are supported:
   * solved    -- a numerical solve of the integrability equation on a
                  rectangle (see the pde module), evaluated by 4-point
                  Lagrange interpolation in u = log rho0 and in its
-                 fourth-order first derivatives.
+                 fourth-order first derivatives (stencils).
 
 Derivative convention, used throughout the package:
 
@@ -28,6 +28,8 @@ holomorphy and cheap evaluation at arbitrary integration sample points.
 import numpy as np
 
 from .errors import DomainError, PotentialDataError
+from .pde import SPACING_RTOL
+from .stencils import axis_steps, first_derivative
 
 MAX_Q0_DEGREE = 8
 
@@ -116,28 +118,6 @@ class _LiouvilleSource:
 NODE_SNAP = 1e-9
 
 
-def _first_derivative(a, h):
-    """Fourth-order first derivative of a along axis 0 at spacing h.
-
-    Central (8 (a[i+1] - a[i-1]) - (a[i+2] - a[i-2])) / 12h inside; the
-    two rows at each edge take the one-sided five-point formulas, the last
-    two as the negated formulas on the rows read backwards, so a mirrored
-    a gives the negated mirrored derivative bit for bit.  Needs 5 rows.
-    """
-
-    def edge(b):
-        return (
-            (16.0 * b[3] - 3.0 * b[4]) + (48.0 * b[1] - 36.0 * b[2]) - 25.0 * b[0],
-            (18.0 * b[2] - 6.0 * b[3]) + (b[4] - 3.0 * b[0]) - 10.0 * b[1],
-        )
-
-    d = np.empty_like(a)
-    d[2:-2] = 8.0 * (a[3:-1] - a[1:-3]) - (a[4:] - a[:-4])
-    d[0], d[1] = edge(a)
-    d[-1], d[-2] = (-v for v in edge(a[::-1]))
-    return d / (12.0 * h)
-
-
 def _lagrange_weights(s):
     """Weights of 4-point Lagrange interpolation at nodes 0, 1, 2, 3 for s.
 
@@ -171,9 +151,11 @@ class _SolvedSource:
     """rho0 = exp(u) with u solved on a rectangle and interpolated.
 
     Stores the solver axes and their steps hx, hy, the u field, its
-    first-derivative field (_first_derivative: fourth-order central
-    differences, one-sided at the two edge nodes), and the solver's final
-    residual field.
+    first-derivative field (stencils.first_derivative: fourth-order
+    central differences, one-sided at the two edge nodes), and the
+    solver's final residual field.  Raises PotentialDataError for an axis
+    stencils.axis_steps refuses at the solver's pde.SPACING_RTOL, or one
+    that does not increase (_interp reads the nodes in order).
     Evaluation is 4-point Lagrange interpolation of each stored field,
     fourth-order like the corrected solve (pde.deferred_correction); the
     derivative and interpolation stencils are mirror-symmetric bit for
@@ -207,10 +189,15 @@ class _SolvedSource:
             raise PotentialDataError("solved grid needs at least 5 nodes per axis")
         if not np.all(np.isfinite(self.u)):
             raise PotentialDataError("solved field contains non-finite values")
-        self.hx = self.x[1] - self.x[0]
-        self.hy = self.y[1] - self.y[0]
-        ux = _first_derivative(self.u.T, self.hx).T
-        uy = _first_derivative(self.u, self.hy)
+        try:
+            self.hx = axis_steps(self.x, SPACING_RTOL, "solved x")[0]
+            self.hy = axis_steps(self.y, SPACING_RTOL, "solved y")[0]
+        except DomainError as err:
+            raise PotentialDataError(str(err)) from None
+        if not (self.hx > 0.0 and self.hy > 0.0):
+            raise PotentialDataError("solved axes must increase")
+        ux = first_derivative(self.u.T, self.hx).T
+        uy = first_derivative(self.u, self.hy)
         self._dlog = 0.5 * (ux - 1j * uy)
         self.residual_field = np.asarray(residual_field, dtype=float)
 

@@ -38,16 +38,11 @@ margin-gated and ungated maxima off that one array and is dropped.  NaN
 rings appear only in the fields kept on request (`keep_fields`), which
 are padded back to grid shape.  The Nil3 geometry (the vertical form,
 the covariant derivative and the stereographic chart of the Gauss map)
-comes from the nil3 module; the 2x2 algebra of fhat from mat2.
+comes from the nil3 module, the 2x2 algebra of fhat from mat2, and the
+stencils and the rule for their axes from the stencils module.
 Reported max-norms exclude a configurable boundary margin (default 2
 nodes) because second-difference quantities lose an order there; the
 ungated maxima are reported alongside for transparency.
-
-The stencils difference a complex plane on its float view in real
-arithmetic, with the complex formulas' values up to the sign of a zero
-(NumPy divides by a real c as by c + 0j, multiplying by 1/c); where a
-part overflows, the view keeps the partner complex arithmetic makes NaN.
-True complex products stay complex: NumPy fuses them differently by CPU.
 
 RESIDUAL_CLASSES is the one list of the classes, in reporting order, with
 their threshold coefficients; the report counts, per class, the gated
@@ -56,9 +51,8 @@ live the one threshold law, max(RESIDUAL_FLOOR, scale * C * h^2), which
 matches the second-order convergence of every class, and the one
 classifier rule.
 verify_surface applies both: it is the one call that judges a surface,
-and its grid gate (`_checked_grid`) the one judge of whether a surface's
-axes, generated or read, can be differenced.  A report writes NaN and
-infinities as null (`_json_number`).
+generated or read.  A report writes NaN and infinities as null
+(`_json_number`).
 """
 
 import math
@@ -66,10 +60,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, check_tolerances, square_in_range
+from .config import DEFAULT_TOLERANCES, check_tolerances
 from .errors import DegenerateNode, DomainError
 from .mat2 import commutator_entries, entries, from_entries
 from .nil3 import covariant_derivative, stereographic_south, vertical_form
+from .stencils import axis_steps, dz, dz_dzbar, dzbar, dzzbar, less_quarter_i
 
 #: Interior metric density below which verify_surface raises DegenerateNode.
 DEGENERATE_TOL = 1e-8
@@ -144,79 +139,6 @@ def _json_number(value):
     return value if math.isfinite(value) else None
 
 
-def _pairs(f):
-    """(f as float64, False) if real, else (complex f's float view, True)."""
-    f = np.asarray(f)
-    if not np.iscomplexobj(f):
-        return np.asarray(f, dtype=float), False
-    f = np.ascontiguousarray(f, dtype=complex)
-    return f.view(float).reshape(f.shape + (2,)), True
-
-
-def _scaled(a, c, pairs):
-    """a / c in place; for a complex plane's float view a times 1/c."""
-    return np.multiply(a, 1.0 / c, out=a) if pairs else np.divide(a, c, out=a)
-
-
-def _xy_differences(f, hx, hy):
-    """The halved x and y differences one node in, as the part pairs re and
-    im of d/dz = (re[0] + re[1], im[0] - im[1]) and d/dz̄ = (re[0] - re[1],
-    im[0] + im[1]): re = (fx_re, fy_im) and im = (fx_im, fy_re) on a
-    complex plane's float view; on a real plane re = (fx, -(0 fy)) and im
-    = (0, fy), the parts NumPy gives fx + 0j and 1j fy = (0 fy, fy)."""
-    v, pairs = _pairs(f)
-    fx = _scaled(v[1:-1, 2:] - v[1:-1, :-2], 4.0 * hx, pairs)
-    fy = _scaled(v[2:, 1:-1] - v[:-2, 1:-1], 4.0 * hy, pairs)
-    if pairs:
-        return (fx[..., 0], fy[..., 1]), (fx[..., 1], fy[..., 0])
-    return (fx, -0.0 * fy), (0.0, fy)
-
-
-def _combined(re, im, bar):
-    """d/dz, or d/dz̄ with bar, from the part pairs of _xy_differences."""
-    re_op, im_op = (np.subtract, np.add) if bar else (np.add, np.subtract)
-    out = np.empty(np.shape(im[1]), dtype=complex)
-    re_op(*re, out=out.real)
-    im_op(*im, out=out.imag)
-    return out
-
-
-def _dz(f, hx, hy):
-    """d/dz = (d/dx - i d/dy)/2 on the nodes one in from every side."""
-    return _combined(*_xy_differences(f, hx, hy), bar=False)
-
-
-def _dzbar(f, hx, hy):
-    """d/dz̄ = (d/dx + i d/dy)/2 on the nodes one in from every side."""
-    return _combined(*_xy_differences(f, hx, hy), bar=True)
-
-
-def _dz_dzbar(f, hx, hy):
-    """(d/dz, d/dz̄) of one plane from a single pair of x/y differences."""
-    re, im = _xy_differences(f, hx, hy)
-    return _combined(re, im, bar=False), _combined(re, im, bar=True)
-
-
-def _dzzbar(f, hx, hy):
-    """d2/dz dz̄ = Laplacian/4 by the 5-point stencil, one node in."""
-    v, pairs = _pairs(f)
-    twice = 2.0 * v[1:-1, 1:-1]
-    lap = v[1:-1, 2:] + v[1:-1, :-2]
-    lap -= twice
-    along = np.subtract(v[2:, 1:-1] + v[:-2, 1:-1], twice, out=twice)
-    lap = _scaled(lap, hx**2, pairs)
-    lap += _scaled(along, hy**2, pairs)
-    lap = _scaled(lap, 4.0, pairs)
-    return lap.view(complex)[..., 0] if pairs else lap
-
-
-def _less_quarter_i(d, c):
-    """d - 0.25j * c = (d_re + c_im/4, d_im - c_re/4), written into complex d."""
-    d.real += 0.25 * c.imag
-    d.imag -= 0.25 * c.real
-    return d
-
-
 def _nan_ring(interior, width=1, dtype=complex):
     """interior inside a ring of NaN `width` nodes wide."""
     ny, nx = interior.shape[:2]
@@ -277,7 +199,6 @@ class ResidualReport:
     ny: int
     spacing: tuple
     margin: int
-    angle_cutoff: float
     maxima: dict
     maxima_ungated: dict
     rho_min: float
@@ -310,7 +231,7 @@ class ResidualReport:
                 "hy": _json_number(self.spacing[1]),
             },
             "margin": int(self.margin),
-            "angle_cutoff": float(self.angle_cutoff),
+            "angle_cutoff": ANGLE_CUTOFF,
             "maxima": {k: _json_number(v) for k, v in self.maxima.items()},
             "maxima_ungated": {
                 k: _json_number(v) for k, v in self.maxima_ungated.items()
@@ -354,12 +275,10 @@ class ResidualReport:
 
 def _checked_grid(surface, margin):
     """(x, y, F, height, aux_height, fhat, (hx, hy, h)) of a surface whose
-    grid the suite can difference; the stencils' steps hx = x[1] - x[0]
-    and hy = y[1] - y[0], and h the larger mean step |a[-1] - a[0]| /
-    (n - 1).  aux_height and fhat are None when the surface lacks them.
-
-    Raises DomainError for anything the stencils cannot use; see
-    verify_surface, whose errstate silences the axes' overflows.
+    grid the suite can difference: hx and hy the axes' first steps and h
+    the larger mean step |a[-1] - a[0]| / (n - 1), by stencils.axis_steps;
+    aux_height and fhat are None when the surface lacks them.  Raises
+    DomainError for anything the stencils cannot use (verify_surface).
     """
     x = np.asarray(surface.x, dtype=float)
     y = np.asarray(surface.y, dtype=float)
@@ -388,25 +307,8 @@ def _checked_grid(surface, margin):
             f"grid {y.size} x {x.size} is too small for margin {margin}: "
             f"need at least {need} nodes per axis"
         )
-    steps = {}
-    for name, axis in (("x", x), ("y", y)):
-        mean_step = float((axis[-1] - axis[0]) / (axis.size - 1))
-        worst = float(np.max(np.abs(np.diff(axis) - mean_step)))
-        mean = abs(mean_step)
-        if not (0.0 < mean < math.inf and worst <= UNIFORM_SPACING_RTOL * mean):
-            raise DomainError(
-                f"{name} axis is not uniformly spaced (a step deviates from "
-                f"the mean {mean_step:.6g} by {worst:.3g}); the stencils "
-                f"difference with one step"
-            )
-        steps[name] = float(axis[1] - axis[0]), mean
-        for length in steps[name]:
-            if not square_in_range(length):
-                raise DomainError(
-                    f"{name} axis step {length!r} is out of range: its "
-                    "square, or the square's reciprocal, is zero or not "
-                    "finite, and the stencils divide by the square"
-                )
+    hx, x_mean = axis_steps(x, UNIFORM_SPACING_RTOL, "x")
+    hy, y_mean = axis_steps(y, UNIFORM_SPACING_RTOL, "y")
     finite = {"surface coordinates are": np.isfinite(F) & np.isfinite(height)}
     if aux_height is not None:
         finite["aux_height is"] = np.isfinite(aux_height)
@@ -421,8 +323,8 @@ def _checked_grid(surface, margin):
                 f"{subject} not finite at {int(np.count_nonzero(~ok))} "
                 f"node(s), the first at (x, y) = ({x[ix]:.6g}, {y[iy]:.6g})"
             )
-    (hx, x_mean), (hy, y_mean) = steps.values()
-    return x, y, F, height, aux_height, fhat, (hx, hy, max(x_mean, y_mean))
+    h = max(abs(x_mean), abs(y_mean))
+    return x, y, F, height, aux_height, fhat, (hx, hy, h)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -455,15 +357,10 @@ def verify_surface(
     aux_height or fhat does not match it; when an axis has fewer than
     max(2 * margin + 3, MIN_STENCIL_NODES) nodes (the margin-trimmed
     interior must keep at least 3 nodes per axis, and hopf_holomorphy's
-    stencil reaches 3 nodes in from each side); when an axis is not
-    uniform (a finite, nonzero mean step that every step keeps within
-    UNIFORM_SPACING_RTOL: the stencils difference with the first step
-    throughout); when an axis's first or mean step fails
-    config.square_in_range, as a `generate` window's spacing would (the
-    stencils divide by the one squared, thresholds square the other);
-    or when F, height, aux_height or
-    fhat holds a NaN or an infinity: the NaN-aware maxima would drop the
-    stencils around such a node.  (The Gauss-map angle mask is made
+    stencil reaches 3 nodes in from each side); when stencils.axis_steps
+    refuses an axis at UNIFORM_SPACING_RTOL; or when F, height, aux_height
+    or fhat holds a NaN or an infinity: the NaN-aware maxima would drop
+    the stencils around such a node.  (The Gauss-map angle mask is made
     here, not read from the input.)  Finite data that overflow in the
     stencils raise no floating-point warning; the class reads NaN or inf
     instead.
@@ -498,12 +395,12 @@ def verify_surface(
     # suite; taking them before the tangent data exists lowers the peak.
     if fhat is not None:
         fhat = [np.ascontiguousarray(e) for e in entries(fhat)]
-        derivatives = [_dz_dzbar(e, hx, hy) for e in fhat]
+        derivatives = [dz_dzbar(e, hx, hy) for e in fhat]
         bracket = commutator_entries(*zip(*derivatives))
         del derivatives
         settle(
             "fhat_laplace_identity",
-            [_less_quarter_i(_dzzbar(e, hx, hy), c) for e, c in zip(fhat, bracket)],
+            [less_quarter_i(dzzbar(e, hx, hy), c) for e, c in zip(fhat, bracket)],
             1,
         )
         del fhat, bracket
@@ -511,7 +408,7 @@ def verify_surface(
     # Frame coefficients of f_z (trim 1): the coordinate z-derivatives,
     # the third made vertical by nil3's vertical form.
     x1, x2 = np.ascontiguousarray(F.real), np.ascontiguousarray(F.imag)
-    a = [_dz(c, hx, hy) for c in (x1, x2, height)]
+    a = [dz(c, hx, hy) for c in (x1, x2, height)]
     a[2] = vertical_form((_inner(x1), _inner(x2)), a)
     a0, a1, A = a
 
@@ -531,13 +428,13 @@ def verify_surface(
     F_zbar = np.conj(a0) + 1j * np.conj(a1)
     settle(
         "minimality_horizontal",
-        [_dzzbar(F, hx, hy) - 0.5j * (np.conj(A) * F_z + A * F_zbar)],
+        [dzzbar(F, hx, hy) - 0.5j * (np.conj(A) * F_z + A * F_zbar)],
         1,
     )
     del F_z, F_zbar
 
     if aux_height is not None:
-        settle("aux_height_consistency", [A - 1j * _dz(aux_height, hx, hy)], 1)
+        settle("aux_height_consistency", [A - 1j * dz(aux_height, hx, hy)], 1)
 
     # Unit normal from the real coordinate-direction tangents f_x = 2 Re a
     # and f_y = -2 Im a; the frame is orthonormal, so the Euclidean cross
@@ -557,7 +454,7 @@ def verify_surface(
     phi = normal[2]
 
     # Derivatives of the frame coefficients (trim 2).
-    a_z, a_zbar = zip(*(_dz_dzbar(c, hx, hy) for c in a))
+    a_z, a_zbar = zip(*(dz_dzbar(c, hx, hy) for c in a))
     a_in = [_inner(c) for c in a]
     del a
 
@@ -583,16 +480,16 @@ def verify_surface(
         accel[0] * normal_in[0] + accel[1] * normal_in[1] + accel[2] * normal_in[2]
     ) + a_in[2] ** 2
     del accel, normal_in, a_in
-    settle("hopf_holomorphy", [_dzbar(q, hx, hy)], 3)
+    settle("hopf_holomorphy", [dzbar(q, hx, hy)], 3)
 
     # Harmonic-map residual of g = (N1 + i N2)/(1 + N3), the south-pole
     # stereographic projection of the normal, masked to NaN where
     # phi <= ANGLE_CUTOFF: there |g| -> 1 and the hyperbolic factor blows
     # up, so the check is only meaningful on the upward-tilted region.
     g = stereographic_south(normal)
-    g_z, g_zbar = _dz_dzbar(g, hx, hy)
+    g_z, g_zbar = dz_dzbar(g, hx, hy)
     g_in = _inner(g)
-    tau = _dzzbar(g, hx, hy) + 2.0 * np.conj(g_in) * g_z * g_zbar / (
+    tau = dzzbar(g, hx, hy) + 2.0 * np.conj(g_in) * g_z * g_zbar / (
         1.0 - np.abs(g_in) ** 2
     )
     del g_z, g_zbar, g_in
@@ -635,7 +532,6 @@ def verify_surface(
         ny=y.size,
         spacing=(hx, hy),
         margin=margin,
-        angle_cutoff=ANGLE_CUTOFF,
         maxima=maxima,
         maxima_ungated=maxima_ungated,
         rho_min=statistic(rho_interior, np.min),

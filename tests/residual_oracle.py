@@ -11,8 +11,9 @@ the tests the quantities that `verify_surface` does not expose (the
 tangent data, the acceleration term of Q), and the `grid_*` wrappers the
 stencils below on full grids.  The stencils keep the suite's complex
 formulas, divisions by a real step and products by 1j included, in
-complex arithmetic; `nilsurf.residuals` runs them on float views in real
-arithmetic, and the tests hold the two to the same values.  The oracle
+complex arithmetic; `nilsurf.stencils` runs them on float views in real
+arithmetic, and the tests hold the two to the same values, so this module
+must not import those.  The oracle
 shares the program's Nil3 kernel (on component planes) and entry-wise
 commutator, whose complex products the program does not rewrite.
 """
@@ -393,7 +394,6 @@ def verify_surface(
         ny=y.size,
         spacing=(hx, hy),
         margin=margin,
-        angle_cutoff=angle_cutoff,
         maxima=maxima,
         maxima_ungated=maxima_ungated,
         rho_min=float(np.min(finite_rho)) if finite_rho.size else float("nan"),

@@ -428,6 +428,46 @@ class TestGeometryErrors:
                 "nx": 33, "ny": 33}  # h = 1/16 = the surface spacing
         assert parse(self._solved_doc(same)).solver_domain is not None
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-8, 1.0, 1e9])
+    @pytest.mark.parametrize(
+        "n, half_width, message",
+        [
+            (9, 1.0, "at most the surface spacing"),
+            (33, 0.5, "must contain the surface rectangle"),
+        ],
+        ids=["twice-the-spacing", "half-the-rectangle"],
+    )
+    def test_solver_grid_checks_hold_at_every_scale(self, scale, n, half_width,
+                                                   message):
+        # a 17^2 window [-s, s]^2 (spacing s/8) with a solver grid at twice
+        # its spacing, or on half its rectangle: refused at every scale s.
+        # At s = 1e-9 an absolute slack of 1e-9 used to accept both, and
+        # generate then failed the verdict or left the solved rectangle
+        w = half_width * scale
+        solver = {"xmin": -w, "xmax": w, "ymin": -w, "ymax": w, "nx": n, "ny": n}
+        doc = self._solved_doc(solver)
+        doc["domain"].update(xmin=-scale, xmax=scale, ymin=-scale, ymax=scale)
+        with pytest.raises(DomainError, match=message):
+            parse(doc)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-9, 1.0, 1e9, 1e150])
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (-0.5, 0.5, -0.5, 0.5, 17, 17),
+            (-0.5, 0.5, -0.5, 0.5, 16, 16),
+            (0.0, 0.6, -0.2, 0.4, 33, 33),
+            (-0.303, 0.657, -0.105, 0.495, 97, 61),
+        ],
+    )
+    def test_default_solver_grid_is_accepted_at_every_scale(self, scale, window):
+        xmin, xmax, ymin, ymax, nx, ny = window
+        doc = self._solved_doc()
+        doc["domain"] = {"xmin": xmin * scale, "xmax": xmax * scale,
+                         "ymin": ymin * scale, "ymax": ymax * scale,
+                         "nx": nx, "ny": ny}
+        assert parse(doc).solver_domain == parse(doc).domain.padded()
+
     def test_solver_cells_must_be_square(self):
         skewed = {"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0,
                   "nx": 65, "ny": 129}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nilsurf import pde
+from nilsurf import pde, stencils
 from nilsurf.errors import (
     DomainError,
     LinearSolveFailure,
@@ -167,7 +167,7 @@ class TestNewtonSolve:
         result = pde.newton_solve(np.zeros((n, n)), bc, x, y)
         assert result.rounding_floor > 1e-10
         assert result.final_residual <= 2.0 * result.rounding_floor
-        assert result.rounding_floor == pde._rounding_floor(result.u, x[1] - x[0])
+        assert result.rounding_floor == stencils.rounding_floor(result.u, x[1] - x[0])
         # criterion 4's accuracy law, scaled to h = 1.2 / 512
         assert np.max(np.abs(result.u - bc)) <= 5e-4 / 16.0
 
@@ -414,7 +414,7 @@ class TestLinearSolve:
         x = np.random.default_rng(9).standard_normal((rows, cols))
         padded = np.zeros((rows + 2, cols + 2))
         padded[1:-1, 1:-1] = x
-        image = shift * x - pde._quarter_laplacian(padded, h)
+        image = shift * x - stencils.quarter_laplacian(padded, h)
         solve = pde._fast_poisson(basis_of(x, h), shift)
         np.testing.assert_allclose(solve(image), x, rtol=0, atol=1e-13)
 
@@ -464,7 +464,7 @@ class TestLinearSolve:
         for rtol in (1e-2, 1e-6, pde.CG_RTOL):
             sol, iterations = pde._cg_solve(c, rhs, basis, "test", rtol=rtol)
             padded[1:-1, 1:-1] = sol
-            residual = rhs - (c * sol - pde._quarter_laplacian(padded, h))
+            residual = rhs - (c * sol - stencils.quarter_laplacian(padded, h))
             # at CG_RTOL the recomputed residual is at its rounding floor
             if rtol > pde.CG_RTOL:
                 bound = 1.01 * rtol * np.linalg.norm(rhs)

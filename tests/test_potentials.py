@@ -326,6 +326,32 @@ class TestSolvedSource:
                 _FakeSolution(x, y, np.zeros((5, 7)), np.zeros((5, 7))), (0.25,)
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edit", ["moved-node", "zero-step", "nan-node"])
+    def test_axis_the_stencils_refuse(self, edit):
+        # x = linspace(-1, 1, 17) with node 8 moved by 0.05, a first step
+        # of 0 or a NaN node: refused before any arithmetic.  The moved
+        # node used to be interpolated as if the grid were uniform, and the
+        # zero step to divide by zero in the derivative and then call every
+        # point outside the solved rectangle
+        sol = saddle_solution(17)
+        if edit == "moved-node":
+            sol.x[8] += 0.05
+        elif edit == "zero-step":
+            sol.x[1] = sol.x[0]
+        else:
+            sol.x[3] = np.nan
+        with pytest.raises(PotentialDataError, match="solved x axis is not uniformly"):
+            Potential.solved(sol, (0.25,))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_decreasing_axis_refused(self, axis):
+        # _interp reads the nodes in increasing order
+        sol = saddle_solution(17)
+        setattr(sol, axis, getattr(sol, axis)[::-1].copy())
+        with pytest.raises(PotentialDataError, match="must increase"):
+            Potential.solved(sol, (0.25,))
+
     def test_non_finite_field_rejected(self):
         sol = saddle_solution()
         sol.u[3, 3] = np.nan

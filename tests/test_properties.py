@@ -18,7 +18,7 @@ edit breaks the documented CSV schema, else 0 or 4.
 float range (half-widths, |Q0| and t up to powers of ten near its
 limits): exit 0, 2, 3 or 4, with no warning of any kind.  `check` on
 the exact 17 x 17 vertical plane with steps from 1e-200 to 1e201 and at
-the edges of config.square_in_range: exit 2 exactly when the step fails
+the edges of stencils.square_in_range: exit 2 exactly when the step fails
 that rule, else 0 or 4, and never an exception.
 (e) A 17 x 17 constant-rho0 run in which one file a command writes is a
 file it reads or another it writes, named by the same string, through
@@ -43,7 +43,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilsurf import cli, config, pipeline
+from nilsurf import cli, config, pipeline, stencils
 from nilsurf.outputs import write_surface_csv
 from nilsurf.potentials import Potential
 from nilsurf.residuals import MIN_STENCIL_NODES
@@ -374,7 +374,7 @@ def test_extreme_data_exits_without_a_warning(doc):
     assert code in EXTREME_EXIT_CODES
 
 
-#: The least and the greatest step that config.square_in_range admits,
+#: The least and the greatest step that stencils.square_in_range admits,
 #: each with its neighbours on both sides.
 SQUARE_EDGE_STEPS = [
     math.nextafter(edge, toward)
@@ -386,7 +386,7 @@ SQUARE_EDGE_STEPS = [
 def _assert_step_rule(step):
     """check on the exact vertical plane F = x, h = y of axis k * step,
     k = 0..16, whose first step and mean step 16 * step / 16 are both
-    step: exit 2 exactly when step fails config.square_in_range."""
+    step: exit 2 exactly when step fails stencils.square_in_range."""
     ax = step * np.arange(GRID_NODES)
     x2d, y2d = np.meshgrid(ax, ax)
     plane = SurfaceGrid(x=ax, y=ax, t=0.0, F=x2d.astype(complex), height=y2d)
@@ -394,7 +394,7 @@ def _assert_step_rule(step):
         path = os.path.join(work, "plane.csv")
         write_surface_csv(plane, path)
         code, _ = pipeline.run_check(path, log=lambda *_: None)
-    if config.square_in_range(step):
+    if stencils.square_in_range(step):
         assert code in (0, 4)
     else:
         assert code == 2

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import residual_oracle as oracle
-from nilsurf import residuals
+from nilsurf import residuals, stencils
 from nilsurf.errors import DegenerateNode, DomainError
 from nilsurf.potentials import Potential
 from nilsurf.surface import SurfaceGrid, generate_surface
@@ -183,17 +183,17 @@ def test_stencils_match_the_complex_formulas(plane, hx, hy):
             assert_same_bits(new.view(float), old.view(float), name)
 
     for name in ("dz", "dzbar", "dzzbar"):
-        new = getattr(residuals, "_" + name)(plane, hx, hy)
+        new = getattr(stencils, name)(plane, hx, hy)
         check(new, getattr(oracle, name)(plane, hx, hy), name)
     for new, old in zip(
-        residuals._dz_dzbar(plane, hx, hy), oracle.dz_dzbar(plane, hx, hy)
+        stencils.dz_dzbar(plane, hx, hy), oracle.dz_dzbar(plane, hx, hy)
     ):
         check(new, old, "dz_dzbar")
     if np.iscomplexobj(plane):
         # the fhat block's fold of d - 0.25j * c, for a complex c
         c = 1j * plane[1:-1, 1:-1] + plane[:-2, 2:]
         old = oracle.dzzbar(plane, hx, hy) - 0.25j * c
-        new = residuals._less_quarter_i(residuals._dzzbar(plane, hx, hy), c)
+        new = stencils.less_quarter_i(stencils.dzzbar(plane, hx, hy), c)
         check(new, old, "less_quarter_i")
 
 
@@ -205,7 +205,7 @@ def test_an_overflowed_part_keeps_its_partner():
     plane[2, 3], plane[2, 1] = complex(1.5e308, 1.0), complex(-1.5e308, 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         old = oracle.dz_dzbar(plane, 0.5, 0.5)
-        new = residuals._dz_dzbar(plane, 0.5, 0.5)
+        new = stencils.dz_dzbar(plane, 0.5, 0.5)
     for d in old:
         assert np.isinf(d[1, 1].real) and np.isnan(d[1, 1].imag)
     for d in new:
@@ -674,7 +674,7 @@ class TestGridGate:
 
     @pytest.mark.parametrize("which", ["first", "mean"])
     def test_a_step_past_the_square_rule(self, which):
-        # the greatest step config.square_in_range admits, with the
+        # the greatest step stencils.square_in_range admits, with the
         # stencils' first step one ulp past it, or the thresholds' mean
         # step 1e-9 of it past it
         edge = 1.3407807929942596e154
