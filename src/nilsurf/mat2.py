@@ -5,10 +5,11 @@ m11), the one entry-wise toolkit of the package: `entries` splits a
 (..., 2, 2) field into such a 4-tuple and `from_entries` stacks one back.
 `det`, the adjugate `inv`, `mul`, `mul_diagonal`, `times_s` and
 `commutator_entries` act on 4-tuples, so a whole grid of matrices is
-processed in one vectorized call per entry.  Each entry of a product is
-then two whole-grid multiplications and one addition, where NumPy's `@`
-on (n, 2, 2) stacks runs one tiny matrix product per node.  The surface
-assembly uses the inverse and the products, the residual suite
+processed in one vectorized call per entry; `check_det` is `inv`'s gate
+on the determinants.  Each entry of a product is then two whole-grid
+multiplications and one addition, where NumPy's `@` on (n, 2, 2) stacks
+runs one tiny matrix product per node.  The surface assembly uses the
+gate, the inverse and the products, the residual suite
 `commutator_entries`.  One constant matrix is defined here:
 
     DIAG_IMAG  = [[ i, 0], [0, -i]]   -- the diagonal imaginary generator S
@@ -33,22 +34,34 @@ def det(m):
     return m00 * m11 - m01 * m10
 
 
-def inv(m):
-    """Inverse of an entry 4-tuple via the adjugate formula, as entries.
+def check_det(d):
+    """Refuse determinants d that `inv` cannot divide by.
 
-    Raises SingularFrameError if any determinant is not finite or has
-    magnitude below SINGULAR_TOL.  Entries too large for the determinant
-    overflow it without a warning, and fail that gate.
+    Raises SingularFrameError if any of d is not finite, or else if any
+    has magnitude below SINGULAR_TOL: the first test runs over all of d
+    before the second.
     """
-    m00, m01, m10, m11 = m
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = det(m)
     if not np.all(np.isfinite(d)):
         raise SingularFrameError("matrix determinant is not finite; cannot invert")
     if np.any(np.abs(d) < SINGULAR_TOL):
         raise SingularFrameError(
             f"matrix determinant below {SINGULAR_TOL:.1e}; cannot invert"
         )
+
+
+def inv(m, d=None):
+    """Inverse of an entry 4-tuple via the adjugate formula, as entries.
+
+    d is det(m) when the caller has computed it and passed it through
+    `check_det`; otherwise inv computes it and runs that gate itself.
+    Entries too large for the determinant overflow it without a warning,
+    and fail the gate.
+    """
+    m00, m01, m10, m11 = m
+    if d is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = det(m)
+        check_det(d)
     return m11 / d, -m01 / d, -m10 / d, m00 / d
 
 

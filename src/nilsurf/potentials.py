@@ -203,18 +203,20 @@ class _SolvedSource:
 
     def _interp(self, field, z):
         z = np.asarray(z, dtype=complex)
-        eps = 1e-12
-        xr, yr = z.real, z.imag
-        if (
-            np.any(xr < self.x[0] - eps)
-            or np.any(xr > self.x[-1] + eps)
-            or np.any(yr < self.y[0] - eps)
-            or np.any(yr > self.y[-1] + eps)
+        ny, nx = field.shape
+        # the coordinates in solver spacings, in which _locate snaps: a
+        # point more than NODE_SNAP of them outside is refused
+        fx = (z.real.ravel() - self.x[0]) / self.hx
+        fy = (z.imag.ravel() - self.y[0]) / self.hy
+        if not (
+            np.all(fx >= -NODE_SNAP)
+            and np.all(fx <= nx - 1 + NODE_SNAP)
+            and np.all(fy >= -NODE_SNAP)
+            and np.all(fy <= ny - 1 + NODE_SNAP)
         ):
             raise DomainError("evaluation point outside the solved rectangle")
-        ny, nx = field.shape
-        x0, sx = _locate((xr.ravel() - self.x[0]) / self.hx, nx)
-        y0, sy = _locate((yr.ravel() - self.y[0]) / self.hy, ny)
+        x0, sx = _locate(fx, nx)
+        y0, sy = _locate(fy, ny)
         # a point on a node along x reads its 4 stencil nodes along y, and
         # any other its 4 along x at its node along y; a point on neither
         # is read again below from its 16 nodes

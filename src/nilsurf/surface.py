@@ -41,6 +41,17 @@ points: `surface_from_frame` assembles one FrameField, and
 assembles.  The latter takes one t or a sequence of them; a sequence is
 marched once, into one array that all members' frames view (see the
 frame module), and each member is then assembled.
+
+The assembly's temporaries come to about 28 complex planes for each
+node it works on, nearly five times the member's own outputs.  Over a
+whole grid they would sit on top of the family's march array and the
+members already assembled, and set the peak memory of a family.
+`surface_from_frame` therefore works on blocks of whole grid rows of at
+most ASSEMBLY_BLOCK_NODES nodes (one row if a row is longer), writing
+into outputs allocated once at grid shape, so the temporaries are
+bounded by the block, not the grid; only the determinant of psi, which
+its gate judges over the whole grid, is kept at grid size.  A grid of
+no more nodes than that is one block of the same loop.
 """
 
 from dataclasses import dataclass
@@ -54,12 +65,20 @@ from .frame import integrate_grid
 #: Largest deviation of fhat and of f from their model shapes.
 SHAPE_TOL = 1e-6
 
+#: Most grid nodes in one block of the assembly (whole grid rows, at
+#: least one).  A block of 4096 nodes holds about 2.3 MB of temporaries,
+#: and the flagship's 49 x 49 grid is one block.  Blocks of 2048 to 8192
+#: nodes assemble 129 x 129 and 257 x 257 members about equally fast,
+#: and faster than one pass over the whole grid.
+ASSEMBLY_BLOCK_NODES = 4096
 
-def _assemble(psi, psi_t, psi_tt):
+
+def _assemble(psi, psi_t, psi_tt, d=None):
     """fhat's entries and the diagonal of d(fhat)/dt.
 
-    psi, psi_t and psi_tt are entry 4-tuples.  With a = psi_t psi^-1 and
-    g = psi S psi^-1, both from one inverse of psi,
+    psi, psi_t and psi_tt are entry 4-tuples, and d, if given, is det(psi)
+    after mat2.check_det.  With a = psi_t psi^-1 and g = psi S psi^-1,
+    both from one inverse of psi,
 
         fhat     = -2 a + 2 g,
         dfhat/dt = -2 g a - 2 psi_tt psi^-1 + 2 a a + 2 psi_t S psi^-1.
@@ -68,7 +87,7 @@ def _assemble(psi, psi_t, psi_tt):
     so its off-diagonal entries are never formed.  Returns the entry
     4-tuple of fhat and the pair (d00, d11).
     """
-    pinv = mat2.inv(psi)
+    pinv = mat2.inv(psi, d)
     a = mat2.mul(psi_t, pinv)
     g = mat2.mul(mat2.times_s(psi), pinv)
     fhat = tuple(-2.0 * ai + 2.0 * gi for ai, gi in zip(a, g))
@@ -121,13 +140,56 @@ class SurfaceGrid:
 
 
 def _worst(deviation, tol, not_finite, deviates):
-    """Max of a deviation field; ShapeViolation if not finite or over tol."""
+    """Max of deviations (the maxima of a field's blocks); ShapeViolation
+    if it is not finite or over tol."""
     worst = float(np.max(deviation))
     if not np.isfinite(worst):
         raise ShapeViolation(not_finite)
     if worst > tol:
         raise ShapeViolation(f"{deviates} by {worst:.3e} (tolerance {tol:.1e})")
     return worst
+
+
+def _row_blocks(ny, nx):
+    """Slices of whole grid rows, ASSEMBLY_BLOCK_NODES // nx of them (at
+    least one) in each block but the last, which may hold fewer."""
+    rows = max(1, ASSEMBLY_BLOCK_NODES // nx)
+    return [slice(start, start + rows) for start in range(0, ny, rows)]
+
+
+def _matrices(row, rows):
+    """Entry 4-tuples of the frames row[k] over the grid rows `rows`."""
+    # each frame matrix is [[a, b], [conj(b), conj(a)]] (frame module)
+    return [(a, b, np.conj(b), np.conj(a)) for a, b in row[:, :, rows]]
+
+
+def _assemble_rows(surf, row, det, rows):
+    """Assemble the grid rows `rows` of surf from the frames row.
+
+    det is det(psi) after mat2.check_det.  Writes the rows of surf's F,
+    height, aux_height and fhat, and returns the rows' largest fhat, f
+    and determinant deviations.  The rows' temporaries end with the call.
+    """
+    (h00, h01, h10, h11), (d00, d11) = _assemble(*_matrices(row, rows), det[rows])
+    # f = -1/2 diag(S dfhat/dt) + offdiag(fhat)
+    f00 = -0.5 * (1j * d00)
+    f11 = -0.5 * (-1j * d11)
+    surf.F[rows] = h01
+    surf.height[rows] = f00.real
+    surf.aux_height[rows] = h00.imag
+    fhat = surf.fhat[rows]
+    fhat[..., 0, 0], fhat[..., 0, 1] = h00, h01
+    fhat[..., 1, 0], fhat[..., 1, 1] = h10, h11
+    return (
+        np.max(
+            np.maximum(
+                np.maximum(np.abs(h00.real), np.abs(h00 + h11)),
+                np.abs(h10 - np.conj(h01)),
+            )
+        ),
+        np.max(np.maximum(np.abs(f00 - f11), np.abs(f00.imag))),
+        np.max(np.abs(det[rows] - 1.0)),
+    )
 
 
 def surface_from_frame(frame_field):
@@ -141,40 +203,50 @@ def surface_from_frame(frame_field):
     its off-diagonal entries with fhat, so the f check needs only its
     diagonal terms.  A frame that is not finite fails first, as a
     SingularFrameError of its inverse.
+
+    The work runs on blocks of whole grid rows (_row_blocks): first the
+    determinant of psi, which is kept for the whole grid and gated once,
+    then the assembly of each block (_assemble_rows).  The shape gates
+    judge the blocks' largest deviations once all blocks are done.  Every
+    step is entry-wise, so the blocks give the bits and the errors of one
+    pass over the whole grid.
     """
-    # each frame matrix is [[a, b], [conj(b), conj(a)]] (frame module)
-    (h00, h01, h10, h11), (d00, d11) = _assemble(
-        *((a, b, np.conj(b), np.conj(a)) for a, b in frame_field.row)
-    )
-    fhat_dev = _worst(
-        np.maximum(
-            np.maximum(np.abs(h00.real), np.abs(h00 + h11)),
-            np.abs(h10 - np.conj(h01)),
-        ),
-        SHAPE_TOL,
-        "auxiliary matrix field is not finite",
-        "auxiliary matrix field deviates from its model shape",
-    )
-    # f = -1/2 diag(S dfhat/dt) + offdiag(fhat)
-    f00 = -0.5 * (1j * d00)
-    f11 = -0.5 * (-1j * d11)
-    f_dev = _worst(
-        np.maximum(np.abs(f00 - f11), np.abs(f00.imag)),
-        SHAPE_TOL,
-        "matrix shape deviation is not finite",
-        "matrix deviates from the point-model shape",
-    )
-    return SurfaceGrid(
+    row = frame_field.row
+    shape = row.shape[2:]
+    blocks = _row_blocks(*shape)
+    det = np.empty(shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in blocks:
+            det[rows] = mat2.det(_matrices(row[:1], rows)[0])
+    mat2.check_det(det)
+    surf = SurfaceGrid(
         x=frame_field.x,
         y=frame_field.y,
         t=frame_field.t,
-        F=h01,
-        height=f00.real.copy(),
-        aux_height=h00.imag.copy(),
-        fhat=mat2.from_entries((h00, h01, h10, h11)),
-        det_deviation=frame_field.det_deviation(),
-        shape_deviation=max(fhat_dev, f_dev),
+        F=np.empty(shape, dtype=complex),
+        height=np.empty(shape),
+        aux_height=np.empty(shape),
+        fhat=np.empty(shape + (2, 2), dtype=complex),
     )
+    fhat_dev, f_dev, det_dev = np.array(
+        [_assemble_rows(surf, row, det, rows) for rows in blocks]
+    ).T
+    surf.shape_deviation = max(
+        _worst(
+            fhat_dev,
+            SHAPE_TOL,
+            "auxiliary matrix field is not finite",
+            "auxiliary matrix field deviates from its model shape",
+        ),
+        _worst(
+            f_dev,
+            SHAPE_TOL,
+            "matrix shape deviation is not finite",
+            "matrix deviates from the point-model shape",
+        ),
+    )
+    surf.det_deviation = float(np.max(det_dev))
+    return surf
 
 
 def generate_surface(potential, x, y, t):

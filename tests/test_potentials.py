@@ -289,6 +289,42 @@ class TestSolvedSource:
         with pytest.raises(DomainError):
             pot.dlog_rho0_dz(-1.0 - 1.2j)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "half, coordinate, inside",
+        [
+            # ten half-widths outside a rectangle of width 2e-14
+            (1e-14, 1e-13, False),
+            # two ulps past the last node of a rectangle of width 2e9
+            (1e9, 1000000000.0000002, True),
+        ],
+    )
+    @pytest.mark.parametrize("axis", [1.0, 1j])
+    def test_outside_is_measured_in_solver_spacings(
+        self, half, coordinate, inside, axis
+    ):
+        # the slack past the rectangle is NODE_SNAP spacings, the one in
+        # which _locate snaps, so it reads the same at every scale; an
+        # absolute 1e-12 accepted the first point and refused the second
+        x = np.linspace(-half, half, 17)
+        u = np.zeros((17, 17))
+        pot = Potential.solved(_FakeSolution(x, x.copy(), u, u.copy()), (0.25,))
+        z = coordinate * axis
+        if inside:
+            assert pot.rho0(z) == 1.0
+        else:
+            with pytest.raises(DomainError, match="outside the solved rectangle"):
+                pot.rho0(z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(0.0, np.nan)])
+    def test_nan_point_is_outside(self, z):
+        # no comparison holds for NaN: it used to pass the range test and
+        # reach the integer cast of the stencil's first node
+        pot = Potential.solved(saddle_solution(17), (0.25,))
+        with pytest.raises(DomainError, match="outside the solved rectangle"):
+            pot.rho0(z)
+
     def test_integrability_reports_stored_residual(self):
         n = 21
         residual = np.full((n, n), 3e-9)

@@ -1,5 +1,7 @@
 """Tests for the immersion-formula assembly of surfaces from frames."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,146 @@ class TestShapeGate:
         surface.surface_from_frame(
             frame.integrate_grid(UNIT_POTENTIAL, AXES, AXES, 0.0)
         )
+
+
+def whole_grid(field):
+    """surface_from_frame's formulas, evaluated over the whole grid at once.
+
+    Returns F, height, aux_height, fhat, det_deviation and shape_deviation
+    from one surface._assemble call on the full matrices of field.
+    """
+    (h00, h01, h10, h11), (d00, d11) = surface._assemble(
+        *(mat2.entries(m) for m in (field.psi, field.psi_t, field.psi_tt))
+    )
+    f00 = -0.5 * (1j * d00)
+    f11 = -0.5 * (-1j * d11)
+    fhat_dev = np.max(
+        np.maximum(
+            np.maximum(np.abs(h00.real), np.abs(h00 + h11)),
+            np.abs(h10 - np.conj(h01)),
+        )
+    )
+    f_dev = np.max(np.maximum(np.abs(f00 - f11), np.abs(f00.imag)))
+    return {
+        "F": h01,
+        "height": f00.real,
+        "aux_height": h00.imag,
+        "fhat": mat2.from_entries((h00, h01, h10, h11)),
+        "det_deviation": field.det_deviation(),
+        "shape_deviation": max(fhat_dev, f_dev),
+    }
+
+
+def identity_frames(nx, blocks):
+    """Frames psi = I, psi_t = psi_tt = 0 on a grid of `blocks` full row
+    blocks of width nx, and the blocks' row slices."""
+    ny = blocks * (surface.ASSEMBLY_BLOCK_NODES // nx)
+    row = np.zeros((3, 2, ny, nx), dtype=complex)
+    row[0, 0] = 1.0
+    field = frame.FrameField(x=np.arange(nx) / nx, y=np.arange(ny) / nx, t=0.0, row=row)
+    slices = surface._row_blocks(ny, nx)
+    assert len(slices) == blocks
+    return field, slices
+
+
+class TestRowBlocks:
+    # surface_from_frame assembles ASSEMBLY_BLOCK_NODES // nx grid rows at
+    # a time; every output must be the whole-grid pass, bit for bit
+
+    @pytest.mark.parametrize("t", [0.3, [0.0, 0.7, 2.1]], ids=["one-t", "three-t"])
+    @pytest.mark.parametrize(
+        "nx, ny, block_nodes, sizes",
+        [
+            # a single block: the flagship's grid
+            (49, 49, None, [49]),
+            # four blocks of 31 rows and a last one of 5
+            (129, 129, None, [31] * 4 + [5]),
+            # three equal blocks of 43 rows
+            (129, 129, 43 * 129, [43] * 3),
+            # a short last block on a lopsided grid off z = 0
+            (97, 61, None, [42, 19]),
+        ],
+    )
+    def test_blocks_match_the_whole_grid(
+        self, monkeypatch, nx, ny, block_nodes, sizes, t
+    ):
+        if block_nodes is not None:
+            monkeypatch.setattr(surface, "ASSEMBLY_BLOCK_NODES", block_nodes)
+        blocks = surface._row_blocks(ny, nx)
+        assert [len(range(ny)[rows]) for rows in blocks] == sizes
+        x = np.linspace(-0.303, 0.657, nx)
+        y = np.linspace(-0.105, 0.495, ny)
+        fields = frame.integrate_grid(UNIT_POTENTIAL, x, y, t)
+        for field in [fields] if np.ndim(t) == 0 else fields:
+            surf = surface.surface_from_frame(field)
+            want = whole_grid(field)
+            for name in ("F", "height", "aux_height", "fhat"):
+                np.testing.assert_array_equal(getattr(surf, name), want[name])
+            for name in ("det_deviation", "shape_deviation"):
+                assert getattr(surf, name) == want[name]
+
+    def test_not_finite_determinant_anywhere_fails_first(self):
+        # a singular frame in the first block and one that is not finite
+        # in the last: the whole grid's first test, "not finite", fails
+        field, blocks = identity_frames(64, 3)
+        first, last = blocks[0].start + 1, blocks[-1].stop - 2
+        field.row[0, 0, first, 5] = 0.0
+        with pytest.raises(SingularFrameError, match="below"):
+            surface.surface_from_frame(field)
+        field.row[0, 0, last, 7] = np.nan
+        with pytest.raises(SingularFrameError, match="not finite"):
+            surface.surface_from_frame(field)
+
+    @pytest.mark.parametrize("larger", ["first", "last"])
+    def test_shape_deviation_is_the_largest_over_all_blocks(self, monkeypatch, larger):
+        # with psi = I, a real bump e of psi_t's a entry makes fhat's
+        # diagonal -2 e + 2i and -2 e - 2i: a deviation of 4 e at its node
+        field, blocks = identity_frames(64, 3)
+        bumps = (1e-6, 1e-5) if larger == "last" else (1e-5, 1e-6)
+        for rows, bump in zip((blocks[0], blocks[-1]), bumps):
+            field.row[1, 0, rows.start + 1, 9] = bump
+        with pytest.raises(
+            ShapeViolation, match=f"model shape by {4e-5:.3e} "
+        ):
+            surface.surface_from_frame(field)
+        monkeypatch.setattr(surface, "SHAPE_TOL", 1.0)
+        surf = surface.surface_from_frame(field)
+        assert surf.shape_deviation == whole_grid(field)["shape_deviation"]
+        assert surf.shape_deviation == pytest.approx(4e-5)
+
+    def test_gates_keep_their_order_over_all_blocks(self):
+        # a point-model defect in the first block and an fhat defect in
+        # the last: fhat's gate judges the whole grid before f's does
+        field, blocks = identity_frames(64, 3)
+        field.row[2, 0, blocks[0].start + 1, 3] = 1e-3
+        with pytest.raises(ShapeViolation, match="point-model shape"):
+            surface.surface_from_frame(field)
+        field.row[1, 0, blocks[-1].start + 1, 3] = 1e-3
+        with pytest.raises(ShapeViolation, match="auxiliary matrix field deviates"):
+            surface.surface_from_frame(field)
+        # and a deviation that is not finite outranks a larger finite one
+        field.row[1, 0, blocks[0].start + 2, 3] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(
+            ShapeViolation, match="auxiliary matrix field is not finite"
+        ):
+            surface.surface_from_frame(field)
+
+    @pytest.mark.parametrize("block_nodes", [1024, 4096])
+    def test_temporaries_are_bounded_by_the_block(self, monkeypatch, block_nodes):
+        # one 129^2 member: its outputs, its determinant plane and at most
+        # 48 complex planes of one block.  A pass over the whole grid holds
+        # about 28 planes of the grid on top of its outputs (7.4 MB here)
+        monkeypatch.setattr(surface, "ASSEMBLY_BLOCK_NODES", block_nodes)
+        ax = np.linspace(-0.5, 0.5, 129)
+        field = frame.integrate_grid(UNIT_POTENTIAL, ax, ax, 0.3)
+        tracemalloc.start()
+        try:
+            surf = surface.surface_from_frame(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(
+            getattr(surf, name).nbytes for name in ("F", "height", "aux_height", "fhat")
+        )
+        plane = np.dtype(complex).itemsize
+        assert peak < outputs + plane * ax.size**2 + 48 * plane * block_nodes
