@@ -283,11 +283,6 @@ class FrameField:
     psi_t = property(lambda self: _full(self.row[1]))
     psi_tt = property(lambda self: _full(self.row[2]))
 
-    def det_deviation(self):
-        """Max deviation of det(psi) from 1 (a flat-integration invariant)."""
-        a, b = self.row[0]
-        return float(np.max(np.abs(a * np.conj(a) - b * np.conj(b) - 1.0)))
-
 
 def _full(row):
     """The matrices [[a, b], [conj(b), conj(a)]] of a row (a, b)."""

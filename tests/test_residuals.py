@@ -14,6 +14,7 @@ stencil is exact and the predicted residuals hold to machine precision:
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hypothesis.extra import numpy as hnp
 import residual_oracle as oracle
 from nilsurf import residuals, stencils
 from nilsurf.errors import DegenerateNode, DomainError
+from nilsurf.outputs import read_surface_csv, write_surface_csv
 from nilsurf.potentials import Potential
 from nilsurf.surface import SurfaceGrid, generate_surface
 
@@ -614,12 +616,19 @@ class TestNanAwareMax:
         # overflowed stencils with no finite value among them give the
         # class no value (NaN, which the classifier's NaN rule fails),
         # not an infinite one
+        def nanmax(magnitudes):
+            return residuals._nanmax(residuals._peak(magnitudes))
+
         overflowed = [np.array([[np.inf, np.nan]]), np.array([[np.nan]])]
-        assert math.isnan(residuals._nanmax(overflowed))
-        assert math.isnan(residuals._nanmax([np.full((2, 2), np.nan)]))
+        assert math.isnan(nanmax(overflowed))
+        assert math.isnan(nanmax([np.full((2, 2), np.nan)]))
         # beside one finite value the inf is the maximum
-        assert residuals._nanmax(overflowed + [np.array([[3.0]])]) == math.inf
-        assert residuals._nanmax([np.array([[np.nan, 2.0]])]) == 2.0
+        assert nanmax(overflowed + [np.array([[3.0]])]) == math.inf
+        assert nanmax([np.array([[np.nan, 2.0]])]) == 2.0
+        # folded plane by plane, as verify_surface folds its blocks: the
+        # finite value of an earlier fold is remembered
+        folded = residuals._peak([np.array([[3.0]])])
+        assert residuals._nanmax(residuals._peak(overflowed, folded)) == math.inf
 
 
 class TestGridGate:
@@ -802,11 +811,14 @@ def assert_same_bits(new, old, name):
     )
 
 
-def assert_matches_oracle(surface, **kwargs):
-    new = residuals.verify_surface(surface, keep_fields=True, **kwargs)
+def assert_matches_oracle(surface, keep_fields=True, **kwargs):
+    new = residuals.verify_surface(surface, keep_fields=keep_fields, **kwargs)
     # the oracle takes the cutoff the suite reads, patched or not
     old = oracle.verify_surface(
-        surface, keep_fields=True, angle_cutoff=residuals.ANGLE_CUTOFF, **kwargs
+        surface,
+        keep_fields=keep_fields,
+        angle_cutoff=residuals.ANGLE_CUTOFF,
+        **kwargs,
     )
     for key in residuals.RESIDUAL_KEYS:
         assert same_bits(new.maxima[key], old.maxima[key]), key
@@ -871,6 +883,20 @@ def test_plane_suite_matches_the_oracle_bit_for_bit(drawn, cutoff, quantile, rho
         assert_matches_oracle(surface, potential=potential, margin=margin)
 
 
+@settings(max_examples=40, deadline=None)
+@given(drawn=smooth_surfaces(), rho0=st.one_of(st.none(), st.floats(0.5, 2.0)))
+def test_blocked_suite_matches_the_oracle_bit_for_bit(drawn, rho0):
+    # blocks of the fewest rows allowed: up to 4 on the drawn grids, each
+    # reading its halo rows from its neighbours
+    surface, margin = drawn
+    potential = None if rho0 is None else Potential.constant(rho0, (0.25, 0.1j))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(residuals, "VERIFY_BLOCK_NODES", 1)
+        assert_matches_oracle(
+            surface, keep_fields=False, potential=potential, margin=margin
+        )
+
+
 @pytest.mark.parametrize(
     "potential, n",
     [(Potential.constant(1.0, (0.25,)), 49), (Potential.liouville(), 65)],
@@ -896,3 +922,125 @@ def test_a_report_without_a_verdict_reads_as_failed():
     assert judged.passed and judged.failures == [] and judged.thresholds
     unjudged = oracle.verify_surface(plane)
     assert not unjudged.passed and unjudged.thresholds == {}
+
+
+# --- row blocks against one block over the whole grid, bit for bit -------
+
+
+def verify_in_blocks(surface, count, **kwargs):
+    """verify_surface with the surface's rows split into count blocks."""
+    ny, nx = surface.F.shape
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(residuals, "VERIFY_BLOCK_NODES", nx * -(-ny // count))
+        assert len(residuals._row_blocks(ny, nx)) == count
+        return residuals.verify_surface(surface, **kwargs)
+
+
+def assert_same_reports(new, old):
+    assert new.to_dict() == old.to_dict()
+    for key in residuals.RESIDUAL_KEYS:
+        assert same_bits(new.maxima[key], old.maxima[key]), key
+        assert same_bits(new.maxima_ungated[key], old.maxima_ungated[key]), key
+    for name in STATISTICS:
+        assert same_bits(getattr(new, name), getattr(old, name)), name
+    assert new.evaluated == old.evaluated
+    assert new.thresholds == old.thresholds and new.passed == old.passed
+    assert [key for key, *_ in new.failures] == [key for key, *_ in old.failures]
+    for (_, value, threshold), (_, old_value, old_threshold) in zip(
+        new.failures, old.failures
+    ):
+        assert same_bits(value, old_value) and same_bits(threshold, old_threshold)
+
+
+@pytest.fixture(scope="module")
+def csv_surface_257(tmp_path_factory):
+    """The 257^2 member rho0 = 1, Q0 = 1/4 at t = pi/4, read back from its
+    CSV: coordinates only."""
+    ax = np.linspace(-0.5, 0.5, 257)
+    path = tmp_path_factory.mktemp("csv257") / "surface.csv"
+    write_surface_csv(
+        generate_surface(Potential.constant(1.0, (0.25,)), ax, ax, math.pi / 4), path
+    )
+    return read_surface_csv(path)
+
+
+def test_the_257_grid_is_three_blocks(csv_surface_257):
+    # the rows each block owns, and the rows it reads: 3 more on each side
+    blocks = [
+        (own.start, own.stop, read.start, read.stop)
+        for own, read in residuals._row_blocks(257, 257)
+    ]
+    assert blocks == [(0, 85, 0, 88), (85, 171, 82, 174), (171, 257, 168, 260)]
+    assert_same_reports(
+        residuals.verify_surface(csv_surface_257), verify_in_blocks(csv_surface_257, 1)
+    )
+
+
+def test_a_257_verify_holds_a_block_of_temporaries(csv_surface_257):
+    # one block over the whole grid peaks at about 23 MB
+    tracemalloc.start()
+    try:
+        residuals.verify_surface(csv_surface_257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
+
+
+@pytest.fixture(scope="module")
+def generated_grids():
+    """Generated members on the lopsided 97 x 61 grid and on 129^2, each
+    with its potential."""
+    pot = Potential.constant(1.0, (0.25,))
+    grids = {}
+    for nx, ny in ((97, 61), (129, 129)):
+        x = np.linspace(-0.303, 0.657, nx)
+        y = np.linspace(-0.105, 0.495, ny)
+        grids[nx, ny] = generate_surface(pot, x, y, 0.7), pot
+    return grids
+
+
+@pytest.mark.parametrize("shape", [(97, 61), (129, 129)])
+@pytest.mark.parametrize("count", [2, 3, 4, 5])
+@pytest.mark.parametrize("margin", [1, 2, 4])
+def test_blocks_keep_the_bits_of_one_block(generated_grids, shape, count, margin):
+    # 61 and 129 rows split unevenly: the blocks differ by a row
+    surface, pot = generated_grids[shape]
+    assert_same_reports(
+        verify_in_blocks(surface, count, potential=pot, margin=margin),
+        verify_in_blocks(surface, 1, potential=pot, margin=margin),
+    )
+
+
+@pytest.mark.parametrize("row", range(4, 12))
+def test_an_overflowed_height_in_a_halo_row(row):
+    # two blocks own rows 0-7 and 8-16 and read rows 5-10 as halo.  The
+    # inf maxima stay, and so do the 0.0 readings of the classes whose
+    # gated nodes overflowed into NaN
+    surf = plane_surface("vertical")
+    surf.height[row, 8] = 1.5e308
+    blocked = verify_in_blocks(surf, 2)
+    assert_same_reports(blocked, verify_in_blocks(surf, 1))
+    for key in ("conformality", "minimality_vertical", "covariant_minimality"):
+        assert blocked.maxima[key] == math.inf, key
+    for key in ("minimality_horizontal", "hopf_holomorphy"):
+        assert blocked.maxima[key] == 0.0, key
+
+
+def test_a_degenerate_block_raises_the_whole_grid_text(generated_grids):
+    # the coordinates scaled by 1e-5: the metric density is about 1e-10
+    surface, _ = generated_grids[97, 61]
+    small = SurfaceGrid(
+        x=surface.x,
+        y=surface.y,
+        t=0.0,
+        F=1e-5 * surface.F,
+        height=1e-5 * surface.height,
+    )
+    texts = []
+    for count in (1, 3):
+        with pytest.raises(DegenerateNode) as raised:
+            verify_in_blocks(small, count)
+        texts.append(str(raised.value))
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("metric density ")

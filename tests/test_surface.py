@@ -301,7 +301,7 @@ def whole_grid(field):
         "height": f00.real,
         "aux_height": h00.imag,
         "fhat": mat2.from_entries((h00, h01, h10, h11)),
-        "det_deviation": field.det_deviation(),
+        "det_deviation": np.max(np.abs(mat2.det(mat2.entries(field.psi)) - 1.0)),
         "shape_deviation": max(fhat_dev, f_dev),
     }
 
