@@ -35,32 +35,20 @@ plane "of trim k" holds the nodes k in from every side: the tangent data,
 normal and Gauss map have trim 1, quantities built from differences of
 them trim 2, and Q_z̄ trim 3.  Each class takes |·| once, reads its
 margin-gated and ungated maxima off that one array and is dropped.  NaN
-rings appear only in the fields kept on request (`keep_fields`), which
-are padded back to grid shape.
+rings appear only in the grid planes verify_surface keeps (rho, phi, Q
+and, on request, every field), which have grid shape.
 
-verify_surface runs the classes on blocks of whole grid rows of at most
-VERIFY_BLOCK_NODES nodes (`_row_blocks`), so its temporaries are a
-block's, not the grid's.  Each block reads 3 rows past its own on each
-side, the reach of Q_z̄, and keeps its planes' values on its own rows
-only.  The stencils are local, every block differences with the grid's
-steps from the grid gate, and NumPy's element-wise arithmetic does not
-depend on where in an array a node sits, so each value is the one a
-single pass over the grid gives (tests/test_residuals.py compares blocks
-with one block bit for bit).  What a block cannot judge alone stays at
-grid scope: the grid gate runs once; the maxima fold across blocks with
-fmax, and _nanmax's rule (NaN where no block had a finite value) applies
-to the fold; node counts add up; and rho, phi and, where it is read, Q
-go into grid planes, on which the degeneracy test and the statistics run
-as in one pass, with np.mean summing in the same order.  Kept fields
-take one block over the whole grid.
+The class kernel (_class_planes) is the one code that computes the
+classes, on a block of grid rows; verify_surface is its fold, which
+gates the grid, runs the kernel block by block and judges the whole.
 
 The Nil3 geometry (the vertical form, the covariant derivative and the
 stereographic chart of the Gauss map) comes from the nil3 module, the
-2x2 algebra of fhat from mat2, and the stencils and the rule for their
-axes from the stencils module.  Reported max-norms exclude a
-configurable boundary margin (default 2 nodes) because second-difference
-quantities lose an order there; the ungated maxima are reported
-alongside for transparency.
+2x2 algebra of fhat from mat2, and the stencils, the rule for their
+axes and the split into row blocks from the stencils module.  Reported
+max-norms exclude a configurable boundary margin (default 2 nodes)
+because second-difference quantities lose an order there; the ungated
+maxima are reported alongside for transparency.
 
 RESIDUAL_CLASSES is the one list of the classes, in reporting order, with
 their threshold coefficients; the report counts, per class, the gated
@@ -80,9 +68,10 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, check_tolerances
 from .errors import DegenerateNode, DomainError
-from .mat2 import commutator_entries, entries, from_entries
+from .mat2 import commutator_entries, entries
 from .nil3 import covariant_derivative, stereographic_south, vertical_form
 from .stencils import axis_steps, dz, dz_dzbar, dzbar, dzzbar, less_quarter_i
+from .stencils import row_blocks
 
 #: Interior metric density below which verify_surface raises DegenerateNode.
 DEGENERATE_TOL = 1e-8
@@ -105,9 +94,9 @@ UNIFORM_SPACING_RTOL = 1e-6
 #: from each side and has a node only on 7 or more.
 MIN_STENCIL_NODES = 7
 
-#: Most grid nodes a block of verify_surface owns (_row_blocks).  The 49 x
-#: 49 and 129 x 129 grids are one block; 257 x 257 is three of 85-86 rows,
-#: whose temporaries are about a third of the whole grid's.
+#: Most grid nodes a block of verify_surface owns (stencils.row_blocks).
+#: The 49 x 49 and 129 x 129 grids are one block; 257 x 257 is three of
+#: 85-86 rows, whose temporaries are about a third of the whole grid's.
 VERIFY_BLOCK_NODES = 32768
 
 #: The residual classes in reporting order, each with its coefficient C in
@@ -126,6 +115,10 @@ RESIDUAL_CLASSES = {
 
 #: Stable keys of the residual classes, in reporting order.
 RESIDUAL_KEYS = tuple(RESIDUAL_CLASSES)
+
+#: A kept field's entry axes by its number of planes: a vector of the
+#: normal's three components, and fhat_laplace_identity's 2 x 2 entries.
+_ENTRY_AXES = {1: (), 3: (3,), 4: (2, 2)}
 
 
 def residual_thresholds(h, scale=DEFAULT_TOLERANCES["threshold_scale"]):
@@ -162,16 +155,6 @@ def _json_number(value):
     return value if math.isfinite(value) else None
 
 
-def _nan_ring(interior, width=1, dtype=complex):
-    """interior inside a ring of NaN `width` nodes wide."""
-    ny, nx = interior.shape[:2]
-    out = np.full(
-        (ny + 2 * width, nx + 2 * width) + interior.shape[2:], np.nan, dtype=dtype
-    )
-    out[width:-width, width:-width] = interior
-    return out
-
-
 def _inner(plane, k=1):
     """The nodes k in from every side of a plane."""
     return plane[k : plane.shape[0] - k, k : plane.shape[1] - k]
@@ -196,21 +179,6 @@ def _nanmax(peak):
     """The max of a _peak fold; NaN when no plane held a finite value."""
     top, finite = peak
     return float("nan") if top == np.inf and not finite else float(top)
-
-
-def _row_blocks(ny, nx):
-    """(own rows, rows read) of each block of verify_surface: the grid rows
-    split evenly into ceil(ny / max(VERIFY_BLOCK_NODES // nx, 4 * halo))
-    blocks, each read with halo = 3 rows more on each side, the reach of
-    the widest class.  With more than one block, each owns more than 2 *
-    halo rows, so its halo is at most half of its work."""
-    halo = (MIN_STENCIL_NODES - 1) // 2
-    count = -(-ny // max(VERIFY_BLOCK_NODES // nx, 4 * halo))
-    edges = [ny * k // count for k in range(count + 1)]
-    return [
-        (slice(top, end), slice(max(top - halo, 0), end + halo))
-        for top, end in zip(edges, edges[1:])
-    ]
 
 
 @dataclass
@@ -364,6 +332,127 @@ def _checked_grid(surface, margin):
     return x, y, F, height, aux_height, fhat, (hx, hy, h)
 
 
+def _class_planes(F, height, aux_height, fhat, hx, hy):
+    """Yield (key, planes, trim) for each class of the grid rows F and
+    height (aux_height and fhat None when the surface lacks them) and for
+    the geometric planes metric_density, angle_function,
+    quadratic_differential, gauss_map and normal, in the order of
+    computation: trim-`trim` planes of the rows, one per key but the
+    entries of fhat_laplace_identity (mat2.entries order) and normal's
+    three components.  The stencils are local and difference with the
+    grid's steps hx and hy, and NumPy's element-wise arithmetic does not
+    depend on where in an array a node sits, so rows of a block give each
+    node the value of one pass over the grid.  A caller drops each yield's
+    planes before resuming, or two classes' temporaries are alive at once.
+    """
+    # The matrix field's stencils are the largest temporaries of the
+    # suite; taking them before the tangent data exists lowers the peak.
+    if fhat is not None:
+        e = [np.ascontiguousarray(c) for c in entries(fhat)]
+        derivatives = [dz_dzbar(c, hx, hy) for c in e]
+        bracket = commutator_entries(*zip(*derivatives))
+        del derivatives
+        yield (
+            "fhat_laplace_identity",
+            [less_quarter_i(dzzbar(c, hx, hy), b) for c, b in zip(e, bracket)],
+            1,
+        )
+        del e, bracket
+
+    # Frame coefficients of f_z (trim 1): the coordinate z-derivatives,
+    # the third made vertical by nil3's vertical form.
+    x1, x2 = np.ascontiguousarray(F.real), np.ascontiguousarray(F.imag)
+    a = [dz(c, hx, hy) for c in (x1, x2, height)]
+    a[2] = vertical_form((_inner(x1), _inner(x2)), a)
+    del x1, x2
+    a0, a1, A = a
+
+    conf = a0 * a0 + a1 * a1 + A * A
+    rho = 2.0 * (np.abs(a0) ** 2 + np.abs(a1) ** 2 + np.abs(A) ** 2)
+    yield "metric_density", [rho], 1
+    yield "conformality", [conf], 1
+    del conf, rho
+
+    F_z = a0 + 1j * a1
+    F_zbar = np.conj(a0) + 1j * np.conj(a1)
+    yield (
+        "minimality_horizontal",
+        [dzzbar(F, hx, hy) - 0.5j * (np.conj(A) * F_z + A * F_zbar)],
+        1,
+    )
+    del F_z, F_zbar
+
+    if aux_height is not None:
+        yield "aux_height_consistency", [A - 1j * dz(aux_height, hx, hy)], 1
+
+    # Unit normal from the real coordinate-direction tangents f_x = 2 Re
+    # a and f_y = -2 Im a; the frame is orthonormal, so the Euclidean
+    # cross product computes the metric normal (NaN where it vanishes).
+    fx = [2.0 * c.real for c in a]
+    fy = [-2.0 * c.imag for c in a]
+    cross = (
+        fx[1] * fy[2] - fx[2] * fy[1],
+        fx[2] * fy[0] - fx[0] * fy[2],
+        fx[0] * fy[1] - fx[1] * fy[0],
+    )
+    del fx, fy
+    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    safe = np.where(norm == 0.0, 1.0, norm)
+    normal = [np.where(norm == 0.0, np.nan, c / safe) for c in cross]
+    del cross, safe, norm
+    phi = normal[2]
+    yield "angle_function", [phi], 1
+
+    # Derivatives of the frame coefficients (trim 2).
+    a_z, a_zbar = zip(*(dz_dzbar(c, hx, hy) for c in a))
+    a_in = [_inner(c) for c in a]
+    del a
+
+    yield "minimality_vertical", [a_zbar[2] + np.conj(a_zbar[2])], 2
+
+    # nabla_{f_z} f_z̄: the coefficients of f_z̄ are conj(a) and their
+    # z-derivatives conj(a_z̄), since f is real.
+    cov = covariant_derivative(
+        a_in, [np.conj(c) for c in a_in], [np.conj(c) for c in a_zbar]
+    )
+    del a_zbar
+    squares = [(np.conj(c) * c).real for c in cov]
+    cov_norm = np.sqrt(squares[0] + squares[1] + squares[2])
+    del cov, squares
+    yield "covariant_minimality", [cov_norm], 2
+    del cov_norm
+
+    # Q = i <nabla_{f_z} f_z, N> + A^2 (trim 2) and its z̄-derivative.
+    accel = covariant_derivative(a_in, a_in, a_z)
+    del a_z
+    normal_in = [_inner(c) for c in normal]
+    q = 1j * (
+        accel[0] * normal_in[0] + accel[1] * normal_in[1] + accel[2] * normal_in[2]
+    ) + a_in[2] ** 2
+    del accel, normal_in, a_in
+    yield "quadratic_differential", [q], 2
+    yield "hopf_holomorphy", [dzbar(q, hx, hy)], 3
+    del q
+
+    # Harmonic-map residual of g = (N1 + i N2)/(1 + N3), the south-pole
+    # stereographic projection of the normal, masked to NaN where
+    # phi <= ANGLE_CUTOFF: there |g| -> 1 and the hyperbolic factor
+    # blows up, so the check is only meaningful on the upward-tilted
+    # region.
+    g = stereographic_south(normal)
+    g_z, g_zbar = dz_dzbar(g, hx, hy)
+    g_in = _inner(g)
+    tau = dzzbar(g, hx, hy) + 2.0 * np.conj(g_in) * g_z * g_zbar / (
+        1.0 - np.abs(g_in) ** 2
+    )
+    del g_z, g_zbar, g_in
+    tau = np.where(_inner(phi) > ANGLE_CUTOFF, tau, np.nan)
+    yield "gauss_map_tension", [tau], 2
+    del tau
+    yield "gauss_map", [g], 1
+    yield "normal", normal, 1
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_surface(
     surface,
@@ -409,24 +498,33 @@ def verify_surface(
     grid (covariant_minimality as the norm of the tension field) and the
     metric_density, angle_function, quadratic_differential, gauss_map and
     normal grids, all of grid shape with NaN where a stencil does not fit.
+
+    This is the fold of the class kernel (_class_planes), which runs on
+    blocks of whole grid rows of at most VERIFY_BLOCK_NODES nodes
+    (stencils.row_blocks), kept fields or not: the temporaries are a
+    block's.  A block reads 3 rows past its own on each side, the reach
+    of Q_z̄, and counts its own rows only, so each value is one pass's
+    (tests/test_residuals.py compares blocks with one block bit for bit).
+    At grid scope stay the gate, the fmax fold of the maxima under
+    _nanmax's rule (NaN where no block had a finite value), the node
+    counts, and the grid planes of rho, phi and Q, on which the
+    degeneracy test and the statistics run as in one pass.
     """
     tolerances = check_tolerances(margin=margin, threshold_scale=threshold_scale)
     margin = tolerances["margin"]
     x, y, F, height, aux_height, fhat, (hx, hy, h) = _checked_grid(surface, margin)
     ny, nx = F.shape
-    peaks, fields = {}, {}
+    peaks, grids = {}, {}
     evaluated = dict.fromkeys(RESIDUAL_KEYS, 0)
     tension_finite = 0
-    # grid planes: rho and phi (trim 1), and Q (trim 2) where it is read
-    rho_grid, phi_grid = np.empty((ny - 2, nx - 2)), np.empty((ny - 2, nx - 2))
-    q_grid = None
-    if potential is not None or keep_fields:
-        q_grid = np.empty((ny - 4, nx - 4), dtype=complex)
+    # the grid planes the statistics read; with keep_fields, every plane
+    read = {"metric_density", "angle_function"}
+    if potential is not None:
+        read.add("quadratic_differential")
 
-    # kept fields come from one block over the whole grid
-    blocks = [(slice(0, ny),) * 2] if keep_fields else _row_blocks(ny, nx)
-    for rows, block in blocks:
-        lo = block.start
+    # each block reads the 3 rows past its own that hopf_holomorphy reaches
+    for rows, block in row_blocks(ny, nx, VERIFY_BLOCK_NODES, MIN_STENCIL_NODES // 2):
+        blocked = [c if c is None else c[block] for c in (F, height, aux_height, fhat)]
 
         def own(plane, trim, reach, first):
             """The nodes of a trim-`trim` plane whose first row is grid row
@@ -436,141 +534,41 @@ def verify_surface(
             bottom = max(top, min(rows.stop, ny - reach))
             return plane[top - first : bottom - first, reach - trim : nx - reach - trim]
 
-        def settle(key, planes, trim):
-            """Fold a class's maxima and gated nodes on the block's own rows
-            into the grid's, keeping planes on request."""
-            magnitudes = [np.abs(own(p, trim, trim, lo + trim)) for p in planes]
-            reach = max(margin, trim)
-            gated = [own(m, trim, reach, max(rows.start, trim)) for m in magnitudes]
-            gated_peak, ungated_peak = peaks.get(key, (_NO_PEAK, _NO_PEAK))
-            peaks[key] = _peak(gated, gated_peak), _peak(magnitudes, ungated_peak)
-            evaluated[key] += gated[0].size
-            if keep_fields:
-                field = planes[0] if len(planes) == 1 else from_entries(planes)
-                fields[key] = _nan_ring(field, trim, field.dtype)
-
-        # The matrix field's stencils are the largest temporaries of the
-        # suite; taking them before the tangent data exists lowers the peak.
-        if fhat is not None:
-            e = [np.ascontiguousarray(c[block]) for c in entries(fhat)]
-            derivatives = [dz_dzbar(c, hx, hy) for c in e]
-            bracket = commutator_entries(*zip(*derivatives))
-            del derivatives
-            settle(
-                "fhat_laplace_identity",
-                [less_quarter_i(dzzbar(c, hx, hy), b) for c, b in zip(e, bracket)],
-                1,
-            )
-            del e, bracket
-
-        # Frame coefficients of f_z (trim 1): the coordinate z-derivatives,
-        # the third made vertical by nil3's vertical form.
-        Fb = F[block]
-        x1, x2 = np.ascontiguousarray(Fb.real), np.ascontiguousarray(Fb.imag)
-        a = [dz(c, hx, hy) for c in (x1, x2, height[block])]
-        a[2] = vertical_form((_inner(x1), _inner(x2)), a)
-        a0, a1, A = a
-
-        conf = a0 * a0 + a1 * a1 + A * A
-        rho = 2.0 * (np.abs(a0) ** 2 + np.abs(a1) ** 2 + np.abs(A) ** 2)
-        own(rho_grid, 1, 1, 1)[...] = own(rho, 1, 1, lo + 1)
-        settle("conformality", [conf], 1)
-        del conf, rho
-
-        F_z = a0 + 1j * a1
-        F_zbar = np.conj(a0) + 1j * np.conj(a1)
-        settle(
-            "minimality_horizontal",
-            [dzzbar(Fb, hx, hy) - 0.5j * (np.conj(A) * F_z + A * F_zbar)],
-            1,
-        )
-        del F_z, F_zbar
-
-        if aux_height is not None:
-            settle(
-                "aux_height_consistency", [A - 1j * dz(aux_height[block], hx, hy)], 1
-            )
-
-        # Unit normal from the real coordinate-direction tangents f_x = 2 Re
-        # a and f_y = -2 Im a; the frame is orthonormal, so the Euclidean
-        # cross product computes the metric normal (NaN where it vanishes).
-        fx = [2.0 * c.real for c in a]
-        fy = [-2.0 * c.imag for c in a]
-        cross = (
-            fx[1] * fy[2] - fx[2] * fy[1],
-            fx[2] * fy[0] - fx[0] * fy[2],
-            fx[0] * fy[1] - fx[1] * fy[0],
-        )
-        del fx, fy
-        norm = np.sqrt(
-            cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2]
-        )
-        safe = np.where(norm == 0.0, 1.0, norm)
-        normal = [np.where(norm == 0.0, np.nan, c / safe) for c in cross]
-        del cross, safe, norm
-        phi = normal[2]
-        own(phi_grid, 1, 1, 1)[...] = own(phi, 1, 1, lo + 1)
-
-        # Derivatives of the frame coefficients (trim 2).
-        a_z, a_zbar = zip(*(dz_dzbar(c, hx, hy) for c in a))
-        a_in = [_inner(c) for c in a]
-        del a
-
-        settle("minimality_vertical", [a_zbar[2] + np.conj(a_zbar[2])], 2)
-
-        # nabla_{f_z} f_z̄: the coefficients of f_z̄ are conj(a) and their
-        # z-derivatives conj(a_z̄), since f is real.
-        cov = covariant_derivative(
-            a_in, [np.conj(c) for c in a_in], [np.conj(c) for c in a_zbar]
-        )
-        del a_zbar
-        squares = [(np.conj(c) * c).real for c in cov]
-        cov_norm = np.sqrt(squares[0] + squares[1] + squares[2])
-        del cov, squares
-        settle("covariant_minimality", [cov_norm], 2)
-        del cov_norm
-
-        # Q = i <nabla_{f_z} f_z, N> + A^2 (trim 2) and its z̄-derivative.
-        accel = covariant_derivative(a_in, a_in, a_z)
-        del a_z
-        normal_in = [_inner(c) for c in normal]
-        q = 1j * (
-            accel[0] * normal_in[0] + accel[1] * normal_in[1] + accel[2] * normal_in[2]
-        ) + a_in[2] ** 2
-        del accel, normal_in, a_in
-        if q_grid is not None:
-            own(q_grid, 2, 2, 2)[...] = own(q, 2, 2, lo + 2)
-        settle("hopf_holomorphy", [dzbar(q, hx, hy)], 3)
-        del q
-
-        # Harmonic-map residual of g = (N1 + i N2)/(1 + N3), the south-pole
-        # stereographic projection of the normal, masked to NaN where
-        # phi <= ANGLE_CUTOFF: there |g| -> 1 and the hyperbolic factor
-        # blows up, so the check is only meaningful on the upward-tilted
-        # region.
-        g = stereographic_south(normal)
-        g_z, g_zbar = dz_dzbar(g, hx, hy)
-        g_in = _inner(g)
-        tau = dzzbar(g, hx, hy) + 2.0 * np.conj(g_in) * g_z * g_zbar / (
-            1.0 - np.abs(g_in) ** 2
-        )
-        del g_z, g_zbar, g_in
-        tau = np.where(_inner(phi) > ANGLE_CUTOFF, tau, np.nan)
-        settle("gauss_map_tension", [tau], 2)
-        tension_finite += int(
-            np.count_nonzero(np.isfinite(own(tau, 2, max(margin, 2), lo + 2)))
-        )
-        if keep_fields:
-            fields["gauss_map"] = _nan_ring(g, 1, g.dtype)
-            fields["normal"] = _nan_ring(np.stack(normal, axis=-1), 1, phi.dtype)
-        del tau, g, normal, phi
+        for key, planes, trim in _class_planes(*blocked, hx, hy):
+            # the planes on the block's own rows, whose first is grid row top
+            planes = [own(p, trim, trim, block.start + trim) for p in planes]
+            top = max(rows.start, trim)
+            if key in RESIDUAL_CLASSES:
+                magnitudes = [np.abs(p) for p in planes]
+                reach = max(margin, trim)
+                gated = [own(m, trim, reach, top) for m in magnitudes]
+                gated_peak, ungated_peak = peaks.get(key, (_NO_PEAK, _NO_PEAK))
+                peaks[key] = _peak(gated, gated_peak), _peak(magnitudes, ungated_peak)
+                evaluated[key] += gated[0].size
+                del magnitudes, gated
+                if key == "gauss_map_tension":
+                    finite = np.isfinite(own(planes[0], trim, reach, top))
+                    tension_finite += int(np.count_nonzero(finite))
+                    del finite
+            if keep_fields or key in read:
+                if key not in grids:
+                    grids[key] = np.full(
+                        F.shape + _ENTRY_AXES[len(planes)], np.nan, planes[0].dtype
+                    )
+                # one grid plane per yielded plane, by index: no loop name
+                # may hold a plane while the kernel computes the next class
+                views = np.moveaxis(grids[key].reshape(ny, nx, -1), -1, 0)
+                for k, view in enumerate(views):
+                    own(view, 0, trim, 0)[...] = planes[k]
+            # the kernel computes the next class once these are dropped
+            del planes
 
     # At grid scope: the bits of every statistic, and the one verdict.
     maxima = dict.fromkeys(RESIDUAL_KEYS, float("nan"))
     maxima_ungated = dict(maxima)
     for key, (gated, ungated) in peaks.items():
         maxima[key], maxima_ungated[key] = _nanmax(gated), _nanmax(ungated)
-    rho_window = _inner(rho_grid, margin - 1)
+    rho_window = _inner(grids["metric_density"], margin)
     rho_interior = rho_window[np.isfinite(rho_window)]
     if rho_interior.size and float(np.min(rho_interior)) < DEGENERATE_TOL:
         raise DegenerateNode(
@@ -578,7 +576,7 @@ def verify_surface(
             f"{DEGENERATE_TOL:.1e}; surface degenerates on the grid interior"
         )
 
-    phi_window = _inner(phi_grid, margin - 1)
+    phi_window = _inner(grids["angle_function"], margin)
     phi_finite = phi_window[np.isfinite(phi_window)]
     # interior nodes the angle cutoff masks; the tension had its inputs at
     # the rest, a NaN phi included
@@ -597,7 +595,7 @@ def verify_surface(
         # Q has trim 2: under a margin of 1 its first ring is not there
         inset = max(margin, 2)
         q0 = potential.q0(_inner(z_nodes, inset))
-        q_window = np.abs(_inner(q_grid, inset - 2))
+        q_window = np.abs(_inner(grids["quadratic_differential"], inset))
         ok = (np.abs(q0) > 1e-12) & np.isfinite(q_window)
         if np.any(ok):
             qr = q_window[ok] / np.abs(q0[ok])
@@ -631,15 +629,9 @@ def verify_surface(
         q_ratio_spread=q_ratio_spread,
     )
     if keep_fields:
-        # the classes in reporting order, then the geometric fields, the
-        # block's gauss_map and normal last
-        report.fields = {k: fields.pop(k) for k in RESIDUAL_KEYS if k in fields}
-        report.fields.update(
-            metric_density=_nan_ring(rho_grid, 1, rho_grid.dtype),
-            angle_function=_nan_ring(phi_grid, 1, phi_grid.dtype),
-            quadratic_differential=_nan_ring(q_grid, 2, q_grid.dtype),
-            **fields,
-        )
+        # the classes in reporting order, then the kernel's geometric planes
+        report.fields = {key: grids[key] for key in RESIDUAL_KEYS if key in grids}
+        report.fields.update({k: g for k, g in grids.items() if k not in report.fields})
     report.thresholds = residual_thresholds(h, tolerances["threshold_scale"])
     report.passed, report.failures = classify_report(report, report.thresholds)
     return report

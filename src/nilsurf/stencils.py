@@ -1,4 +1,5 @@
-"""Every difference formula of the package, and the one rule for its axes.
+"""Every difference formula of the package, the one rule for its axes, and
+the one split of a grid into blocks of whole rows.
 
 The residual suite's d/dz, d/dz̄ and d2/dz dz̄ (second order, one node in)
 difference a complex plane on its float view in real arithmetic: the
@@ -48,6 +49,19 @@ def axis_steps(axis, rtol, name):
                 "is zero or not finite, and the stencils divide by h^2"
             )
     return steps
+
+
+def row_blocks(ny, nx, block_nodes, halo=0):
+    """(own rows, rows read) of the ny x nx grid's rows split evenly into
+    ceil(ny / max(block_nodes // nx, 4 * halo, 1)) blocks, each read with
+    `halo` rows more on each side.  With more than one block, each owns
+    over 2 * halo rows, so its halo is at most half of its work."""
+    count = -(-ny // max(block_nodes // nx, 4 * halo, 1))
+    edges = [ny * k // count for k in range(count + 1)]
+    return [
+        (slice(top, end), slice(max(top - halo, 0), end + halo))
+        for top, end in zip(edges, edges[1:])
+    ]
 
 
 def _pairs(f):

@@ -61,6 +61,7 @@ import numpy as np
 from . import mat2
 from .errors import ShapeViolation
 from .frame import integrate_grid
+from .stencils import row_blocks
 
 #: Largest deviation of fhat and of f from their model shapes.
 SHAPE_TOL = 1e-6
@@ -150,13 +151,6 @@ def _worst(deviation, tol, not_finite, deviates):
     return worst
 
 
-def _row_blocks(ny, nx):
-    """Slices of whole grid rows, ASSEMBLY_BLOCK_NODES // nx of them (at
-    least one) in each block but the last, which may hold fewer."""
-    rows = max(1, ASSEMBLY_BLOCK_NODES // nx)
-    return [slice(start, start + rows) for start in range(0, ny, rows)]
-
-
 def _matrices(row, rows):
     """Entry 4-tuples of the frames row[k] over the grid rows `rows`."""
     # each frame matrix is [[a, b], [conj(b), conj(a)]] (frame module)
@@ -204,16 +198,16 @@ def surface_from_frame(frame_field):
     diagonal terms.  A frame that is not finite fails first, as a
     SingularFrameError of its inverse.
 
-    The work runs on blocks of whole grid rows (_row_blocks): first the
-    determinant of psi, which is kept for the whole grid and gated once,
-    then the assembly of each block (_assemble_rows).  The shape gates
-    judge the blocks' largest deviations once all blocks are done.  Every
-    step is entry-wise, so the blocks give the bits and the errors of one
-    pass over the whole grid.
+    The work runs on blocks of whole grid rows (stencils.row_blocks):
+    first the determinant of psi, which is kept for the whole grid and
+    gated once, then the assembly of each block (_assemble_rows).  The
+    shape gates judge the blocks' largest deviations once all blocks are
+    done.  Every step is entry-wise, so the blocks give the bits and the
+    errors of one pass over the whole grid.
     """
     row = frame_field.row
     shape = row.shape[2:]
-    blocks = _row_blocks(*shape)
+    blocks = [rows for rows, _ in row_blocks(*shape, ASSEMBLY_BLOCK_NODES)]
     det = np.empty(shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in blocks:

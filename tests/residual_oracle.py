@@ -27,7 +27,15 @@ from nilsurf.config import DEFAULT_TOLERANCES
 from nilsurf.errors import DegenerateNode, DomainError
 from nilsurf.mat2 import commutator_entries, entries, from_entries
 from nilsurf.nil3 import covariant_derivative, vertical_form
-from nilsurf.residuals import ANGLE_CUTOFF, DEGENERATE_TOL, ResidualReport, _nan_ring
+from nilsurf.residuals import ANGLE_CUTOFF, DEGENERATE_TOL, ResidualReport
+
+
+def nan_ring(interior):
+    """Complex interior inside a ring of NaN one node wide."""
+    ny, nx = interior.shape[:2]
+    out = np.full((ny + 2, nx + 2) + interior.shape[2:], np.nan, dtype=complex)
+    out[1:-1, 1:-1] = interior
+    return out
 
 
 def xy_differences(f, hx, hy):
@@ -75,22 +83,22 @@ def grid_dz(f, hx, hy):
     f has shape (ny, nx, ...); the outermost ring of nodes gets NaN since
     the stencil does not fit there.
     """
-    return _nan_ring(dz(f, hx, hy))
+    return nan_ring(dz(f, hx, hy))
 
 
 def grid_dzbar(f, hx, hy):
     """d/dz̄ = (d/dx + i d/dy)/2 by central differences (NaN ring)."""
-    return _nan_ring(dzbar(f, hx, hy))
+    return nan_ring(dzbar(f, hx, hy))
 
 
 def grid_dz_dzbar(f, hx, hy):
     """(d/dz, d/dz̄) of one field from a single pair of x/y differences."""
-    return tuple(_nan_ring(d) for d in dz_dzbar(f, hx, hy))
+    return tuple(nan_ring(d) for d in dz_dzbar(f, hx, hy))
 
 
 def grid_dzzbar(f, hx, hy):
     """d2/dz dz̄ = Laplacian/4 by the 5-point stencil (NaN ring)."""
-    return _nan_ring(dzzbar(f, hx, hy))
+    return nan_ring(dzzbar(f, hx, hy))
 
 
 def stacked_covariant_derivative(a, w, dw):

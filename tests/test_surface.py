@@ -8,6 +8,7 @@ import pytest
 from nilsurf import frame, mat2, surface
 from nilsurf.errors import ShapeViolation, SingularFrameError
 from nilsurf.potentials import Potential
+from nilsurf.stencils import row_blocks
 
 UNIT_POTENTIAL = Potential.constant(1.0, (0.25,))
 AXES = np.linspace(-0.4, 0.4, 9)
@@ -306,6 +307,11 @@ def whole_grid(field):
     }
 
 
+def assembly_blocks(ny, nx):
+    """The row slices surface_from_frame assembles one at a time."""
+    return [rows for rows, _ in row_blocks(ny, nx, surface.ASSEMBLY_BLOCK_NODES)]
+
+
 def identity_frames(nx, blocks):
     """Frames psi = I, psi_t = psi_tt = 0 on a grid of `blocks` full row
     blocks of width nx, and the blocks' row slices."""
@@ -313,14 +319,15 @@ def identity_frames(nx, blocks):
     row = np.zeros((3, 2, ny, nx), dtype=complex)
     row[0, 0] = 1.0
     field = frame.FrameField(x=np.arange(nx) / nx, y=np.arange(ny) / nx, t=0.0, row=row)
-    slices = surface._row_blocks(ny, nx)
+    slices = assembly_blocks(ny, nx)
     assert len(slices) == blocks
     return field, slices
 
 
 class TestRowBlocks:
-    # surface_from_frame assembles ASSEMBLY_BLOCK_NODES // nx grid rows at
-    # a time; every output must be the whole-grid pass, bit for bit
+    # surface_from_frame assembles at most ASSEMBLY_BLOCK_NODES // nx grid
+    # rows at a time, in blocks of nearly equal size; every output must be
+    # the whole-grid pass, bit for bit
 
     @pytest.mark.parametrize("t", [0.3, [0.0, 0.7, 2.1]], ids=["one-t", "three-t"])
     @pytest.mark.parametrize(
@@ -328,12 +335,12 @@ class TestRowBlocks:
         [
             # a single block: the flagship's grid
             (49, 49, None, [49]),
-            # four blocks of 31 rows and a last one of 5
-            (129, 129, None, [31] * 4 + [5]),
+            # five blocks of 25-26 rows, where 31 would fit
+            (129, 129, None, [25] + [26] * 4),
             # three equal blocks of 43 rows
             (129, 129, 43 * 129, [43] * 3),
-            # a short last block on a lopsided grid off z = 0
-            (97, 61, None, [42, 19]),
+            # blocks of 30 and 31 rows on a lopsided grid off z = 0
+            (97, 61, None, [30, 31]),
         ],
     )
     def test_blocks_match_the_whole_grid(
@@ -341,7 +348,7 @@ class TestRowBlocks:
     ):
         if block_nodes is not None:
             monkeypatch.setattr(surface, "ASSEMBLY_BLOCK_NODES", block_nodes)
-        blocks = surface._row_blocks(ny, nx)
+        blocks = assembly_blocks(ny, nx)
         assert [len(range(ny)[rows]) for rows in blocks] == sizes
         x = np.linspace(-0.303, 0.657, nx)
         y = np.linspace(-0.105, 0.495, ny)
